@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arq
+from . import arq, errors
 from .exact import evaluate_exact
 from .lagrange import EtaSearchConfig, search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
@@ -303,6 +303,18 @@ def cmd_learn(args) -> int:
     return 0
 
 
+# What a grid point can legitimately fail with; anything else is a bug and propagates.
+_POINT_ERRORS = (
+    ValueError,
+    errors.BracketingError,
+    errors.ConvergenceError,
+    errors.EtaSearchError,
+    errors.MultichainError,
+    errors.NoStationaryAoIError,
+    errors.ProtocolViolationError,
+)
+
+
 def _sweep_point(task):
     protocol, p0, lam, r_max, c_max, n_max, horizon, reps, seed = task
     try:
@@ -338,7 +350,7 @@ def _sweep_point(task):
             SWEEP_SCHEMA, protocol, p0, lam, r_max, c_max, eta_star,
             f"{exact_aoi:.12g}", f"{exact_cost:.12g}", *sim, "",
         ]
-    except Exception as exc:  # per-point failures become rows, the sweep continues
+    except _POINT_ERRORS as exc:  # per-point failures become rows, the sweep continues
         return [SWEEP_SCHEMA, protocol, p0, lam, r_max, c_max, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"]
 
 
@@ -392,7 +404,7 @@ def cmd_sweep(args) -> int:
         writer.writerows(rows)
     failures = sum(1 for r in rows if r[-1])
     print(f"# sweep: {len(rows)} points, {failures} failed", file=sys.stderr)
-    return 0
+    return 1 if failures else 0
 
 
 def _verify_checks(quick: bool, perturb: str | None):

@@ -18,8 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import MultichainError, NoStationaryAoIError
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation, transitions
-from .policies import PeriodicPolicy, Policy, RenewalMixture
+from .mdp import Action, ChannelModel, State, StateSpace, Truncation
+from .policies import DeterministicTable, PeriodicPolicy, Policy, RenewalMixture
 
 _STATIONARY_RESIDUAL = 1e-10
 _DENSE_CLASS_LIMIT = 2500
@@ -35,29 +35,45 @@ class EvalResult:
     stationary: dict[State, float]
 
 
+def _action_probs(policy: Policy, space: StateSpace) -> np.ndarray:
+    """``(states × actions)`` matrix of the positive probabilities ``policy`` plays."""
+    n = len(space)
+    probs = np.zeros((n, space.n_actions))
+    if isinstance(policy, DeterministicTable):
+        t = policy.trunc
+        # Clamping to the table's truncation is the identity when it covers the
+        # space, and the plain dict lookup is ~10x cheaper than action_at.
+        covers = t.n_max >= space.trunc.n_max and t.r_max >= space.r_cap
+        lookup = policy.actions.__getitem__ if covers else policy.action_at
+        probs[np.arange(n), np.fromiter(map(lookup, space.states), np.int64, n)] = 1.0
+        return probs
+    for i, s in enumerate(space.states):
+        for a, pa in policy.action_probs(s).items():
+            if pa > 0.0:
+                probs[i, a] = pa
+    return probs
+
+
 def induced_chain(
     policy: Policy, model: ChannelModel, trunc: Truncation
 ) -> tuple[StateSpace, sp.csr_matrix, np.ndarray]:
     """Transition matrix of the chain under ``policy`` plus per-state transmit probability."""
     space = StateSpace(model, trunc)
     n = len(space)
-    rows, cols, vals = [], [], []
-    tx = np.zeros(n)
-    for i, s in enumerate(space.states):
-        for a, pa in policy.action_probs(s).items():
-            if pa <= 0.0:
-                continue
-            if not space.admissible[i, a]:
-                raise NoStationaryAoIError(
-                    f"policy assigns inadmissible action {Action(a).name} at {s}"
-                )
-            if a != Action.IDLE:
-                tx[i] += pa
-            for nxt, p in transitions(s, a, model, trunc):
-                rows.append(i)
-                cols.append(space.index[nxt])
-                vals.append(pa * p)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    probs = _action_probs(policy, space)
+    bad = np.argwhere((probs > 0.0) & ~space.admissible)
+    if len(bad):
+        i, a = bad[0]
+        raise NoStationaryAoIError(
+            f"policy assigns inadmissible action {Action(a).name} at {space.states[i]}"
+        )
+    tx = probs[:, Action.NEW_UPDATE] + probs[:, Action.RETRANSMIT]
+    # Only the branches actually taken become entries: csgraph counts stored
+    # zeros as edges.
+    keep = (probs[:, :, None] > 0.0) & (space.succ_prob > 0.0)
+    vals = (probs[:, :, None] * space.succ_prob)[keep]
+    rows = np.broadcast_to(np.arange(n)[:, None, None], keep.shape)[keep]
+    P = sp.csr_matrix((vals, (rows, space.succ_idx[keep])), shape=(n, n))
     return space, P, tx
 
 

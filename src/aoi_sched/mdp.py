@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -203,29 +204,63 @@ def enumerate_states(trunc: Truncation) -> list[State]:
 class StateSpace:
     """Dense indexing of the truncated state set plus transition arrays.
 
-    Precomputes, for every (state, action), the at-most-two successor indices
-    and probabilities, which is what the value-iteration sweeps and the
-    stationary-distribution builder consume.
+    States are row-major in ``(delta, r)``: age ``delta`` holds the attempt
+    counts ``0 .. min(delta, r_cap + 1) - 1``.  With row offsets
+    ``off[delta] = sum(min(d, r_cap + 1) for d in 1 .. delta - 1)`` the state
+    ``(delta, r)`` sits at index ``off[delta] + r``, so the at-most-two
+    successor indices and probabilities of every (state, action) follow in
+    closed form.  They are what the value-iteration sweeps and the
+    stationary-distribution builder consume; ``transitions`` is their
+    per-state specification.  Unused successor slots hold index 0 with
+    probability 0.
     """
 
     def __init__(self, model: ChannelModel, trunc: Truncation):
         self.model = model
         self.trunc = trunc
-        self.r_cap = effective_r_max(model, trunc)
-        self.states = enumerate_states(Truncation(trunc.n_max, self.r_cap))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        n = len(self.states)
-        self.delta = np.array([s.delta for s in self.states], dtype=np.float64)
+        self.r_cap = r_cap = effective_r_max(model, trunc)
+        n_max = trunc.n_max
+        ages = np.arange(1, n_max + 1)
+        width = np.minimum(ages, r_cap + 1)
+        self.off = np.zeros(n_max + 2, dtype=np.int64)
+        np.cumsum(width, out=self.off[2:])
+        n = int(self.off[-1])
+        age = np.repeat(ages, width)
+        self.r = np.arange(n) - self.off[age]
+        self.delta = age.astype(np.float64)
         self.n_actions = len(Action)
+
+        # Python floats from the model, so the bits match transitions().
+        g = np.array([model.error_prob(k) for k in range(r_cap + 1)])
+        up = self.off[np.minimum(age + 1, n_max)]  # index of (min(delta + 1, n_max), 0)
         self.succ_idx = np.zeros((n, self.n_actions, 2), dtype=np.int64)
         self.succ_prob = np.zeros((n, self.n_actions, 2), dtype=np.float64)
-        self.admissible = np.zeros((n, self.n_actions), dtype=bool)
-        for i, s in enumerate(self.states):
-            for a in admissible_actions(s, model, trunc):
-                self.admissible[i, a] = True
-                for k, (nxt, prob) in enumerate(transitions(s, a, model, trunc)):
-                    self.succ_idx[i, a, k] = self.index[nxt]
-                    self.succ_prob[i, a, k] = prob
+        self.admissible = np.ones((n, self.n_actions), dtype=bool)
+        self.succ_idx[:, Action.IDLE, 0] = up
+        self.succ_prob[:, Action.IDLE, 0] = 1.0
+        self.succ_idx[:, Action.NEW_UPDATE, 0] = up + min(1, r_cap)
+        self.succ_prob[:, Action.NEW_UPDATE] = g[0], 1.0 - g[0]
+
+        retx = (self.r >= 1) & (self.r < r_cap)
+        self.admissible[:, Action.RETRANSMIT] = retx
+        rr = self.r[retx]
+        fail = g[rr]
+        self.succ_idx[retx, Action.RETRANSMIT] = np.stack([up[retx] + rr + 1, self.off[rr + 1]], axis=1)
+        self.succ_prob[retx, Action.RETRANSMIT] = np.stack([fail, 1.0 - fail], axis=1)
+        # Far beyond the underflow scan limit g(r) can be exactly 0; transitions()
+        # then drops the failure branch and success moves to the first slot.
+        dead = retx & (self.succ_prob[:, Action.RETRANSMIT, 0] == 0.0)
+        for arr in (self.succ_idx, self.succ_prob):
+            arr[dead, Action.RETRANSMIT, 0] = arr[dead, Action.RETRANSMIT, 1]
+            arr[dead, Action.RETRANSMIT, 1] = 0
+
+    @cached_property
+    def states(self) -> list[State]:
+        return list(map(State, self.delta.astype(np.int64).tolist(), self.r.tolist()))
+
+    @cached_property
+    def index(self) -> dict[State, int]:
+        return dict(zip(self.states, range(len(self))))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.delta)

@@ -21,7 +21,9 @@ reported residual is rescaled by ``1/k`` so it measures the undamped update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +52,32 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverOutput:
-    """Converged differential values, state-action costs, gain and greedy policy."""
+    """Converged differential values, state-action costs, gain and greedy policy.
 
-    h: dict[State, float]
-    q: dict[tuple[State, Action], float]
+    ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
+    in ``StateSpace`` order, which is also the key order of ``policy.actions``;
+    ``h`` and ``q`` are dict views of them, built on first access.
+    """
+
     gain: float
     policy: DeterministicTable
     iterations: int
     residual: float
     h_array: np.ndarray = field(repr=False)
+    q_array: np.ndarray = field(repr=False)
+
+    @cached_property
+    def h(self) -> dict[State, float]:
+        return dict(zip(self.policy.actions, self.h_array.tolist()))
+
+    @cached_property
+    def q(self) -> dict[tuple[State, Action], float]:
+        return {
+            (s, a): value
+            for s, row in zip(self.policy.actions, self.q_array.tolist())
+            for a, value in zip(_ACTION_ORDER, row)
+            if math.isfinite(value)
+        }
 
 
 def _masked_q(
@@ -120,16 +139,9 @@ def solve(
     v = q.min(axis=1)
     gain = float(v[ref])
     greedy = np.argmin(q, axis=1)  # first minimum wins: idle < new < retransmit
-    actions = {s: Action(int(greedy[i])) for i, s in enumerate(space.states)}
+    actions = dict(zip(space.states, map(_ACTION_ORDER.__getitem__, greedy.tolist())))
     policy = DeterministicTable(actions, Truncation(trunc.n_max, space.r_cap))
-    h_map = {s: float(h[i]) for i, s in enumerate(space.states)}
-    q_map = {
-        (s, a): float(q[i, a])
-        for i, s in enumerate(space.states)
-        for a in _ACTION_ORDER
-        if np.isfinite(q[i, a])
-    }
-    return SolverOutput(h_map, q_map, gain, policy, it, residual, h)
+    return SolverOutput(gain, policy, it, residual, h, q)
 
 
 def bellman_residual(
@@ -142,10 +154,13 @@ def bellman_residual(
 ) -> float:
     """Sup-norm violation of the average-cost optimality equations by ``out``."""
     space = StateSpace(model, trunc)
-    h = np.array([out.h[s] for s in space.states])
-    q = _masked_q(space, h, eta, unconstrained)
+    if out.policy.trunc != Truncation(trunc.n_max, space.r_cap):
+        raise ValueError(
+            f"out was solved on {out.policy.trunc}, not on this space ({trunc}, r_cap {space.r_cap})"
+        )
+    q = _masked_q(space, out.h_array, eta, unconstrained)
     v = q.min(axis=1)
-    return float(np.abs(v - out.gain - h).max())
+    return float(np.abs(v - out.gain - out.h_array).max())
 
 
 def greedy_policy(q: dict[tuple[State, Action], float]) -> dict[State, Action]:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from aoi_sched.cli import SWEEP_HEADER, main
+from aoi_sched.errors import BracketingError
 
 
 def read_csv(path):
@@ -161,6 +162,35 @@ def test_sweep_reproducible_bit_for_bit(tmp_path, capsys):
     assert main(args + ["--workers", "2", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+HARQ_AND_BASELINE_SWEEP = [
+    "sweep", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", "0.3",
+    "--protocols", "harq", "baseline", "--horizon", "0", "--nmax", "60",
+]
+
+
+def test_sweep_failed_point_writes_error_row_and_fails(monkeypatch, tmp_path, capsys):
+    def no_bracket(*args, **kwargs):
+        raise BracketingError("no bracket")
+
+    monkeypatch.setattr("aoi_sched.cli.solve_constrained", no_bracket)
+    out = tmp_path / "sweep.csv"
+    assert main(HARQ_AND_BASELINE_SWEEP + ["--out", str(out)]) == 1
+    rows = read_csv(out)
+    assert [r[1] for r in rows[1:]] == ["harq", "baseline"]
+    assert rows[1][-1] == "BracketingError: no bracket"
+    assert rows[2][-1] == "" and rows[2][7] != ""
+    assert "1 failed" in capsys.readouterr().err
+
+
+def test_sweep_programming_error_propagates(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("aoi_sched.cli.solve_constrained", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(HARQ_AND_BASELINE_SWEEP + ["--out", str(tmp_path / "sweep.csv")])
 
 
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):

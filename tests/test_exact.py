@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from aoi_sched.errors import NoStationaryAoIError
-from aoi_sched.exact import evaluate_exact, renewal_mixture_weight
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states, transitions
+from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
+from aoi_sched.mdp import (
+    Action,
+    ChannelModel,
+    State,
+    Truncation,
+    effective_r_max,
+    enumerate_states,
+    transitions,
+)
 from aoi_sched.policies import (
     DeterministicTable,
     PeriodicPolicy,
@@ -56,6 +64,63 @@ def mixture_oracle(pol_a, pol_b, w, model, trunc):
     pi /= pi.sum()
     deltas = np.array([s.delta for s in states] * 2, dtype=float)
     return float(pi @ deltas), float(pi @ tx)
+
+
+def reference_chain(policy, model, trunc):
+    """Dense transition matrix and transmit probability, state by state from ``transitions``."""
+    states = enumerate_states(Truncation(trunc.n_max, effective_r_max(model, trunc)))
+    idx = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    tx = np.zeros(len(states))
+    for i, s in enumerate(states):
+        for a, pa in policy.action_probs(s).items():
+            if a != Action.IDLE:
+                tx[i] += pa
+            for nxt, p in transitions(s, a, model, trunc):
+                P[i, idx[nxt]] += pa * p
+    return P, tx
+
+
+class TestInducedChain:
+    def assert_matches_reference(self, policy, model, trunc):
+        space, P, tx = induced_chain(policy, model, trunc)
+        P_ref, tx_ref = reference_chain(policy, model, trunc)
+        assert np.array_equal(P.toarray(), P_ref)
+        assert P.nnz == np.count_nonzero(P_ref)  # no stored zeros: csgraph reads them as edges
+        assert np.array_equal(tx, tx_ref)
+
+    @pytest.mark.parametrize("table_n_max", [40, 25])
+    def test_deterministic_table(self, table_n_max):
+        # A table with a smaller age cap is read through its clamped lookup.
+        model = ChannelModel(0.4, 0.6, 4)
+        trunc = Truncation(40, 4)
+        table_trunc = Truncation(table_n_max, 4)
+        acts = {
+            s: (Action.RETRANSMIT if 1 <= s.r < 4 else Action.NEW_UPDATE if s.delta >= 5 else Action.IDLE)
+            for s in enumerate_states(table_trunc)
+        }
+        self.assert_matches_reference(DeterministicTable(acts, table_trunc), model, trunc)
+
+    def test_randomized_table_arq_merges_idle_and_failed_new(self):
+        # With r_max = 0 idling and a failed fresh update both lead to
+        # (delta + 1, 0), so their probabilities add in one entry.
+        model = ChannelModel(0.3, 1.0, 0)
+        trunc = Truncation(30, 0)
+        probs = {s: {Action.IDLE: 0.25, Action.NEW_UPDATE: 0.75} for s in enumerate_states(trunc)}
+        self.assert_matches_reference(RandomizedTable(probs, trunc), model, trunc)
+
+    def test_threshold_policy(self):
+        model = ChannelModel(0.5, 0.5, 3)
+        trunc = Truncation(50, 3)
+        self.assert_matches_reference(ThresholdPolicy(6, 0.3), model, trunc)
+
+    def test_retransmit_without_failed_packet_rejected(self):
+        model = ChannelModel(0.5, 0.5, 3)
+        trunc = Truncation(20, 3)
+        acts = {s: Action.NEW_UPDATE for s in enumerate_states(trunc)}
+        acts[State(3, 0)] = Action.RETRANSMIT
+        with pytest.raises(NoStationaryAoIError, match=r"RETRANSMIT at State\(delta=3, r=0\)"):
+            induced_chain(DeterministicTable(acts, trunc), model, trunc)
 
 
 class TestThresholdEvaluation:

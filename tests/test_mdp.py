@@ -1,13 +1,20 @@
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aoi_sched import mdp
 from aoi_sched.errors import InadmissibleActionError, InadmissibleQueryError
+from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import (
     Action,
     ChannelModel,
     State,
+    StateSpace,
     Truncation,
     admissible_actions,
+    effective_r_max,
     enumerate_states,
     error_prob,
     stage_cost,
@@ -190,3 +197,67 @@ class TestAdmissibility:
         trunc = Truncation(50, 0)
         for s in enumerate_states(trunc):
             assert admissible_actions(s, model, trunc) == (Action.IDLE, Action.NEW_UPDATE)
+
+
+def spec_arrays(model, trunc):
+    """State-space arrays assembled state by state from the scalar specification."""
+    states = enumerate_states(Truncation(trunc.n_max, effective_r_max(model, trunc)))
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    succ_idx = np.zeros((n, len(Action), 2), dtype=np.int64)
+    succ_prob = np.zeros((n, len(Action), 2))
+    admissible = np.zeros((n, len(Action)), dtype=bool)
+    for i, s in enumerate(states):
+        for a in admissible_actions(s, model, trunc):
+            admissible[i, a] = True
+            for k, (nxt, prob) in enumerate(transitions(s, a, model, trunc)):
+                succ_idx[i, a, k] = index[nxt]
+                succ_prob[i, a, k] = prob
+    return states, admissible, succ_idx, succ_prob
+
+
+def assert_matches_spec(model, trunc):
+    space = StateSpace(model, trunc)
+    states, admissible, succ_idx, succ_prob = spec_arrays(model, trunc)
+    assert space.states == states
+    assert len(space) == len(states)
+    assert space.index == {s: i for i, s in enumerate(states)}
+    assert np.array_equal(space.delta, [float(s.delta) for s in states])
+    assert np.array_equal(space.admissible, admissible)
+    assert np.array_equal(space.succ_idx, succ_idx)
+    # Bitwise: the solver's outputs depend on every bit of these probabilities.
+    assert space.succ_prob.tobytes() == succ_prob.tobytes()
+
+
+class TestStateSpace:
+    @given(
+        p0=st.floats(0.01, 0.99),
+        lam=st.one_of(st.floats(1e-200, 1.0), st.just(1.0)),
+        model_r_max=st.one_of(st.none(), st.integers(0, 12)),
+        n_max=st.integers(2, 80),
+        trunc_r_max=st.integers(0, 90),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_equal_scalar_specification(self, p0, lam, model_r_max, n_max, trunc_r_max):
+        assert_matches_spec(ChannelModel(p0, lam, model_r_max), Truncation(n_max, trunc_r_max))
+
+    def test_failure_branch_dropped_where_error_underflows(self, monkeypatch):
+        # Past the underflow scan limit g(r) can be exactly 0 below the cap;
+        # the successful retransmission then takes the first successor slot.
+        monkeypatch.setattr(mdp, "_UNDERFLOW_SCAN_LIMIT", 1)
+        model = ChannelModel(0.5, 1e-200, None)
+        assert model.r_max is None and model.error_prob(2) == 0.0
+        assert_matches_spec(model, Truncation(10, 9))
+
+    def test_hot_paths_never_call_the_scalar_specification(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar specification called on a hot path")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("aoi_sched"):
+                for attr in ("transitions", "admissible_actions"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, forbidden)
+        p0, lam, r_max, c_max, n_max = 0.3, 0.5, 9, 0.4, 120  # operating point A
+        sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
+        assert sol.achieved_cost == pytest.approx(c_max, abs=1e-6)

@@ -65,6 +65,13 @@ class TestSolveHarq:
         assert out.iterations == 1
         assert bellman_residual(out, model, trunc, 5.0) > 1e-3
 
+    def test_residual_rejects_output_of_another_truncation(self):
+        # Truncation(3, 0) and Truncation(2, 1) both hold three states.
+        model = ChannelModel(0.3, 0.5, 9)
+        out = solve(model, Truncation(3, 0), 5.0)
+        with pytest.raises(ValueError, match="solved on"):
+            bellman_residual(out, model, Truncation(2, 1), 5.0)
+
     def test_policy_is_greedy_on_q(self):
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(60, 9)
