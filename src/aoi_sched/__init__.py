@@ -19,7 +19,6 @@ from .arq import (
 from .exact import EvalResult, evaluate_exact
 from .lagrange import (
     ConstrainedSolution,
-    EtaSearchConfig,
     EtaSearchResult,
     mixture_weight,
     search_eta_star,

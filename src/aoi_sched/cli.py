@@ -22,7 +22,7 @@ import numpy as np
 
 from . import arq, errors
 from .exact import evaluate_exact
-from .lagrange import EtaSearchConfig, search_eta_star, solve_constrained
+from .lagrange import search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
 from .rvi import SolverConfig, bellman_residual, solve
@@ -152,8 +152,7 @@ def cmd_arq(args) -> int:
 
 def cmd_search_eta(args) -> int:
     model, trunc = _model_from(args)
-    cfg = EtaSearchConfig(eta0=args.eta0, xi=args.xi, max_steps=args.max_steps)
-    result = search_eta_star(model, trunc, args.cmax, cfg)
+    result = search_eta_star(model, trunc, args.cmax)
     if args.trace_out:
         _write_csv(
             _outpath(args.trace_out),
@@ -532,9 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-eta", help="multiplier search for a budget")
     _model_args(p)
     p.add_argument("--cmax", type=float, required=True)
-    p.add_argument("--eta0", type=float, default=1.0)
-    p.add_argument("--xi", type=float, default=0.2)
-    p.add_argument("--max-steps", type=int, default=40)
     p.add_argument("--trace-out", help="CSV trace of (step, eta, cost, aoi, gain)")
     p.set_defaults(func=cmd_search_eta)
 

@@ -29,6 +29,10 @@ class NoStationaryAoIError(RuntimeError):
     """The evaluated policy never transmits on its recurrent class; age diverges."""
 
 
+class TruncationError(NoStationaryAoIError):
+    """The age cap is too small: the budget needs a policy that idles forever at the cap."""
+
+
 class MultichainError(RuntimeError):
     """The induced chain has more than one closed recurrent class."""
 

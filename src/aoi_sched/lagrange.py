@@ -1,14 +1,29 @@
 """Multiplier search and construction of the budget-optimal randomized policy.
 
-The transmission rate of the multiplier-optimal policy is piecewise constant
-and non-increasing in the charge ``eta``.  The search first runs the
-stochastic-approximation update ``eta += step * (cost - budget)`` with a
-1/(m+1) schedule, falls back to geometric expansion if that fails to bracket
-the budget, then bisects the bracket tight so the two endpoint policies are
-adjacent optima.  Mixing those two policies to meet the budget with equality
-yields the constrained optimum: in a single state when the tables differ in
-exactly one, otherwise by redrawing the active policy at every visit to the
-renewal state (1, 0).
+For a fixed deterministic policy the relaxed average cost ``J + eta * C``
+(average age plus charged transmission rate) is linear in the charge ``eta``,
+and the optimal gain is the lower envelope of those lines.  The budget-optimal
+policy randomizes between the two deterministic policies that are adjacent on
+that envelope at the critical charge ``eta*`` (Beutler & Ross 1985; Altman,
+*Constrained Markov Decision Processes*, 1999).  The search walks the
+envelope to that pair.  It brackets the budget with ``eta = 0`` and an upper
+charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
+(phase ``"expand"``).  It then probes where the two endpoint lines cross,
+``x = (J_hi - J_lo) / (C_lo - C_hi)``, and replaces the endpoint on the
+probe's side of the budget (phase ``"walk"``).  Once the probed policy's line
+is not below the endpoints' at ``x``, no policy lies between them: ``eta* = x``
+and the endpoints are the pair.  Every ``J`` and ``C`` is the exact
+evaluation of the probe's greedy policy; the RVI gain is only ``epsilon``
+accurate, too coarse to tell adjacent policies apart.  A probe whose cost
+meets the budget exactly ends the search at once.  A greedy policy that
+idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
+if the budget needs it, the cap is too small and ``TruncationError`` says
+which cap to use.
+
+Mixing the two policies to meet the budget with equality yields the
+constrained optimum: in a single state when the tables differ in exactly one,
+otherwise by redrawing the active policy at every visit to the renewal state
+(1, 0).
 
 The reported mixture coefficient ``mu`` is the chord weight in cost space
 between the two policies' (cost, age) points, which is also the weight
@@ -21,11 +36,13 @@ budget, not just its once-drawn expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from scipy.optimize import brentq
 
-from .errors import BracketingError, EtaSearchError
-from .exact import EvalResult, evaluate_exact, renewal_mixture_weight
+from . import arq
+from .errors import BracketingError, EtaSearchError, NoStationaryAoIError, TruncationError
+from .exact import EvalResult, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
 from .mdp import ChannelModel, State, Truncation
 from .policies import (
     DeterministicTable,
@@ -36,21 +53,9 @@ from .policies import (
 )
 from .rvi import SolverConfig, SolverOutput, solve
 
-
-@dataclass(frozen=True)
-class EtaSearchConfig:
-    eta0: float = 1.0
-    step0: float | None = None  # None: scaled to 2/budget**2
-    stop_tol: float = 1e-9
-    xi: float = 0.2
-    max_steps: int = 40
-    refine_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.xi <= 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.stop_tol <= 0.0:
-            raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
+_HIT_TOL = 1e-9  # |cost - budget| at which a probe meets the budget exactly
+_TIE_RTOL = 1e-12  # a probe no further below the chord than this lies on it
+_MAX_STEPS = 64  # probes per phase before the search gives up
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,26 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class EtaSearchResult:
+    """Critical charge and the two adjacent policies with their exact evaluations.
+
+    ``low`` is over the budget and ``high`` within it; on an exact hit both
+    are the probe that met the budget.
+    """
+
     eta_star: float
     bracket: tuple[float, float]
     trace: tuple[TraceRow, ...]
-    exact_hit: bool  # a multiplier with cost == budget (within stop_tol) was found
+    exact_hit: bool  # a multiplier with cost == budget (within _HIT_TOL) was found
+    low: tuple[SolverOutput, EvalResult] = field(repr=False)
+    high: tuple[SolverOutput, EvalResult] = field(repr=False)
+
+
+class _Probe(NamedTuple):
+    eta: float
+    out: SolverOutput
+    res: EvalResult | None  # None: the policy idles forever at the age cap
+    aoi: float
+    cost: float
 
 
 @dataclass(frozen=True)
@@ -81,28 +102,6 @@ class ConstrainedSolution:
     achieved_cost: float
     achieved_aoi: float
     search: EtaSearchResult = field(repr=False)
-
-
-class _EtaOracle:
-    """Caches (solve + exact evaluation) per multiplier, warm-starting the sweeps."""
-
-    def __init__(self, model, trunc, solver_cfg):
-        self.model = model
-        self.trunc = trunc
-        self.solver_cfg = solver_cfg or SolverConfig()
-        self._cache: dict[float, tuple[SolverOutput, EvalResult]] = {}
-        self._last_h = None
-
-    def __call__(self, eta: float) -> tuple[SolverOutput, EvalResult]:
-        eta = float(eta)
-        hit = self._cache.get(eta)
-        if hit is not None:
-            return hit
-        out = solve(self.model, self.trunc, eta, self.solver_cfg, h0=self._last_h)
-        self._last_h = out.h_array
-        res = evaluate_exact(out.policy, self.model, self.trunc)
-        self._cache[eta] = (out, res)
-        return out, res
 
 
 def mixture_weight(c_low: float, c_high: float, c_max: float) -> float:
@@ -120,83 +119,75 @@ def search_eta_star(
     model: ChannelModel,
     trunc: Truncation,
     c_max: float,
-    cfg: EtaSearchConfig | None = None,
     solver_cfg: SolverConfig | None = None,
-    *,
-    _oracle: "_EtaOracle | None" = None,
 ) -> EtaSearchResult:
-    """Locate the smallest multiplier whose optimal policy meets the budget.
+    """Walk the lower envelope of ``J + eta * C`` to the critical charge.
 
-    Returns the midpoint of a tight bracket around the jump of the cost
-    curve across ``c_max`` (or the multiplier hitting the budget exactly).
+    Raises ``TruncationError`` when the budget needs the policy that idles
+    forever at the age cap, and ``EtaSearchError`` when the budget does not
+    bind at ``eta = 0`` or a phase runs out of steps.
     """
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
-    cfg = cfg or EtaSearchConfig()
-    oracle = _oracle or _EtaOracle(model, trunc, solver_cfg)
-    step0 = cfg.step0 if cfg.step0 is not None else 2.0 / c_max**2
     trace: list[TraceRow] = []
-    lo = None  # largest eta seen with cost > budget
-    hi = None  # smallest eta seen with cost <= budget
+    h = None
 
-    def probe(eta: float, step: int, phase: str) -> float:
-        out, res = oracle(eta)
-        trace.append(TraceRow(step, eta, res.avg_cost, res.avg_aoi, out.gain, phase))
-        return res.avg_cost
+    def probe(eta: float, phase: str) -> _Probe:
+        nonlocal h
+        out = solve(model, trunc, eta, solver_cfg, h0=h)
+        h = out.h_array
+        try:
+            res = evaluate_exact(out.policy, model, trunc)
+            p = _Probe(eta, out, res, res.avg_aoi, res.avg_cost)
+        except NoStationaryAoIError:
+            # Without transmissions the age climbs to the cap and stays there.
+            p = _Probe(eta, out, None, float(trunc.n_max), 0.0)
+        trace.append(TraceRow(len(trace), eta, p.cost, p.aoi, out.gain, phase))
+        return p
 
-    def note(eta: float, cost: float):
-        nonlocal lo, hi
-        if cost > c_max:
-            lo = eta if lo is None else max(lo, eta)
-        else:
-            hi = eta if hi is None else min(hi, eta)
+    def meets(p: _Probe) -> bool:
+        return p.res is not None and abs(p.cost - c_max) <= _HIT_TOL
 
-    eta = max(0.0, cfg.eta0)
-    step_idx = 0
-    for m in range(cfg.max_steps):
-        cost = probe(eta, step_idx, "sa")
-        step_idx += 1
-        if abs(cost - c_max) <= cfg.stop_tol:
-            return EtaSearchResult(eta, (eta, eta), tuple(trace), True)
-        note(eta, cost)
-        if lo is not None and hi is not None:
+    def result(eta: float, lo: _Probe, hi: _Probe, hit: bool) -> EtaSearchResult:
+        if hi.res is None:
+            needed = arq_eval_truncation(model.p0, arq.optimal_policy(model.p0, c_max).delta2).n_max
+            raise TruncationError(
+                f"age cap n_max={trunc.n_max} is too small for budget {c_max}: meeting it needs "
+                f"the policy that idles forever at the cap; use about n_max={needed}"
+            )
+        return EtaSearchResult(
+            eta, (lo.eta, hi.eta), tuple(trace), hit, (lo.out, lo.res), (hi.out, hi.res)
+        )
+
+    lo = probe(0.0, "expand")
+    if lo.cost < c_max - _HIT_TOL:
+        raise EtaSearchError(
+            f"budget {c_max} does not bind: the uncharged policy transmits at rate {lo.cost}",
+            tuple(trace),
+        )
+    hi = lo
+    for k in range(_MAX_STEPS):
+        if meets(hi):
+            return result(hi.eta, hi, hi, True)
+        if hi.cost < c_max:
             break
-        eta = max(0.0, eta + step0 / (m + 1) * (cost - c_max))
-    if lo is None or hi is None:
-        # Geometric fallback: cost is monotone in eta, so expanding the probe
-        # always brackets a finite jump across the budget.
-        base = max(1.0, 2.0 * cfg.eta0)
-        for k in range(60):
-            if lo is None:
-                cost = probe(0.0, step_idx, "expand")
-                step_idx += 1
-                if abs(cost - c_max) <= cfg.stop_tol:
-                    return EtaSearchResult(0.0, (0.0, 0.0), tuple(trace), True)
-                note(0.0, cost)
-            if hi is None:
-                eta = base * 2.0**k
-                cost = probe(eta, step_idx, "expand")
-                step_idx += 1
-                if abs(cost - c_max) <= cfg.stop_tol:
-                    return EtaSearchResult(eta, (eta, eta), tuple(trace), True)
-                note(eta, cost)
-            if lo is not None and hi is not None:
-                break
-        else:
-            raise EtaSearchError("could not bracket the budget", tuple(trace))
+        lo, hi = hi, probe(2.0**k / c_max**2, "expand")
+    else:
+        raise EtaSearchError("could not bracket the budget", tuple(trace))
 
-    width_tol = cfg.refine_tol * max(1.0, abs(hi))
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        cost = probe(mid, step_idx, "bisect")
-        step_idx += 1
-        if abs(cost - c_max) <= cfg.stop_tol:
-            return EtaSearchResult(mid, (mid, mid), tuple(trace), True)
-        if cost > c_max:
+    for _ in range(_MAX_STEPS):
+        x = (hi.aoi - lo.aoi) / (lo.cost - hi.cost)
+        mid = probe(x, "walk")
+        if meets(mid):
+            return result(x, mid, mid, True)
+        chord = lo.aoi + x * lo.cost
+        if mid.aoi + x * mid.cost >= chord - _TIE_RTOL * max(1.0, abs(chord)):
+            return result(x, lo, hi, False)
+        if mid.cost > c_max:
             lo = mid
         else:
             hi = mid
-    return EtaSearchResult(0.5 * (lo + hi), (lo, hi), tuple(trace), False)
+    raise EtaSearchError("envelope walk did not reach an adjacent pair", tuple(trace))
 
 
 def _single_state_mix(
@@ -241,57 +232,31 @@ def solve_constrained(
     model: ChannelModel,
     trunc: Truncation,
     c_max: float,
-    cfg: EtaSearchConfig | None = None,
     solver_cfg: SolverConfig | None = None,
 ) -> ConstrainedSolution:
     """Budget-optimal policy: multiplier search plus a one-knob randomization."""
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
-    cfg = cfg or EtaSearchConfig()
-    solver_cfg = solver_cfg or SolverConfig()
 
     if c_max >= 1.0:
         # Budget-free mode: idling removed from the action set, no mixture.
         out = solve(model, trunc, 0.0, solver_cfg, unconstrained=True)
         res = evaluate_exact(out.policy, model, trunc)
-        search = EtaSearchResult(0.0, (0.0, 0.0), (), True)
+        search = EtaSearchResult(0.0, (0.0, 0.0), (), True, (out, res), (out, res))
         return ConstrainedSolution(
             0.0, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, search
         )
 
-    oracle = _EtaOracle(model, trunc, solver_cfg)
-    search = search_eta_star(model, trunc, c_max, cfg, solver_cfg, _oracle=oracle)
+    search = search_eta_star(model, trunc, c_max, solver_cfg)
     eta_star = search.eta_star
+    (out_low, res_low), (out_high, res_high) = search.low, search.high
+    policy_low, policy_high = out_low.policy, out_high.policy
 
     if search.exact_hit:
-        out, res = oracle(eta_star)
         return ConstrainedSolution(
-            eta_star, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, search
+            eta_star, policy_low, policy_low, 1.0, policy_low, res_low.avg_cost, res_low.avg_aoi, search
         )
 
-    # Policies at eta* -/+ xi, shrinking xi onto the refined bracket; expand by
-    # doubling (up to 8x) in the degenerate case where the pair fails to
-    # straddle the budget.
-    lo_eta = min(search.bracket[0], eta_star - min(cfg.xi, eta_star - search.bracket[0]))
-    hi_eta = max(search.bracket[1], eta_star + min(cfg.xi, search.bracket[1] - eta_star))
-    out_low, res_low = oracle(lo_eta)
-    out_high, res_high = oracle(hi_eta)
-    xi_eff = cfg.xi
-    attempts = 0
-    while not (res_high.avg_cost <= c_max <= res_low.avg_cost):
-        attempts += 1
-        if attempts > 3:
-            raise BracketingError(
-                f"policies at eta* +/- {xi_eff:.3g} do not straddle the budget "
-                f"({res_high.avg_cost}, {res_low.avg_cost})"
-            )
-        xi_eff *= 2.0
-        if res_low.avg_cost < c_max:
-            out_low, res_low = oracle(max(0.0, eta_star - xi_eff))
-        if res_high.avg_cost > c_max:
-            out_high, res_high = oracle(eta_star + xi_eff)
-
-    policy_low, policy_high = out_low.policy, out_high.policy
     mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
 
     diff = table_difference(policy_low, policy_high)

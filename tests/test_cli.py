@@ -193,6 +193,19 @@ def test_sweep_programming_error_propagates(monkeypatch, tmp_path):
         main(HARQ_AND_BASELINE_SWEEP + ["--out", str(tmp_path / "sweep.csv")])
 
 
+def test_sweep_reports_too_small_age_cap(tmp_path, capsys):
+    # Budget 0.01 needs thresholds near age 199; a cap of 60 cannot hold them.
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", "0.01",
+        "--protocols", "harq", "--horizon", "0", "--nmax", "60", "--out", str(out),
+    ])
+    assert rc == 1
+    error = read_csv(out)[1][-1]
+    assert error.startswith("TruncationError:")
+    assert "n_max=60" in error and "n_max=245" in error
+
+
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AOI_SCHED_OUTDIR", str(tmp_path))
     rc = main([

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from aoi_sched import arq
+from aoi_sched import arq, errors
 from aoi_sched.errors import BracketingError
-from aoi_sched.exact import evaluate_exact
+from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, Truncation
 from aoi_sched.policies import RandomizedTable
@@ -29,11 +30,30 @@ class TestSearchEtaStar:
     def test_arq_jump_point_is_analytic(self):
         # At p = 0.5 the switch between thresholds 4 and 5 is exactly at
         # charge 7 (equal Lagrangian costs), and 0.35 lies strictly between
-        # their transmission rates.
+        # their transmission rates.  The probe at 7 ties with the chord, so
+        # the walk's tolerance must count it as on the chord.
         model = ChannelModel(0.5, 1.0, 0)
         result = search_eta_star(model, Truncation(200, 0), 0.35)
-        assert result.eta_star == pytest.approx(7.0, abs=1e-3)
+        assert result.eta_star == pytest.approx(7.0, abs=1e-12)
         assert not result.exact_hit
+        thresholds = [
+            min(s.delta for s, a in out.policy.actions.items() if a != Action.IDLE)
+            for out, _ in (result.low, result.high)
+        ]
+        assert thresholds == [4, 5]
+
+    @given(p=st.floats(0.05, 0.8), c_max=st.floats(0.1, 0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_arq_eta_star_is_the_closed_form_switch(self, p, c_max):
+        rt = arq.optimal_policy(p, c_max)
+        d1, d2 = rt.delta1, rt.delta2
+        assume(d1 != d2)
+        c1, c2 = arq.cost_of_threshold(p, d1), arq.cost_of_threshold(p, d2)
+        # A budget this close to a threshold's cost ends the search on an exact hit.
+        assume(min(c1 - c_max, c_max - c2) > 1e-9)
+        switch = (arq.aoi_of_threshold(p, d2) - arq.aoi_of_threshold(p, d1)) / (c1 - c2)
+        result = search_eta_star(ChannelModel(p, 1.0, 0), arq_eval_truncation(p, d2), c_max)
+        assert result.eta_star == pytest.approx(switch, rel=1e-9)
 
     def test_exact_budget_hit(self):
         model = ChannelModel(0.5, 1.0, 0)
@@ -47,9 +67,8 @@ class TestSearchEtaStar:
         result = search_eta_star(model, Truncation(200, 0), 0.35)
         assert len(result.trace) >= 2
         phases = {row.phase for row in result.trace}
-        assert "sa" in phases
-        costs = [row.avg_cost for row in result.trace if row.phase == "bisect"]
-        assert costs, "bisection phase should refine the bracket"
+        assert phases <= {"expand", "walk"}
+        assert "walk" in phases
 
 
 class TestSolveConstrained:
@@ -80,6 +99,18 @@ class TestSolveConstrained:
         assert low.avg_aoi - 1e-9 <= sol.achieved_aoi <= high.avg_aoi + 1e-9
         assert 0.0 <= sol.mu <= 1.0
 
+    def test_operating_point_a_needs_few_probes(self):
+        sol = solve_constrained(ChannelModel(0.3, 0.5, 9), Truncation(120, 9), 0.4)
+        assert len(sol.search.trace) <= 10
+
+    def test_policy_idling_at_the_age_cap_joins_the_walk(self):
+        # The first upper charge makes the greedy policy idle forever at the
+        # cap of 26, yet the budget's thresholds 21 and 22 fit under it.
+        sol = solve_constrained(ChannelModel(0.05, 1.0, 0), Truncation(26, 0), 0.048)
+        assert 0.0 in [row.avg_cost for row in sol.search.trace]
+        assert sol.achieved_cost == pytest.approx(0.048, abs=1e-12)
+        assert sol.achieved_aoi == pytest.approx(arq.optimal_policy(0.05, 0.048).avg_aoi, rel=1e-8)
+
     def test_full_budget_degenerates_to_unconstrained(self):
         model = ChannelModel(0.5, 0.5, 3)
         sol = solve_constrained(model, Truncation(80, 3), 1.0)
@@ -101,3 +132,30 @@ class TestSolveConstrained:
         c_max = 0.3
         harq = solve_constrained(ChannelModel(0.5, 0.5, 3), Truncation(100, 3), c_max)
         assert harq.achieved_aoi <= arq.optimal_policy(0.5, c_max).avg_aoi + 1e-9
+
+
+_DOMAIN_ERRORS = (
+    errors.InadmissibleQueryError,
+    errors.InadmissibleActionError,
+    errors.ProtocolViolationError,
+    errors.ConvergenceError,
+    errors.NoStationaryAoIError,
+    errors.MultichainError,
+    errors.BracketingError,
+    errors.EtaSearchError,
+)
+
+
+@given(
+    p0=st.floats(0.05, 0.9),
+    lam=st.floats(0.05, 1.0),
+    r_max=st.integers(0, 4),
+    c_max=st.floats(0.01, 1.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_harq_meets_budget_or_raises_a_named_error(p0, lam, r_max, c_max):
+    try:
+        sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(60, r_max), c_max)
+    except _DOMAIN_ERRORS:
+        return
+    assert abs(sol.achieved_cost - c_max) <= 1e-6
