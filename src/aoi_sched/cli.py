@@ -120,6 +120,7 @@ def cmd_solve(args) -> int:
         "residual": out.residual,
         "avg_aoi": res.avg_aoi,
         "avg_cost": res.avg_cost,
+        "tail_mass": res.tail_mass,
     }
     if args.rmax == 0:
         transmit_ages = [s.delta for s, a in out.policy.actions.items() if a != Action.IDLE]
@@ -196,7 +197,9 @@ def cmd_simulate(args) -> int:
     policy = _build_policy(args, model, trunc)
     stats = evaluate_simulated(policy, model, args.horizon, args.reps, args.seed)
     if args.trace_out:
-        _, trace = run(policy, model, min(args.horizon, args.trace_slots), args.seed, collect_trace=True)
+        # The start of replication 0: a short run is the prefix of a longer one.
+        rng = np.random.default_rng([args.seed, 0])
+        _, trace = run(policy, model, min(args.horizon, args.trace_slots), rng=rng, collect_trace=True)
         _write_csv(
             _outpath(args.trace_out),
             ["t", "delta", "r", "action", "success"],

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import MultichainError, NoStationaryAoIError
 from .mdp import Action, ChannelModel, State, StateSpace, Truncation
-from .policies import DeterministicTable, PeriodicPolicy, Policy, RenewalMixture
+from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
 
 _STATIONARY_RESIDUAL = 1e-10
 _DENSE_CLASS_LIMIT = 2500
@@ -28,30 +28,23 @@ _RENEWAL = State(1, 0)
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Long-run average age, average transmission rate, and state occupancy."""
+    """Long-run average age, average transmission rate, and state occupancy.
+
+    ``tail_mass`` is the stationary mass at the age cap ``n_max``, where the
+    truncated chain lumps every larger age: a measure of truncation error.
+    """
 
     avg_aoi: float
     avg_cost: float
     stationary: dict[State, float]
+    tail_mass: float
 
 
 def _action_probs(policy: Policy, space: StateSpace) -> np.ndarray:
     """``(states × actions)`` matrix of the positive probabilities ``policy`` plays."""
-    n = len(space)
-    probs = np.zeros((n, space.n_actions))
-    if isinstance(policy, DeterministicTable):
-        t = policy.trunc
-        # Clamping to the table's truncation is the identity when it covers the
-        # space, and the plain dict lookup is ~10x cheaper than action_at.
-        covers = t.n_max >= space.trunc.n_max and t.r_max >= space.r_cap
-        lookup = policy.actions.__getitem__ if covers else policy.action_at
-        probs[np.arange(n), np.fromiter(map(lookup, space.states), np.int64, n)] = 1.0
-        return probs
-    for i, s in enumerate(space.states):
-        for a, pa in policy.action_probs(s).items():
-            if pa > 0.0:
-                probs[i, a] = pa
-    return probs
+    table = action_table(policy)
+    n_age, n_att = table.shape[:2]
+    return table[np.minimum(space.delta.astype(np.int64), n_age - 1), np.minimum(space.r, n_att - 1)]
 
 
 def induced_chain(
@@ -137,7 +130,7 @@ def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> E
     avg_aoi = float(pi @ deltas)
     avg_cost = float(pi @ tx[members])
     stationary = {space.states[j]: float(pi[k]) for k, j in enumerate(members)}
-    return EvalResult(avg_aoi, avg_cost, stationary)
+    return EvalResult(avg_aoi, avg_cost, stationary, float(pi[deltas == trunc.n_max].sum()))
 
 
 def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResult:
@@ -162,7 +155,7 @@ def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResul
             r = r_fail if (m >= 1 and a == k * m + 1) else 0
             stationary[State(a, r)] = block
         m += 1
-    return EvalResult(avg_aoi, avg_cost, stationary)
+    return EvalResult(avg_aoi, avg_cost, stationary, 0.0)  # untruncated
 
 
 def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
@@ -189,11 +182,12 @@ def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> Ev
         denom = w * t1 + (1.0 - w) * t2
         avg_aoi = (w * t1 * first.avg_aoi + (1.0 - w) * t2 * second.avg_aoi) / denom
         avg_cost = (w * t1 * first.avg_cost + (1.0 - w) * t2 * second.avg_cost) / denom
+        tail_mass = (w * t1 * first.tail_mass + (1.0 - w) * t2 * second.tail_mass) / denom
         stationary: dict[State, float] = {}
         for res, wt in ((first, w * t1 / denom), (second, (1.0 - w) * t2 / denom)):
             for s, mass in res.stationary.items():
                 stationary[s] = stationary.get(s, 0.0) + wt * mass
-        return EvalResult(avg_aoi, avg_cost, stationary)
+        return EvalResult(avg_aoi, avg_cost, stationary, tail_mass)
     return _evaluate_chain(policy, model, trunc)
 
 
@@ -207,20 +201,22 @@ def arq_eval_truncation(p: float, threshold: int, tail_mass: float = 1e-13) -> T
 
 
 def renewal_mixture_weight(
-    first: EvalResult, second: EvalResult, c_max: float
+    first: EvalResult, second: EvalResult, c_max: float, regeneration: State = _RENEWAL
 ) -> float:
-    """Redraw probability of ``first`` so the mixture's exact cost equals ``c_max``.
+    """Weight of ``first`` per visit to ``regeneration`` making the exact cost ``c_max``.
 
-    Corrects the chord weight for unequal expected cycle lengths: drawing a
-    policy per cycle weights its averages by how long its cycles last.
+    Corrects the chord weight for unequal expected cycle lengths
+    ``1 / pi(regeneration)``: drawing a policy per cycle weights its averages
+    by how long its cycles last.  The default regeneration point is the
+    renewal state (1, 0), where a ``RenewalMixture`` redraws.
     """
     c1, c2 = first.avg_cost, second.avg_cost
     if not c2 <= c_max <= c1:
         raise ValueError(f"budget {c_max} not bracketed by component costs [{c2}, {c1}]")
     if abs(c1 - c2) < 1e-15:
         return 1.0
-    t1 = 1.0 / first.stationary[_RENEWAL]
-    t2 = 1.0 / second.stationary[_RENEWAL]
+    t1 = 1.0 / first.stationary[regeneration]
+    t2 = 1.0 / second.stationary[regeneration]
     num = t2 * (c_max - c2)
     den = t1 * (c1 - c_max) + num
     if den <= 0.0:

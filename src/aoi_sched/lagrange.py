@@ -38,8 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy.optimize import brentq
-
 from . import arq
 from .errors import BracketingError, EtaSearchError, NoStationaryAoIError, TruncationError
 from .exact import EvalResult, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
@@ -193,39 +191,31 @@ def search_eta_star(
 def _single_state_mix(
     policy_low: DeterministicTable,
     policy_high: DeterministicTable,
+    res_low: EvalResult,
+    res_high: EvalResult,
     diff_state: State,
-    model: ChannelModel,
-    trunc: Truncation,
     c_max: float,
-) -> tuple[RandomizedTable, EvalResult]:
-    """Randomize the one differing state so the exact cost equals the budget."""
-    a_low = policy_low.actions[diff_state]
-    a_high = policy_high.actions[diff_state]
+) -> RandomizedTable:
+    """Randomize the one differing state so the exact cost equals the budget.
 
-    def build(w: float) -> RandomizedTable:
-        probs = {s: {a: 1.0} for s, a in policy_high.actions.items()}
-        if w >= 1.0:
-            probs[diff_state] = {a_low: 1.0}
-        elif w > 0.0:
-            probs[diff_state] = {a_low: w, a_high: 1.0 - w}
-        return RandomizedTable(probs, policy_high.trunc)
-
-    def gap(w: float) -> float:
-        return evaluate_exact(build(w), model, trunc).avg_cost - c_max
-
-    g0, g1 = gap(0.0), gap(1.0)
-    if g0 > 0.0 or g1 < 0.0:
+    The tables agree everywhere else, so choosing the action anew at each
+    visit to ``diff_state`` is a renewal mixture with that state as the
+    regeneration point: the cost is linear-fractional in the weight, with
+    cycle lengths ``1 / pi(diff_state)`` of the two pure policies.
+    """
+    if not res_high.avg_cost <= c_max <= res_low.avg_cost:
         raise BracketingError(
-            f"single-state randomization cannot reach the budget: costs [{g0 + c_max}, {g1 + c_max}]"
+            f"single-state randomization cannot reach the budget: "
+            f"costs [{res_high.avg_cost}, {res_low.avg_cost}]"
         )
-    if abs(g0) < 1e-13:
-        w = 0.0
-    elif abs(g1) < 1e-13:
-        w = 1.0
-    else:
-        w = brentq(gap, 0.0, 1.0, xtol=1e-13, rtol=8.9e-16)
-    mixed = build(float(w))
-    return mixed, evaluate_exact(mixed, model, trunc)
+    w = renewal_mixture_weight(res_low, res_high, c_max, diff_state)
+    probs = {s: {a: 1.0} for s, a in policy_high.actions.items()}
+    a_low = policy_low.actions[diff_state]
+    if w >= 1.0:
+        probs[diff_state] = {a_low: 1.0}
+    elif w > 0.0:
+        probs[diff_state] = {a_low: w, policy_high.actions[diff_state]: 1.0 - w}
+    return RandomizedTable(probs, policy_high.trunc)
 
 
 def solve_constrained(
@@ -263,13 +253,11 @@ def solve_constrained(
     if len(diff) == 0:
         mixed: Policy = policy_high
         achieved = res_high
-    elif len(diff) == 1:
-        mixed, achieved = _single_state_mix(
-            policy_low, policy_high, diff[0], model, trunc, c_max
-        )
     else:
-        w = renewal_mixture_weight(res_low, res_high, c_max)
-        mixed = RenewalMixture(policy_low, policy_high, w)
+        if len(diff) == 1:
+            mixed = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
+        else:
+            mixed = RenewalMixture(policy_low, policy_high, renewal_mixture_weight(res_low, res_high, c_max))
         achieved = evaluate_exact(mixed, model, trunc)
     return ConstrainedSolution(
         eta_star,

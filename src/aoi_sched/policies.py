@@ -1,16 +1,20 @@
 """Policy data model shared by the solver, exact evaluation and simulation.
 
-Stationary kinds expose ``action_probs(state)``; table-backed kinds clamp the
-lookup to their own truncation so they extend naturally to larger ages.  The
-renewal mixture and the open-loop periodic baseline need execution context
-(active branch, slot phase) and are handled specially by the evaluators.
+Stationary kinds expose ``action_probs(state)`` and, for every state at once,
+``action_table``; table-backed kinds clamp the lookup to their own
+truncation so they extend naturally to larger ages.  The renewal mixture and
+the open-loop periodic baseline need execution context (active branch, slot
+phase) and are handled specially by the evaluators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
 
 from .mdp import Action, State, Truncation
 
@@ -144,3 +148,38 @@ def table_difference(a: DeterministicTable, b: DeterministicTable) -> list[State
     if a.trunc != b.trunc:
         raise ValueError("cannot compare tables with different truncations")
     return [s for s in a.actions if a.actions[s] != b.actions[s]]
+
+
+def action_table(policy: StationaryPolicy) -> np.ndarray:
+    """Dense ``(age, attempts, action)`` probabilities of a stationary policy.
+
+    Entry ``[delta, r, a]`` is the probability of ``a`` in state ``(delta,
+    r)``, where ``action_probs`` has it positive, else 0.  Larger ages and
+    attempt counts take the last row and column, as the policies clamp to
+    their truncation.  A table must list every state of its truncation.
+    """
+    if isinstance(policy, ThresholdPolicy):
+        thr, ptx = policy.threshold, policy.transmit_prob
+        table = np.zeros((thr + 2, 1, len(Action)))
+        table[:thr, 0, Action.IDLE] = 1.0
+        table[thr, 0, : Action.RETRANSMIT] = 1.0 - ptx, ptx
+        table[thr + 1, 0, Action.NEW_UPDATE] = 1.0
+        return table
+    if not isinstance(policy, (DeterministicTable, RandomizedTable)):
+        raise TypeError(f"no action table for policy kind {type(policy).__name__}")
+    trunc = policy.trunc
+    rows = policy.actions if isinstance(policy, DeterministicTable) else policy.probs
+    width = trunc.r_max + 1  # attempt counts of every age from r_max + 1 on
+    n_states = width * (width + 1) // 2 + (trunc.n_max - width) * width
+    if len(rows) != n_states:
+        raise ValueError(f"{policy.describe()} lists {len(rows)} of the {n_states} states of {trunc}")
+    table = np.zeros((trunc.n_max + 1, width, len(Action)))
+    if isinstance(policy, DeterministicTable):
+        states = np.fromiter(itertools.chain.from_iterable(rows), np.int64, 2 * n_states).reshape(n_states, 2)
+        table[states[:, 0], states[:, 1], np.fromiter(rows.values(), np.int64, n_states)] = 1.0
+    else:
+        for s, dist in rows.items():
+            for a, p in dist.items():
+                if p > 0.0:
+                    table[s.delta, s.r, a] = p
+    return table

@@ -2,9 +2,23 @@
 
 One run executes a policy against the channel from the synchronized start
 state (1, 0).  The age is never truncated here; simulation is the ground
-truth against which solver truncation error is measured.  Channel noise is
-one independent uniform draw per slot compared against the current decoding
-error probability.
+truth against which solver truncation error is measured.
+
+Stationary policies and renewal mixtures run as lockstep renewal cycles, the
+regenerative method of Crane & Iglehart (1975).  Every visit to (1, 0) starts
+a cycle independent of and distributed as every other, so ``_LANES`` lanes
+each start at (1, 0) and advance together, one vectorized step per slot.
+Cycle ``i`` of the run is cycle ``i // _LANES`` of lane ``i % _LANES``.  The
+cycles are joined in that order and cut at exactly ``horizon`` slots, the
+last one possibly partial; a lane that never renews contributes one endless
+partial cycle.  The order does not depend on any outcome, so the joined
+timeline is distributed as one long run.  Uniforms are drawn in blocks of
+``_BLOCK`` steps for all lanes (action, channel and mixture component per
+lane and step), so no lane's path depends on the horizon: the first ``n``
+slots of a run are the run of ``n`` slots on the same generator.
+
+The open-loop periodic baseline acts on the slot number, not on renewals; a
+closed-form pass over its transmission slots simulates it.
 """
 
 from __future__ import annotations
@@ -16,14 +30,12 @@ import numpy as np
 
 from .errors import ProtocolViolationError
 from .mdp import Action, ChannelModel, State
-from .policies import (
-    DeterministicTable,
-    PeriodicPolicy,
-    Policy,
-    RandomizedTable,
-    RenewalMixture,
-    ThresholdPolicy,
-)
+from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
+
+_LANES = 256  # renewal-cycle lanes advanced in lockstep
+_BLOCK = 32  # steps per block of uniforms
+_NEVER = np.iinfo(np.int64).max  # start step of a cycle not yet begun
+_ACTIONS = tuple(Action)
 
 
 @dataclass(frozen=True)
@@ -62,50 +74,229 @@ def baseline_periodic(c_max: float) -> PeriodicPolicy:
     return PeriodicPolicy(math.ceil(1.0 / c_max - 1e-12))
 
 
-def _table_decider(policy, n_max, r_max):
-    if isinstance(policy, DeterministicTable):
-        rows = {s: {a: 1.0} for s, a in policy.actions.items()}
-    else:
-        rows = dict(policy.probs)
-    # Dense (age, attempts) lookup of cumulative action probabilities.
-    table = [[None] * (r_max + 1) for _ in range(n_max + 1)]
-    for s, dist in rows.items():
-        acc, cum = 0.0, []
-        for a in sorted(dist):
-            acc += dist[a]
-            cum.append((acc, a))
-        table[s.delta][s.r] = cum
-
-    def decide(t, delta, r, u):
-        cum = table[min(delta, n_max)][min(r, r_max)]
-        for edge, a in cum:
-            if u < edge:
-                return a
-        return cum[-1][1]
-
-    return decide
+def _attempts_after_failed_update(model: ChannelModel) -> int:
+    # Without retransmissions a failed packet is dropped and leaves no marker.
+    return 1 if (model.r_max is None or model.r_max >= 1) else 0
 
 
-def _make_decider(policy: Policy):
-    if isinstance(policy, (DeterministicTable, RandomizedTable)):
-        return _table_decider(policy, policy.trunc.n_max, policy.trunc.r_max)
-    if isinstance(policy, ThresholdPolicy):
-        thr, ptx = policy.threshold, policy.transmit_prob
+def _kernel_tables(policy: Policy, model: ChannelModel, width: int):
+    """Flat lookup tables of the kernel for attempt counts below ``width``.
 
-        def decide(t, delta, r, u):
-            if delta > thr or (delta == thr and u < ptx):
-                return Action.NEW_UPDATE
-            return Action.IDLE
+    Action edges ``e0``, ``e1`` are indexed by ``(component, age, attempts)``
+    with ``n_att >= width`` attempts, so attempts need no clamping; a uniform
+    ``u`` selects action ``(u >= e0) + (u >= e1)``.  A stationary policy is a
+    one-component mixture.  The outcome tables are indexed by
+    ``action * width + attempts``.  A transmission fails when the channel
+    uniform is below ``fail_below``; idling always "fails", which leaves the
+    age to grow.  A delivery sets the age to ``reset_age``, a failure sets the
+    attempts to ``fail_att``.  Attempts stay below ``width`` even past the
+    cap, where the run raises ``ProtocolViolationError`` anyway.
+    """
+    mixture = isinstance(policy, RenewalMixture)
+    parts = [action_table(p) for p in ((policy.first, policy.second) if mixture else (policy,))]
+    n_age = max(p.shape[0] for p in parts)
+    n_att = max(width, *(p.shape[1] for p in parts))
+    # Repeating the last row and column keeps each component's clamping.
+    probs = np.stack(
+        [np.pad(p, ((0, n_age - p.shape[0]), (0, n_att - p.shape[1]), (0, 0)), mode="edge") for p in parts]
+    )
+    # An edge with no probability beyond it is never crossed, whatever the
+    # rounding of the cumulative sum.
+    beyond = np.cumsum(probs[..., ::-1], axis=-1)[..., -2::-1]
+    edges = np.where(beyond > 0.0, np.cumsum(probs, axis=-1)[..., :-1], np.inf)
 
-        return decide
-    if isinstance(policy, PeriodicPolicy):
-        k = policy.period
+    g = np.array([model.error_prob(k) for k in range(width)])
+    k = np.arange(width)
+    fail_below = np.concatenate([np.full(width, 2.0), np.full(width, g[0]), g])
+    reset_age = np.concatenate([np.zeros(width, np.int64), np.ones(width, np.int64), k + 1])
+    after_new = _attempts_after_failed_update(model)
+    fail_att = np.concatenate([np.zeros(width, np.int64), np.full(width, after_new), np.minimum(k + 1, width - 1)])
+    return edges[..., 0].ravel(), edges[..., 1].ravel(), n_age, n_att, fail_below, reset_age, fail_att
 
-        def decide(t, delta, r, u):
-            return Action.NEW_UPDATE if (t - 1) % k == 0 else Action.IDLE
 
-        return decide
-    raise TypeError(f"no decider for policy kind {type(policy).__name__}")
+def _grow(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:], a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
+    """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
+
+    Returns the age sum and transmission count of the joined timeline's first
+    ``horizon`` slots and, when ``trace`` is set, its per-slot age,
+    attempts, action, and next age and attempts.
+    """
+    weight = policy.weight_first if isinstance(policy, RenewalMixture) else 1.0
+    r_cap = model.r_max
+    lanes = np.arange(_LANES)
+
+    # Per-lane history, row t = state before step t: age, attempts, action.
+    # Room for about 1.25 * horizon / _LANES steps, grown when a run needs more.
+    cap = (horizon // (_LANES * _BLOCK) * 5 // 4 + 2) * _BLOCK
+    hd = np.empty((cap + 1, _LANES), np.int64)
+    hr = np.empty((cap + 1, _LANES), np.int64)
+    ha = np.empty((cap, _LANES), np.uint8)
+    hd[0], hr[0] = 1, 0
+    # starts[l, c]: the step at which lane l's cycle c begins.
+    starts = np.full((_LANES, 8), _NEVER)
+    starts[:, 0] = 0
+    done = np.zeros(_LANES, np.int64)  # complete cycles per lane
+    comp = np.zeros(_LANES, np.int64)  # table offset of each lane's mixture component
+    idx, j, tmp = (np.empty(_LANES, np.int64) for _ in range(3))
+    edge = np.empty(_LANES)
+    lo, hi, renew = (np.empty(_LANES, bool) for _ in range(3))
+    # Array operands: ufuncs convert a Python scalar operand on every call.
+    one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
+    u = np.empty((3, _BLOCK, _LANES))
+    u_act, u_chan, u_mix = u
+    width, stride = 0, 1
+
+    steps = scanned = 0
+    while True:
+        if steps + _BLOCK > cap:
+            cap += cap // 2 + _BLOCK
+            hd, hr, ha = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap)
+        # Attempts reach at most the cap, or, unbounded, one more per step.
+        reach = r_cap if r_cap is not None else int(hr[steps].max()) + _BLOCK
+        if width <= reach:
+            width = r_cap + 1 if r_cap is not None else 2 * reach
+            e0, e1, n_age, n_att, fail_below, reset_age, fail_att = _kernel_tables(policy, model, width)
+            comp = comp // stride * (n_age * n_att)
+            stride = n_age * n_att
+            top, att_width, out_width = (np.full(_LANES, v) for v in (n_age - 1, n_att, width))
+        rng.random(out=u)
+        draw = (u_mix >= weight) * stride
+        block = zip(hd[steps:], hr[steps:], ha[steps:], hd[steps + 1 :], hr[steps + 1 :], u_act, u_chan, draw)
+        for d, r, a, dn, rn, ua, uc, new_comp in block:
+            np.equal(d, one, out=renew)
+            np.putmask(comp, renew, new_comp)  # redrawn at every visit to (1, 0)
+            np.minimum(d, top, out=idx)
+            idx *= att_width
+            idx += r
+            idx += comp
+            e0.take(idx, out=edge, mode="clip")
+            np.greater_equal(ua, edge, out=lo)
+            e1.take(idx, out=edge, mode="clip")
+            np.greater_equal(ua, edge, out=hi)
+            np.add(lo.view(np.uint8), hi.view(np.uint8), out=a)
+            np.copyto(j, a)
+            j *= out_width
+            j += r
+            fail_below.take(j, out=edge, mode="clip")
+            np.greater_equal(uc, edge, out=hi)  # delivered
+            reset_age.take(j, out=tmp, mode="clip")
+            np.add(d, one, out=dn)
+            np.putmask(dn, hi, tmp)
+            fail_att.take(j, out=rn, mode="clip")
+            np.putmask(rn, hi, zero)
+
+        steps += _BLOCK
+        if steps * _LANES < horizon:
+            continue  # too few lane steps to cover the horizon yet
+        # Cycles begun since the last scan: age 1 after a step.
+        lane_of, step_of = np.nonzero(hd[scanned + 1 : steps + 1].T == 1)
+        if len(lane_of):
+            count = np.bincount(lane_of, minlength=_LANES)
+            col = done[lane_of] + 1 + np.arange(len(lane_of)) - np.repeat(np.cumsum(count) - count, count)
+            if col.max() + 2 > starts.shape[1]:
+                wider = np.full((_LANES, 2 * (col.max() + 2)), _NEVER)
+                wider[:, : starts.shape[1]] = starts
+                starts = wider
+            starts[lane_of, col] = step_of + scanned + 1
+            done += count
+        scanned = steps
+        # The joined timeline is covered up to the first cycle still running,
+        # plus that cycle's progress.
+        first = int((done * _LANES + lanes).min())
+        q, lane = divmod(first, _LANES)
+        before = starts[lanes, q + (lanes < lane)]
+        if before.sum() - before[lane] + steps >= horizon:
+            break
+        # A lane idling at the last age row with no packet in flight idles
+        # forever: its cycle never ends and covers the rest of the horizon.
+        top_row = (n_age - 1) * n_att + comp[lane]
+        if hd[steps, lane] >= n_age - 1 and hr[steps, lane] == 0 and e0[top_row] == np.inf:
+            break
+
+    ends = np.cumsum(np.diff(starts[:, : q + 2], axis=1).T.ravel()[:first])
+    m = int(np.searchsorted(ends, horizon))  # the cycle holding the last slot
+    begins = np.concatenate(([0], ends[:m]))  # first slot of each cycle, minus one
+    q, lane = divmod(m, _LANES)
+    cut = starts[lanes, q + (lanes < lane)]
+    cut[lane] += horizon - begins[m]
+    # Slots past the last step belong to the lane idling forever.
+    idle_tail = max(int(cut[lane]) - steps, 0)
+    cut[lane] -= idle_tail
+    kept = np.arange(steps)[:, None] < cut  # lane steps inside the first horizon slots
+
+    bad = kept & (ha[:steps] == Action.RETRANSMIT)
+    bad &= (hr[:steps] < 1) | (hr[:steps] >= (_NEVER if r_cap is None else r_cap))
+    if bad.any():
+        step_of, lane_of = np.nonzero(bad)
+        cyc = (starts[lane_of] <= step_of[:, None]).sum(axis=1) - 1
+        slot = begins[cyc * _LANES + lane_of] + step_of - starts[lane_of, cyc] + 1
+        k = int(slot.argmin())
+        r_bad = int(hr[step_of[k], lane_of[k]])
+        if r_bad < 1:
+            raise ProtocolViolationError(int(slot[k]), "retransmit with no failed packet in flight")
+        raise ProtocolViolationError(int(slot[k]), f"retransmit at the attempt cap r={r_bad}")
+
+    age = int(hd[steps, lane])  # where the idle tail starts
+    aoi_sum = int(hd[:steps].sum(where=kept)) + idle_tail * age + idle_tail * (idle_tail - 1) // 2
+    n_tx = int(np.count_nonzero(ha[:steps] * kept))
+    rows = None
+    if trace:
+        order = np.arange(m + 1)
+        length = np.diff(np.append(begins, horizon))
+        lane_t = np.repeat(order % _LANES, length)
+        step_t = np.repeat(starts[order % _LANES, order // _LANES] - begins, length) + np.arange(horizon)
+        # Past the last step: ages climb from the last state, attempts stay 0.
+        now, after = np.minimum(step_t, steps), np.minimum(step_t + 1, steps)
+        rows = (
+            hd[now, lane_t] + (step_t - now),
+            hr[now, lane_t],
+            ha[np.minimum(step_t, steps - 1), lane_t] * (step_t < steps),
+            hd[after, lane_t] + (step_t + 1 - after),
+            hr[after, lane_t],
+        )
+    return aoi_sum, n_tx, rows
+
+
+def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
+    """Closed-form pass over the periodic baseline's transmission slots.
+
+    One channel uniform per transmission slot, in slot order.  The age climbs
+    by one per slot from 1 at slot 1 and is 1 again in the slot after a
+    delivery, so the ages between deliveries are arithmetic series.
+    """
+    k = policy.period
+    tx_slot = 1 + k * np.arange((horizon - 1) // k + 1)
+    delivered = rng.random(len(tx_slot)) >= model.error_prob(0)
+    gaps = np.diff(np.concatenate(([0], tx_slot[delivered], [horizon])))
+    aoi_sum = int((gaps * (gaps + 1) // 2).sum())
+    rows = None
+    if trace:
+        last = np.zeros(horizon + 1, np.int64)  # last delivery slot up to t
+        last[tx_slot[delivered]] = tx_slot[delivered]
+        np.maximum.accumulate(last, out=last)
+        ages = np.arange(1, horizon + 2) - last
+        attempts = np.zeros(horizon + 1, np.int64)  # a failed fresh update marks the next slot
+        attempts[tx_slot[~delivered]] = _attempts_after_failed_update(model)
+        actions = np.zeros(horizon, np.int8)
+        actions[tx_slot - 1] = Action.NEW_UPDATE
+        rows = (ages[:-1], attempts[:-1], actions, ages[1:], attempts[1:])
+    return aoi_sum, len(tx_slot), rows
+
+
+def _records(ages, attempts, actions, next_ages, next_attempts) -> list[SlotRecord]:
+    # A delivery never raises the age; a failure or an idle slot raises it by one.
+    return [
+        SlotRecord(t, State(d, r), _ACTIONS[a], None if a == 0 else d1 <= d, State(d1, r1))
+        for t, (d, r, a, d1, r1) in enumerate(
+            zip(*(x.tolist() for x in (ages, attempts, actions, next_ages, next_attempts))), start=1
+        )
+    ]
 
 
 def run(
@@ -120,68 +311,16 @@ def run(
     """Simulate ``horizon`` slots from (1, 0); deterministic given the seed.
 
     Returns the single-replication time averages and, when requested, the
-    full slot trace.
+    full slot trace.  The trace of ``n`` slots is the start of every longer
+    run on the same generator.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = rng if rng is not None else np.random.default_rng(seed)
-    # Fixed per-slot draws keep trajectories reproducible regardless of which
-    # randomization branches fire.
-    u_chan = rng.random(horizon)
-    u_act = rng.random(horizon)
-    u_mix = rng.random(horizon)
-
-    mixture = isinstance(policy, RenewalMixture)
-    if mixture:
-        decide_a = _make_decider(policy.first)
-        decide_b = _make_decider(policy.second)
-        w = policy.weight_first
-        decide = decide_a
-    else:
-        decide = _make_decider(policy)
-
-    p0, lam = model.p0, model.lam
-    r_cap = model.r_max  # None means unbounded
-    r_fail_new = 1 if (r_cap is None or r_cap >= 1) else 0
-
-    trace: list[SlotRecord] | None = [] if collect_trace else None
-    delta, r = 1, 0
-    aoi_sum = 0
-    n_tx = 0
-    for t in range(1, horizon + 1):
-        if mixture and delta == 1 and r == 0:
-            decide = decide_a if u_mix[t - 1] < w else decide_b
-        d0, r0 = delta, r
-        aoi_sum += delta
-        a = decide(t, delta, r, u_act[t - 1])
-        if a == Action.IDLE:
-            success = None
-            delta, r = delta + 1, 0
-        elif a == Action.NEW_UPDATE:
-            n_tx += 1
-            if u_chan[t - 1] < p0:
-                success = False
-                delta, r = delta + 1, r_fail_new
-            else:
-                success = True
-                delta, r = 1, 0
-        else:
-            if r < 1:
-                raise ProtocolViolationError(t, "retransmit with no failed packet in flight")
-            if r_cap is not None and r >= r_cap:
-                raise ProtocolViolationError(t, f"retransmit at the attempt cap r={r}")
-            n_tx += 1
-            if u_chan[t - 1] < p0 * lam**r:
-                success = False
-                delta, r = delta + 1, r + 1
-            else:
-                success = True
-                delta, r = r + 1, 0
-        if collect_trace:
-            trace.append(SlotRecord(t, State(d0, r0), Action(a), success, State(delta, r)))
-
+    simulate = _periodic if isinstance(policy, PeriodicPolicy) else _cycles
+    aoi_sum, n_tx, rows = simulate(policy, model, horizon, rng, collect_trace)
     stats = RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon])
-    return stats, trace
+    return stats, (_records(*rows) if collect_trace else None)
 
 
 def evaluate_simulated(

@@ -1,10 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from aoi_sched.cli import SWEEP_HEADER, main
 from aoi_sched.errors import BracketingError
+from aoi_sched.mdp import ChannelModel
+from aoi_sched.policies import ThresholdPolicy
+from aoi_sched.simulate import run
 
 
 def read_csv(path):
@@ -36,6 +40,7 @@ def test_solve_writes_tables(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["threshold"] in (5, 6)
+    assert 0.0 <= summary["tail_mass"] < 1e-12
     rows = read_csv(out)
     assert rows[0] == ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"]
     assert len(rows) == 81
@@ -87,6 +92,9 @@ def test_simulate_stats_and_trace(tmp_path, capsys):
     trows = read_csv(trace)
     assert trows[0] == ["t", "delta", "r", "action", "success"]
     assert len(trows) == 51
+    # The trace is the start of replication 0.
+    _, rep0 = run(ThresholdPolicy(4), ChannelModel(0.5, 1.0, 0), 5000, rng=np.random.default_rng([3, 0]), collect_trace=True)
+    assert [int(row[1]) for row in trows[1:]] == [rec.state_before.delta for rec in rep0[:50]]
 
 
 def test_learn_zero_horizon(tmp_path, capsys):

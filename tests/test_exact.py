@@ -3,6 +3,7 @@ import pytest
 
 from aoi_sched.errors import NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
+from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import (
     Action,
     ChannelModel,
@@ -262,3 +263,23 @@ class TestPeriodicBaseline:
     def test_occupancy_sums_to_one(self):
         res = evaluate_exact(PeriodicPolicy(4), ChannelModel(0.6, 1.0, 0), Truncation(50, 0))
         assert sum(res.stationary.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestTailMass:
+    def test_is_the_stationary_mass_at_the_cap(self):
+        model, trunc = ChannelModel(0.9, 1.0, 0), Truncation(30, 0)
+        a, b = ThresholdPolicy(4), ThresholdPolicy(6)
+        for policy in (a, RenewalMixture(a, b, 0.3)):
+            res = evaluate_exact(policy, model, trunc)
+            at_cap = sum(m for s, m in res.stationary.items() if s.delta == trunc.n_max)
+            assert res.tail_mass == pytest.approx(at_cap, rel=1e-12)
+            assert 1e-3 < res.tail_mass < 1e-1
+        assert evaluate_exact(PeriodicPolicy(3), model, trunc).tail_mass == 0.0
+
+    def test_shrinks_with_a_larger_cap(self):
+        model = ChannelModel(0.9, 0.5, 3)
+        sol = solve_constrained(model, Truncation(60, 3), 0.05)
+        assert sol.search.low[1].tail_mass == pytest.approx(2.3e-5, rel=0.05)
+        assert 1e-5 < evaluate_exact(sol.mixed, model, Truncation(60, 3)).tail_mass < 1e-4
+        # The same policy with room for its tail.
+        assert evaluate_exact(sol.mixed, model, Truncation(160, 3)).tail_mass < 1e-12

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from aoi_sched import arq, errors
 from aoi_sched.errors import BracketingError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, Truncation
-from aoi_sched.policies import RandomizedTable
+from aoi_sched.policies import RandomizedTable, table_difference
 
 
 class TestMixtureWeight:
@@ -98,6 +99,24 @@ class TestSolveConstrained:
         assert high.avg_cost <= 0.4 <= low.avg_cost
         assert low.avg_aoi - 1e-9 <= sol.achieved_aoi <= high.avg_aoi + 1e-9
         assert 0.0 <= sol.mu <= 1.0
+
+    @pytest.mark.parametrize("point", [(0.3, 0.5, 3, 0.6, 120), (0.5, 1.0, 0, 0.35, 200)])
+    def test_single_state_weight_is_the_root_of_the_exact_cost(self, point):
+        p0, lam, r_max, c_max, n_max = point
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        sol = solve_constrained(model, trunc, c_max)
+        assert isinstance(sol.mixed, RandomizedTable)
+        (state,) = table_difference(sol.policy_low, sol.policy_high)
+        a_low, a_high = sol.policy_low.actions[state], sol.policy_high.actions[state]
+
+        def gap(w):
+            probs = {**sol.mixed.probs, state: {a_low: w, a_high: 1.0 - w}}
+            return evaluate_exact(RandomizedTable(probs, trunc), model, trunc).avg_cost - c_max
+
+        # Reference: the root found numerically over full exact evaluations.
+        w_ref = brentq(gap, 0.0, 1.0, xtol=1e-15)
+        assert sol.mixed.probs[state][a_low] == pytest.approx(w_ref, abs=1e-12)
+        assert sol.achieved_cost == pytest.approx(c_max, abs=1e-13)
 
     def test_operating_point_a_needs_few_probes(self):
         sol = solve_constrained(ChannelModel(0.3, 0.5, 9), Truncation(120, 9), 0.4)

@@ -1,12 +1,13 @@
 import pytest
 
-from aoi_sched.mdp import Action, State, Truncation
+from aoi_sched.mdp import Action, State, Truncation, enumerate_states
 from aoi_sched.policies import (
     DeterministicTable,
     PeriodicPolicy,
     RandomizedTable,
     RenewalMixture,
     ThresholdPolicy,
+    action_table,
     table_difference,
 )
 
@@ -79,3 +80,36 @@ class TestMixtureAndPeriodic:
     def test_period_validated(self):
         with pytest.raises(ValueError):
             PeriodicPolicy(0)
+
+
+class TestActionTable:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            DeterministicTable(
+                {s: Action(min(s.r + (s.delta > 4), 2)) for s in enumerate_states(Truncation(8, 2))}, Truncation(8, 2)
+            ),
+            RandomizedTable(
+                {
+                    s: {Action.IDLE: 0.25, Action.NEW_UPDATE: 0.75} if s.delta % 2 else {Action.NEW_UPDATE: 1.0}
+                    for s in enumerate_states(Truncation(6, 1))
+                },
+                Truncation(6, 1),
+            ),
+            ThresholdPolicy(3, 0.4),
+            ThresholdPolicy(2, 1.0),
+        ],
+        ids=["deterministic", "randomized", "threshold", "sure-threshold"],
+    )
+    def test_rows_are_the_action_probs_with_clamping(self, policy):
+        table = action_table(policy)
+        n_age, n_att = table.shape[:2]
+        for s in enumerate_states(Truncation(15, 4)):
+            row = table[min(s.delta, n_age - 1), min(s.r, n_att - 1)]
+            assert {a: p for a, p in zip(Action, row) if p > 0.0} == policy.action_probs(s)
+
+    def test_table_must_list_every_state(self):
+        trunc = Truncation(5, 1)
+        acts = {s: Action.IDLE for s in enumerate_states(trunc) if s != State(3, 1)}
+        with pytest.raises(ValueError, match="lists 8 of the 9 states"):
+            action_table(DeterministicTable(acts, trunc))

@@ -4,9 +4,10 @@ import pytest
 from aoi_sched.errors import ProtocolViolationError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states, transitions
-from aoi_sched.policies import DeterministicTable, RenewalMixture, ThresholdPolicy
+from aoi_sched import simulate
+from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
-from aoi_sched.simulate import SlotEnv, baseline_periodic, evaluate_simulated, run
+from aoi_sched.simulate import SlotEnv, SlotRecord, baseline_periodic, evaluate_simulated, run
 
 TINY = 1e-300
 
@@ -163,3 +164,229 @@ class TestSlotEnv:
         env = SlotEnv(ChannelModel(0.5, 0.5, 3), np.random.default_rng(0))
         with pytest.raises(ProtocolViolationError):
             env.step(Action.RETRANSMIT)
+
+
+def harq_table(model, trunc, eta):
+    policy = solve(model, trunc, eta).policy
+    assert Action.RETRANSMIT in policy.actions.values()
+    return policy
+
+
+def retransmit_after_failure(trunc):
+    """Fresh update at r = 0, retransmission otherwise, even at a model's cap."""
+    acts = {s: (Action.NEW_UPDATE if s.r == 0 else Action.RETRANSMIT) for s in enumerate_states(trunc)}
+    return DeterministicTable(acts, trunc)
+
+
+class TestCycleKernel:
+    def test_never_renewing_chain_is_one_partial_cycle(self):
+        # Idling everywhere: the age climbs 1, 2, ..., horizon, far past n_max.
+        trunc = Truncation(20, 3)
+        idle = DeterministicTable({s: Action.IDLE for s in enumerate_states(trunc)}, trunc)
+        horizon = 3001
+        stats, trace = run(idle, ChannelModel(0.5, 0.5, 3), horizon, seed=4, collect_trace=True)
+        assert stats.mean_aoi == (horizon + 1) / 2
+        assert stats.mean_cost == 0.0
+        assert trace[-1].state_after == State(horizon + 1, 0)
+
+    def test_replications_do_not_depend_on_their_count(self):
+        model = ChannelModel(0.5, 0.5, 3)
+        policy = harq_table(model, Truncation(60, 3), 4.0)
+        four = evaluate_simulated(policy, model, 3_000, 4, seed=41)
+        eight = evaluate_simulated(policy, model, 3_000, 8, seed=41)
+        assert four.aoi_per_rep == eight.aoi_per_rep[:4]
+        assert four.cost_per_rep == eight.cost_per_rep[:4]
+
+    def test_retransmitting_table_matches_exact(self):
+        model = ChannelModel(0.6, 0.4, 4)
+        trunc = Truncation(100, 4)
+        policy = harq_table(model, trunc, 4.0)
+        exact = evaluate_exact(policy, model, trunc)
+        reps = 8
+        stats = evaluate_simulated(policy, model, 50_000, reps, seed=8675309)
+        for sim, ref, var in (
+            (stats.mean_aoi, exact.avg_aoi, stats.var_aoi),
+            (stats.mean_cost, exact.avg_cost, stats.var_cost),
+        ):
+            assert abs(sim - ref) <= 3 * np.sqrt(var / reps) + 2e-5 * max(1.0, ref)
+
+    def test_joined_cycles_connect(self):
+        model = ChannelModel(0.5, 0.5, 3)
+        policy = harq_table(model, Truncation(60, 3), 4.0)
+        _, trace = run(policy, model, 20_000, seed=12, collect_trace=True)
+        assert [rec.t for rec in trace] == list(range(1, 20_001))
+        assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
+
+    def test_unbounded_attempts_are_exact(self):
+        # Without a model cap the attempt count can outgrow any fixed table:
+        # here long runs of failed retransmissions take it past 100.
+        model = ChannelModel(0.999, 0.9999, None)
+        policy = retransmit_after_failure(Truncation(20, 3))
+        stats, trace = run(policy, model, 3_000, seed=8, collect_trace=True)
+        assert max(rec.state_after.r for rec in trace) > 100
+        assert_trace_valid(trace, model)
+        assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 3_000, rel=1e-14)
+
+    def test_violation_raised_exactly_within_the_horizon(self):
+        model = ChannelModel(0.5, 0.5, 3)
+        policy = retransmit_after_failure(Truncation(20, 3))
+        with pytest.raises(ProtocolViolationError) as err:
+            run(policy, model, 100_000, rng=np.random.default_rng(19))
+        slot = err.value.slot
+        assert slot > 1 and "attempt cap" in str(err.value)
+        _, trace = run(policy, model, slot - 1, rng=np.random.default_rng(19), collect_trace=True)
+        assert trace[-1].state_after.r == 3  # the next slot retransmits at the cap
+        with pytest.raises(ProtocolViolationError) as err:
+            run(policy, model, slot, rng=np.random.default_rng(19))
+        assert err.value.slot == slot
+
+
+def mostly_renewing(trunc):
+    """Send at age 3, retransmit once, idle elsewhere: a few cycles, then idling forever.
+
+    A skipped send (probability 0.05) or a failed retransmission leaves the
+    age past 3 with no packet in flight, and nothing is ever sent again.
+    """
+    probs = {s: {Action.IDLE: 1.0} for s in enumerate_states(trunc)}
+    probs[State(3, 0)] = {Action.NEW_UPDATE: 0.95, Action.IDLE: 0.05}
+    probs[State(4, 1)] = {Action.RETRANSMIT: 1.0}
+    return RandomizedTable(probs, trunc)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(6, 0.5), 0.4),
+        baseline_periodic(0.3),
+        mostly_renewing(Truncation(10, 3)),
+        None,  # a retransmitting RVI table
+    ],
+    ids=["mixture", "periodic", "dying", "table"],
+)
+def test_short_trace_is_prefix_of_longer_run(policy):
+    model = ChannelModel(0.5, 0.5, 3)
+    if policy is None:
+        policy = harq_table(model, Truncation(60, 3), 4.0)
+    _, short = run(policy, model, 50, rng=np.random.default_rng(1), collect_trace=True)
+    stats, trace = run(policy, model, 5_000, rng=np.random.default_rng(1), collect_trace=True)
+    assert trace[:50] == short
+    assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
+    assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 5_000, rel=1e-14)
+    assert sum(rec.action is not Action.IDLE for rec in trace) == pytest.approx(stats.mean_cost * 5_000, rel=1e-14)
+
+
+def reference_trace(policy, model, horizon, rng):
+    """Slot-by-slot reference of ``run`` on the same uniforms, from the policies' own ``action_probs``.
+
+    Cycle ``i`` is the next cycle of lane ``i % _LANES``; lane ``l`` at its
+    step ``s`` reads uniforms ``[:, s % _BLOCK, l]`` of block ``s // _BLOCK``.
+    The periodic baseline reads one channel uniform per transmission slot.
+    """
+    lanes, block = simulate._LANES, simulate._BLOCK
+    blocks = []
+    steps = [0] * lanes
+    trace = []
+
+    def slot(state, action, u_chan):
+        if action is Action.IDLE:
+            return None, State(state.delta + 1, 0)
+        if action is Action.RETRANSMIT and not 1 <= state.r < (model.r_max if model.r_max is not None else np.inf):
+            raise ProtocolViolationError(len(trace) + 1, "inadmissible retransmission")
+        attempts = 0 if action is Action.NEW_UPDATE else state.r
+        if u_chan >= model.error_prob(attempts):
+            return True, State(attempts + 1, 0)
+        failed = 1 if model.r_max is None or model.r_max >= 1 else 0
+        return False, State(state.delta + 1, failed if action is Action.NEW_UPDATE else state.r + 1)
+
+    def choose(probs, u):
+        acc = 0.0
+        for a in Action:
+            acc += probs.get(a, 0.0)
+            if u < acc or not any(probs.get(b, 0.0) > 0.0 for b in Action if b > a):
+                return a
+
+    if isinstance(policy, PeriodicPolicy):
+        state = State(1, 0)
+        for t in range(1, horizon + 1):
+            action = Action.NEW_UPDATE if (t - 1) % policy.period == 0 else Action.IDLE
+            success, after = slot(state, action, rng.random() if action else 0.0)
+            trace.append(SlotRecord(t, state, action, success, after))
+            state = after
+        return trace
+    for i in range(horizon):
+        lane, state = i % lanes, State(1, 0)
+        while len(trace) < horizon:
+            while steps[lane] // block >= len(blocks):
+                blocks.append(rng.random((3, block, lanes)))
+            u_act, u_chan, u_mix = blocks[steps[lane] // block][:, steps[lane] % block, lane]
+            steps[lane] += 1
+            if state == State(1, 0) and isinstance(policy, RenewalMixture):
+                active = policy.first if u_mix < policy.weight_first else policy.second
+            elif state == State(1, 0):
+                active = policy
+            action = choose(active.action_probs(state), u_act)
+            success, after = slot(state, action, u_chan)
+            trace.append(SlotRecord(len(trace) + 1, state, action, success, after))
+            state = after
+            if state == State(1, 0):
+                break
+        if len(trace) == horizon:
+            return trace
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "harq-table", "randomized-table", "threshold", "mixture", "periodic",
+        "dying", "dying-arq", "top-row-retransmit", "unbounded-attempts",
+    ],
+)
+def test_kernel_matches_slot_by_slot_reference(case):
+    model = ChannelModel(0.5, 0.5, 3)
+    w = 2.0 / 7.0
+    if case == "harq-table":
+        policy = harq_table(model, Truncation(60, 3), 4.0)
+    elif case == "randomized-table":
+        trunc = Truncation(30, 3)
+        probs = {s: {Action.NEW_UPDATE: 1.0} if s.delta > 4 else {Action.IDLE: 1.0} for s in enumerate_states(trunc)}
+        for s in enumerate_states(trunc):
+            if s.delta == 4:
+                probs[s] = {Action.NEW_UPDATE: w, Action.IDLE: 1.0 - w}
+            elif s.r == 1 and s.delta < 8:
+                probs[s] = {Action.RETRANSMIT: 0.5, Action.IDLE: 0.2, Action.NEW_UPDATE: 0.3}
+        policy = RandomizedTable(probs, trunc)
+    elif case == "threshold":
+        policy = ThresholdPolicy(4, w)
+    elif case == "mixture":
+        policy = RenewalMixture(harq_table(model, Truncation(60, 3), 4.0), ThresholdPolicy(6, 0.5), 0.4)
+    elif case == "periodic":
+        policy = PeriodicPolicy(3)
+    elif case == "dying":
+        policy = mostly_renewing(Truncation(10, 3))
+    elif case == "dying-arq":
+        # A failed send at age 32 starts an endless idle stretch, and its
+        # slot may be the last one simulated before the idle tail.
+        model, trunc = ChannelModel(0.5, 1.0, 0), Truncation(33, 0)
+        policy = DeterministicTable({s: Action(s.delta == 32) for s in enumerate_states(trunc)}, trunc)
+    elif case == "top-row-retransmit":
+        # At the last age row only the state without a packet in flight idles.
+        trunc = Truncation(33, 3)
+        acts = {s: Action.IDLE for s in enumerate_states(trunc)}
+        acts[State(31, 0)] = Action.NEW_UPDATE
+        acts[State(32, 1)] = acts[State(33, 2)] = Action.RETRANSMIT
+        policy = DeterministicTable(acts, trunc)
+    else:
+        model = ChannelModel(0.999, 0.9999, None)
+        policy = retransmit_after_failure(Truncation(20, 3))
+    _, trace = run(policy, model, 3_000, rng=np.random.default_rng(18), collect_trace=True)
+    assert trace == reference_trace(policy, model, 3_000, np.random.default_rng(18))
+
+
+def test_violation_slot_matches_reference():
+    model = ChannelModel(0.5, 0.5, 3)
+    policy = retransmit_after_failure(Truncation(20, 3))
+    with pytest.raises(ProtocolViolationError) as ref:
+        reference_trace(policy, model, 100_000, np.random.default_rng(23))
+    with pytest.raises(ProtocolViolationError) as err:
+        run(policy, model, 100_000, rng=np.random.default_rng(23))
+    assert err.value.slot == ref.value.slot
