@@ -1,10 +1,10 @@
 """Scheduling status updates over an error-prone link to minimize age of information.
 
-Plan with known channel statistics (relative value iteration plus a
-multiplier search for the transmission budget), use closed forms for the
-classic ARQ protocol, learn online when the channel is unknown
-(average-cost on-policy TD with softmax), and check everything against
-exact stationary evaluation and simulation.
+Plan with known channel statistics (policy iteration on the average-cost
+optimality equation plus a multiplier search for the transmission budget),
+use closed forms for the classic ARQ protocol, learn online when the
+channel is unknown (average-cost on-policy TD with softmax), and check
+everything against exact stationary evaluation and simulation.
 """
 
 from .arq import (

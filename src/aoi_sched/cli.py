@@ -157,9 +157,18 @@ def cmd_search_eta(args) -> int:
     if args.trace_out:
         _write_csv(
             _outpath(args.trace_out),
-            ["step", "eta", "avg_cost", "avg_aoi", "gain", "phase"],
+            ["step", "eta", "avg_cost", "avg_aoi", "gain", "phase", "iterations", "residual"],
             [
-                [row.step, f"{row.eta:.12g}", f"{row.avg_cost:.12g}", f"{row.avg_aoi:.12g}", f"{row.gain:.12g}", row.phase]
+                [
+                    row.step,
+                    f"{row.eta:.12g}",
+                    f"{row.avg_cost:.12g}",
+                    f"{row.avg_aoi:.12g}",
+                    f"{row.gain:.12g}",
+                    row.phase,
+                    row.iterations,
+                    f"{row.residual:.6g}",
+                ]
                 for row in result.trace
             ],
         )
@@ -170,6 +179,7 @@ def cmd_search_eta(args) -> int:
                 "bracket": list(result.bracket),
                 "exact_hit": result.exact_hit,
                 "probes": len(result.trace),
+                "solver_iterations": sum(row.iterations for row in result.trace),
             },
             indent=2,
         )
@@ -456,7 +466,7 @@ def _verify_checks(quick: bool, perturb: str | None):
                 break
     yield "threshold-candidates-vs-brute-force", ok, detail or "candidates attain the minimum"
 
-    # RVI on an ARQ instance: threshold structure within the candidate pair.
+    # The solver on an ARQ instance: threshold structure within the candidate pair.
     p, eta = 0.5, 10.0
     model = ChannelModel(p, 1.0, 0)
     trunc = Truncation(120 if quick else 500, 0)
@@ -516,11 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aoi-sched", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="relative value iteration for a fixed charge")
+    p = sub.add_parser("solve", help="policy iteration for the average-cost optimum at a fixed charge")
     _model_args(p)
     p.add_argument("--eta", type=float, default=5.0)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=1_000_000)
+    p.add_argument(
+        "--epsilon", type=float, default=1e-8,
+        help="stop once no action costs more than this above its state's minimum",
+    )
+    p.add_argument("--max-iters", type=int, default=1_000_000, help="policy evaluations allowed")
     p.add_argument("--unconstrained", action="store_true", help="budget-free mode: idling removed")
     p.add_argument("--out", help="CSV dump of h/Q/policy tables")
     p.set_defaults(func=cmd_solve)
@@ -534,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-eta", help="multiplier search for a budget")
     _model_args(p)
     p.add_argument("--cmax", type=float, required=True)
-    p.add_argument("--trace-out", help="CSV trace of (step, eta, cost, aoi, gain)")
+    p.add_argument("--trace-out", help="CSV trace of the probes, one row per charge")
     p.set_defaults(func=cmd_search_eta)
 
     p = sub.add_parser("simulate", help="Monte-Carlo evaluation of a policy")

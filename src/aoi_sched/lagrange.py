@@ -12,13 +12,14 @@ charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
 ``x = (J_hi - J_lo) / (C_lo - C_hi)``, and replaces the endpoint on the
 probe's side of the budget (phase ``"walk"``).  Once the probed policy's line
 is not below the endpoints' at ``x``, no policy lies between them: ``eta* = x``
-and the endpoints are the pair.  Every ``J`` and ``C`` is the exact
-evaluation of the probe's greedy policy; the RVI gain is only ``epsilon``
-accurate, too coarse to tell adjacent policies apart.  A probe whose cost
-meets the budget exactly ends the search at once.  A greedy policy that
-idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
-if the budget needs it, the cap is too small and ``TruncationError`` says
-which cap to use.
+and the endpoints are the pair.  Every ``J`` and ``C`` comes from
+``evaluate_exact`` of the probe's policy, not from the solver's gain, so
+the walk and its tie test compare all policies through one evaluator.  A
+probe whose cost meets the budget exactly ends the search at once.  A
+greedy policy that idles forever once the age reaches the cap is the line
+``n_max + eta * 0``; if the budget needs it, the cap is too small and
+``TruncationError`` says which cap to use.  Each trace row also records
+the probe's policy evaluations and solver residual.
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -64,6 +65,8 @@ class TraceRow:
     avg_aoi: float
     gain: float
     phase: str
+    iterations: int  # policy evaluations of the probe's solve
+    residual: float  # the solve's final residual
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,9 @@ class _Probe(NamedTuple):
 
 @dataclass(frozen=True)
 class ConstrainedSolution:
+    """Budget-optimal policy; ``tail_mass`` is the achieved policy's stationary
+    mass at the age cap (``EvalResult.tail_mass``), reported, not checked."""
+
     eta_star: float
     policy_low: DeterministicTable
     policy_high: DeterministicTable
@@ -99,6 +105,7 @@ class ConstrainedSolution:
     mixed: Policy
     achieved_cost: float
     achieved_aoi: float
+    tail_mass: float
     search: EtaSearchResult = field(repr=False)
 
 
@@ -140,7 +147,9 @@ def search_eta_star(
         except NoStationaryAoIError:
             # Without transmissions the age climbs to the cap and stays there.
             p = _Probe(eta, out, None, float(trunc.n_max), 0.0)
-        trace.append(TraceRow(len(trace), eta, p.cost, p.aoi, out.gain, phase))
+        trace.append(
+            TraceRow(len(trace), eta, p.cost, p.aoi, out.gain, phase, out.iterations, out.residual)
+        )
         return p
 
     def meets(p: _Probe) -> bool:
@@ -234,7 +243,7 @@ def solve_constrained(
         res = evaluate_exact(out.policy, model, trunc)
         search = EtaSearchResult(0.0, (0.0, 0.0), (), True, (out, res), (out, res))
         return ConstrainedSolution(
-            0.0, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, search
+            0.0, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, res.tail_mass, search
         )
 
     search = search_eta_star(model, trunc, c_max, solver_cfg)
@@ -244,7 +253,15 @@ def solve_constrained(
 
     if search.exact_hit:
         return ConstrainedSolution(
-            eta_star, policy_low, policy_low, 1.0, policy_low, res_low.avg_cost, res_low.avg_aoi, search
+            eta_star,
+            policy_low,
+            policy_low,
+            1.0,
+            policy_low,
+            res_low.avg_cost,
+            res_low.avg_aoi,
+            res_low.tail_mass,
+            search,
         )
 
     mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
@@ -267,5 +284,6 @@ def solve_constrained(
         mixed,
         achieved.avg_cost,
         achieved.avg_aoi,
+        achieved.tail_mass,
         search,
     )

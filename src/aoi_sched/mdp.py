@@ -209,7 +209,7 @@ class StateSpace:
     ``off[delta] = sum(min(d, r_cap + 1) for d in 1 .. delta - 1)`` the state
     ``(delta, r)`` sits at index ``off[delta] + r``, so the at-most-two
     successor indices and probabilities of every (state, action) follow in
-    closed form.  They are what the value-iteration sweeps and the
+    closed form.  They are what the solver's policy evaluations and the
     stationary-distribution builder consume; ``transitions`` is their
     per-state specification.  Unused successor slots hold index 0 with
     probability 0.

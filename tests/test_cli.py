@@ -70,8 +70,10 @@ def test_search_eta_trace(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["eta_star"] == pytest.approx(7.0, abs=1e-2)
     rows = read_csv(trace)
-    assert rows[0] == ["step", "eta", "avg_cost", "avg_aoi", "gain", "phase"]
+    assert rows[0] == ["step", "eta", "avg_cost", "avg_aoi", "gain", "phase", "iterations", "residual"]
     assert len(rows) > 2
+    assert summary["solver_iterations"] == sum(int(row[6]) for row in rows[1:])
+    assert all(int(row[6]) >= 1 and float(row[7]) <= 1e-8 for row in rows[1:])
 
 
 def test_simulate_stats_and_trace(tmp_path, capsys):

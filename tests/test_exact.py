@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aoi_sched import exact
 from aoi_sched.errors import NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
 from aoi_sched.lagrange import solve_constrained
@@ -20,6 +21,7 @@ from aoi_sched.policies import (
     RenewalMixture,
     ThresholdPolicy,
 )
+from aoi_sched.rvi import solve
 from aoi_sched.simulate import baseline_periodic
 
 TINY = 1e-300  # effectively error-free channel that still satisfies 0 < g(0)
@@ -281,5 +283,25 @@ class TestTailMass:
         sol = solve_constrained(model, Truncation(60, 3), 0.05)
         assert sol.search.low[1].tail_mass == pytest.approx(2.3e-5, rel=0.05)
         assert 1e-5 < evaluate_exact(sol.mixed, model, Truncation(60, 3)).tail_mass < 1e-4
+        assert sol.tail_mass == evaluate_exact(sol.mixed, model, Truncation(60, 3)).tail_mass
         # The same policy with room for its tail.
         assert evaluate_exact(sol.mixed, model, Truncation(160, 3)).tail_mass < 1e-12
+
+
+class TestStationarySolve:
+    @pytest.mark.parametrize(
+        "point", [(0.5, 0.5, 3, 250, 200.0), (0.5, 1.0, 0, 300, 400.0), (0.3, 0.5, 9, 400, 5.0)]
+    )
+    def test_anchored_sparse_solve_matches_the_dense_one(self, point, monkeypatch):
+        p0, lam, r_max, n_max, eta = point
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        policy = solve(model, trunc, eta).policy
+        sparse = evaluate_exact(policy, model, trunc)
+        assert len(sparse.stationary) > exact._DENSE_CLASS_LIMIT
+        monkeypatch.setattr(exact, "_DENSE_CLASS_LIMIT", 10**9)
+        dense = evaluate_exact(policy, model, trunc)
+        assert sparse.stationary.keys() == dense.stationary.keys()
+        for s, mass in dense.stationary.items():
+            assert sparse.stationary[s] == pytest.approx(mass, rel=1e-12, abs=1e-15)
+        assert sparse.avg_aoi == pytest.approx(dense.avg_aoi, rel=1e-13)
+        assert sparse.avg_cost == pytest.approx(dense.avg_cost, rel=1e-13)

@@ -130,6 +130,27 @@ class TestSolveConstrained:
         assert sol.achieved_cost == pytest.approx(0.048, abs=1e-12)
         assert sol.achieved_aoi == pytest.approx(arq.optimal_policy(0.05, 0.048).avg_aoi, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.7, 0.5, 3, 0.1, 150),
+            (0.5, 0.5, 3, 0.08, 250),
+            (0.5, 1.0, 0, 0.05, 300),
+            (0.5, 0.5, 3, 0.01, 245),
+        ],
+    )
+    def test_tight_budget_probes_need_few_evaluations(self, point):
+        # Damped value iteration needed 1.5k-6k sweeps per probe here.
+        p0, lam, r_max, c_max, n_max = point
+        sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
+        assert max(row.iterations for row in sol.search.trace) <= 20
+        assert all(row.residual <= 1e-8 for row in sol.search.trace)
+        assert abs(sol.achieved_cost - c_max) <= 1e-6
+
+    def test_budget_beyond_the_age_cap_still_raises_truncation_error(self):
+        with pytest.raises(errors.TruncationError, match="n_max=150"):
+            solve_constrained(ChannelModel(0.5, 0.5, 3), Truncation(150, 3), 0.01)
+
     def test_full_budget_degenerates_to_unconstrained(self):
         model = ChannelModel(0.5, 0.5, 3)
         sol = solve_constrained(model, Truncation(80, 3), 1.0)

@@ -1,13 +1,36 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aoi_sched import arq
-from aoi_sched.errors import ConvergenceError
+from aoi_sched import arq, rvi
+from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation
+from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation
 from aoi_sched.rvi import SolverConfig, bellman_residual, greedy_policy, solve
 
 ARQ_HALF = ChannelModel(0.5, 1.0, 0)
 ARQ_TRUNC = Truncation(200, 0)
+
+
+def rvi_reference_gain(model, trunc, eta, epsilon=1e-11, kappa=0.5):
+    """Gain by damped relative value iteration, the sweep the paper states.
+
+    ``h <- (1-kappa) h + kappa T(h)``, re-anchored at (1, 0); the damping keeps
+    chains that are periodic in the age from oscillating.  It is the readable
+    specification of the optimality equation that ``solve`` answers.
+    """
+    space = StateSpace(model, trunc)
+    ref = space.index[State(1, 0)]
+    h = np.zeros(len(space))
+    while True:
+        exp_h = (h[space.succ_idx] * space.succ_prob).sum(axis=2)
+        q = space.delta[:, None] + np.array([0.0, eta, eta]) + exp_h
+        v = np.where(space.admissible, q, np.inf).min(axis=1)
+        damped = (1.0 - kappa) * h + kappa * v
+        h_next = damped - damped[ref]
+        if np.abs(h_next - h).max() <= kappa * epsilon:
+            return float(v[ref])
+        h = h_next
 
 
 def threshold_of(policy):
@@ -28,9 +51,20 @@ class TestSolveArq:
         # eta = 10 at p = 0.5 is the exact tie between thresholds 5 and 6,
         # both with Lagrangian cost 7.
         out = solve(ARQ_HALF, ARQ_TRUNC, 10.0)
-        assert out.gain == pytest.approx(7.0, abs=1e-6)
+        assert out.gain == pytest.approx(7.0, abs=1e-9)
         best = min(arq.lagrangian_cost(0.5, d, 10.0) for d in range(1, 100))
-        assert out.gain == pytest.approx(best, abs=1e-6)
+        assert out.gain == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("p, d", [(0.5, 5), (0.3, 4), (0.1, 6), (0.4, 10)])
+    def test_exact_tie_reads_off_toward_idle(self, p, d):
+        # At this charge thresholds d and d + 1 tie: at age d idling is as
+        # good as sending, and the tie rule picks idle even where rounding
+        # leaves sending a hair cheaper.
+        eta = (arq.aoi_of_threshold(p, d + 1) - arq.aoi_of_threshold(p, d)) / (
+            arq.cost_of_threshold(p, d) - arq.cost_of_threshold(p, d + 1)
+        )
+        out = solve(ChannelModel(p, 1.0, 0), ARQ_TRUNC, eta)
+        assert threshold_of(out.policy) == d + 1
 
     def test_h_nondecreasing_in_age(self):
         out = solve(ARQ_HALF, ARQ_TRUNC, 10.0)
@@ -164,3 +198,34 @@ class TestDeterminismAndErrors:
         for s in cold.h:
             assert warm.h[s] == pytest.approx(cold.h[s], abs=5e-8)
         assert warm.policy.actions == cold.policy.actions
+
+
+class TestPolicyIteration:
+    @given(
+        p0=st.floats(0.05, 0.9),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.integers(0, 3),
+        n_max=st.integers(4, 30),
+        eta=st.floats(0.0, 60.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gain_matches_value_iteration_and_exact_evaluation(self, p0, lam, r_max, n_max, eta):
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        out = solve(model, trunc, eta)
+        assert out.gain == pytest.approx(rvi_reference_gain(model, trunc, eta), abs=1e-7)
+        try:
+            res = evaluate_exact(out.policy, model, trunc)
+            aoi, cost = res.avg_aoi, res.avg_cost
+        except NoStationaryAoIError:
+            aoi, cost = float(n_max), 0.0  # idles forever at the age cap
+        assert aoi + eta * cost == pytest.approx(out.gain, rel=1e-9, abs=1e-9)
+
+    def test_two_closed_classes_raise_naming_the_charge(self):
+        # Sending fresh updates everywhere except idling at (10, 0): that
+        # state is absorbing and unreachable from the rest.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(10, 3)
+        space = StateSpace(model, trunc)
+        actions = np.full(len(space), int(Action.NEW_UPDATE))
+        actions[space.index[State(10, 0)]] = Action.IDLE
+        with pytest.raises(MultichainError, match="eta=2.5"):
+            rvi._evaluate(space, actions, 2.5, space.index[State(1, 0)])
