@@ -31,7 +31,6 @@ from .mdp import (
     Truncation,
     admissible_actions,
     enumerate_states,
-    error_prob,
     stage_cost,
     transitions,
 )
@@ -43,7 +42,7 @@ from .policies import (
     RenewalMixture,
     ThresholdPolicy,
 )
-from .rvi import SolverConfig, SolverOutput, bellman_residual, greedy_policy, solve
+from .rvi import SolverConfig, SolverOutput, bellman_residual, solve
 from .sarsa import LearnerConfig, LearnerState, Timeline, softmax_probs, train
 from .simulate import RunStats, SlotRecord, baseline_periodic, evaluate_simulated, run
 

@@ -52,6 +52,18 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _count(low: int):
+    """argparse type of a count flag: an integer of at least ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p0", type=float, default=0.5, help="first-attempt error probability")
     p.add_argument(
@@ -267,7 +279,6 @@ def cmd_learn(args) -> int:
     cost = np.zeros((args.reps, args.steps))
     etas = np.zeros((args.reps, args.steps))
     gains = np.zeros((args.reps, args.steps))
-    final_state = None
     for rep in range(args.reps):
         ls, tl = train(model, LearnerConfig(seed=args.seed + rep, **cfg_common))
         aoi[rep], cost[rep] = tl.running_aoi, tl.running_cost
@@ -290,7 +301,7 @@ def cmd_learn(args) -> int:
                 for k in idx
             ],
         )
-    if args.qtable_out and final_state is not None:
+    if args.qtable_out:
         rows = []
         for i, s in enumerate(final_state.space.states):
             vals = [
@@ -556,26 +567,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--transmit-prob", type=float, default=1.0)
     p.add_argument("--cmax", type=float, default=0.4)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--horizon", type=_count(1), default=10_000)
+    p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="stats CSV")
     p.add_argument("--trace-out", help="slot trace CSV (first --trace-slots slots)")
-    p.add_argument("--trace-slots", type=int, default=1000)
+    p.add_argument("--trace-slots", type=_count(1), default=1000)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("learn", help="online learning without channel knowledge")
     _model_args(p)
     p.add_argument("--cmax", type=float, default=0.4)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--steps", type=_count(0), default=10_000)
+    p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--eta0", type=float, default=2.0)
     p.add_argument("--eta-step", type=float, default=0.5)
     p.add_argument("--no-eta-adapt", action="store_true")
     p.add_argument("--timeline-out", help="aggregated learning-curve CSV")
-    p.add_argument("--timeline-points", type=int, default=200)
+    p.add_argument("--timeline-points", type=_count(1), default=200)
     p.add_argument("--qtable-out", help="final table CSV (first replication)")
     p.add_argument("--compare-rvi", action="store_true", help="append planned-policy reference")
     p.set_defaults(func=cmd_learn)

@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import MultichainError, NoStationaryAoIError
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation
+from .mdp import Action, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
 
 _STATIONARY_RESIDUAL = 1e-10
@@ -141,12 +141,13 @@ def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResul
     # the age right after m consecutive failures spans one block of k ages,
     # so age a occurs with probability (1-p) * p**((a-1)//k) / k.
     k = policy.period
-    p = model.error_prob(0)
+    out = slot_outcomes(model)
+    p = float(out.fail[Action.NEW_UPDATE, 0])
     q = 1.0 - p
     avg_cost = 1.0 / k
     avg_aoi = (k + 1) / 2.0 + k * p / q
     stationary: dict[State, float] = {}
-    r_fail = min(1, model.r_max) if model.r_max is not None else 1
+    r_fail = int(out.fail_att[Action.NEW_UPDATE, 0])
     m = 0
     while True:
         block = q * p**m / k

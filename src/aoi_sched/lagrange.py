@@ -50,7 +50,7 @@ from .policies import (
     RenewalMixture,
     table_difference,
 )
-from .rvi import SolverConfig, SolverOutput, solve
+from .rvi import SolverOutput, solve
 
 _HIT_TOL = 1e-9  # |cost - budget| at which a probe meets the budget exactly
 _TIE_RTOL = 1e-12  # a probe no further below the chord than this lies on it
@@ -124,7 +124,6 @@ def search_eta_star(
     model: ChannelModel,
     trunc: Truncation,
     c_max: float,
-    solver_cfg: SolverConfig | None = None,
 ) -> EtaSearchResult:
     """Walk the lower envelope of ``J + eta * C`` to the critical charge.
 
@@ -139,7 +138,7 @@ def search_eta_star(
 
     def probe(eta: float, phase: str) -> _Probe:
         nonlocal h
-        out = solve(model, trunc, eta, solver_cfg, h0=h)
+        out = solve(model, trunc, eta, h0=h)
         h = out.h_array
         try:
             res = evaluate_exact(out.policy, model, trunc)
@@ -231,7 +230,6 @@ def solve_constrained(
     model: ChannelModel,
     trunc: Truncation,
     c_max: float,
-    solver_cfg: SolverConfig | None = None,
 ) -> ConstrainedSolution:
     """Budget-optimal policy: multiplier search plus a one-knob randomization."""
     if not 0.0 < c_max <= 1.0:
@@ -239,14 +237,14 @@ def solve_constrained(
 
     if c_max >= 1.0:
         # Budget-free mode: idling removed from the action set, no mixture.
-        out = solve(model, trunc, 0.0, solver_cfg, unconstrained=True)
+        out = solve(model, trunc, 0.0, unconstrained=True)
         res = evaluate_exact(out.policy, model, trunc)
         search = EtaSearchResult(0.0, (0.0, 0.0), (), True, (out, res), (out, res))
         return ConstrainedSolution(
             0.0, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, res.tail_mass, search
         )
 
-    search = search_eta_star(model, trunc, c_max, solver_cfg)
+    search = search_eta_star(model, trunc, c_max)
     eta_star = search.eta_star
     (out_low, res_low), (out_high, res_high) = search.low, search.high
     policy_low, policy_high = out_low.policy, out_high.policy

@@ -106,10 +106,6 @@ class ChannelModel:
         return self.p0 * self.lam**r
 
 
-def error_prob(model: ChannelModel, r: int) -> float:
-    return model.error_prob(r)
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Finite approximation bounds: age capped at ``n_max``, attempts at ``r_max``.
@@ -137,9 +133,8 @@ def effective_r_max(model: ChannelModel, trunc: Truncation) -> int:
     return min(model.r_max, trunc.r_max)
 
 
-def is_admissible_state(s: State, trunc: Truncation, r_cap: int | None = None) -> bool:
-    cap = trunc.r_max if r_cap is None else r_cap
-    return 1 <= s.delta <= trunc.n_max and 0 <= s.r < min(s.delta, cap + 1)
+def is_admissible_state(s: State, trunc: Truncation, r_cap: int) -> bool:
+    return 1 <= s.delta <= trunc.n_max and 0 <= s.r < min(s.delta, r_cap + 1)
 
 
 def admissible_actions(s: State, model: ChannelModel, trunc: Truncation) -> tuple[Action, ...]:
@@ -192,6 +187,38 @@ def transitions(
     return [e for e in entries if e.prob > 0.0]
 
 
+class SlotOutcomes(NamedTuple):
+    fail: np.ndarray  # probability that nothing is delivered, 1 when idling
+    reset_age: np.ndarray  # age after a delivery
+    fail_att: np.ndarray  # attempts after a slot without a delivery
+    admissible: np.ndarray
+
+
+def slot_outcomes(model: ChannelModel, width: int = 2) -> SlotOutcomes:
+    """The slot rule of ``transitions`` as ``(action, attempts)`` arrays.
+
+    The table covers the attempts below ``width``, or up to ``model.r_max``
+    if that is fewer, and its last column acts as the attempt cap; the
+    default suffices for fresh updates.  A failed fresh update leaves the
+    marker 1 when retransmission is possible at all, else 0.  ``StateSpace``,
+    the simulator, the periodic evaluation and ``SlotEnv`` read this table,
+    widening it before the attempts reach a last column below the model's cap.
+    """
+    if model.r_max is not None:
+        width = min(width, model.r_max + 1)
+    top = width - 1
+    # Python floats from the model, so the bits match transitions().
+    g = [model.error_prob(r) for r in range(width)]
+    # Nested lists: a table this small builds faster from them than by stacking.
+    return SlotOutcomes(
+        np.array([[1.0] * width, g[:1] * width, g]),
+        # Idling delivers nothing; its age entry is never read.
+        np.array([[0] * width, [1] * width, range(1, width + 1)], dtype=np.int64),
+        np.array([[0] * width, [min(1, top)] * width, [min(k + 1, top) for k in range(width)]], dtype=np.int64),
+        np.array([[True] * width, [True] * width, [1 <= k < top for k in range(width)]]),
+    )
+
+
 def enumerate_states(trunc: Truncation) -> list[State]:
     """All admissible states, row-major by age then attempt count."""
     return [
@@ -208,15 +235,14 @@ class StateSpace:
     counts ``0 .. min(delta, r_cap + 1) - 1``.  With row offsets
     ``off[delta] = sum(min(d, r_cap + 1) for d in 1 .. delta - 1)`` the state
     ``(delta, r)`` sits at index ``off[delta] + r``, so the at-most-two
-    successor indices and probabilities of every (state, action) follow in
-    closed form.  They are what the solver's policy evaluations and the
-    stationary-distribution builder consume; ``transitions`` is their
-    per-state specification.  Unused successor slots hold index 0 with
-    probability 0.
+    successor indices and probabilities of every (state, action) are gathered
+    from ``slot_outcomes`` by index arithmetic.  The solver's policy
+    evaluations and the stationary-distribution builder read them;
+    ``transitions`` is their per-state specification.  Unused successor
+    slots hold index 0 with probability 0.
     """
 
     def __init__(self, model: ChannelModel, trunc: Truncation):
-        self.model = model
         self.trunc = trunc
         self.r_cap = r_cap = effective_r_max(model, trunc)
         n_max = trunc.n_max
@@ -228,28 +254,27 @@ class StateSpace:
         age = np.repeat(ages, width)
         self.r = np.arange(n) - self.off[age]
         self.delta = age.astype(np.float64)
-        self.n_actions = len(Action)
 
-        # Python floats from the model, so the bits match transitions().
-        g = np.array([model.error_prob(k) for k in range(r_cap + 1)])
+        out = slot_outcomes(model, r_cap + 1)
         up = self.off[np.minimum(age + 1, n_max)]  # index of (min(delta + 1, n_max), 0)
-        self.succ_idx = np.zeros((n, self.n_actions, 2), dtype=np.int64)
-        self.succ_prob = np.zeros((n, self.n_actions, 2), dtype=np.float64)
-        self.admissible = np.ones((n, self.n_actions), dtype=bool)
-        self.succ_idx[:, Action.IDLE, 0] = up
-        self.succ_prob[:, Action.IDLE, 0] = 1.0
-        self.succ_idx[:, Action.NEW_UPDATE, 0] = up + min(1, r_cap)
-        self.succ_prob[:, Action.NEW_UPDATE] = g[0], 1.0 - g[0]
+        self.succ_idx = np.zeros((n, len(Action), 2), dtype=np.int64)
+        self.succ_prob = np.zeros((n, len(Action), 2), dtype=np.float64)
+        self.admissible = out.admissible.T.take(self.r, axis=0)
+        # Idling and fresh updates ignore the attempts; a delivered update lands on index 0.
+        for a in (Action.IDLE, Action.NEW_UPDATE):
+            self.succ_idx[:, a, 0] = up + out.fail_att[a, 0]
+            self.succ_prob[:, a] = out.fail[a, 0], 1.0 - out.fail[a, 0]
 
-        retx = (self.r >= 1) & (self.r < r_cap)
-        self.admissible[:, Action.RETRANSMIT] = retx
-        rr = self.r[retx]
-        fail = g[rr]
-        self.succ_idx[retx, Action.RETRANSMIT] = np.stack([up[retx] + rr + 1, self.off[rr + 1]], axis=1)
-        self.succ_prob[retx, Action.RETRANSMIT] = np.stack([fail, 1.0 - fail], axis=1)
+        retx = np.flatnonzero(self.admissible[:, Action.RETRANSMIT])
+        rr = self.r.take(retx)
+        fail = out.fail[Action.RETRANSMIT].take(rr)
+        self.succ_idx[retx, Action.RETRANSMIT, 0] = up.take(retx) + out.fail_att[Action.RETRANSMIT].take(rr)
+        self.succ_idx[retx, Action.RETRANSMIT, 1] = self.off.take(out.reset_age[Action.RETRANSMIT].take(rr))
+        self.succ_prob[retx, Action.RETRANSMIT, 0] = fail
+        self.succ_prob[retx, Action.RETRANSMIT, 1] = 1.0 - fail
         # Far beyond the underflow scan limit g(r) can be exactly 0; transitions()
         # then drops the failure branch and success moves to the first slot.
-        dead = retx & (self.succ_prob[:, Action.RETRANSMIT, 0] == 0.0)
+        dead = retx[fail == 0.0]
         for arr in (self.succ_idx, self.succ_prob):
             arr[dead, Action.RETRANSMIT, 0] = arr[dead, Action.RETRANSMIT, 1]
             arr[dead, Action.RETRANSMIT, 1] = 0

@@ -8,9 +8,9 @@ module solves the same equation by Howard's policy iteration (Puterman,
 policy evaluations where value iteration needs thousands of sweeps at tight
 budgets.
 
-Each evaluation solves ``g + h = c_pi + P_pi h`` with ``h`` pinned to 0 at a
-fixed reference state: one sparse LU solve of
-``(I - P_pi + 1 e_ref^T) y = c_pi``, after which ``g = y[ref]`` and
+Each evaluation solves ``g + h = c_pi + P_pi h`` with ``h`` pinned to 0 at the
+renewal state (1, 0), index 0 of ``StateSpace``: one sparse LU solve of
+``(I - P_pi + 1 e_0^T) y = c_pi``, after which ``g = y[0]`` and
 ``h = y - g``.  The solve is singular exactly when the policy has more than
 one closed class, which raises ``MultichainError``.  A state switches to its
 first cheapest action only when its current action costs more than
@@ -48,12 +48,10 @@ _SOLVE_RTOL = 1e-9  # largest relative residual accepted from an evaluation
 @dataclass(frozen=True)
 class SolverConfig:
     """``epsilon``: largest excess of a kept action over its row minimum;
-    ``max_iters``: policy evaluations allowed; ``reference``: state whose
-    differential value is pinned to 0."""
+    ``max_iters``: policy evaluations allowed."""
 
     epsilon: float = 1e-8
     max_iters: int = 1_000_000
-    reference: State = State(1, 0)
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -107,9 +105,9 @@ def _masked_q(
 
 
 def _evaluate(
-    space: StateSpace, actions: np.ndarray, eta: float, ref: int
+    space: StateSpace, actions: np.ndarray, eta: float
 ) -> tuple[float, np.ndarray]:
-    """Gain and differential values (0 at ``ref``) of the deterministic ``actions``."""
+    """Gain and differential values (0 at (1, 0), index 0) of the deterministic ``actions``."""
     n = len(space)
     rows = np.arange(n)
     prob = space.succ_prob[rows, actions]
@@ -119,7 +117,7 @@ def _evaluate(
             np.concatenate([np.ones(2 * n), -prob[i, k]]),
             (
                 np.concatenate([rows, rows, i]),
-                np.concatenate([rows, np.full(n, ref), space.succ_idx[rows, actions][i, k]]),
+                np.concatenate([rows, np.zeros(n, np.int64), space.succ_idx[rows, actions][i, k]]),
             ),
         ),
         shape=(n, n),
@@ -135,7 +133,7 @@ def _evaluate(
             f"policy evaluation at eta={eta} is singular or inaccurate (residual {err:.3e}); "
             "the policy has more than one closed class"
         )
-    g = float(y[ref])
+    g = float(y[0])
     return g, y - g
 
 
@@ -159,7 +157,6 @@ def solve(
         raise ValueError(f"eta must be non-negative, got {eta}")
     cfg = cfg or SolverConfig()
     space = StateSpace(model, trunc)
-    ref = space.index[cfg.reference]
     h = np.zeros(len(space)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h.shape != (len(space),):
         raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
@@ -167,7 +164,7 @@ def solve(
     rows = np.arange(len(space))
     actions = np.argmin(_masked_q(space, h, eta, unconstrained), axis=1)
     for it in range(1, cfg.max_iters + 1):
-        gain, h = _evaluate(space, actions, eta, ref)
+        gain, h = _evaluate(space, actions, eta)
         q = _masked_q(space, h, eta, unconstrained)
         v = q.min(axis=1)
         excess = q[rows, actions] - v
@@ -208,13 +205,3 @@ def bellman_residual(
     q = _masked_q(space, out.h_array, eta, unconstrained)
     v = q.min(axis=1)
     return float(np.abs(v - out.gain - out.h_array).max())
-
-
-def greedy_policy(q: dict[tuple[State, Action], float]) -> dict[State, Action]:
-    """Per-state argmin of the state-action costs, ties broken toward idle."""
-    best: dict[State, tuple[float, Action]] = {}
-    for (s, a), value in q.items():
-        cur = best.get(s)
-        if cur is None or value < cur[0] or (value == cur[0] and a < cur[1]):
-            best[s] = (value, a)
-    return {s: a for s, (_, a) in best.items()}

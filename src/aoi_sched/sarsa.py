@@ -38,7 +38,6 @@ class LearnerConfig:
     c_max: float = 1.0
     horizon: int = 10_000
     seed: int = 0
-    tau_anneal: float = 1.0  # per-step geometric factor; 1.0 keeps tau fixed
     unconstrained: bool = False  # budget-free mode: idling removed from the action set
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class LearnerConfig:
             raise ValueError(f"alpha0 must be non-negative, got {self.alpha0}")
         if not 0.0 < self.c_max <= 1.0:
             raise ValueError(f"c_max must lie in (0, 1], got {self.c_max}")
-        if not 0.0 < self.tau_anneal <= 1.0:
-            raise ValueError(f"tau_anneal must lie in (0, 1], got {self.tau_anneal}")
 
 
 @dataclass
@@ -63,12 +60,8 @@ class LearnerState:
     eta: float = 0.0
     n: int = 0
     empirical_cost: float = 0.0
-    tau: float = 1.0
     state: State = State(1, 0)
     next_action: Action | None = None
-
-    def q_row(self, s: State) -> np.ndarray:
-        return self.q[self._index(s)]
 
     def _index(self, s: State) -> int:
         clamped = State(min(s.delta, self.space.trunc.n_max), min(s.r, self.space.r_cap))
@@ -122,7 +115,7 @@ def make_learner(cfg: LearnerConfig, model_for_masks: ChannelModel) -> LearnerSt
     admissible = space.admissible.copy()
     if cfg.unconstrained:
         admissible[:, Action.IDLE] = False
-    return LearnerState(space=space, q=q, admissible=admissible, eta=cfg.eta0, tau=cfg.tau)
+    return LearnerState(space=space, q=q, admissible=admissible, eta=cfg.eta0)
 
 
 def _sample_action(probs: np.ndarray, u: float) -> Action:
@@ -145,7 +138,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     n = ls.n + 1
     i = ls._index(ls.state)
     if ls.next_action is None:
-        probs = softmax_probs(ls.q[i], ls.tau, ls.admissible[i])
+        probs = softmax_probs(ls.q[i], cfg.tau, ls.admissible[i])
         a = _sample_action(probs, rng.random())
     else:
         a = ls.next_action
@@ -156,7 +149,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     c = float(delta_cl) + (ls.eta if a.transmits else 0.0)
 
     j = ls._index(nxt)
-    probs_next = softmax_probs(ls.q[j], ls.tau, ls.admissible[j])
+    probs_next = softmax_probs(ls.q[j], cfg.tau, ls.admissible[j])
     a_next = _sample_action(probs_next, rng.random())
 
     alpha = cfg.alpha0 / math.sqrt(n)
@@ -165,7 +158,6 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     ls.empirical_cost += ((1.0 if a.transmits else 0.0) - ls.empirical_cost) / n
     if cfg.eta_adapt:
         ls.eta = max(0.0, ls.eta + cfg.eta_step / math.sqrt(n) * (ls.empirical_cost - cfg.c_max))
-    ls.tau *= cfg.tau_anneal
 
     ls.state = nxt
     ls.next_action = a_next

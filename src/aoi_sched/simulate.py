@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolViolationError
-from .mdp import Action, ChannelModel, State
+from .mdp import Action, ChannelModel, State, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
 
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
@@ -74,23 +74,13 @@ def baseline_periodic(c_max: float) -> PeriodicPolicy:
     return PeriodicPolicy(math.ceil(1.0 / c_max - 1e-12))
 
 
-def _attempts_after_failed_update(model: ChannelModel) -> int:
-    # Without retransmissions a failed packet is dropped and leaves no marker.
-    return 1 if (model.r_max is None or model.r_max >= 1) else 0
-
-
-def _kernel_tables(policy: Policy, model: ChannelModel, width: int):
-    """Flat lookup tables of the kernel for attempt counts below ``width``.
+def _kernel_tables(policy: Policy, width: int):
+    """Flat action tables of the kernel for attempt counts below ``width``.
 
     Action edges ``e0``, ``e1`` are indexed by ``(component, age, attempts)``
     with ``n_att >= width`` attempts, so attempts need no clamping; a uniform
     ``u`` selects action ``(u >= e0) + (u >= e1)``.  A stationary policy is a
-    one-component mixture.  The outcome tables are indexed by
-    ``action * width + attempts``.  A transmission fails when the channel
-    uniform is below ``fail_below``; idling always "fails", which leaves the
-    age to grow.  A delivery sets the age to ``reset_age``, a failure sets the
-    attempts to ``fail_att``.  Attempts stay below ``width`` even past the
-    cap, where the run raises ``ProtocolViolationError`` anyway.
+    one-component mixture.
     """
     mixture = isinstance(policy, RenewalMixture)
     parts = [action_table(p) for p in ((policy.first, policy.second) if mixture else (policy,))]
@@ -104,14 +94,7 @@ def _kernel_tables(policy: Policy, model: ChannelModel, width: int):
     # rounding of the cumulative sum.
     beyond = np.cumsum(probs[..., ::-1], axis=-1)[..., -2::-1]
     edges = np.where(beyond > 0.0, np.cumsum(probs, axis=-1)[..., :-1], np.inf)
-
-    g = np.array([model.error_prob(k) for k in range(width)])
-    k = np.arange(width)
-    fail_below = np.concatenate([np.full(width, 2.0), np.full(width, g[0]), g])
-    reset_age = np.concatenate([np.zeros(width, np.int64), np.ones(width, np.int64), k + 1])
-    after_new = _attempts_after_failed_update(model)
-    fail_att = np.concatenate([np.zeros(width, np.int64), np.full(width, after_new), np.minimum(k + 1, width - 1)])
-    return edges[..., 0].ravel(), edges[..., 1].ravel(), n_age, n_att, fail_below, reset_age, fail_att
+    return edges[..., 0].ravel(), edges[..., 1].ravel(), n_age, n_att
 
 
 def _grow(a: np.ndarray, rows: int) -> np.ndarray:
@@ -128,7 +111,6 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     attempts, action, and next age and attempts.
     """
     weight = policy.weight_first if isinstance(policy, RenewalMixture) else 1.0
-    r_cap = model.r_max
     lanes = np.arange(_LANES)
 
     # Per-lane history, row t = state before step t: age, attempts, action.
@@ -158,10 +140,14 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
             cap += cap // 2 + _BLOCK
             hd, hr, ha = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap)
         # Attempts reach at most the cap, or, unbounded, one more per step.
-        reach = r_cap if r_cap is not None else int(hr[steps].max()) + _BLOCK
+        reach = model.r_max if model.r_max is not None else int(hr[steps].max()) + _BLOCK
         if width <= reach:
-            width = r_cap + 1 if r_cap is not None else 2 * reach
-            e0, e1, n_age, n_att, fail_below, reset_age, fail_att = _kernel_tables(policy, model, width)
+            # Indexed by action * width + attempts.  Attempts stay below width even
+            # past the cap, where the run raises ProtocolViolationError anyway.
+            out = slot_outcomes(model, 2 * reach + 1)
+            width = out.fail.shape[1]
+            fail, reset_age, fail_att = (x.ravel() for x in out[:3])
+            e0, e1, n_age, n_att = _kernel_tables(policy, width)
             comp = comp // stride * (n_age * n_att)
             stride = n_age * n_att
             top, att_width, out_width = (np.full(_LANES, v) for v in (n_age - 1, n_att, width))
@@ -183,7 +169,7 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
             np.copyto(j, a)
             j *= out_width
             j += r
-            fail_below.take(j, out=edge, mode="clip")
+            fail.take(j, out=edge, mode="clip")
             np.greater_equal(uc, edge, out=hi)  # delivered
             reset_age.take(j, out=tmp, mode="clip")
             np.add(d, one, out=dn)
@@ -230,10 +216,10 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     cut[lane] -= idle_tail
     kept = np.arange(steps)[:, None] < cut  # lane steps inside the first horizon slots
 
-    bad = kept & (ha[:steps] == Action.RETRANSMIT)
-    bad &= (hr[:steps] < 1) | (hr[:steps] >= (_NEVER if r_cap is None else r_cap))
+    step_of, lane_of = np.nonzero(kept & (ha[:steps] == Action.RETRANSMIT))
+    bad = ~out.admissible[Action.RETRANSMIT, hr[step_of, lane_of]]
     if bad.any():
-        step_of, lane_of = np.nonzero(bad)
+        step_of, lane_of = step_of[bad], lane_of[bad]
         cyc = (starts[lane_of] <= step_of[:, None]).sum(axis=1) - 1
         slot = begins[cyc * _LANES + lane_of] + step_of - starts[lane_of, cyc] + 1
         k = int(slot.argmin())
@@ -272,7 +258,8 @@ def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np
     """
     k = policy.period
     tx_slot = 1 + k * np.arange((horizon - 1) // k + 1)
-    delivered = rng.random(len(tx_slot)) >= model.error_prob(0)
+    out = slot_outcomes(model)
+    delivered = rng.random(len(tx_slot)) >= out.fail[Action.NEW_UPDATE, 0]
     gaps = np.diff(np.concatenate(([0], tx_slot[delivered], [horizon])))
     aoi_sum = int((gaps * (gaps + 1) // 2).sum())
     rows = None
@@ -282,7 +269,7 @@ def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np
         np.maximum.accumulate(last, out=last)
         ages = np.arange(1, horizon + 2) - last
         attempts = np.zeros(horizon + 1, np.int64)  # a failed fresh update marks the next slot
-        attempts[tx_slot[~delivered]] = _attempts_after_failed_update(model)
+        attempts[tx_slot[~delivered]] = out.fail_att[Action.NEW_UPDATE, 0]
         actions = np.zeros(horizon, np.int8)
         actions[tx_slot - 1] = Action.NEW_UPDATE
         rows = (ages[:-1], attempts[:-1], actions, ages[1:], attempts[1:])
@@ -345,37 +332,35 @@ class SlotEnv:
     """Minimal slot interface for learners: hides the error profile.
 
     ``step`` applies an action to the true (untruncated) state and reports
-    the next state and the transmission outcome.
+    the next state and the transmission outcome from ``mdp.slot_outcomes``.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
         self.state = State(1, 0)
+        self._fail = [[]]  # outcome table rows, loaded and widened by admissible()
 
     def reset(self) -> State:
         self.state = State(1, 0)
         return self.state
 
     def admissible(self, a: Action) -> bool:
-        if a is not Action.RETRANSMIT:
-            return True
-        r_cap = self.model.r_max
-        return self.state.r >= 1 and (r_cap is None or self.state.r < r_cap)
+        r, width = self.state.r, len(self._fail[0])
+        # The last column is exact only at the model's own cap.
+        if r + 1 >= width and (self.model.r_max is None or width <= self.model.r_max):
+            # Nested lists: a Python lookup per slot is far cheaper than a numpy one.
+            out = slot_outcomes(self.model, 2 * (r + 1))
+            self._fail, self._reset_age, self._fail_att, self._admissible = (x.tolist() for x in out)
+        return self._admissible[a][r]
 
     def step(self, a: Action) -> tuple[State, bool | None]:
-        delta, r = self.state
-        if a is Action.IDLE:
-            self.state = State(delta + 1, 0)
-            return self.state, None
         if not self.admissible(a):
             raise ProtocolViolationError(0, f"inadmissible action {a.name} in state {self.state}")
-        attempts = 0 if a is Action.NEW_UPDATE else r
-        failed = self.rng.random() < self.model.error_prob(attempts)
-        if a is Action.NEW_UPDATE:
-            r_cap = self.model.r_max
-            r_fail = 1 if (r_cap is None or r_cap >= 1) else 0
-            self.state = State(delta + 1, r_fail) if failed else State(1, 0)
-        else:
-            self.state = State(delta + 1, r + 1) if failed else State(r + 1, 0)
-        return self.state, not failed
+        delta, r = self.state
+        # Idling never delivers, so it draws no uniform.
+        if a is not Action.IDLE and self.rng.random() >= self._fail[a][r]:
+            self.state = State(self._reset_age[a][r], 0)
+            return self.state, True
+        self.state = State(delta + 1, self._fail_att[a][r])
+        return self.state, None if a is Action.IDLE else False

@@ -234,3 +234,21 @@ def test_verify_quick_passes_and_perturb_fails(capsys):
     assert main(["verify", "--quick", "--perturb", "lagrangian-identity"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  lagrangian-identity" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "--reps", "0"],
+        ["learn", "--timeline-points", "0"],
+        ["learn", "--steps", "-1"],
+        ["simulate", "--reps", "0"],
+        ["simulate", "--horizon", "0"],
+        ["simulate", "--trace-slots", "0"],
+    ],
+)
+def test_count_flags_reject_bad_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer of at least" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from aoi_sched.mdp import (
     admissible_actions,
     effective_r_max,
     enumerate_states,
-    error_prob,
     stage_cost,
     transitions,
 )
@@ -28,17 +27,17 @@ def as_dict(entries):
 
 class TestErrorProb:
     def test_first_attempt_is_p0(self):
-        assert error_prob(ChannelModel(0.5, 0.5, 3), 0) == 0.5
+        assert ChannelModel(0.5, 0.5, 3).error_prob(0) == 0.5
 
     def test_arq_constant_error(self):
-        assert error_prob(ChannelModel(0.5, 1.0, None), 7) == 0.5
+        assert ChannelModel(0.5, 1.0, None).error_prob(7) == 0.5
 
     def test_exponential_decay(self):
-        assert error_prob(ChannelModel(0.3, 0.5, 3), 2) == pytest.approx(0.075, abs=1e-15)
+        assert ChannelModel(0.3, 0.5, 3).error_prob(2) == pytest.approx(0.075, abs=1e-15)
 
     def test_query_beyond_cap_rejected(self):
         with pytest.raises(InadmissibleQueryError):
-            error_prob(ChannelModel(0.3, 0.5, 3), 4)
+            ChannelModel(0.3, 0.5, 3).error_prob(4)
 
     def test_underflow_caps_r_max(self):
         # g(2) = 0.5 * (1e-300)**2 underflows to exactly 0.

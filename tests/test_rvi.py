@@ -6,7 +6,7 @@ from aoi_sched import arq, rvi
 from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation
-from aoi_sched.rvi import SolverConfig, bellman_residual, greedy_policy, solve
+from aoi_sched.rvi import SolverConfig, bellman_residual, solve
 
 ARQ_HALF = ChannelModel(0.5, 1.0, 0)
 ARQ_TRUNC = Truncation(200, 0)
@@ -110,7 +110,7 @@ class TestSolveHarq:
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(60, 9)
         out = solve(model, trunc, 5.0)
-        assert greedy_policy(out.q) == dict(out.policy.actions)
+        assert list(out.policy.actions.values()) == np.argmin(out.q_array, axis=1).tolist()
 
 
 class TestUnconstrainedMode:
@@ -134,23 +134,6 @@ class TestUnconstrainedMode:
         out = solve(model, trunc, 0.0, unconstrained=True)
         res = evaluate_exact(out.policy, model, trunc)
         assert res.avg_aoi <= 1.0 / (1.0 - 0.5) + 1e-9
-
-
-class TestGreedyPolicy:
-    def test_strict_argmin(self):
-        q = {
-            (State(5, 0), Action.IDLE): 10.0,
-            (State(5, 0), Action.NEW_UPDATE): 9.0,
-        }
-        assert greedy_policy(q)[State(5, 0)] is Action.NEW_UPDATE
-
-    def test_ties_break_toward_idle(self):
-        q = {
-            (State(5, 1), Action.IDLE): 3.0,
-            (State(5, 1), Action.NEW_UPDATE): 3.0,
-            (State(5, 1), Action.RETRANSMIT): 3.0,
-        }
-        assert greedy_policy(q)[State(5, 1)] is Action.IDLE
 
 
 class TestMonotonicityInEta:
@@ -228,4 +211,4 @@ class TestPolicyIteration:
         actions = np.full(len(space), int(Action.NEW_UPDATE))
         actions[space.index[State(10, 0)]] = Action.IDLE
         with pytest.raises(MultichainError, match="eta=2.5"):
-            rvi._evaluate(space, actions, 2.5, space.index[State(1, 0)])
+            rvi._evaluate(space, actions, 2.5)

@@ -3,7 +3,7 @@ import pytest
 
 from aoi_sched.errors import ProtocolViolationError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states, transitions
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation, admissible_actions, enumerate_states, transitions
 from aoi_sched import simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
@@ -164,6 +164,53 @@ class TestSlotEnv:
         env = SlotEnv(ChannelModel(0.5, 0.5, 3), np.random.default_rng(0))
         with pytest.raises(ProtocolViolationError):
             env.step(Action.RETRANSMIT)
+
+    @pytest.mark.parametrize("r_max", [0, 3, None])
+    def test_step_matches_transitions(self, r_max):
+        # Uniform 0 fails every transmission, the largest uniform delivers it;
+        # together they must reach exactly the support of the scalar rule.
+        model = ChannelModel(0.6, 0.95, r_max)
+        assert model.r_max == r_max  # g(r) never underflows, so None stays unbounded
+        big = Truncation(10**9, r_max if r_max is not None else 10**8)
+        ages = range(1, 16)  # attempts up to 14, past the first table of an unbounded model
+        for s in (State(d, r) for d in ages for r in range(min(d, (r_max if r_max is not None else d) + 1))):
+            allowed = admissible_actions(s, model, big)
+            for a in Action:
+                outcomes = set()
+                for u, delivered in ((0.0, False), (1.0 - 2.0**-53, True)):
+                    env = SlotEnv(model, ForcedUniform(u))
+                    env.state = s
+                    if a not in allowed:
+                        with pytest.raises(ProtocolViolationError):
+                            env.step(a)
+                        continue
+                    nxt, ok = env.step(a)
+                    assert ok is (None if a is Action.IDLE else delivered)
+                    outcomes.add(nxt)
+                if a in allowed:
+                    assert outcomes == {e.next for e in transitions(s, a, model, big)}, (s, a)
+
+    def test_unbounded_retransmissions_outgrow_the_first_table(self):
+        model = ChannelModel(0.6, 0.95, None)
+        assert model.r_max is None
+        big = Truncation(10**9, 10**8)
+        env = SlotEnv(model, ForcedUniform(0.0))
+        s = env.reset()
+        for a in [Action.NEW_UPDATE] + [Action.RETRANSMIT] * 40:
+            fail_branch = transitions(s, a, model, big)[0].next
+            s, ok = env.step(a)
+            assert ok is False and s == fail_branch
+        assert s == State(42, 41)
+
+
+class ForcedUniform:
+    """Stub generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def harq_table(model, trunc, eta):
