@@ -64,14 +64,33 @@ def _count(low: int):
     return count
 
 
+def _checked(convert, build):
+    """argparse type of a value flag: ``convert``, then the range check of
+    ``build``, the constructor the value feeds, so the ranges live in one place."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            build(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_CMAX = _checked(float, baseline_periodic)  # the budget range every solver checks
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p0", type=float, default=0.5, help="first-attempt error probability")
+    p.add_argument("--p0", type=_checked(float, ChannelModel), default=0.5, help="first-attempt error probability")
     p.add_argument(
-        "--lam", "--lambda", dest="lam", type=float, default=1.0,
+        "--lam", "--lambda", dest="lam", type=_checked(float, lambda lam: ChannelModel(0.5, lam)), default=1.0,
         help="per-retransmission error decay",
     )
-    p.add_argument("--rmax", type=int, default=0, help="retransmission cap (ARQ: 0)")
-    p.add_argument("--nmax", type=int, default=150, help="age cap of the solver truncation")
+    p.add_argument("--rmax", type=_checked(int, lambda r: ChannelModel(0.5, 1.0, r)), default=0, help="retransmission cap (ARQ: 0)")
+    p.add_argument("--nmax", type=_checked(int, lambda n: Truncation(n, 0)), default=150, help="age cap of the solver truncation")
 
 
 def _model_from(args) -> tuple[ChannelModel, Truncation]:
@@ -113,13 +132,10 @@ def cmd_solve(args) -> int:
     out = solve(model, trunc, args.eta, cfg, unconstrained=args.unconstrained)
     res = evaluate_exact(out.policy, model, trunc)
     if args.out:
-        rows = []
-        for s in sorted(out.h):
-            q_vals = [out.q.get((s, a), "") for a in Action]
-            q_fmt = [f"{v:.12g}" if v != "" else "" for v in q_vals]
-            rows.append(
-                [s.delta, s.r, f"{out.h[s]:.12g}", *q_fmt, out.policy.actions[s].code]
-            )
+        rows = [
+            [s.delta, s.r, f"{h:.12g}", *(f"{v:.12g}" if math.isfinite(v) else "" for v in q), a.code]
+            for (s, a), h, q in zip(out.policy.actions.items(), out.h_array.tolist(), out.q_array.tolist())
+        ]
         _write_csv(
             _outpath(args.out),
             ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"],
@@ -302,13 +318,11 @@ def cmd_learn(args) -> int:
             ],
         )
     if args.qtable_out:
-        rows = []
-        for i, s in enumerate(final_state.space.states):
-            vals = [
-                f"{final_state.q[i, a]:.12g}" if final_state.space.admissible[i, a] else ""
-                for a in Action
-            ]
-            rows.append([s.delta, s.r, *vals])
+        space = final_state.space
+        rows = [
+            [delta, r, *(f"{v:.12g}" if ok else "" for v, ok in zip(q, adm))]
+            for delta, r, q, adm in zip(space.age.tolist(), space.r.tolist(), final_state.q, space.admissible)
+        ]
         _write_csv(_outpath(args.qtable_out), ["delta", "r", "q_idle", "q_new", "q_retx"], rows)
 
     summary = {
@@ -550,23 +564,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("arq", help="closed-form optimal randomized threshold")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--cmax", type=float, required=True)
+    # The closed forms check the error probability.
+    p.add_argument("--p", type=_checked(float, lambda p: arq.cost_of_threshold(p, 1)), required=True)
+    p.add_argument("--cmax", type=_CMAX, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_arq)
 
     p = sub.add_parser("search-eta", help="multiplier search for a budget")
     _model_args(p)
-    p.add_argument("--cmax", type=float, required=True)
+    p.add_argument("--cmax", type=_CMAX, required=True)
     p.add_argument("--trace-out", help="CSV trace of the probes, one row per charge")
     p.set_defaults(func=cmd_search_eta)
 
     p = sub.add_parser("simulate", help="Monte-Carlo evaluation of a policy")
     _model_args(p)
     p.add_argument("--policy", choices=("threshold", "periodic", "always-new", "optimal", "arq-optimal"), default="threshold")
-    p.add_argument("--threshold", type=int, default=4)
-    p.add_argument("--transmit-prob", type=float, default=1.0)
-    p.add_argument("--cmax", type=float, default=0.4)
+    p.add_argument("--threshold", type=_checked(int, ThresholdPolicy), default=4)
+    p.add_argument("--transmit-prob", type=_checked(float, lambda prob: ThresholdPolicy(1, prob)), default=1.0)
+    p.add_argument("--cmax", type=_CMAX, default=0.4)
     p.add_argument("--horizon", type=_count(1), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -577,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="online learning without channel knowledge")
     _model_args(p)
-    p.add_argument("--cmax", type=float, default=0.4)
+    p.add_argument("--cmax", type=_CMAX, default=0.4)
     p.add_argument("--steps", type=_count(0), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,10 @@
 """Exact long-run averages of a policy via its stationary distribution.
 
 The induced chain is restricted to the states reachable from the renewal
-state (1, 0); its unique closed recurrent class is located by a strong
-connectivity decomposition and the stationary distribution is obtained from
-a direct linear solve.  Renewal mixtures combine the component chains by
+state (1, 0), index 0 of ``StateSpace``; its unique closed recurrent class is
+located by a strong connectivity decomposition and the stationary
+distribution is obtained from a direct linear solve and returned as a dense
+``(age, attempts)`` array.  Renewal mixtures combine the component chains by
 expected cycle length, which is exactly what redrawing the active policy at
 every visit to (1, 0) achieves.  The open-loop periodic baseline has a
 closed-form evaluation.
@@ -11,7 +12,7 @@ closed-form evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import MultichainError, NoStationaryAoIError
 from .mdp import Action, ChannelModel, State, StateSpace, Truncation, slot_outcomes
-from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
+from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
 
 _STATIONARY_RESIDUAL = 1e-10
 _DENSE_CLASS_LIMIT = 200  # measured crossover: the sparse solve is faster above it
@@ -31,21 +32,17 @@ _RENEWAL = State(1, 0)
 class EvalResult:
     """Long-run average age, average transmission rate, and state occupancy.
 
-    ``tail_mass`` is the stationary mass at the age cap ``n_max``, where the
-    truncated chain lumps every larger age: a measure of truncation error.
+    ``stationary[delta, r]`` is the stationary mass of state ``(delta, r)``,
+    0 outside the recurrent class; ``stationary[State(1, 0)]`` reads one
+    state.  ``tail_mass`` is the stationary mass at the age cap ``n_max``,
+    where the truncated chain lumps every larger age: a measure of
+    truncation error.
     """
 
     avg_aoi: float
     avg_cost: float
-    stationary: dict[State, float]
+    stationary: np.ndarray = field(repr=False)
     tail_mass: float
-
-
-def _action_probs(policy: Policy, space: StateSpace) -> np.ndarray:
-    """``(states × actions)`` matrix of the positive probabilities ``policy`` plays."""
-    table = action_table(policy)
-    n_age, n_att = table.shape[:2]
-    return table[np.minimum(space.delta.astype(np.int64), n_age - 1), np.minimum(space.r, n_att - 1)]
 
 
 def induced_chain(
@@ -54,12 +51,12 @@ def induced_chain(
     """Transition matrix of the chain under ``policy`` plus per-state transmit probability."""
     space = StateSpace(model, trunc)
     n = len(space)
-    probs = _action_probs(policy, space)
+    probs = clamped_rows(policy.table, space.age, space.r)  # (states × actions)
     bad = np.argwhere((probs > 0.0) & ~space.admissible)
     if len(bad):
         i, a = bad[0]
         raise NoStationaryAoIError(
-            f"policy assigns inadmissible action {Action(a).name} at {space.states[i]}"
+            f"policy assigns inadmissible action {Action(a).name} at {State(int(space.age[i]), int(space.r[i]))}"
         )
     tx = probs[:, Action.NEW_UPDATE] + probs[:, Action.RETRANSMIT]
     # Only the branches actually taken become entries: csgraph counts stored
@@ -71,12 +68,9 @@ def induced_chain(
     return space, P, tx
 
 
-def _closed_class(space: StateSpace, P: sp.csr_matrix) -> np.ndarray:
-    """Indices of the unique closed recurrent class reachable from (1, 0)."""
-    start = space.index[_RENEWAL]
-    order = breadth_first_order(P, start, directed=True, return_predecessors=False)
-    reach = np.zeros(len(space), dtype=bool)
-    reach[order] = True
+def _closed_class(P: sp.csr_matrix) -> np.ndarray:
+    """Indices of the unique closed recurrent class reachable from (1, 0), index 0."""
+    order = breadth_first_order(P, 0, directed=True, return_predecessors=False)
     sub = P[np.ix_(order, order)]
     n_comp, labels = connected_components(sub, directed=True, connection="strong")
     # A component is closed iff no probability mass leaves it.
@@ -123,7 +117,7 @@ def _stationary_on_class(P: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
 
 def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
     space, P, tx = induced_chain(policy, model, trunc)
-    members = _closed_class(space, P)
+    members = _closed_class(P)
     if tx[members].max() <= 0.0:
         raise NoStationaryAoIError(
             "policy never transmits on its recurrent class; the age diverges"
@@ -132,7 +126,8 @@ def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> E
     deltas = space.delta[members]
     avg_aoi = float(pi @ deltas)
     avg_cost = float(pi @ tx[members])
-    stationary = {space.states[j]: float(pi[k]) for k, j in enumerate(members)}
+    stationary = np.zeros((trunc.n_max + 1, space.r_cap + 1))
+    stationary[space.age[members], space.r[members]] = pi
     return EvalResult(avg_aoi, avg_cost, stationary, float(pi[deltas == trunc.n_max].sum()))
 
 
@@ -146,19 +141,17 @@ def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResul
     q = 1.0 - p
     avg_cost = 1.0 / k
     avg_aoi = (k + 1) / 2.0 + k * p / q
-    stationary: dict[State, float] = {}
     r_fail = int(out.fail_att[Action.NEW_UPDATE, 0])
-    m = 0
-    while True:
-        block = q * p**m / k
-        if block * k < 1e-15:
-            break
-        for a in range(k * m + 1, k * (m + 1) + 1):
-            # The first age of every failed block follows a NACK, so it
-            # carries the failed-attempt marker.
-            r = r_fail if (m >= 1 and a == k * m + 1) else 0
-            stationary[State(a, r)] = block
-        m += 1
+    blocks = []  # mass of each age of block m, the ages after m failures
+    while (block := q * p ** len(blocks) / k) * k >= 1e-15:
+        blocks.append(block)
+    stationary = np.zeros((k * len(blocks) + 1, r_fail + 1))
+    stationary[1:, 0] = np.repeat(blocks, k)
+    # The first age of every failed block follows a NACK, so it carries the
+    # failed-attempt marker.
+    first = k * np.arange(1, len(blocks)) + 1
+    stationary[first, 0] = 0.0
+    stationary[first, r_fail] = blocks[1:]
     return EvalResult(avg_aoi, avg_cost, stationary, 0.0)  # untruncated
 
 
@@ -174,8 +167,8 @@ def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> Ev
             return first
         if w <= 0.0:
             return second
-        p1 = first.stationary.get(_RENEWAL, 0.0)
-        p2 = second.stationary.get(_RENEWAL, 0.0)
+        p1 = float(first.stationary[_RENEWAL])
+        p2 = float(second.stationary[_RENEWAL])
         if p1 <= 0.0 or p2 <= 0.0:
             raise NoStationaryAoIError(
                 "renewal mixture requires (1, 0) to be recurrent under both components"
@@ -187,10 +180,7 @@ def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> Ev
         avg_aoi = (w * t1 * first.avg_aoi + (1.0 - w) * t2 * second.avg_aoi) / denom
         avg_cost = (w * t1 * first.avg_cost + (1.0 - w) * t2 * second.avg_cost) / denom
         tail_mass = (w * t1 * first.tail_mass + (1.0 - w) * t2 * second.tail_mass) / denom
-        stationary: dict[State, float] = {}
-        for res, wt in ((first, w * t1 / denom), (second, (1.0 - w) * t2 / denom)):
-            for s, mass in res.stationary.items():
-                stationary[s] = stationary.get(s, 0.0) + wt * mass
+        stationary = w * t1 / denom * first.stationary + (1.0 - w) * t2 / denom * second.stationary
         return EvalResult(avg_aoi, avg_cost, stationary, tail_mass)
     return _evaluate_chain(policy, model, trunc)
 
@@ -219,8 +209,8 @@ def renewal_mixture_weight(
         raise ValueError(f"budget {c_max} not bracketed by component costs [{c2}, {c1}]")
     if abs(c1 - c2) < 1e-15:
         return 1.0
-    t1 = 1.0 / first.stationary[regeneration]
-    t2 = 1.0 / second.stationary[regeneration]
+    t1 = 1.0 / float(first.stationary[regeneration])
+    t2 = 1.0 / float(second.stationary[regeneration])
     num = t2 * (c_max - c2)
     den = t1 * (c1 - c_max) + num
     if den <= 0.0:

@@ -217,13 +217,9 @@ def _single_state_mix(
             f"costs [{res_high.avg_cost}, {res_low.avg_cost}]"
         )
     w = renewal_mixture_weight(res_low, res_high, c_max, diff_state)
-    probs = {s: {a: 1.0} for s, a in policy_high.actions.items()}
-    a_low = policy_low.actions[diff_state]
-    if w >= 1.0:
-        probs[diff_state] = {a_low: 1.0}
-    elif w > 0.0:
-        probs[diff_state] = {a_low: w, policy_high.actions[diff_state]: 1.0 - w}
-    return RandomizedTable(probs, policy_high.trunc)
+    table = policy_high.table.copy()
+    table[diff_state] = w * policy_low.table[diff_state] + (1.0 - w) * table[diff_state]
+    return RandomizedTable(table, policy_high.trunc)
 
 
 def solve_constrained(

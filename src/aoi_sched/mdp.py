@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -234,7 +233,8 @@ class StateSpace:
     States are row-major in ``(delta, r)``: age ``delta`` holds the attempt
     counts ``0 .. min(delta, r_cap + 1) - 1``.  With row offsets
     ``off[delta] = sum(min(d, r_cap + 1) for d in 1 .. delta - 1)`` the state
-    ``(delta, r)`` sits at index ``off[delta] + r``, so the at-most-two
+    ``(delta, r)`` sits at index ``off[delta] + r``: state ``i`` is ``(age[i],
+    r[i])`` and the renewal state (1, 0) is index 0.  The at-most-two
     successor indices and probabilities of every (state, action) are gathered
     from ``slot_outcomes`` by index arithmetic.  The solver's policy
     evaluations and the stationary-distribution builder read them;
@@ -251,7 +251,7 @@ class StateSpace:
         self.off = np.zeros(n_max + 2, dtype=np.int64)
         np.cumsum(width, out=self.off[2:])
         n = int(self.off[-1])
-        age = np.repeat(ages, width)
+        self.age = age = np.repeat(ages, width)
         self.r = np.arange(n) - self.off[age]
         self.delta = age.astype(np.float64)
 
@@ -278,14 +278,6 @@ class StateSpace:
         for arr in (self.succ_idx, self.succ_prob):
             arr[dead, Action.RETRANSMIT, 0] = arr[dead, Action.RETRANSMIT, 1]
             arr[dead, Action.RETRANSMIT, 1] = 0
-
-    @cached_property
-    def states(self) -> list[State]:
-        return list(map(State, self.delta.astype(np.int64).tolist(), self.r.tolist()))
-
-    @cached_property
-    def index(self) -> dict[State, int]:
-        return dict(zip(self.states, range(len(self))))
 
     def __len__(self) -> int:
         return len(self.delta)

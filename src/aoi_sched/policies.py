@@ -1,66 +1,106 @@
 """Policy data model shared by the solver, exact evaluation and simulation.
 
-Stationary kinds expose ``action_probs(state)`` and, for every state at once,
-``action_table``; table-backed kinds clamp the lookup to their own
-truncation so they extend naturally to larger ages.  The renewal mixture and
-the open-loop periodic baseline need execution context (active branch, slot
+Stationary kinds hold ``table``: entry ``[delta, r, a]`` is the probability
+of ``a`` in state ``(delta, r)``, and larger ages and attempt counts read the
+last row and column, so a table extends naturally to larger states.  Tables
+also accept a per-state mapping listing every state of their truncation;
+``action_probs(state)`` is the per-state view.  The renewal mixture and the
+open-loop periodic baseline need execution context (active branch, slot
 phase) and are handled specially by the evaluators.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
-from .mdp import Action, State, Truncation
+from .mdp import Action, State, StateSpace, Truncation
 
 _PROB_ATOL = 1e-9
 
 
-def _clamp(s: State, trunc: Truncation) -> State:
-    return State(min(s.delta, trunc.n_max), min(s.r, trunc.r_max))
+def _dense(rows: Mapping[State, Mapping[Action, float]], trunc: Truncation, kind: str) -> np.ndarray:
+    """The ``(age, attempts, action)`` table of a mapping that lists every state of ``trunc``."""
+    width = trunc.r_max + 1  # attempt counts of every age from r_max + 1 on
+    n_states = width * (width + 1) // 2 + (trunc.n_max - width) * width
+    if len(rows) != n_states:
+        raise ValueError(f"{kind} lists {len(rows)} of the {n_states} states of {trunc}")
+    table = np.zeros((trunc.n_max + 1, width, len(Action)))
+    for s, dist in rows.items():
+        for a, p in dist.items():
+            table[s.delta, s.r, a] = p
+    return table
 
 
-@dataclass(frozen=True, eq=True)
+def clamped_rows(table: np.ndarray, delta, r) -> np.ndarray:
+    """Rows of ``table`` at ages ``delta`` and attempts ``r``, larger ones reading its last row and column."""
+    return table[np.minimum(delta, len(table) - 1), np.minimum(r, table.shape[1] - 1)]
+
+
+def _probs_at(table: np.ndarray, s: State) -> dict[Action, float]:
+    row = clamped_rows(table, s.delta, s.r)
+    return {Action(a): float(row[a]) for a in np.flatnonzero(row > 0.0)}
+
+
+@dataclass(frozen=True, eq=False)
 class DeterministicTable:
-    """One action per truncated state."""
+    """One action per truncated state; ``actions`` is a dict view in ``StateSpace`` order."""
 
-    actions: Mapping[State, Action]
+    table: np.ndarray  # or a State -> Action mapping, converted on construction
     trunc: Truncation
 
-    def action_at(self, s: State) -> Action:
-        return self.actions[_clamp(s, self.trunc)]
+    def __post_init__(self):
+        if isinstance(self.table, Mapping):
+            rows = {s: {a: 1.0} for s, a in self.table.items()}
+            object.__setattr__(self, "table", _dense(rows, self.trunc, self.describe()))
+
+    @classmethod
+    def from_actions(cls, space: StateSpace, actions: np.ndarray) -> "DeterministicTable":
+        """The table playing ``actions[i]`` in state ``i`` of ``space``."""
+        table = np.zeros((space.trunc.n_max + 1, space.r_cap + 1, len(Action)))
+        table[space.age, space.r, actions] = 1.0
+        return cls(table, Truncation(space.trunc.n_max, space.r_cap))
+
+    @cached_property
+    def actions(self) -> dict[State, Action]:
+        d, r, a = np.nonzero(self.table)
+        return dict(zip(map(State, d.tolist(), r.tolist()), map(Action, a.tolist())))
 
     def action_probs(self, s: State) -> dict[Action, float]:
-        return {self.action_at(s): 1.0}
+        return _probs_at(self.table, s)
 
     def describe(self) -> str:
         return "table"
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class RandomizedTable:
     """A probability vector over admissible actions per truncated state."""
 
-    probs: Mapping[State, Mapping[Action, float]]
+    table: np.ndarray  # or a State -> {Action: probability} mapping, converted on construction
     trunc: Truncation
 
     def __post_init__(self):
-        for s, dist in self.probs.items():
-            total = 0.0
-            for a, p in dist.items():
-                if p < -_PROB_ATOL:
-                    raise ValueError(f"negative action probability {p} at {s}")
-                total += p
-            if not math.isclose(total, 1.0, abs_tol=_PROB_ATOL):
-                raise ValueError(f"action probabilities at {s} sum to {total}, not 1")
+        table = self.table
+        if isinstance(table, Mapping):
+            table = _dense(table, self.trunc, self.describe())
+        neg = np.argwhere(table < -_PROB_ATOL)
+        if len(neg):
+            d, r, a = neg[0]
+            raise ValueError(f"negative action probability {table[d, r, a]} at {State(int(d), int(r))}")
+        total = table.sum(axis=2)
+        is_state = np.arange(table.shape[1]) < np.arange(len(table))[:, None]
+        off = np.argwhere(is_state & ~(np.abs(total - 1.0) <= _PROB_ATOL))  # NaN sums too
+        if len(off):
+            d, r = off[0]
+            raise ValueError(f"action probabilities at {State(int(d), int(r))} sum to {total[d, r]}, not 1")
+        object.__setattr__(self, "table", np.maximum(table, 0.0))
 
     def action_probs(self, s: State) -> dict[Action, float]:
-        return {a: p for a, p in self.probs[_clamp(s, self.trunc)].items() if p > 0.0}
+        return _probs_at(self.table, s)
 
     def describe(self) -> str:
         return "randomized-table"
@@ -93,6 +133,15 @@ class ThresholdPolicy:
                 return {Action.IDLE: 1.0}
             return {Action.NEW_UPDATE: self.transmit_prob, Action.IDLE: 1.0 - self.transmit_prob}
         return {Action.IDLE: 1.0}
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        thr, ptx = self.threshold, self.transmit_prob
+        table = np.zeros((thr + 2, 1, len(Action)))
+        table[:thr, 0, Action.IDLE] = 1.0
+        table[thr, 0, : Action.RETRANSMIT] = 1.0 - ptx, ptx
+        table[thr + 1, 0, Action.NEW_UPDATE] = 1.0
+        return table
 
     def describe(self) -> str:
         if self.transmit_prob >= 1.0:
@@ -147,39 +196,5 @@ def table_difference(a: DeterministicTable, b: DeterministicTable) -> list[State
     """States on which two deterministic tables disagree."""
     if a.trunc != b.trunc:
         raise ValueError("cannot compare tables with different truncations")
-    return [s for s in a.actions if a.actions[s] != b.actions[s]]
-
-
-def action_table(policy: StationaryPolicy) -> np.ndarray:
-    """Dense ``(age, attempts, action)`` probabilities of a stationary policy.
-
-    Entry ``[delta, r, a]`` is the probability of ``a`` in state ``(delta,
-    r)``, where ``action_probs`` has it positive, else 0.  Larger ages and
-    attempt counts take the last row and column, as the policies clamp to
-    their truncation.  A table must list every state of its truncation.
-    """
-    if isinstance(policy, ThresholdPolicy):
-        thr, ptx = policy.threshold, policy.transmit_prob
-        table = np.zeros((thr + 2, 1, len(Action)))
-        table[:thr, 0, Action.IDLE] = 1.0
-        table[thr, 0, : Action.RETRANSMIT] = 1.0 - ptx, ptx
-        table[thr + 1, 0, Action.NEW_UPDATE] = 1.0
-        return table
-    if not isinstance(policy, (DeterministicTable, RandomizedTable)):
-        raise TypeError(f"no action table for policy kind {type(policy).__name__}")
-    trunc = policy.trunc
-    rows = policy.actions if isinstance(policy, DeterministicTable) else policy.probs
-    width = trunc.r_max + 1  # attempt counts of every age from r_max + 1 on
-    n_states = width * (width + 1) // 2 + (trunc.n_max - width) * width
-    if len(rows) != n_states:
-        raise ValueError(f"{policy.describe()} lists {len(rows)} of the {n_states} states of {trunc}")
-    table = np.zeros((trunc.n_max + 1, width, len(Action)))
-    if isinstance(policy, DeterministicTable):
-        states = np.fromiter(itertools.chain.from_iterable(rows), np.int64, 2 * n_states).reshape(n_states, 2)
-        table[states[:, 0], states[:, 1], np.fromiter(rows.values(), np.int64, n_states)] = 1.0
-    else:
-        for s, dist in rows.items():
-            for a, p in dist.items():
-                if p > 0.0:
-                    table[s.delta, s.r, a] = p
-    return table
+    d, r = np.nonzero((a.table != b.table).any(axis=2))
+    return list(map(State, d.tolist(), r.tolist()))

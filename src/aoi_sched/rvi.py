@@ -37,10 +37,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, MultichainError
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation
+from .mdp import Action, ChannelModel, State, StateSpace, Truncation, enumerate_states
 from .policies import DeterministicTable
 
-_ACTION_ORDER = (Action.IDLE, Action.NEW_UPDATE, Action.RETRANSMIT)
 _TIE_RTOL = 1e-9  # read-off: costs this close to the row minimum tie
 _SOLVE_RTOL = 1e-9  # largest relative residual accepted from an evaluation
 
@@ -78,14 +77,14 @@ class SolverOutput:
 
     @cached_property
     def h(self) -> dict[State, float]:
-        return dict(zip(self.policy.actions, self.h_array.tolist()))
+        return dict(zip(enumerate_states(self.policy.trunc), self.h_array.tolist()))
 
     @cached_property
     def q(self) -> dict[tuple[State, Action], float]:
         return {
             (s, a): value
-            for s, row in zip(self.policy.actions, self.q_array.tolist())
-            for a, value in zip(_ACTION_ORDER, row)
+            for s, row in zip(enumerate_states(self.policy.trunc), self.q_array.tolist())
+            for a, value in zip(Action, row)
             if math.isfinite(value)
         }
 
@@ -181,11 +180,7 @@ def solve(
 
     # First action within the tie tolerance wins: idle < new < retransmit.
     greedy = np.argmax(q <= (v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))[:, None], axis=1)
-    policy = DeterministicTable(
-        dict(zip(space.states, map(_ACTION_ORDER.__getitem__, greedy.tolist()))),
-        Truncation(trunc.n_max, space.r_cap),
-    )
-    return SolverOutput(gain, policy, it, residual, h, q)
+    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q)
 
 
 def bellman_residual(

@@ -64,22 +64,18 @@ class LearnerState:
     next_action: Action | None = None
 
     def _index(self, s: State) -> int:
-        clamped = State(min(s.delta, self.space.trunc.n_max), min(s.r, self.space.r_cap))
-        return self.space.index[clamped]
+        return self.space.off[min(s.delta, self.space.trunc.n_max)] + min(s.r, self.space.r_cap)
 
     def greedy_table(self) -> DeterministicTable:
         """Exploration-free policy read off the current table.
 
-        Ties prefer transmitting: rows of states the learner never visited
-        are still all zero, and reading them as idle would freeze the age at
-        every unexplored state.
+        Ties go to the last of the tied actions, so they prefer transmitting:
+        rows of states the learner never visited are still all zero, and
+        reading them as idle would freeze the age at every unexplored state.
         """
-        actions = {}
-        for i, s in enumerate(self.space.states):
-            row = np.where(self.admissible[i], self.q[i], np.inf)
-            best = np.flatnonzero(row == row.min())
-            actions[s] = Action(int(best[-1] if len(best) > 1 else best[0]))
-        return DeterministicTable(actions, Truncation(self.space.trunc.n_max, self.space.r_cap))
+        q = np.where(self.admissible, self.q, np.inf)
+        last_best = _N_ACTIONS - 1 - np.argmin(q[:, ::-1], axis=1)
+        return DeterministicTable.from_actions(self.space, last_best)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ProtocolViolationError
 from .mdp import Action, ChannelModel, State, slot_outcomes
-from .policies import PeriodicPolicy, Policy, RenewalMixture, action_table
+from .policies import PeriodicPolicy, Policy, RenewalMixture
 
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
@@ -83,7 +83,7 @@ def _kernel_tables(policy: Policy, width: int):
     one-component mixture.
     """
     mixture = isinstance(policy, RenewalMixture)
-    parts = [action_table(p) for p in ((policy.first, policy.second) if mixture else (policy,))]
+    parts = [p.table for p in ((policy.first, policy.second) if mixture else (policy,))]
     n_age = max(p.shape[0] for p in parts)
     n_att = max(width, *(p.shape[1] for p in parts))
     # Repeating the last row and column keeps each component's clamping.

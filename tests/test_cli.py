@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -252,3 +253,47 @@ def test_count_flags_reject_bad_values(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "expected an integer of at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--threshold", "0"], "--threshold"),
+        (["simulate", "--p0", "1.5"], "--p0"),
+        (["simulate", "--transmit-prob", "2"], "--transmit-prob"),
+        (["simulate", "--lam", "0"], "--lam"),
+        (["simulate", "--policy", "periodic", "--cmax", "0"], "--cmax"),
+        (["solve", "--nmax", "1"], "--nmax"),
+        (["solve", "--rmax", "-1"], "--rmax"),
+        (["search-eta", "--cmax", "0"], "--cmax"),
+        (["learn", "--cmax", "1.5"], "--cmax"),
+        (["arq", "--p", "1", "--cmax", "0.3"], "--p"),
+        (["arq", "--p", "0.5", "--cmax", "-0.1"], "--cmax"),
+    ],
+)
+def test_value_flags_reject_bad_values(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    # The constructor's own message follows the flag's name.
+    assert re.search(rf"error: argument {flag}(/--\w+)?: \w+ .*must", err), err
+
+
+def test_value_flags_still_name_a_malformed_number(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--p0", "half"])
+    assert "argument --p0: invalid float value: 'half'" in capsys.readouterr().err
+
+
+def test_sweep_reports_bad_values_as_error_rows(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--p0", "1.5", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", "0.6",
+        "--protocols", "baseline", "--horizon", "0", "--out", str(out),
+    ])
+    assert rc == 1
+    rows = read_csv(out)
+    assert rows[1][-1] == "ValueError: p0 must lie in (0, 1), got 1.5"
+    assert rows[2][-1] == "" and rows[2][7] != ""

@@ -12,6 +12,7 @@ from aoi_sched.mdp import (
     Truncation,
     effective_r_max,
     enumerate_states,
+    slot_outcomes,
     transitions,
 )
 from aoi_sched.policies import (
@@ -138,8 +139,8 @@ class TestThresholdEvaluation:
 
     def test_stationary_is_distribution(self):
         res = evaluate_exact(ThresholdPolicy(4), ChannelModel(0.5, 1.0, 0), Truncation(300, 0))
-        assert sum(res.stationary.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(v >= 0 for v in res.stationary.values())
+        assert res.stationary.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (res.stationary >= 0).all()
 
     def test_cost_in_unit_interval(self):
         res = evaluate_exact(ThresholdPolicy(7), ChannelModel(0.8, 1.0, 0), Truncation(400, 0))
@@ -149,11 +150,11 @@ class TestThresholdEvaluation:
         from aoi_sched import arq
 
         res = evaluate_exact(ThresholdPolicy(5), ChannelModel(0.4, 1.0, 0), Truncation(150, 0))
-        for s, mass in res.stationary.items():
-            if s.delta < 140:  # clamped tail mass piles up at the cap
-                assert mass == pytest.approx(
-                    arq.stationary_probs(0.4, 5, s.delta), rel=1e-9, abs=1e-12
-                )
+        assert res.stationary.shape == (151, 1)
+        for delta in range(1, 140):  # clamped tail mass piles up at the cap
+            assert res.stationary[delta, 0] == pytest.approx(
+                arq.stationary_probs(0.4, 5, delta), rel=1e-9, abs=1e-12
+            )
 
 
 class TestAlwaysNewUpdate:
@@ -262,9 +263,27 @@ class TestPeriodicBaseline:
         assert res.avg_cost == pytest.approx(1 / 3, rel=1e-14)
         assert res.avg_aoi == pytest.approx(2.0 + 3.0, rel=1e-12)
 
+    def test_failed_update_marker_in_stationary_array(self):
+        # With retransmission possible, the first age of every failed block
+        # follows a NACK and sits in the failed-update column.
+        model, k = ChannelModel(0.5, 0.5, 3), 3
+        res = evaluate_exact(PeriodicPolicy(k), model, Truncation(50, 3))
+        fail_att = int(slot_outcomes(model).fail_att[Action.NEW_UPDATE, 0])
+        assert fail_att == 1 and res.stationary.shape[1] == 2
+        q = 1.0 - model.p0
+        for m in range(1, 10):
+            first = k * m + 1
+            assert res.stationary[first, 0] == 0.0
+            assert res.stationary[first, fail_att] == q * model.p0**m / k
+            assert (res.stationary[first + 1 : first + k, 0] == q * model.p0**m / k).all()
+            assert (res.stationary[first + 1 : first + k, fail_att] == 0.0).all()
+        assert res.stationary.sum() == pytest.approx(1.0, abs=1e-12)
+        ages = np.arange(len(res.stationary))[:, None]
+        assert (ages * res.stationary).sum() == pytest.approx(res.avg_aoi, abs=1e-12)
+
     def test_occupancy_sums_to_one(self):
         res = evaluate_exact(PeriodicPolicy(4), ChannelModel(0.6, 1.0, 0), Truncation(50, 0))
-        assert sum(res.stationary.values()) == pytest.approx(1.0, abs=1e-12)
+        assert res.stationary.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTailMass:
@@ -273,7 +292,7 @@ class TestTailMass:
         a, b = ThresholdPolicy(4), ThresholdPolicy(6)
         for policy in (a, RenewalMixture(a, b, 0.3)):
             res = evaluate_exact(policy, model, trunc)
-            at_cap = sum(m for s, m in res.stationary.items() if s.delta == trunc.n_max)
+            at_cap = res.stationary[trunc.n_max].sum()
             assert res.tail_mass == pytest.approx(at_cap, rel=1e-12)
             assert 1e-3 < res.tail_mass < 1e-1
         assert evaluate_exact(PeriodicPolicy(3), model, trunc).tail_mass == 0.0
@@ -297,11 +316,9 @@ class TestStationarySolve:
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
         policy = solve(model, trunc, eta).policy
         sparse = evaluate_exact(policy, model, trunc)
-        assert len(sparse.stationary) > exact._DENSE_CLASS_LIMIT
+        assert np.count_nonzero(sparse.stationary) > exact._DENSE_CLASS_LIMIT
         monkeypatch.setattr(exact, "_DENSE_CLASS_LIMIT", 10**9)
         dense = evaluate_exact(policy, model, trunc)
-        assert sparse.stationary.keys() == dense.stationary.keys()
-        for s, mass in dense.stationary.items():
-            assert sparse.stationary[s] == pytest.approx(mass, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(sparse.stationary, dense.stationary, rtol=1e-12, atol=1e-15)
         assert sparse.avg_aoi == pytest.approx(dense.avg_aoi, rel=1e-13)
         assert sparse.avg_cost == pytest.approx(dense.avg_cost, rel=1e-13)

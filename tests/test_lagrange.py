@@ -6,7 +6,7 @@ from aoi_sched import arq, errors
 from aoi_sched.errors import BracketingError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
-from aoi_sched.mdp import Action, ChannelModel, Truncation
+from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
 from aoi_sched.policies import RandomizedTable, table_difference
 
 
@@ -80,7 +80,7 @@ class TestSolveConstrained:
         rt = arq.optimal_policy(0.5, 0.35)
         assert isinstance(sol.mixed, RandomizedTable)
         analytic = rt.policy()
-        for s in sol.mixed.probs:
+        for s in enumerate_states(trunc):
             probs = sol.mixed.action_probs(s)
             ref = analytic.action_probs(s)
             for a in Action:
@@ -110,12 +110,14 @@ class TestSolveConstrained:
         a_low, a_high = sol.policy_low.actions[state], sol.policy_high.actions[state]
 
         def gap(w):
-            probs = {**sol.mixed.probs, state: {a_low: w, a_high: 1.0 - w}}
-            return evaluate_exact(RandomizedTable(probs, trunc), model, trunc).avg_cost - c_max
+            table = sol.mixed.table.copy()
+            table[state] = 0.0
+            table[(*state, a_low)], table[(*state, a_high)] = w, 1.0 - w
+            return evaluate_exact(RandomizedTable(table, trunc), model, trunc).avg_cost - c_max
 
         # Reference: the root found numerically over full exact evaluations.
         w_ref = brentq(gap, 0.0, 1.0, xtol=1e-15)
-        assert sol.mixed.probs[state][a_low] == pytest.approx(w_ref, abs=1e-12)
+        assert sol.mixed.table[(*state, a_low)] == pytest.approx(w_ref, abs=1e-12)
         assert sol.achieved_cost == pytest.approx(c_max, abs=1e-13)
 
     def test_operating_point_a_needs_few_probes(self):

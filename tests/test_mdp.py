@@ -218,9 +218,10 @@ def spec_arrays(model, trunc):
 def assert_matches_spec(model, trunc):
     space = StateSpace(model, trunc)
     states, admissible, succ_idx, succ_prob = spec_arrays(model, trunc)
-    assert space.states == states
     assert len(space) == len(states)
-    assert space.index == {s: i for i, s in enumerate(states)}
+    # State i is (age[i], r[i]), and state (delta, r) sits at off[delta] + r.
+    assert list(zip(space.age.tolist(), space.r.tolist())) == states
+    assert [space.off[s.delta] + s.r for s in states] == list(range(len(states)))
     assert np.array_equal(space.delta, [float(s.delta) for s in states])
     assert np.array_equal(space.admissible, admissible)
     assert np.array_equal(space.succ_idx, succ_idx)

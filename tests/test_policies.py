@@ -7,7 +7,6 @@ from aoi_sched.policies import (
     RandomizedTable,
     RenewalMixture,
     ThresholdPolicy,
-    action_table,
     table_difference,
 )
 
@@ -19,22 +18,41 @@ class TestTables:
             {State(d, 0): (Action.NEW_UPDATE if d == 5 else Action.IDLE) for d in range(1, 6)},
             trunc,
         )
-        assert table.action_at(State(17, 0)) is Action.NEW_UPDATE
         assert table.action_probs(State(17, 0)) == {Action.NEW_UPDATE: 1.0}
+        assert table.action_probs(State(4, 0)) == {Action.IDLE: 1.0}
 
     def test_randomized_rows_validated(self):
         trunc = Truncation(3, 0)
-        with pytest.raises(ValueError):
-            RandomizedTable({State(1, 0): {Action.IDLE: 0.6, Action.NEW_UPDATE: 0.6}}, trunc)
-        with pytest.raises(ValueError):
-            RandomizedTable({State(1, 0): {Action.IDLE: -0.2, Action.NEW_UPDATE: 1.2}}, trunc)
+        rows = {s: {Action.IDLE: 1.0} for s in enumerate_states(trunc)}
+        with pytest.raises(ValueError, match=r"at State\(delta=2, r=0\) sum to 1.2, not 1"):
+            RandomizedTable({**rows, State(2, 0): {Action.IDLE: 0.6, Action.NEW_UPDATE: 0.6}}, trunc)
+        with pytest.raises(ValueError, match=r"negative action probability -0.2 at State\(delta=2, r=0\)"):
+            RandomizedTable({**rows, State(2, 0): {Action.IDLE: -0.2, Action.NEW_UPDATE: 1.2}}, trunc)
+
+    def test_randomized_array_validated(self):
+        trunc = Truncation(3, 1)
+        table = RandomizedTable({s: {Action.IDLE: 1.0} for s in enumerate_states(trunc)}, trunc).table.copy()
+        table[3, 1, Action.NEW_UPDATE] = 1e-6
+        with pytest.raises(ValueError, match=r"at State\(delta=3, r=1\) sum to"):
+            RandomizedTable(table, trunc)
+        table[3, 1] = 1.0 + 2e-10, -2e-10, 0.0  # within tolerance: accepted, read as 0
+        accepted = RandomizedTable(table, trunc)
+        assert accepted.action_probs(State(3, 1)) == {Action.IDLE: 1.0 + 2e-10}
+        assert accepted.table.min() == 0.0
 
     def test_zero_probability_actions_dropped(self):
         trunc = Truncation(3, 0)
         table = RandomizedTable(
-            {State(1, 0): {Action.IDLE: 1.0, Action.NEW_UPDATE: 0.0}}, trunc
+            {s: {Action.IDLE: 1.0, Action.NEW_UPDATE: 0.0} for s in enumerate_states(trunc)}, trunc
         )
         assert table.action_probs(State(1, 0)) == {Action.IDLE: 1.0}
+
+    def test_actions_view_lists_every_state_in_order(self):
+        trunc = Truncation(6, 2)
+        acts = {s: Action(min(s.r + (s.delta > 3), 2)) for s in reversed(enumerate_states(trunc))}
+        table = DeterministicTable(acts, trunc)
+        assert table.actions == acts
+        assert list(table.actions) == enumerate_states(trunc)
 
     def test_table_difference(self):
         trunc = Truncation(3, 0)
@@ -82,34 +100,42 @@ class TestMixtureAndPeriodic:
             PeriodicPolicy(0)
 
 
+DET_TRUNC, RND_TRUNC = Truncation(8, 2), Truncation(6, 1)
+DET_ROWS = {s: {Action(min(s.r + (s.delta > 4), 2)): 1.0} for s in enumerate_states(DET_TRUNC)}
+RND_ROWS = {
+    s: {Action.IDLE: 0.25, Action.NEW_UPDATE: 0.75} if s.delta % 2 else {Action.NEW_UPDATE: 1.0}
+    for s in enumerate_states(RND_TRUNC)
+}
+
+
+def clamped(rows, trunc):
+    """Per-state spec of a table mapping: larger states read the last row and column."""
+    return lambda s: rows[State(min(s.delta, trunc.n_max), min(s.r, trunc.r_max))]
+
+
 class TestActionTable:
     @pytest.mark.parametrize(
-        "policy",
+        "policy, spec",
         [
-            DeterministicTable(
-                {s: Action(min(s.r + (s.delta > 4), 2)) for s in enumerate_states(Truncation(8, 2))}, Truncation(8, 2)
-            ),
-            RandomizedTable(
-                {
-                    s: {Action.IDLE: 0.25, Action.NEW_UPDATE: 0.75} if s.delta % 2 else {Action.NEW_UPDATE: 1.0}
-                    for s in enumerate_states(Truncation(6, 1))
-                },
-                Truncation(6, 1),
-            ),
-            ThresholdPolicy(3, 0.4),
-            ThresholdPolicy(2, 1.0),
+            (DeterministicTable({s: next(iter(d)) for s, d in DET_ROWS.items()}, DET_TRUNC), clamped(DET_ROWS, DET_TRUNC)),
+            (RandomizedTable(RND_ROWS, RND_TRUNC), clamped(RND_ROWS, RND_TRUNC)),
+            (ThresholdPolicy(3, 0.4), ThresholdPolicy(3, 0.4).action_probs),
+            (ThresholdPolicy(2, 1.0), ThresholdPolicy(2, 1.0).action_probs),
         ],
         ids=["deterministic", "randomized", "threshold", "sure-threshold"],
     )
-    def test_rows_are_the_action_probs_with_clamping(self, policy):
-        table = action_table(policy)
+    def test_rows_are_the_action_probs_with_clamping(self, policy, spec):
+        table = policy.table
         n_age, n_att = table.shape[:2]
         for s in enumerate_states(Truncation(15, 4)):
             row = table[min(s.delta, n_age - 1), min(s.r, n_att - 1)]
-            assert {a: p for a, p in zip(Action, row) if p > 0.0} == policy.action_probs(s)
+            assert {a: p for a, p in zip(Action, row) if p > 0.0} == spec(s)
+            assert policy.action_probs(s) == spec(s)
 
     def test_table_must_list_every_state(self):
         trunc = Truncation(5, 1)
         acts = {s: Action.IDLE for s in enumerate_states(trunc) if s != State(3, 1)}
-        with pytest.raises(ValueError, match="lists 8 of the 9 states"):
-            action_table(DeterministicTable(acts, trunc))
+        with pytest.raises(ValueError, match="table lists 8 of the 9 states"):
+            DeterministicTable(acts, trunc)
+        with pytest.raises(ValueError, match="randomized-table lists 8 of the 9 states"):
+            RandomizedTable({s: {a: 1.0} for s, a in acts.items()}, trunc)

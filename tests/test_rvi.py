@@ -6,6 +6,7 @@ from aoi_sched import arq, rvi
 from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation
+from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import SolverConfig, bellman_residual, solve
 
 ARQ_HALF = ChannelModel(0.5, 1.0, 0)
@@ -20,7 +21,7 @@ def rvi_reference_gain(model, trunc, eta, epsilon=1e-11, kappa=0.5):
     specification of the optimality equation that ``solve`` answers.
     """
     space = StateSpace(model, trunc)
-    ref = space.index[State(1, 0)]
+    ref = space.off[1]  # index of (1, 0)
     h = np.zeros(len(space))
     while True:
         exp_h = (h[space.succ_idx] * space.succ_prob).sum(axis=2)
@@ -105,6 +106,13 @@ class TestSolveHarq:
         out = solve(model, Truncation(3, 0), 5.0)
         with pytest.raises(ValueError, match="solved on"):
             bellman_residual(out, model, Truncation(2, 1), 5.0)
+
+    @pytest.mark.parametrize(
+        "model, trunc", [(ChannelModel(0.5, 0.5, 3), Truncation(60, 3)), (ARQ_HALF, Truncation(80, 0))]
+    )
+    def test_mapping_and_array_forms_agree(self, model, trunc):
+        policy = solve(model, trunc, 5.0).policy
+        assert DeterministicTable(policy.actions, policy.trunc).table.tobytes() == policy.table.tobytes()
 
     def test_policy_is_greedy_on_q(self):
         model = ChannelModel(0.3, 0.5, 9)
@@ -209,6 +217,6 @@ class TestPolicyIteration:
         model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(10, 3)
         space = StateSpace(model, trunc)
         actions = np.full(len(space), int(Action.NEW_UPDATE))
-        actions[space.index[State(10, 0)]] = Action.IDLE
+        actions[space.off[10]] = Action.IDLE  # index of (10, 0)
         with pytest.raises(MultichainError, match="eta=2.5"):
             rvi._evaluate(space, actions, 2.5)

@@ -5,7 +5,7 @@ import pytest
 
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.lagrange import solve_constrained
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states
 from aoi_sched.sarsa import (
     LearnerConfig,
     make_learner,
@@ -67,7 +67,7 @@ class TestStep:
         ls = make_learner(cfg, model)
         ls.next_action = Action.NEW_UPDATE
         step(ls, env, cfg, rng)
-        i = ls.space.index[State(1, 0)]
+        i = ls.space.off[1]  # index of (1, 0)
         assert ls.q[i, Action.NEW_UPDATE] == pytest.approx(6.0, abs=1e-12)
         assert ls.gain == pytest.approx(6.0, abs=1e-12)
         assert ls.empirical_cost == 1.0
@@ -148,6 +148,14 @@ class TestTrain:
         assert tl.running_aoi[-1] == pytest.approx(1.0, abs=1e-12)
         greedy = ls.greedy_table()
         assert all(a is Action.NEW_UPDATE for a in greedy.actions.values())
+
+    def test_greedy_ties_prefer_retransmit_then_new_update(self):
+        # On an all-zero table every admissible action ties; the last one wins.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(20, 3)
+        greedy = make_learner(LearnerConfig(trunc=trunc), model).greedy_table()
+        assert greedy.actions == {
+            s: Action.RETRANSMIT if 1 <= s.r < 3 else Action.NEW_UPDATE for s in enumerate_states(trunc)
+        }
 
     def test_tighter_budget_means_noisier_learning(self):
         # Fewer transmissions also mean fewer learning opportunities, so the
