@@ -28,7 +28,7 @@ _DENSE_CLASS_LIMIT = 200  # measured crossover: the sparse solve is faster above
 _RENEWAL = State(1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     """Long-run average age, average transmission rate, and state occupancy.
 
@@ -36,7 +36,8 @@ class EvalResult:
     0 outside the recurrent class; ``stationary[State(1, 0)]`` reads one
     state.  ``tail_mass`` is the stationary mass at the age cap ``n_max``,
     where the truncated chain lumps every larger age: a measure of
-    truncation error.
+    truncation error.  Results compare by identity, as an array field has
+    no single truth value.
     """
 
     avg_aoi: float

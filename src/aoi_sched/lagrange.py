@@ -69,7 +69,7 @@ class TraceRow:
     residual: float  # the solve's final residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaSearchResult:
     """Critical charge and the two adjacent policies with their exact evaluations.
 
@@ -93,7 +93,7 @@ class _Probe(NamedTuple):
     cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedSolution:
     """Budget-optimal policy; ``tail_mass`` is the achieved policy's stationary
     mass at the age cap (``EvalResult.tail_mass``), reported, not checked."""

@@ -200,8 +200,9 @@ def slot_outcomes(model: ChannelModel, width: int = 2) -> SlotOutcomes:
     if that is fewer, and its last column acts as the attempt cap; the
     default suffices for fresh updates.  A failed fresh update leaves the
     marker 1 when retransmission is possible at all, else 0.  ``StateSpace``,
-    the simulator, the periodic evaluation and ``SlotEnv`` read this table,
-    widening it before the attempts reach a last column below the model's cap.
+    the simulator, the periodic evaluation, ``SlotEnv`` and ``sarsa.train``
+    read this table, widening it before the attempts reach a last column
+    below the model's cap.
     """
     if model.r_max is not None:
         width = min(width, model.r_max + 1)

@@ -163,6 +163,12 @@ class RenewalMixture:
     weight_first: float
 
     def __post_init__(self):
+        for component in (self.first, self.second):
+            # Exact evaluation and simulation read a component's state table.
+            if not isinstance(component, StationaryPolicy):
+                raise ValueError(
+                    f"mixture components must be stationary table or threshold policies, got {type(component).__name__}"
+                )
         if not 0.0 <= self.weight_first <= 1.0:
             raise ValueError(f"weight_first must lie in [0, 1], got {self.weight_first}")
 

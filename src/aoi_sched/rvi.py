@@ -59,13 +59,14 @@ class SolverConfig:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverOutput:
     """Converged differential values, state-action costs, gain and greedy policy.
 
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
     in ``StateSpace`` order, which is also the key order of ``policy.actions``;
-    ``h`` and ``q`` are dict views of them, built on first access.
+    ``h`` and ``q`` are dict views of them, built on first access.  Outputs
+    compare by identity, as an array field has no single truth value.
     """
 
     gain: float

@@ -14,15 +14,19 @@ grows, otherwise it shrinks, on a decaying 1/sqrt(n) schedule.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation
+from .errors import ProtocolViolationError
+from .mdp import Action, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import DeterministicTable
 from .simulate import SlotEnv
 
 _N_ACTIONS = len(Action)
+_BLOCK = 1024  # uniforms per generator call in train
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,8 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     Samples the current action from the softmax (unless one was already
     committed by the previous step's target), observes the transition, then
     applies the temporal-difference update followed by the gain, empirical
-    cost and charge updates.
+    cost and charge updates.  This is the per-slot specification of
+    ``train``, which runs the same slots as one list loop.
     """
     n = ls.n + 1
     i = ls._index(ls.state)
@@ -166,27 +171,98 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
 
     The recorded running-average age uses the true (untruncated) ages, so the
     timeline measures real performance; deterministic given ``cfg.seed``.
+
+    One loop over Python lists does what ``cfg.horizon`` calls of ``step``
+    against a ``SlotEnv`` would do, with ``default_rng([seed, 0])`` for the
+    channel and ``default_rng([seed, 1])`` for the actions.  ``step`` and
+    ``SlotEnv`` are its specification, and it repeats their float operations
+    in their order.  Uniforms come in blocks, which equal successive scalar
+    draws, and the channel draws one only when the action transmits.  The one
+    difference is ``math.exp`` for numpy's vector ``exp``: they can disagree
+    in the last bit, which moves a sampled action only if its uniform lies
+    within that bit of a cumulative probability.
     """
     if cfg.horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {cfg.horizon}")
     rng_env = np.random.default_rng([cfg.seed, 0])
     rng_act = np.random.default_rng([cfg.seed, 1])
-    env = SlotEnv(model, rng_env)
     ls = make_learner(cfg, model)
-    ls.state = env.reset()
+    horizon, tau, alpha0, eta_adapt = cfg.horizon, cfg.tau, cfg.alpha0, cfg.eta_adapt
+    eta_step, c_max = cfg.eta_step, cfg.c_max
+    n_max, r_cap, r_model = ls.space.trunc.n_max, ls.space.r_cap, model.r_max
+    off = ls.space.off.tolist()
+    q = ls.q.tolist()
+    # Added to a row, this sends inadmissible entries to +inf, whose weight
+    # exp(-inf) is the exact 0 that softmax_probs gives them.
+    mask = np.where(ls.admissible, 0.0, np.inf).tolist()
+    env_u, env_k = [], 0
+    act_u, act_k = [], 0
+    width = 0  # columns of the slot-outcome lists, loaded and widened as in SlotEnv.admissible
+    delta, r, j = 1, 0, 0  # true state and its table row
+    gain, eta, emp, aoi_sum = ls.gain, ls.eta, ls.empirical_cost, 0.0
+    r_aoi, r_cost, etas, gains = (array("d") for _ in range(4))  # unboxed, unlike a list of floats
+    # Iteration n samples the action at the current state, applies step n's
+    # update (which needs that sample) and then plays the action in slot
+    # n + 1; a zero horizon runs no step and so draws nothing.
+    for n in range(horizon + 1 if horizon else 0):
+        row, inf = q[j], mask[j]
+        v0, v1, v2 = row[0] + inf[0], row[1] + inf[1], row[2] + inf[2]
+        m = min(v0, v1, v2)
+        w0, w1, w2 = exp(-(v0 - m) / tau), exp(-(v1 - m) / tau), exp(-(v2 - m) / tau)
+        s = w0 + w1 + w2
+        if act_k == len(act_u):
+            act_u, act_k = rng_act.random(_BLOCK).tolist(), 0
+        u = act_u[act_k]
+        act_k += 1
+        acc = w0 / s
+        if u < acc:
+            b = 0
+        else:
+            acc += w1 / s
+            b = 1 if u < acc else 2
+        if n:
+            qi = q[i]
+            qi[a] += alpha0 / math.sqrt(n) * (c - gain + row[b] - qi[a])
+            gain += (c - gain) / n
+            emp += ((1.0 if a else 0.0) - emp) / n
+            if eta_adapt:
+                eta = max(0.0, eta + eta_step / math.sqrt(n) * (emp - c_max))
+            r_cost.append(emp)
+            etas.append(eta)
+            gains.append(gain)
+            if n == horizon:
+                break
+        a, i = b, j
+        if r + 1 >= width and (r_model is None or width <= r_model):
+            fail, reset_age, fail_att, allowed = (x.tolist() for x in slot_outcomes(model, 2 * (r + 1)))
+            width = len(fail[0])
+        if not allowed[a][r]:
+            raise ProtocolViolationError(0, f"inadmissible action {Action(a).name} in state {State(delta, r)}")
+        # Cost lives in the truncated problem: the age is clamped like the table.
+        c = float(delta if delta < n_max else n_max)
+        aoi_sum += delta
+        r_aoi.append(aoi_sum / (n + 1))
+        if a:
+            c += eta
+            if env_k == len(env_u):
+                env_u, env_k = rng_env.random(_BLOCK).tolist(), 0
+            u = env_u[env_k]
+            env_k += 1
+            if u >= fail[a][r]:
+                delta, r = reset_age[a][r], 0
+            else:
+                delta, r = delta + 1, fail_att[a][r]
+        else:
+            delta, r = delta + 1, fail_att[a][r]
+        j = off[delta if delta < n_max else n_max] + (r if r < r_cap else r_cap)
 
-    steps = np.arange(1, cfg.horizon + 1)
-    r_aoi = np.empty(cfg.horizon)
-    r_cost = np.empty(cfg.horizon)
-    etas = np.empty(cfg.horizon)
-    gains = np.empty(cfg.horizon)
-    aoi_sum = 0.0
-    for k in range(cfg.horizon):
-        true_delta = ls.state.delta
-        step(ls, env, cfg, rng_act)
-        aoi_sum += true_delta
-        r_aoi[k] = aoi_sum / (k + 1)
-        r_cost[k] = ls.empirical_cost
-        etas[k] = ls.eta
-        gains[k] = ls.gain
-    return ls, Timeline(steps, r_aoi, r_cost, etas, gains)
+    ls.q = np.array(q)
+    ls.gain, ls.eta, ls.empirical_cost, ls.n = gain, eta, emp, horizon
+    ls.state = State(delta, r)
+    if horizon:
+        ls.next_action = Action(b)
+    timeline = Timeline(
+        np.arange(1, horizon + 1),
+        *(np.array(x, dtype=np.float64) for x in (r_aoi, r_cost, etas, gains)),
+    )
+    return ls, timeline

@@ -333,6 +333,8 @@ class SlotEnv:
 
     ``step`` applies an action to the true (untruncated) state and reports
     the next state and the transmission outcome from ``mdp.slot_outcomes``.
+    With ``sarsa.step`` it is the per-slot specification of ``sarsa.train``,
+    which runs the same slots on list copies of the table.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):

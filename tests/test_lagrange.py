@@ -89,6 +89,16 @@ class TestSolveConstrained:
         assert sol.achieved_cost == pytest.approx(0.35, abs=1e-9)
         assert sol.achieved_aoi == pytest.approx(rt.avg_aoi, rel=1e-8)
 
+    def test_results_compare_by_identity_without_raising(self):
+        # Generated field-wise == would ask numpy arrays for one truth value.
+        model, trunc = ChannelModel(0.5, 1.0, 0), Truncation(20, 0)
+        one, two = (solve_constrained(model, trunc, 0.35) for _ in range(2))
+        (out_one, res_one), (out_two, res_two) = one.search.low, two.search.low
+        pairs = ((one, two), (one.search, two.search), (out_one, out_two), (res_one, res_two))
+        for a, b in pairs:
+            assert a == a and a != b
+            assert len({a, b}) == 2
+
     def test_budget_equality_and_bracket_order(self):
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(120, 9)

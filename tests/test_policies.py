@@ -89,6 +89,12 @@ class TestMixtureAndPeriodic:
         with pytest.raises(ValueError):
             RenewalMixture(a, b, 1.7)
 
+    @pytest.mark.parametrize("other", [PeriodicPolicy(3), RenewalMixture(ThresholdPolicy(3), ThresholdPolicy(4), 0.5)])
+    def test_mixture_rejects_components_without_a_state_table(self, other):
+        for first, second in ((other, ThresholdPolicy(4)), (ThresholdPolicy(4), other)):
+            with pytest.raises(ValueError, match=type(other).__name__):
+                RenewalMixture(first, second, 0.5)
+
     def test_periodic_schedule(self):
         pol = PeriodicPolicy(4)
         assert [pol.transmits_at(t) for t in range(1, 9)] == [

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from aoi_sched import sarsa
+from aoi_sched.errors import ProtocolViolationError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states
@@ -109,6 +112,80 @@ class TestStep:
             ls.next_action = Action.NEW_UPDATE  # overspends: cost 1 > 0.4
             step(ls, env, cfg, rng)
         assert ls.eta > 0.0
+
+
+def _reference_train(model, cfg):
+    """``train`` as its specification: ``step`` calls against a ``SlotEnv``."""
+    env = SlotEnv(model, np.random.default_rng([cfg.seed, 0]))
+    rng_act = np.random.default_rng([cfg.seed, 1])
+    ls = make_learner(cfg, model)
+    ls.state = env.reset()
+    aoi_sum, rows = 0.0, []
+    for k in range(cfg.horizon):
+        true_delta = ls.state.delta
+        step(ls, env, cfg, rng_act)
+        aoi_sum += true_delta
+        rows.append((aoi_sum / (k + 1), ls.empirical_cost, ls.eta, ls.gain))
+    return ls, np.array(rows, dtype=np.float64).reshape(cfg.horizon, 4).T
+
+
+# lam = 0.95 keeps r_max unbounded (lam = 0.5 would cap it by underflow), so
+# its learner can outgrow any slot-outcome table.
+UNBOUNDED = ChannelModel(0.6, 0.95, None)
+MODELS = [UNBOUNDED, ChannelModel(0.5, 1.0, 0), ChannelModel(0.5, 0.5, 3), ChannelModel(0.7, 0.8, 9)]
+
+
+class TestTrainMatchesSteps:
+    def test_unbounded_model_stays_unbounded(self):
+        assert UNBOUNDED.r_max is None
+
+    # Horizons past 1024 cross a block of action uniforms, and past about
+    # 2000 a block of channel uniforms.
+    @given(
+        model=st.sampled_from(MODELS),
+        n_max=st.integers(2, 60),
+        r_max=st.integers(0, 12),
+        horizon=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.floats(0.05, 5.0),
+        alpha0=st.floats(0.0, 2.0),
+        eta0=st.floats(0.0, 20.0),
+        eta_adapt=st.booleans(),
+        unconstrained=st.booleans(),
+    )
+    @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, alpha0=1.0, eta0=2.0,
+             eta_adapt=True, unconstrained=False)
+    @example(model=UNBOUNDED, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, alpha0=1.0, eta0=0.5,
+             eta_adapt=False, unconstrained=True)
+    @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, alpha0=0.5, eta0=2.0,
+             eta_adapt=True, unconstrained=False)
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_step_loop(
+        self, model, n_max, r_max, horizon, seed, tau, alpha0, eta0, eta_adapt, unconstrained
+    ):
+        cfg = LearnerConfig(
+            trunc=Truncation(n_max, r_max), tau=tau, alpha0=alpha0, eta0=eta0, eta_adapt=eta_adapt,
+            c_max=0.4, horizon=horizon, seed=seed, unconstrained=unconstrained,
+        )
+        ref, ref_rows = _reference_train(model, cfg)
+        ls, tl = train(model, cfg)
+        assert ls.q.shape == ref.q.shape and ls.q.tobytes() == ref.q.tobytes()
+        assert (ls.gain, ls.eta, ls.n, ls.empirical_cost, ls.state, ls.next_action) == (
+            ref.gain, ref.eta, ref.n, ref.empirical_cost, ref.state, ref.next_action
+        )
+        assert np.array_equal(tl.steps, np.arange(1, horizon + 1))
+        for got, want in zip((tl.running_aoi, tl.running_cost, tl.eta, tl.gain), ref_rows):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_inadmissible_action_raises(self, monkeypatch):
+        # A table that only holds idling and fresh updates makes every
+        # retransmission inadmissible to the channel, as a stale outcome
+        # table would.
+        real = sarsa.slot_outcomes
+        monkeypatch.setattr(sarsa, "slot_outcomes", lambda model, width: real(model, 2))
+        cfg = LearnerConfig(trunc=Truncation(30, 3), c_max=0.4, horizon=2000, seed=0)
+        with pytest.raises(ProtocolViolationError, match="inadmissible action RETRANSMIT in state"):
+            train(ChannelModel(0.5, 0.5, 3), cfg)
 
 
 class TestTrain:
