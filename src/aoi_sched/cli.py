@@ -340,9 +340,8 @@ def cmd_learn(args) -> int:
     return 0
 
 
-# What a grid point can legitimately fail with; anything else is a bug and propagates.
-_POINT_ERRORS = (
-    ValueError,
+# The package's named failures; a subcommand ending in one reports it in one line.
+_NAMED_ERRORS = (
     errors.BracketingError,
     errors.ConvergenceError,
     errors.EtaSearchError,
@@ -350,6 +349,8 @@ _POINT_ERRORS = (
     errors.NoStationaryAoIError,
     errors.ProtocolViolationError,
 )
+# What a grid point can legitimately fail with; anything else is a bug and propagates.
+_POINT_ERRORS = (ValueError, *_NAMED_ERRORS)
 
 
 def _sweep_point(task):
@@ -631,7 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _NAMED_ERRORS as exc:
+        print(f"aoi-sched: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

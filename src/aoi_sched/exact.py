@@ -1,9 +1,10 @@
 """Exact long-run averages of a policy via its stationary distribution.
 
-The induced chain is restricted to the states reachable from the renewal
-state (1, 0), index 0 of ``StateSpace``; its unique closed recurrent class is
-located by a strong connectivity decomposition and the stationary
-distribution is obtained from a direct linear solve and returned as a dense
+The induced chain is watched at its border states (``mdp.BorderChain``):
+the unique closed class reachable from the renewal state (1, 0), index 0 of
+``StateSpace``, is found on the border, its stationary masses come from
+subtraction-free elimination, and one banded substitution carries them to
+the states off the border.  The distribution is returned as a dense
 ``(age, attempts)`` array.  Renewal mixtures combine the component chains by
 expected cycle length, which is exactly what redrawing the active policy at
 every visit to (1, 0) achieves.  The open-loop periodic baseline has a
@@ -16,15 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import MultichainError, NoStationaryAoIError
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation, slot_outcomes
+from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
 
 _STATIONARY_RESIDUAL = 1e-10
-_DENSE_CLASS_LIMIT = 200  # measured crossover: the sparse solve is faster above it
 _RENEWAL = State(1, 0)
 
 
@@ -69,67 +67,40 @@ def induced_chain(
     return space, P, tx
 
 
-def _closed_class(P: sp.csr_matrix) -> np.ndarray:
-    """Indices of the unique closed recurrent class reachable from (1, 0), index 0."""
-    order = breadth_first_order(P, 0, directed=True, return_predecessors=False)
-    sub = P[np.ix_(order, order)]
-    n_comp, labels = connected_components(sub, directed=True, connection="strong")
-    # A component is closed iff no probability mass leaves it.
-    leaving = np.zeros(n_comp)
-    coo = sub.tocoo()
-    np.add.at(leaving, labels[coo.row], np.where(labels[coo.row] != labels[coo.col], coo.data, 0.0))
-    closed = np.flatnonzero(leaving < 1e-14)
-    if len(closed) == 0:
+def _closed_class(chain: BorderChain) -> np.ndarray:
+    """Border positions of the unique closed class reachable from (1, 0), position 0."""
+    reach, label = chain.classes
+    found = np.unique(label[reach[0] & (label >= 0)])
+    if len(found) == 0:
         raise MultichainError("no closed recurrent class found (empty chain?)")
-    if len(closed) > 1:
+    if len(found) > 1:
         raise MultichainError(
-            f"{len(closed)} closed recurrent classes reachable from (1, 0); averages are ambiguous"
+            f"{len(found)} closed recurrent classes reachable from (1, 0); averages are ambiguous"
         )
-    members = order[labels == closed[0]]
-    return np.sort(members)
-
-
-def _stationary_on_class(P: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
-    Pc = P[np.ix_(members, members)]
-    m = len(members)
-    if m == 1:
-        return np.ones(1)
-    if m <= _DENSE_CLASS_LIMIT:
-        A = Pc.toarray().T - np.eye(m)
-        A[-1, :] = 1.0
-        b = np.zeros(m)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-    else:
-        # Anchor pi[0] = 1 and drop the balance equation of the first member:
-        # the remaining equations (Pc^T - I) pi = 0 keep the sparsity of Pc,
-        # where a row of ones would fill the factors.  Minimum-degree ordering
-        # on A^T + A fills far less than the default COLAMD here.
-        A = (Pc[1:, 1:].T - sp.identity(m - 1)).tocsc()
-        b = -Pc[0, 1:].toarray().ravel()
-        pi = np.concatenate([[1.0], splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)])
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = np.abs(pi @ Pc - pi).max()
-    if residual > _STATIONARY_RESIDUAL:
-        raise MultichainError(f"stationary solve residual {residual:.3e} too large")
-    return pi
+    return np.flatnonzero(label == found[0])
 
 
 def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
     space, P, tx = induced_chain(policy, model, trunc)
-    members = _closed_class(P)
-    if tx[members].max() <= 0.0:
+    chain = BorderChain(space, np.repeat(np.arange(len(space)), np.diff(P.indptr)), P.indices, P.data)
+    members = _closed_class(chain)
+    pi = np.zeros(len(space))
+    pi[space.border[members]] = chain.stationary(members)
+    # Ladder mass: border mass times the expected ladder visits per border visit.
+    pi[space.ladder] = pi[space.border[: chain.n_low]] @ chain.z
+    if not pi @ tx > 0.0:
         raise NoStationaryAoIError(
             "policy never transmits on its recurrent class; the age diverges"
         )
-    pi = _stationary_on_class(P, members)
-    deltas = space.delta[members]
-    avg_aoi = float(pi @ deltas)
-    avg_cost = float(pi @ tx[members])
+    pi /= pi.sum()
+    residual = np.abs(pi @ P - pi).max()
+    if residual > _STATIONARY_RESIDUAL:
+        raise MultichainError(f"stationary solve residual {residual:.3e} too large")
     stationary = np.zeros((trunc.n_max + 1, space.r_cap + 1))
-    stationary[space.age[members], space.r[members]] = pi
-    return EvalResult(avg_aoi, avg_cost, stationary, float(pi[deltas == trunc.n_max].sum()))
+    stationary[space.age, space.r] = pi
+    return EvalResult(
+        float(pi @ space.delta), float(pi @ tx), stationary, float(pi[space.age == trunc.n_max].sum())
+    )
 
 
 def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResult:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs, dtrtrs
 
 from .errors import InadmissibleActionError, InadmissibleQueryError
 
@@ -282,3 +284,165 @@ class StateSpace:
 
     def __len__(self) -> int:
         return len(self.delta)
+
+    @cached_property
+    def on_border(self) -> np.ndarray:
+        """Marks the states a slot can enter other than by one age step up.
+
+        A delivery lands on ``(k, 0)`` with ``k <= max(1, r_cap)``, and the
+        age stops rising in the cap row ``age == n_max``; every other state
+        is entered only from the age below.
+        """
+        age = self.age
+        return ((self.r == 0) & (age <= max(1, self.r_cap))) | (age == self.trunc.n_max)
+
+    @cached_property
+    def border(self) -> np.ndarray:
+        """Indices of the border states, sorted, so (1, 0) is entry 0."""
+        return np.flatnonzero(self.on_border)
+
+    @cached_property
+    def ladder(self) -> np.ndarray:
+        """Indices of the states off the border, sorted."""
+        return np.flatnonzero(~self.on_border)
+
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """Position of each state within ``border`` or within ``ladder``."""
+        slot = np.empty(len(self), dtype=np.int64)
+        slot[self.border] = np.arange(len(self.border))
+        slot[self.ladder] = np.arange(len(self.ladder))
+        return slot
+
+
+class BorderChain:
+    """A Markov chain on a ``StateSpace``, watched at its visits to the border.
+
+    ``src``, ``dst`` and ``prob`` list the chain's transitions; duplicate
+    pairs add up.  Off the border, on the *ladder*, a slot moves one age up
+    or lands on the border, so in ``StateSpace`` order ``I - P_LL`` is unit
+    upper triangular with a band at most ``r_cap + 2`` wide: never singular,
+    and solved by banded substitution.  Eliminating the ladder leaves the
+    stochastic complement ``complement = P_BB + P_BL (I - P_LL)^-1 P_LB``
+    (Meyer, SIAM Review 31, 1989), the chain seen only at its border
+    visits.  Only the border states below the cap row reach the ladder, so
+    ``z`` holds the rows ``P_BL (I - P_LL)^-1`` of those ``n_low`` states:
+    the expected ladder visits before the chain returns to the border.
+    """
+
+    def __init__(self, space: StateSpace, src: np.ndarray, dst: np.ndarray, prob: np.ndarray):
+        self.space = space
+        nb, m = len(space.border), len(space.ladder)
+        self.n_low = n_low = nb - (space.r_cap + 1)  # the cap row closes the border
+        s, d = space.slot[src], space.slot[dst]
+        from_lad, to_lad = ~space.on_border[src], ~space.on_border[dst]
+
+        def dense(mask, rows, cols, shape):
+            flat = rows[mask] * shape[1] + cols[mask]
+            return np.bincount(flat, prob[mask], shape[0] * shape[1]).reshape(shape)
+
+        self.complement = dense(~from_lad & ~to_lad, s, d, (nb, nb))
+        self.p_lb = dense(from_lad & ~to_lad, s, d, (m, nb))
+        within = from_lad & to_lad
+        step = d[within] - s[within]  # > 0: the ladder only climbs
+        width = int(step.max()) if len(step) else 0
+        # LAPACK upper band storage: entry (i, j) of I - P_LL sits at
+        # ab[width + i - j, j]; the unit diagonal (row width) is implicit.
+        self.ab = np.bincount(
+            (width - step) * m + d[within], -prob[within], (width + 1) * m
+        ).reshape(width + 1, m)
+        self.z = self.solve(dense(~from_lad & to_lad, d, s, (m, n_low)), transposed=True).T
+        self.complement[:n_low] += self.z @ self.p_lb
+
+    def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """``(I - P_LL)^-1 rhs``, or ``(I - P_LL)^-T rhs`` when ``transposed``."""
+        if rhs.size == 0:
+            return np.zeros(rhs.shape)
+        return dtbtrs(self.ab, rhs, uplo="U", trans="T" if transposed else "N", diag="U")[0]
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(reach, label)`` of the complement's transition graph.
+
+        ``reach[i, j]`` says border position ``j`` can follow ``i`` (``i``
+        itself included).  ``label[i]`` is the first position of the closed
+        class holding ``i``, or -1 where ``i`` is transient.  Entries far
+        below rounding still count: a transition the chain cannot make stays
+        exactly 0 in the complement.
+        """
+        reach = (self.complement > 0.0) | np.eye(len(self.complement), dtype=bool)
+        while True:  # transitive closure by squaring
+            step = reach.astype(np.float32)
+            wider = (step @ step) > 0.0
+            if (wider == reach).all():
+                break
+            reach = wider
+        closed = ~(reach & ~reach.T).any(axis=1)  # everything it reaches leads back
+        return reach, np.where(closed, np.argmax(reach, axis=1), -1)
+
+    def _reduce(self, order: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eliminate the border positions ``order[1:]``, last first, without subtractions.
+
+        Grassmann-Taksar-Heyman elimination (Operations Research 33, 1985):
+        a position's diagonal is the sum of its remaining off-diagonal
+        weights rather than one minus its self-loop, so an exit far below
+        rounding keeps its relative accuracy.  The columns of ``rhs``, one
+        row per entry of ``order``, ride along in front of the weights.
+        Returns the reduced ``[rhs | weights]`` in ``order``, whose weight
+        column ``k`` above row ``k`` is scaled by ``1 / out[k]``, and
+        ``out[k]``, the weight from ``order[k]`` to ``order[:k]``.  Stops at
+        the first ``out[k]`` of 0, a position that cannot reach ``order[0]``.
+        """
+        nb, r = len(order), rhs.shape[1]
+        w = np.empty((nb, r + nb))
+        w[:, :r] = rhs
+        w[:, r:] = self.complement[np.ix_(order, order)]
+        out = np.zeros(nb)
+        for k in range(nb - 1, 0, -1):
+            row = w[k, : r + k]
+            out[k] = row[r:].sum()
+            if out[k] == 0.0:
+                break
+            col = w[:k, r + k]
+            col /= out[k]
+            w[:k, : r + k] += col[:, None] * row
+        return w, out
+
+    def stationary(self, members: np.ndarray) -> np.ndarray:
+        """Stationary masses of the complement on its closed class ``members``, 1 at ``members[0]``."""
+        if len(members) == 1:
+            return np.ones(1)
+        w, _ = self._reduce(members, np.empty((len(members), 0)))
+        # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
+        pi = dtrtrs(-w[1:, 1:], w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
+        return np.concatenate([[1.0], pi])
+
+    def values(self, cost: np.ndarray, anchor: int = 0) -> tuple[float, np.ndarray] | None:
+        """Gain and border differential values (0 at (1, 0)) of the per-state ``cost``.
+
+        Watched at its border visits the chain is semi-Markov: a visit to a
+        low border state ``b`` lasts ``1 + z[b].sum()`` slots and costs
+        ``cost[b] + z[b] @ cost_L`` until the next one.  The values solve
+        ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``, with
+        position ``anchor`` eliminated last.  None when some position cannot
+        reach ``anchor``: then ``anchor`` is transient or the chain has
+        several closed classes.
+        """
+        space = self.space
+        nb = len(space.border)
+        visit = np.ones((nb, 2))
+        visit[:, 0] = cost[space.border]
+        visit[: self.n_low, 0] += self.z @ cost[space.ladder]
+        visit[: self.n_low, 1] += self.z.sum(axis=1)
+        order = np.arange(nb)
+        order[[0, anchor]] = anchor, 0
+        w, out = self._reduce(order, visit[order])
+        if not (out[1:] > 0.0).all():
+            return None
+        g = w[0, 0] / w[0, 1]
+        # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.
+        lower = -np.tril(w[1:, 3:], -1)
+        lower[np.diag_indices(nb - 1)] = out[1:]
+        h = np.zeros(nb)
+        h[order[1:]] = dtrtrs(lower, w[1:, 0] - g * w[1:, 1], lower=1)[0]
+        return float(g), h - h[0]

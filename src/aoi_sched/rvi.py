@@ -9,15 +9,18 @@ policy evaluations where value iteration needs thousands of sweeps at tight
 budgets.
 
 Each evaluation solves ``g + h = c_pi + P_pi h`` with ``h`` pinned to 0 at the
-renewal state (1, 0), index 0 of ``StateSpace``: one sparse LU solve of
-``(I - P_pi + 1 e_0^T) y = c_pi``, after which ``g = y[0]`` and
-``h = y - g``.  The solve is singular exactly when the policy has more than
-one closed class, which raises ``MultichainError``.  A state switches to its
-first cheapest action only when its current action costs more than
-``epsilon`` above that minimum, so rounding noise below ``epsilon`` cannot
-make the iteration cycle; it stops when no state does, and the residual is
-that largest excess.  The returned policy is greedy on the
-final state-action costs, with costs within a relative ``1e-9`` of the row
+renewal state (1, 0), index 0 of ``StateSpace``.  Every slot raises the age
+by one or lands on one of the few border states (``mdp.BorderChain``), so
+the rest of the chain is eliminated by one banded substitution, the border
+system is solved by subtraction-free elimination, and one more banded
+substitution returns the values off the border.  A policy with more than
+one closed class has no such solution and raises ``MultichainError``.
+
+A state switches to its first cheapest action only when its current action
+costs more than ``epsilon`` above that minimum, so rounding noise below
+``epsilon`` cannot make the iteration cycle; it stops when no state does,
+and the residual is that largest excess.  The returned policy is greedy on
+the final state-action costs, with costs within a relative ``1e-9`` of the row
 minimum counted as ties and ties broken toward the cheaper action
 (idle < new update < retransmit).
 
@@ -33,11 +36,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, MultichainError
-from .mdp import Action, ChannelModel, State, StateSpace, Truncation, enumerate_states
+from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, enumerate_states
 from .policies import DeterministicTable
 
 _TIE_RTOL = 1e-9  # read-off: costs this close to the row minimum tie
@@ -110,31 +111,30 @@ def _evaluate(
     """Gain and differential values (0 at (1, 0), index 0) of the deterministic ``actions``."""
     n = len(space)
     rows = np.arange(n)
+    nxt = space.succ_idx[rows, actions]
     prob = space.succ_prob[rows, actions]
-    i, k = np.nonzero(prob)  # branches taken; unused successor slots hold 0
-    M = sp.csc_matrix(
-        (
-            np.concatenate([np.ones(2 * n), -prob[i, k]]),
-            (
-                np.concatenate([rows, rows, i]),
-                np.concatenate([rows, np.zeros(n, np.int64), space.succ_idx[rows, actions][i, k]]),
-            ),
-        ),
-        shape=(n, n),
-    )
     cost = space.delta + eta * (actions != Action.IDLE)
-    try:
-        y = splu(M).solve(cost)
-    except RuntimeError:  # exactly singular factor
-        y = np.full(n, np.nan)
-    err = np.abs(M @ y - cost).max()
+    chain = BorderChain(space, rows.repeat(2), nxt.ravel(), prob.ravel())
+    solved = chain.values(cost)
+    if solved is None:  # (1, 0) is transient, or there are several closed classes
+        label = chain.classes[1]
+        closed = np.unique(label[label >= 0])
+        if len(closed) > 1:
+            raise MultichainError(
+                f"policy evaluation at eta={eta} is singular: the policy has {len(closed)} closed classes"
+            )
+        solved = chain.values(cost, closed[0])
+    g, h_border = solved
+    h = np.empty(n)
+    h[space.border] = h_border
+    h[space.ladder] = chain.solve(cost[space.ladder] - g + chain.p_lb @ h_border)
+    y = h + g
+    err = np.abs(y + g - (prob * y[nxt]).sum(axis=1) - cost).max()
     if not err <= _SOLVE_RTOL * max(1.0, np.abs(y).max()):
         raise MultichainError(
-            f"policy evaluation at eta={eta} is singular or inaccurate (residual {err:.3e}); "
-            "the policy has more than one closed class"
+            f"policy evaluation at eta={eta} is inaccurate (residual {err:.3e})"
         )
-    g = float(y[0])
-    return g, y - g
+    return g, h
 
 
 def solve(

@@ -204,6 +204,40 @@ def test_sweep_programming_error_propagates(monkeypatch, tmp_path):
         main(HARQ_AND_BASELINE_SWEEP + ["--out", str(tmp_path / "sweep.csv")])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["search-eta", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", "0.4", "--nmax", "3"],
+            "TruncationError: age cap n_max=3 is too small for budget 0.4",
+        ),
+        (
+            ["solve", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "20", "--eta", "1000"],
+            "NoStationaryAoIError: policy never transmits on its recurrent class",
+        ),
+        (
+            ["solve", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "20", "--eta", "3", "--max-iters", "1"],
+            "ConvergenceError: no convergence within 1 policy evaluations",
+        ),
+    ],
+)
+def test_named_errors_end_in_one_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"aoi-sched: error: {message}")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
+def test_programming_errors_still_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("aoi_sched.cli.solve", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["solve", "--p0", "0.5", "--nmax", "20", "--eta", "3"])
+
+
 def test_sweep_reports_too_small_age_cap(tmp_path, capsys):
     # Budget 0.01 needs thresholds near age 199; a cap of 60 cannot hold them.
     out = tmp_path / "sweep.csv"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
-from aoi_sched import exact
+from aoi_sched import arq
 from aoi_sched.errors import NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
 from aoi_sched.lagrange import solve_constrained
@@ -147,8 +148,6 @@ class TestThresholdEvaluation:
         assert 0.0 <= res.avg_cost <= 1.0
 
     def test_stationary_matches_closed_form(self):
-        from aoi_sched import arq
-
         res = evaluate_exact(ThresholdPolicy(5), ChannelModel(0.4, 1.0, 0), Truncation(150, 0))
         assert res.stationary.shape == (151, 1)
         for delta in range(1, 140):  # clamped tail mass piles up at the cap
@@ -307,18 +306,79 @@ class TestTailMass:
         assert evaluate_exact(sol.mixed, model, Truncation(160, 3)).tail_mass < 1e-12
 
 
+def dense_stationary(policy, model, trunc):
+    """Stationary masses in ``StateSpace`` order by one dense solve over the states reachable from (1, 0)."""
+    space, P, _ = induced_chain(policy, model, trunc)
+    reach = np.sort(breadth_first_order(P, 0, directed=True, return_predecessors=False))
+    A = P[np.ix_(reach, reach)].toarray().T - np.eye(len(reach))
+    A[-1, :] = 1.0
+    b = np.zeros(len(reach))
+    b[-1] = 1.0
+    pi = np.zeros(len(space))
+    pi[reach] = np.linalg.solve(A, b)
+    return space, pi
+
+
+def gth_stationary(P):
+    """Stationary distribution of an irreducible ``P`` by Grassmann-Taksar-Heyman elimination."""
+    P = P.copy()
+    for k in range(len(P) - 1, 0, -1):
+        P[:k, k] /= P[k, :k].sum()
+        P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+    pi = np.ones(len(P))
+    for k in range(1, len(P)):
+        pi[k] = pi[:k] @ P[:k, k]
+    return pi / pi.sum()
+
+
 class TestStationarySolve:
+    def assert_matches_dense(self, policy, model, trunc):
+        space, pi = dense_stationary(policy, model, trunc)
+        res = evaluate_exact(policy, model, trunc)
+        np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=1e-12, atol=1e-15)
+        assert res.avg_aoi == pytest.approx(pi @ space.delta, rel=1e-13)
+        assert res.avg_cost == pytest.approx(pi @ induced_chain(policy, model, trunc)[2], rel=1e-13)
+        return space, res
+
     @pytest.mark.parametrize(
         "point", [(0.5, 0.5, 3, 250, 200.0), (0.5, 1.0, 0, 300, 400.0), (0.3, 0.5, 9, 400, 5.0)]
     )
-    def test_anchored_sparse_solve_matches_the_dense_one(self, point, monkeypatch):
+    def test_rvi_policies_match_the_dense_solve(self, point):
         p0, lam, r_max, n_max, eta = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
-        policy = solve(model, trunc, eta).policy
-        sparse = evaluate_exact(policy, model, trunc)
-        assert np.count_nonzero(sparse.stationary) > exact._DENSE_CLASS_LIMIT
-        monkeypatch.setattr(exact, "_DENSE_CLASS_LIMIT", 10**9)
-        dense = evaluate_exact(policy, model, trunc)
-        np.testing.assert_allclose(sparse.stationary, dense.stationary, rtol=1e-12, atol=1e-15)
-        assert sparse.avg_aoi == pytest.approx(dense.avg_aoi, rel=1e-13)
-        assert sparse.avg_cost == pytest.approx(dense.avg_cost, rel=1e-13)
+        self.assert_matches_dense(solve(model, trunc, eta).policy, model, trunc)
+
+    def test_arq_randomized_table_merges_idle_and_failed_new(self):
+        model, trunc = ChannelModel(0.3, 1.0, 0), Truncation(30, 0)
+        probs = {s: {Action.IDLE: 0.25, Action.NEW_UPDATE: 0.75} for s in enumerate_states(trunc)}
+        self.assert_matches_dense(RandomizedTable(probs, trunc), model, trunc)
+
+    def test_transient_border_states_carry_no_mass(self):
+        # Fresh updates everywhere: no slot ever enters (2, 0), (3, 0) or
+        # (40, 0), which only lead into the recurrent class.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(40, 3)
+        space, res = self.assert_matches_dense(all_new_table(trunc), model, trunc)
+        assert len(space.border) == 7
+        for s in (State(2, 0), State(3, 0), State(40, 0)):
+            assert res.stationary[s] == 0.0
+        assert res.stationary[State(40, 1)] > 0.0
+
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_renewal_mixture_components(self, component):
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
+        mix = RenewalMixture(solve(model, trunc, 2.0).policy, solve(model, trunc, 8.0).policy, 0.4)
+        self.assert_matches_dense(getattr(mix, component), model, trunc)
+
+    def test_every_mass_keeps_its_relative_accuracy(self):
+        # Grassmann-Taksar-Heyman elimination subtracts nothing, so it gets
+        # tail masses far below rounding to full relative accuracy; so must
+        # the border solve and the ladder substitution.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
+        policy = solve(model, trunc, 5.0).policy
+        space, P, _ = induced_chain(policy, model, trunc)
+        reach = np.sort(breadth_first_order(P, 0, directed=True, return_predecessors=False))
+        pi = np.zeros(len(space))
+        pi[reach] = gth_stationary(P[np.ix_(reach, reach)].toarray())
+        res = evaluate_exact(policy, model, trunc)
+        np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=1e-12, atol=0.0)
+        assert 1e-75 < res.tail_mass < 1e-65

@@ -261,3 +261,56 @@ class TestStateSpace:
         p0, lam, r_max, c_max, n_max = 0.3, 0.5, 9, 0.4, 120  # operating point A
         sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
         assert sol.achieved_cost == pytest.approx(c_max, abs=1e-6)
+
+
+def random_chain(space, seed):
+    """Branches ``(src, dst, prob)`` of a random randomized policy on ``space``, zero weights kept."""
+    weights = np.random.default_rng(seed).random(space.admissible.shape) ** 4 * space.admissible
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    prob = probs[:, :, None] * space.succ_prob
+    src = np.broadcast_to(np.arange(len(space))[:, None, None], prob.shape)
+    return src.ravel(), space.succ_idx.ravel(), prob.ravel()
+
+
+CHAIN_CASES = dict(
+    p0=st.floats(0.01, 0.99),
+    lam=st.floats(0.05, 1.0),
+    r_max=st.sampled_from([0, 1, 3, None]),
+    n_max=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBorderChain:
+    @given(**CHAIN_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_border_holds_every_state_not_entered_from_the_age_below(self, p0, lam, r_max, n_max, seed):
+        model = ChannelModel(p0, lam, r_max)
+        space = StateSpace(model, Truncation(n_max, n_max if r_max is None else r_max))
+        succ = space.succ_idx[space.succ_prob > 0.0]
+        src = np.broadcast_to(np.arange(len(space))[:, None, None], space.succ_idx.shape)[space.succ_prob > 0.0]
+        elsewhere = space.age[succ] != space.age[src] + 1
+        assert space.on_border[succ[elsewhere]].all()
+        # Off the border a slot only climbs, so the ladder is triangular.
+        climbs = ~space.on_border[src] & ~space.on_border[succ]
+        assert (succ[climbs] > src[climbs]).all()
+        assert len(space.border) == max(1, space.r_cap) + space.r_cap + 1
+        assert space.border[0] == 0
+        assert np.array_equal(np.sort(np.concatenate([space.border, space.ladder])), np.arange(len(space)))
+
+    @given(**CHAIN_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_complement_matches_dense_elimination(self, p0, lam, r_max, n_max, seed):
+        model = ChannelModel(p0, lam, r_max)
+        space = StateSpace(model, Truncation(n_max, n_max if r_max is None else r_max))
+        src, dst, prob = random_chain(space, seed)
+        P = np.zeros((len(space), len(space)))
+        np.add.at(P, (src, dst), prob)
+        B, L = space.border, space.ladder
+        I_LL = np.eye(len(L)) - P[np.ix_(L, L)]
+        chain = mdp.BorderChain(space, src, dst, prob)
+        expected = P[np.ix_(B, B)] + P[np.ix_(B, L)] @ np.linalg.solve(I_LL, P[np.ix_(L, B)])
+        np.testing.assert_allclose(chain.complement, expected, rtol=1e-12, atol=1e-15)
+        rhs = np.random.default_rng(seed).random((len(L), 3))
+        np.testing.assert_allclose(chain.solve(rhs), np.linalg.solve(I_LL, rhs), rtol=1e-12)
+        np.testing.assert_allclose(chain.solve(rhs, transposed=True), np.linalg.solve(I_LL.T, rhs), rtol=1e-12)

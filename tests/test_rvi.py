@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from aoi_sched import arq, rvi
 from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation
+from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation, enumerate_states, transitions
 from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import SolverConfig, bellman_residual, solve
 
@@ -220,3 +221,68 @@ class TestPolicyIteration:
         actions[space.off[10]] = Action.IDLE  # index of (10, 0)
         with pytest.raises(MultichainError, match="eta=2.5"):
             rvi._evaluate(space, actions, 2.5)
+
+
+def closed_classes(P):
+    """Number of closed strongly connected classes of the dense transition matrix ``P``."""
+    n_comp, labels = connected_components(P > 0.0, directed=True, connection="strong")
+    leaving = np.bincount(labels, np.where(labels[:, None] != labels[None, :], P, 0.0).sum(axis=1), n_comp)
+    return int((leaving == 0.0).sum())
+
+
+def assert_matches_dense_evaluation(model, trunc, actions, eta):
+    """``_evaluate`` against one dense solve of ``(I - P + 1 e_0^T) y = c``, or a named multichain error."""
+    space = StateSpace(model, trunc)
+    states = enumerate_states(Truncation(trunc.n_max, space.r_cap))
+    idx = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    for i, s in enumerate(states):
+        for nxt, p in transitions(s, Action(actions[i]), model, trunc):
+            P[i, idx[nxt]] += p
+    cost = space.delta + eta * (actions != Action.IDLE)
+    if closed_classes(P) > 1:
+        with pytest.raises(MultichainError, match=f"eta={eta}"):
+            rvi._evaluate(space, actions, eta)
+        return
+    M = np.eye(len(P)) - P
+    M[:, 0] += 1.0
+    y = np.linalg.solve(M, cost)
+    g, h = rvi._evaluate(space, actions, eta)
+    scale = max(1.0, np.abs(y).max())
+    assert abs(g - y[0]) <= 1e-12 * scale
+    assert np.abs(h - (y - y[0])).max() <= 1e-12 * scale
+
+
+class TestLadderEvaluation:
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.sampled_from([0, 1, 3, None]),
+        n_max=st.integers(2, 40),
+        eta=st.floats(0.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_dense_solve(self, p0, lam, r_max, n_max, eta, seed):
+        model = ChannelModel(p0, lam, r_max)
+        trunc = Truncation(n_max, n_max if r_max is None else r_max)
+        space = StateSpace(model, trunc)
+        # A uniformly random admissible action in every state: idle stretches
+        # of any length, the cap row included, and multichain policies.
+        scores = np.random.default_rng(seed).random(space.admissible.shape)
+        actions = np.argmax(np.where(space.admissible, scores, -1.0), axis=1)
+        assert_matches_dense_evaluation(model, trunc, actions, eta)
+
+    def test_values_stay_accurate_when_the_closed_class_is_almost_unreachable(self):
+        # Found by fuzzing random admissible policies: the only closed class
+        # is idling at (35, 0), and the chain leaves (1, 0), (2, 0) and (3, 0)
+        # for the cap row with probability below 1e-21 per visit, so the
+        # values reach 7e23.  An LU solve of the border system returned the
+        # gain 21.98 here instead of 35.  One row of action codes per age.
+        rows = (
+            "n ni ixn nxxn nnnn ixxi nxni nnxi ixnn nnnn iini inxn ixin nnnn ixxn iini ixni ixni "
+            "ixxn iinn ixxi ixii nnii nini ixxn nnni inxi nixn innn inin nixi niin nnnn ixxn ixii"
+        ).split()
+        actions = np.array(["inx".index(code) for row in rows for code in row])
+        model, trunc = ChannelModel(0.13481381409770551, 0.3672228839983609, 3), Truncation(35, 3)
+        assert_matches_dense_evaluation(model, trunc, actions, 0.0)
