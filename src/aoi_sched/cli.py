@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arq, errors
+from . import arq, errors, oracles
 from .exact import evaluate_exact
 from .lagrange import search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
-from .rvi import SolverConfig, bellman_residual, solve
+from .rvi import SolverConfig, solve
 from .sarsa import LearnerConfig, train
 from .simulate import baseline_periodic, evaluate_simulated, run
 
@@ -445,104 +445,27 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _verify_checks(quick: bool, perturb: str | None):
-    """Cross-module oracle suites; ``perturb`` deliberately breaks one identity."""
-    tol_rel = 1e-8
-
-    def bump(name, x):
-        return x + 1e-3 if perturb == name else x
-
-    # Closed-form threshold cost/age against exact chain evaluation.
+def cmd_verify(args) -> int:
+    """The checks of ``aoi_sched.oracles`` on the quick or the full grids, each against its tolerance."""
+    quick = args.quick
     ps = [0.2, 0.5, 0.8] if quick else [0.1, 0.3, 0.5, 0.7, 0.9]
     deltas = [1, 2, 5, 9] if quick else [1, 2, 3, 5, 8, 13, 21, 34, 50]
-    worst = 0.0
-    for p in ps:
-        model = ChannelModel(p, 1.0, 0)
-        for d in deltas:
-            extra = int(math.ceil(math.log(1e-13) / math.log(p))) + 2 if p > 0 else 4
-            res = evaluate_exact(ThresholdPolicy(d), model, Truncation(d + extra, 0))
-            c_err = abs(res.avg_cost - bump("arq-cost", arq.cost_of_threshold(p, d)))
-            j_err = abs(res.avg_aoi - bump("arq-aoi", arq.aoi_of_threshold(p, d))) / arq.aoi_of_threshold(p, d)
-            worst = max(worst, c_err, j_err)
-    yield "arq-closed-forms-vs-exact-chain", worst <= tol_rel, f"max rel err {worst:.2e}"
-
-    # Lagrangian identity: L == J + eta * C.
-    worst = 0.0
-    for p in ps:
-        for d in deltas:
-            for eta in (0.5, 2.0, 10.0, 40.0):
-                lhs = arq.lagrangian_cost(p, d, eta)
-                rhs = bump("lagrangian-identity", arq.aoi_of_threshold(p, d) + eta * arq.cost_of_threshold(p, d))
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    yield "lagrangian-identity", worst <= 1e-12, f"max rel err {worst:.2e}"
-
-    # Closed-form threshold candidates against brute-force minimization.
     etas = [0.5, 2.0, 7.0, 19.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 19.0, 33.0, 50.0]
-    ok = True
-    detail = ""
-    for p in ps:
-        for eta in etas:
-            grid = range(1, 301 if quick else 1001)
-            values = {d: bump("lemma2", arq.lagrangian_cost(p, d, eta)) for d in grid}
-            best = min(values, key=values.get)
-            lo, hi = arq.threshold_candidates(p, eta)
-            if min(values[lo], values[hi]) > values[best] + 1e-12 * abs(values[best]):
-                ok = False
-                detail = f"p={p} eta={eta}: brute-force {best} beats candidates ({lo},{hi})"
-                break
-    yield "threshold-candidates-vs-brute-force", ok, detail or "candidates attain the minimum"
-
-    # The solver on an ARQ instance: threshold structure within the candidate pair.
-    p, eta = 0.5, 10.0
-    model = ChannelModel(p, 1.0, 0)
-    trunc = Truncation(120 if quick else 500, 0)
-    out = solve(model, trunc, eta)
-    acts = out.policy.actions
-    tx_ages = sorted(s.delta for s, a in acts.items() if a != Action.IDLE)
-    thr = tx_ages[0] if tx_ages else None
-    is_thresh = thr is not None and all(
-        (a != Action.IDLE) == (s.delta >= thr) for s, a in acts.items()
-    )
-    lo, hi = arq.threshold_candidates(p, eta)
-    resid = bellman_residual(out, model, trunc, eta)
-    ok = is_thresh and thr in (lo, hi) and resid <= bump("rvi-residual", 2e-8)
-    yield "rvi-threshold-structure", ok, f"threshold={thr} candidates=({lo},{hi}) residual={resid:.2e}"
-
-    # Budget met with equality by the constructed mixture.
-    cases = [(0.5, 1.0, 0, 0.35)] if quick else [(0.5, 1.0, 0, 0.35), (0.3, 0.5, 3, 0.4)]
-    worst = 0.0
-    for p0, lam, rmax, cmax in cases:
-        model = ChannelModel(p0, lam, rmax)
-        sol = solve_constrained(model, Truncation(120, rmax), cmax)
-        worst = max(worst, abs(sol.achieved_cost - bump("budget-equality", cmax)))
-    yield "budget-met-with-equality", worst <= 1e-6, f"max |cost - budget| {worst:.2e}"
-
-    # Simulation agrees with exact evaluation within 3 standard errors.
-    model = ChannelModel(0.5, 0.5, 3)
-    trunc = Truncation(100, 3)
-    horizon, reps = (20_000, 8) if quick else (200_000, 8)
-    sims = [
-        ("threshold", ThresholdPolicy(4)),
-        ("periodic", PeriodicPolicy(3)),
+    budgets = [(0.5, 1.0, 0, 0.35, 120)] + ([] if quick else [(0.3, 0.5, 3, 0.4, 120)])
+    model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(100, 3)
+    sims = [(ThresholdPolicy(4), model, trunc), (PeriodicPolicy(3), model, trunc)]
+    checks = [
+        ("arq-closed-forms-vs-exact-chain", 1e-8, oracles.arq_closed_forms(ps, deltas)),
+        ("lagrangian-identity", 1e-12, oracles.lagrangian_identity(ps, deltas, [0.5, 2.0, 10.0, 40.0])),
+        ("threshold-candidates-vs-brute-force", 1e-12, oracles.threshold_candidates_excess(ps, etas, 300 if quick else 1000)),
+        ("rvi-threshold-structure", 2e-8, oracles.arq_solver_residual([(0.5, 10.0)], 120 if quick else 500)),
+        ("budget-met-with-equality", 1e-6, oracles.budget_gap(budgets)),
+        ("simulation-vs-exact-evaluation", 3.0, oracles.simulation_excess(sims, 50_000 if quick else 200_000, 8, 7, 2e-5)),
     ]
-    ok = True
-    detail = ""
-    for name, pol in sims:
-        exact_res = evaluate_exact(pol, model, trunc)
-        stats = evaluate_simulated(pol, model, horizon, reps, seed=7)
-        se = math.sqrt(stats.var_aoi / reps) if stats.var_aoi > 0 else 0.0
-        err = abs(stats.mean_aoi - bump("sim-vs-exact", exact_res.avg_aoi))
-        if err > 3.0 * se + 1e-3:
-            ok = False
-            detail = f"{name}: |sim-exact|={err:.4g} > 3se={3 * se:.4g}"
-            break
-    yield "simulation-vs-exact-evaluation", ok, detail or "all policies within 3 standard errors"
-
-
-def cmd_verify(args) -> int:
     failures = 0
-    for name, ok, detail in _verify_checks(args.quick, args.perturb):
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    for name, tol, worst in checks:
+        ok = worst <= tol
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: worst {worst:.2e}, tolerance {tol:g}")
         failures += 0 if ok else 1
     print(f"# verify: {failures} failure(s)")
     return 1 if failures else 0
@@ -625,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-module oracle suites")
     p.add_argument("--quick", action="store_true", help="reduced grids, finishes in seconds")
-    p.add_argument("--perturb", help=argparse.SUPPRESS)  # negative-control hook
     p.set_defaults(func=cmd_verify)
     return parser
 

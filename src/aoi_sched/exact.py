@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MultichainError, NoStationaryAoIError
 from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, slot_outcomes
@@ -46,10 +45,11 @@ class EvalResult:
 
 def induced_chain(
     policy: Policy, model: ChannelModel, trunc: Truncation
-) -> tuple[StateSpace, sp.csr_matrix, np.ndarray]:
-    """Transition matrix of the chain under ``policy`` plus per-state transmit probability."""
+) -> tuple[StateSpace, np.ndarray, np.ndarray]:
+    """The chain under ``policy``: its state space, the probability of every
+    branch ``space.succ_idx`` (states × actions × 2), and the per-state
+    transmit probability."""
     space = StateSpace(model, trunc)
-    n = len(space)
     probs = clamped_rows(policy.table, space.age, space.r)  # (states × actions)
     bad = np.argwhere((probs > 0.0) & ~space.admissible)
     if len(bad):
@@ -58,13 +58,7 @@ def induced_chain(
             f"policy assigns inadmissible action {Action(a).name} at {State(int(space.age[i]), int(space.r[i]))}"
         )
     tx = probs[:, Action.NEW_UPDATE] + probs[:, Action.RETRANSMIT]
-    # Only the branches actually taken become entries: csgraph counts stored
-    # zeros as edges.
-    keep = (probs[:, :, None] > 0.0) & (space.succ_prob > 0.0)
-    vals = (probs[:, :, None] * space.succ_prob)[keep]
-    rows = np.broadcast_to(np.arange(n)[:, None, None], keep.shape)[keep]
-    P = sp.csr_matrix((vals, (rows, space.succ_idx[keep])), shape=(n, n))
-    return space, P, tx
+    return space, probs[:, :, None] * space.succ_prob, tx
 
 
 def _closed_class(chain: BorderChain) -> np.ndarray:
@@ -81,10 +75,11 @@ def _closed_class(chain: BorderChain) -> np.ndarray:
 
 
 def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
-    space, P, tx = induced_chain(policy, model, trunc)
-    chain = BorderChain(space, np.repeat(np.arange(len(space)), np.diff(P.indptr)), P.indices, P.data)
+    space, branch, tx = induced_chain(policy, model, trunc)
+    n, dst = len(space), space.succ_idx.ravel()
+    chain = BorderChain(space, np.repeat(np.arange(n), branch[0].size), dst, branch.ravel())
     members = _closed_class(chain)
-    pi = np.zeros(len(space))
+    pi = np.zeros(n)
     pi[space.border[members]] = chain.stationary(members)
     # Ladder mass: border mass times the expected ladder visits per border visit.
     pi[space.ladder] = pi[space.border[: chain.n_low]] @ chain.z
@@ -93,7 +88,7 @@ def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> E
             "policy never transmits on its recurrent class; the age diverges"
         )
     pi /= pi.sum()
-    residual = np.abs(pi @ P - pi).max()
+    residual = np.abs(np.bincount(dst, (pi[:, None, None] * branch).ravel(), n) - pi).max()
     if residual > _STATIONARY_RESIDUAL:
         raise MultichainError(f"stationary solve residual {residual:.3e} too large")
     stationary = np.zeros((trunc.n_max + 1, space.r_cap + 1))

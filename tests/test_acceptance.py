@@ -6,12 +6,11 @@ cache of budgeted solutions because several criteria share operating points;
 the whole suite is deterministic.
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
 
-from aoi_sched import arq
+from aoi_sched import arq, oracles
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
@@ -21,11 +20,12 @@ from aoi_sched.policies import (
     RenewalMixture,
     ThresholdPolicy,
 )
-from aoi_sched.rvi import SolverConfig, bellman_residual, solve
+from aoi_sched.rvi import solve
 from aoi_sched.sarsa import LearnerConfig, train
-from aoi_sched.simulate import baseline_periodic, evaluate_simulated, run
+from aoi_sched.simulate import baseline_periodic, run
 
 _SOLUTIONS: dict = {}
+P_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
 
 def constrained(p0, lam, rmax, cmax, nmax):
@@ -65,44 +65,19 @@ def lower_hull_interp(points, x):
 
 def test_criterion_01_arq_analytic_oracle_equivalence():
     with report(1, "ARQ analytic oracle equivalence"):
-        for p in [round(0.1 * k, 10) for k in range(1, 10)]:
-            model = ChannelModel(p, 1.0, 0)
-            for delta in range(1, 51):
-                trunc = arq_eval_truncation(p, delta, tail_mass=1e-13)
-                res = evaluate_exact(ThresholdPolicy(delta), model, trunc)
-                c_ref = arq.cost_of_threshold(p, delta)
-                j_ref = arq.aoi_of_threshold(p, delta)
-                assert abs(res.avg_cost - c_ref) <= 1e-8 * c_ref
-                assert abs(res.avg_aoi - j_ref) <= 1e-8 * j_ref
+        assert oracles.arq_closed_forms(P_GRID, range(1, 51)) <= 1e-8
 
 
 def test_criterion_02_threshold_candidates_brute_force():
     with report(2, "closed-form thresholds match brute force"):
         etas = [0.5, 1.0, 2.0, 3.5, 5.0, 7.0, 10.0, 14.0, 19.0, 26.0, 35.0, 50.0]
-        for p in [round(0.1 * k, 10) for k in range(1, 10)]:
-            for eta in etas:
-                values = [arq.lagrangian_cost(p, d, eta) for d in range(1, 1001)]
-                best = min(values)
-                lo, hi = arq.threshold_candidates(p, eta)
-                cand = min(values[lo - 1], values[hi - 1])
-                assert cand <= best * (1 + 1e-12)
+        assert oracles.threshold_candidates_excess(P_GRID, etas, 1000) <= 1e-12
 
 
 def test_criterion_03_rvi_analytic_cross_validation():
     with report(3, "RVI threshold matches closed form at n_max=500"):
-        cfg = SolverConfig(epsilon=1e-8)
-        trunc = Truncation(500, 0)
-        for p, eta in [(0.2, 2.0), (0.3, 5.0), (0.5, 10.0), (0.7, 25.0)]:
-            model = ChannelModel(p, 1.0, 0)
-            out = solve(model, trunc, eta, cfg)
-            tx = sorted(s.delta for s, a in out.policy.actions.items() if a != Action.IDLE)
-            thr = tx[0]
-            assert all(
-                (a != Action.IDLE) == (s.delta >= thr)
-                for s, a in out.policy.actions.items()
-            ), f"not a threshold rule at p={p}, eta={eta}"
-            assert thr in arq.threshold_candidates(p, eta)
-            assert bellman_residual(out, model, trunc, eta) <= 2e-8
+        points = [(0.2, 2.0), (0.3, 5.0), (0.5, 10.0), (0.7, 25.0)]
+        assert oracles.arq_solver_residual(points, 500) <= 2e-8
 
 
 def test_criterion_04_constraint_equality():
@@ -236,25 +211,15 @@ def test_criterion_10_simulation_matches_exact_evaluation():
             )
             for s in enumerate_states(arq_trunc)
         }
-        cases = [
-            ("deterministic-table", rvi_policy, model, trunc),
-            ("randomized-table", RandomizedTable(probs, arq_trunc), arq_model, arq_trunc),
-            ("randomized-threshold", arq.optimal_policy(0.5, 0.35).policy(), arq_model, arq_trunc),
-            ("renewal-mixture", RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(5), w), arq_model, arq_trunc),
-            ("periodic", PeriodicPolicy(3), model, trunc),
+        cases = [  # deterministic table, randomized table, randomized threshold, renewal mixture, periodic
+            (rvi_policy, model, trunc),
+            (RandomizedTable(probs, arq_trunc), arq_model, arq_trunc),
+            (arq.optimal_policy(0.5, 0.35).policy(), arq_model, arq_trunc),
+            (RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(5), w), arq_model, arq_trunc),
+            (PeriodicPolicy(3), model, trunc),
         ]
-        reps = 8
-        for name, policy, mdl, tr in cases:
-            exact_res = evaluate_exact(policy, mdl, tr)
-            stats = evaluate_simulated(policy, mdl, 1_000_000, reps, seed=2024)
-            for sim, ref, var in (
-                (stats.mean_aoi, exact_res.avg_aoi, stats.var_aoi),
-                (stats.mean_cost, exact_res.avg_cost, stats.var_cost),
-            ):
-                se = math.sqrt(var / reps)
-                assert abs(sim - ref) <= 3.0 * se + 2e-5 * max(1.0, abs(ref)), (
-                    name, sim, ref, se,
-                )
+        worst = oracles.simulation_excess(cases, 1_000_000, 8, 2024, 2e-5)
+        assert worst <= 3.0, worst
 
 
 def test_criterion_11_no_retransmit_after_idle():

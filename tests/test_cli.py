@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from aoi_sched import arq, exact, lagrange, rvi, simulate
 from aoi_sched.cli import SWEEP_HEADER, main
 from aoi_sched.errors import BracketingError
 from aoi_sched.mdp import ChannelModel
@@ -262,13 +264,32 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "nested" / "stats.csv").exists()
 
 
-def test_verify_quick_passes_and_perturb_fails(capsys):
-    assert main(["verify", "--quick"]) == 0
+@pytest.mark.parametrize("argv", [["verify", "--quick"], ["verify"]], ids=["quick", "full"])
+def test_verify_passes(argv, capsys):
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert main(["verify", "--quick", "--perturb", "lagrangian-identity"]) == 1
+    assert out.count("PASS  ") == 6 and "FAIL" not in out
+
+
+# A fault in each collaborator that the oracles call through its module, and the checks it must fail.
+FAULTS = {
+    "evaluate_exact": (exact, lambda res: dataclasses.replace(res, avg_aoi=res.avg_aoi * (1 + 1e-6)), ["arq-closed-forms"]),
+    "lagrangian_cost": (arq, lambda value: value * (1 + 1e-9), ["lagrangian-identity"]),
+    "threshold_candidates": (arq, lambda pair: (pair[0] + 2, pair[1] + 2), ["threshold-candidates", "rvi-threshold"]),
+    "bellman_residual": (rvi, lambda residual: residual + 1e-6, ["rvi-threshold"]),
+    "renewal_mixture_weight": (lagrange, lambda w: 0.9 * w, ["budget-met"]),
+    "evaluate_simulated": (simulate, lambda st: dataclasses.replace(st, mean_cost=st.mean_cost + 1e-3), ["simulation-vs-exact"]),
+}
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_verify_fails_when_a_collaborator_breaks(name, monkeypatch, capsys):
+    module, spoil, checks = FAULTS[name]
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: spoil(original(*args, **kwargs)))
+    assert main(["verify", "--quick"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  lagrangian-identity" in out
+    assert all(f"FAIL  {check}" in out for check in checks), out
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from aoi_sched.errors import ProtocolViolationError
-from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, State, Truncation, admissible_actions, enumerate_states, transitions
-from aoi_sched import simulate
+from aoi_sched import oracles, simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
 from aoi_sched.simulate import SlotEnv, SlotRecord, baseline_periodic, evaluate_simulated, run
@@ -87,14 +86,7 @@ class TestLongRunAgreement:
         model = ChannelModel(0.5, 1.0, 0)
         trunc = Truncation(200, 0)
         mix = RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(5), 2.0 / 7.0)
-        exact = evaluate_exact(mix, model, trunc)
-        stats = evaluate_simulated(mix, model, 100_000, 10, seed=13)
-        for sim, ref, var in (
-            (stats.mean_aoi, exact.avg_aoi, stats.var_aoi),
-            (stats.mean_cost, exact.avg_cost, stats.var_cost),
-        ):
-            se = np.sqrt(var / 10)
-            assert abs(sim - ref) <= 3 * se + 1e-3
+        assert oracles.simulation_excess([(mix, model, trunc)], 100_000, 10, 13, 2e-5) <= 3.0
 
 
 class TestBaseline:
@@ -248,14 +240,7 @@ class TestCycleKernel:
         model = ChannelModel(0.6, 0.4, 4)
         trunc = Truncation(100, 4)
         policy = harq_table(model, trunc, 4.0)
-        exact = evaluate_exact(policy, model, trunc)
-        reps = 8
-        stats = evaluate_simulated(policy, model, 50_000, reps, seed=8675309)
-        for sim, ref, var in (
-            (stats.mean_aoi, exact.avg_aoi, stats.var_aoi),
-            (stats.mean_cost, exact.avg_cost, stats.var_cost),
-        ):
-            assert abs(sim - ref) <= 3 * np.sqrt(var / reps) + 2e-5 * max(1.0, ref)
+        assert oracles.simulation_excess([(policy, model, trunc)], 50_000, 8, 8675309, 2e-5) <= 3.0
 
     def test_joined_cycles_connect(self):
         model = ChannelModel(0.5, 0.5, 3)
