@@ -42,7 +42,7 @@ from .policies import (
     RenewalMixture,
     ThresholdPolicy,
 )
-from .rvi import SolverConfig, SolverOutput, bellman_residual, solve
+from .rvi import SolverOutput, bellman_residual, solve
 from .sarsa import LearnerConfig, LearnerState, Timeline, softmax_probs, train
 from .simulate import RunStats, SlotRecord, baseline_periodic, evaluate_simulated, run
 

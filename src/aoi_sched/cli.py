@@ -25,7 +25,7 @@ from .exact import evaluate_exact
 from .lagrange import search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
-from .rvi import SolverConfig, solve
+from .rvi import solve
 from .sarsa import LearnerConfig, train
 from .simulate import baseline_periodic, evaluate_simulated, run
 
@@ -128,8 +128,7 @@ STATS_HEADER = [
 
 def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
-    cfg = SolverConfig(epsilon=args.epsilon, max_iters=args.max_iters)
-    out = solve(model, trunc, args.eta, cfg, unconstrained=args.unconstrained)
+    out = solve(model, trunc, args.eta)
     res = evaluate_exact(out.policy, model, trunc)
     if args.out:
         rows = [
@@ -236,8 +235,8 @@ def cmd_simulate(args) -> int:
     stats = evaluate_simulated(policy, model, args.horizon, args.reps, args.seed)
     if args.trace_out:
         # The start of replication 0: a short run is the prefix of a longer one.
-        rng = np.random.default_rng([args.seed, 0])
-        _, trace = run(policy, model, min(args.horizon, args.trace_slots), rng=rng, collect_trace=True)
+        rep0 = np.random.default_rng([args.seed, 0])
+        _, trace = run(policy, model, min(args.horizon, args.trace_slots), rep0, collect_trace=True)
         _write_csv(
             _outpath(args.trace_out),
             ["t", "delta", "r", "action", "success"],
@@ -478,12 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="policy iteration for the average-cost optimum at a fixed charge")
     _model_args(p)
     p.add_argument("--eta", type=float, default=5.0)
-    p.add_argument(
-        "--epsilon", type=float, default=1e-8,
-        help="stop once no action costs more than this above its state's minimum",
-    )
-    p.add_argument("--max-iters", type=int, default=1_000_000, help="policy evaluations allowed")
-    p.add_argument("--unconstrained", action="store_true", help="budget-free mode: idling removed")
     p.add_argument("--out", help="CSV dump of h/Q/policy tables")
     p.set_defaults(func=cmd_solve)
 

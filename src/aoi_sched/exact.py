@@ -22,6 +22,7 @@ from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncatio
 from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
 
 _STATIONARY_RESIDUAL = 1e-10
+_ARQ_TAIL_MASS = 1e-13  # geometric tail that arq_eval_truncation leaves beyond the cap
 _RENEWAL = State(1, 0)
 
 
@@ -152,12 +153,12 @@ def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> Ev
     return _evaluate_chain(policy, model, trunc)
 
 
-def arq_eval_truncation(p: float, threshold: int, tail_mass: float = 1e-13) -> Truncation:
-    """Age cap making the geometric tail beyond ``threshold`` smaller than ``tail_mass``."""
+def arq_eval_truncation(p: float, threshold: int) -> Truncation:
+    """Age cap making the geometric tail beyond ``threshold`` smaller than ``_ARQ_TAIL_MASS``."""
     if p <= 0.0:
         extra = 2
     else:
-        extra = int(np.ceil(np.log(tail_mass) / np.log(p))) + 2
+        extra = int(np.ceil(np.log(_ARQ_TAIL_MASS) / np.log(p))) + 2
     return Truncation(n_max=threshold + max(extra, 2), r_max=0)
 
 

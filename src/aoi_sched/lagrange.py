@@ -15,11 +15,13 @@ is not below the endpoints' at ``x``, no policy lies between them: ``eta* = x``
 and the endpoints are the pair.  Every ``J`` and ``C`` comes from
 ``evaluate_exact`` of the probe's policy, not from the solver's gain, so
 the walk and its tie test compare all policies through one evaluator.  A
-probe whose cost meets the budget exactly ends the search at once.  A
-greedy policy that idles forever once the age reaches the cap is the line
-``n_max + eta * 0``; if the budget needs it, the cap is too small and
-``TruncationError`` says which cap to use.  Each trace row also records
-the probe's policy evaluations and solver residual.
+probe whose cost meets the budget exactly ends the search at once, so the
+full budget ``c_max = 1``, which the uncharged policy meets by sending in
+every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
+idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
+if the budget needs it, the cap is too small and ``TruncationError`` says
+which cap to use.  Each trace row also records the probe's policy
+evaluations and solver residual.
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -228,18 +230,6 @@ def solve_constrained(
     c_max: float,
 ) -> ConstrainedSolution:
     """Budget-optimal policy: multiplier search plus a one-knob randomization."""
-    if not 0.0 < c_max <= 1.0:
-        raise ValueError(f"budget must lie in (0, 1], got {c_max}")
-
-    if c_max >= 1.0:
-        # Budget-free mode: idling removed from the action set, no mixture.
-        out = solve(model, trunc, 0.0, unconstrained=True)
-        res = evaluate_exact(out.policy, model, trunc)
-        search = EtaSearchResult(0.0, (0.0, 0.0), (), True, (out, res), (out, res))
-        return ConstrainedSolution(
-            0.0, out.policy, out.policy, 1.0, out.policy, res.avg_cost, res.avg_aoi, res.tail_mass, search
-        )
-
     search = search_eta_star(model, trunc, c_max)
     eta_star = search.eta_star
     (out_low, res_low), (out_high, res_high) = search.low, search.high

@@ -178,17 +178,13 @@ class RenewalMixture:
 
 @dataclass(frozen=True, eq=True)
 class PeriodicPolicy:
-    """Open-loop baseline: a fresh update every ``period`` slots, feedback ignored."""
+    """Open-loop baseline: a fresh update in slots 1, ``period`` + 1, ...; feedback ignored."""
 
     period: int
 
     def __post_init__(self):
         if self.period < 1:
             raise ValueError(f"period must be at least 1, got {self.period}")
-
-    def transmits_at(self, t: int) -> bool:
-        # Slots are 1-based; transmissions land on t = 1, period+1, ...
-        return (t - 1) % self.period == 0
 
     def describe(self) -> str:
         return f"periodic[{self.period}]"

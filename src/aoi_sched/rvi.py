@@ -1,7 +1,7 @@
 """Policy iteration for the multiplier-relaxed average-cost problem.
 
-For a fixed transmission charge ``eta`` the constrained problem becomes an
-unconstrained average-cost MDP with stage cost ``delta + eta * 1[transmit]``.
+For a fixed transmission charge ``eta`` the constrained problem becomes a
+plain average-cost MDP with stage cost ``delta + eta * 1[transmit]``.
 The paper solves its optimality equation with relative value iteration; this
 module solves the same equation by Howard's policy iteration (Puterman,
 *Markov Decision Processes*, 1994, Sec. 8.6), which ends after a handful of
@@ -17,47 +17,28 @@ substitution returns the values off the border.  A policy with more than
 one closed class has no such solution and raises ``MultichainError``.
 
 A state switches to its first cheapest action only when its current action
-costs more than ``epsilon`` above that minimum, so rounding noise below
-``epsilon`` cannot make the iteration cycle; it stops when no state does,
+costs more than ``_EPSILON`` above that minimum, so rounding noise below
+``_EPSILON`` cannot make the iteration cycle; it stops when no state does,
 and the residual is that largest excess.  The returned policy is greedy on
 the final state-action costs, with costs within a relative ``1e-9`` of the row
 minimum counted as ties and ties broken toward the cheaper action
 (idle < new update < retransmit).
-
-Setting ``unconstrained=True`` removes idling from the action set, which is
-the budget-free mode (transmissions every slot cost nothing extra at
-``eta = 0``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, MultichainError
-from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, enumerate_states
+from .mdp import Action, BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
 
+_EPSILON = 1e-8  # largest excess of a kept action over its row minimum
+_MAX_EVALUATIONS = 1_000_000  # policy evaluations allowed per solve
 _TIE_RTOL = 1e-9  # read-off: costs this close to the row minimum tie
 _SOLVE_RTOL = 1e-9  # largest relative residual accepted from an evaluation
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """``epsilon``: largest excess of a kept action over its row minimum;
-    ``max_iters``: policy evaluations allowed."""
-
-    epsilon: float = 1e-8
-    max_iters: int = 1_000_000
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +46,8 @@ class SolverOutput:
     """Converged differential values, state-action costs, gain and greedy policy.
 
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
-    in ``StateSpace`` order, which is also the key order of ``policy.actions``;
-    ``h`` and ``q`` are dict views of them, built on first access.  Outputs
-    compare by identity, as an array field has no single truth value.
+    in ``StateSpace`` order, which is also the key order of ``policy.actions``.
+    Outputs compare by identity, as an array field has no single truth value.
     """
 
     gain: float
@@ -77,31 +57,13 @@ class SolverOutput:
     h_array: np.ndarray = field(repr=False)
     q_array: np.ndarray = field(repr=False)
 
-    @cached_property
-    def h(self) -> dict[State, float]:
-        return dict(zip(enumerate_states(self.policy.trunc), self.h_array.tolist()))
 
-    @cached_property
-    def q(self) -> dict[tuple[State, Action], float]:
-        return {
-            (s, a): value
-            for s, row in zip(enumerate_states(self.policy.trunc), self.q_array.tolist())
-            for a, value in zip(Action, row)
-            if math.isfinite(value)
-        }
-
-
-def _masked_q(
-    space: StateSpace, h: np.ndarray, eta: float, unconstrained: bool
-) -> np.ndarray:
+def _masked_q(space: StateSpace, h: np.ndarray, eta: float) -> np.ndarray:
     exp_h = (h[space.succ_idx] * space.succ_prob).sum(axis=2)
     q = space.delta[:, None] + exp_h
     q[:, Action.NEW_UPDATE] += eta
     q[:, Action.RETRANSMIT] += eta
-    mask = space.admissible.copy()
-    if unconstrained:
-        mask[:, Action.IDLE] = False
-    q[~mask] = np.inf
+    q[~space.admissible] = np.inf
     return q
 
 
@@ -141,9 +103,7 @@ def solve(
     model: ChannelModel,
     trunc: Truncation,
     eta: float,
-    cfg: SolverConfig | None = None,
     *,
-    unconstrained: bool = False,
     h0: np.ndarray | None = None,
 ) -> SolverOutput:
     """Run policy iteration for the given multiplier.
@@ -155,27 +115,26 @@ def solve(
     """
     if eta < 0.0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    cfg = cfg or SolverConfig()
     space = StateSpace(model, trunc)
     h = np.zeros(len(space)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h.shape != (len(space),):
         raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
 
     rows = np.arange(len(space))
-    actions = np.argmin(_masked_q(space, h, eta, unconstrained), axis=1)
-    for it in range(1, cfg.max_iters + 1):
+    actions = np.argmin(_masked_q(space, h, eta), axis=1)
+    for it in range(1, _MAX_EVALUATIONS + 1):
         gain, h = _evaluate(space, actions, eta)
-        q = _masked_q(space, h, eta, unconstrained)
+        q = _masked_q(space, h, eta)
         v = q.min(axis=1)
         excess = q[rows, actions] - v
         residual = float(excess.max())
-        if residual <= cfg.epsilon:
+        if residual <= _EPSILON:
             break
-        switch = excess > cfg.epsilon
+        switch = excess > _EPSILON
         actions[switch] = np.argmin(q[switch], axis=1)
     else:
         raise ConvergenceError(
-            f"no convergence within {cfg.max_iters} policy evaluations (residual {residual:.3e})",
+            f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
             residual,
         )
 
@@ -184,20 +143,13 @@ def solve(
     return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q)
 
 
-def bellman_residual(
-    out: SolverOutput,
-    model: ChannelModel,
-    trunc: Truncation,
-    eta: float,
-    *,
-    unconstrained: bool = False,
-) -> float:
+def bellman_residual(out: SolverOutput, model: ChannelModel, trunc: Truncation, eta: float) -> float:
     """Sup-norm violation of the average-cost optimality equations by ``out``."""
     space = StateSpace(model, trunc)
     if out.policy.trunc != Truncation(trunc.n_max, space.r_cap):
         raise ValueError(
             f"out was solved on {out.policy.trunc}, not on this space ({trunc}, r_cap {space.r_cap})"
         )
-    q = _masked_q(space, out.h_array, eta, unconstrained)
+    q = _masked_q(space, out.h_array, eta)
     v = q.min(axis=1)
     return float(np.abs(v - out.gain - out.h_array).max())

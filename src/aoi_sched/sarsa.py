@@ -42,7 +42,6 @@ class LearnerConfig:
     c_max: float = 1.0
     horizon: int = 10_000
     seed: int = 0
-    unconstrained: bool = False  # budget-free mode: idling removed from the action set
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -59,7 +58,6 @@ class LearnerState:
 
     space: StateSpace
     q: np.ndarray  # (n_states, n_actions)
-    admissible: np.ndarray  # (n_states, n_actions) selection mask
     gain: float = 0.0
     eta: float = 0.0
     n: int = 0
@@ -77,7 +75,7 @@ class LearnerState:
         rows of states the learner never visited are still all zero, and
         reading them as idle would freeze the age at every unexplored state.
         """
-        q = np.where(self.admissible, self.q, np.inf)
+        q = np.where(self.space.admissible, self.q, np.inf)
         last_best = _N_ACTIONS - 1 - np.argmin(q[:, ::-1], axis=1)
         return DeterministicTable.from_actions(self.space, last_best)
 
@@ -111,11 +109,7 @@ def softmax_probs(q_row: np.ndarray, tau: float, admissible: np.ndarray) -> np.n
 def make_learner(cfg: LearnerConfig, model_for_masks: ChannelModel) -> LearnerState:
     """Fresh all-zero table over the truncated state set."""
     space = StateSpace(model_for_masks, cfg.trunc)
-    q = np.zeros((len(space), _N_ACTIONS))
-    admissible = space.admissible.copy()
-    if cfg.unconstrained:
-        admissible[:, Action.IDLE] = False
-    return LearnerState(space=space, q=q, admissible=admissible, eta=cfg.eta0)
+    return LearnerState(space=space, q=np.zeros((len(space), _N_ACTIONS)), eta=cfg.eta0)
 
 
 def _sample_action(probs: np.ndarray, u: float) -> Action:
@@ -139,7 +133,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     n = ls.n + 1
     i = ls._index(ls.state)
     if ls.next_action is None:
-        probs = softmax_probs(ls.q[i], cfg.tau, ls.admissible[i])
+        probs = softmax_probs(ls.q[i], cfg.tau, ls.space.admissible[i])
         a = _sample_action(probs, rng.random())
     else:
         a = ls.next_action
@@ -150,7 +144,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     c = float(delta_cl) + (ls.eta if a.transmits else 0.0)
 
     j = ls._index(nxt)
-    probs_next = softmax_probs(ls.q[j], cfg.tau, ls.admissible[j])
+    probs_next = softmax_probs(ls.q[j], cfg.tau, ls.space.admissible[j])
     a_next = _sample_action(probs_next, rng.random())
 
     alpha = cfg.alpha0 / math.sqrt(n)
@@ -194,7 +188,7 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     q = ls.q.tolist()
     # Added to a row, this sends inadmissible entries to +inf, whose weight
     # exp(-inf) is the exact 0 that softmax_probs gives them.
-    mask = np.where(ls.admissible, 0.0, np.inf).tolist()
+    mask = np.where(ls.space.admissible, 0.0, np.inf).tolist()
     env_u, env_k = [], 0
     act_u, act_k = [], 0
     width = 0  # columns of the slot-outcome lists, loaded and widened as in SlotEnv.admissible

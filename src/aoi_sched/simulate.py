@@ -293,17 +293,17 @@ def run(
     seed=0,
     *,
     collect_trace: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[RunStats, list[SlotRecord] | None]:
     """Simulate ``horizon`` slots from (1, 0); deterministic given the seed.
 
-    Returns the single-replication time averages and, when requested, the
-    full slot trace.  The trace of ``n`` slots is the start of every longer
-    run on the same generator.
+    ``seed`` is anything ``np.random.default_rng`` takes, a ``Generator``
+    included, which is used as it is.  Returns the single-replication time
+    averages and, when requested, the full slot trace.  The trace of ``n``
+    slots is the start of every longer run on the same stream.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     simulate = _periodic if isinstance(policy, PeriodicPolicy) else _cycles
     aoi_sum, n_tx, rows = simulate(policy, model, horizon, rng, collect_trace)
     stats = RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon])
@@ -322,7 +322,7 @@ def evaluate_simulated(
         raise ValueError(f"replications must be at least 1, got {replications}")
     aois, costs = [], []
     for rep in range(replications):
-        stats, _ = run(policy, model, horizon, rng=np.random.default_rng([seed, rep]))
+        stats, _ = run(policy, model, horizon, np.random.default_rng([seed, rep]))
         aois.append(stats.mean_aoi)
         costs.append(stats.mean_cost)
     return RunStats.from_reps(aois, costs)

@@ -113,7 +113,7 @@ def test_criterion_06_convex_hull_and_harq_dominance():
         ]
         for cmax in grid:
             rt = arq.optimal_policy(p, cmax)
-            trunc = arq_eval_truncation(p, rt.delta2, tail_mass=1e-13)
+            trunc = arq_eval_truncation(p, rt.delta2)
             res = evaluate_exact(rt.policy(), ChannelModel(p, 1.0, 0), trunc)
             interp = (
                 rt.mu_star * arq.aoi_of_threshold(p, rt.delta1)

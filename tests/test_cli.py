@@ -54,7 +54,7 @@ def test_solve_unconstrained_never_idles(tmp_path, capsys):
     out = tmp_path / "tables.csv"
     rc = main([
         "solve", "--p0", "0.5", "--lam", "0.5", "--rmax", "3",
-        "--nmax", "60", "--eta", "0", "--unconstrained", "--out", str(out),
+        "--nmax", "60", "--eta", "0", "--out", str(out),
     ])
     assert rc == 0
     rows = read_csv(out)
@@ -98,7 +98,7 @@ def test_simulate_stats_and_trace(tmp_path, capsys):
     assert trows[0] == ["t", "delta", "r", "action", "success"]
     assert len(trows) == 51
     # The trace is the start of replication 0.
-    _, rep0 = run(ThresholdPolicy(4), ChannelModel(0.5, 1.0, 0), 5000, rng=np.random.default_rng([3, 0]), collect_trace=True)
+    _, rep0 = run(ThresholdPolicy(4), ChannelModel(0.5, 1.0, 0), 5000, np.random.default_rng([3, 0]), collect_trace=True)
     assert [int(row[1]) for row in trows[1:]] == [rec.state_before.delta for rec in rep0[:50]]
 
 
@@ -218,12 +218,14 @@ def test_sweep_programming_error_propagates(monkeypatch, tmp_path):
             "NoStationaryAoIError: policy never transmits on its recurrent class",
         ),
         (
-            ["solve", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "20", "--eta", "3", "--max-iters", "1"],
+            ["solve", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "20", "--eta", "3"],
             "ConvergenceError: no convergence within 1 policy evaluations",
         ),
     ],
 )
-def test_named_errors_end_in_one_line(argv, message, capsys):
+def test_named_errors_end_in_one_line(argv, message, capsys, monkeypatch):
+    if message.startswith("ConvergenceError"):
+        monkeypatch.setattr(rvi, "_MAX_EVALUATIONS", 1)  # the solver's evaluation limit
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,6 +8,7 @@ from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
 from aoi_sched.policies import RandomizedTable, table_difference
+from aoi_sched.rvi import bellman_residual
 
 
 class TestMixtureWeight:
@@ -170,6 +171,25 @@ class TestSolveConstrained:
         assert sol.mixed is sol.policy_low is sol.policy_high
         assert all(a != Action.IDLE for a in sol.mixed.actions.values())
         assert sol.achieved_cost == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.integers(0, 9),
+        n_max=st.integers(2, 120),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_full_budget_is_met_by_the_uncharged_policy(self, p0, lam, r_max, n_max):
+        # The search's first probe, eta = 0, sends in every slot and so meets
+        # the budget exactly.
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        sol = solve_constrained(model, trunc, 1.0)
+        assert sol.eta_star == 0.0 and sol.search.exact_hit and len(sol.search.trace) == 1
+        assert sol.achieved_cost == pytest.approx(1.0, abs=1e-12)
+        out = sol.search.low[0]
+        assert not out.policy.table[..., Action.IDLE].any()
+        assert bellman_residual(out, model, trunc, 0.0) <= 2e-8
+        assert sol.achieved_aoi <= 1.0 / (1.0 - p0) + 1e-9
 
     def test_integral_arq_budget_needs_no_mixture(self):
         model = ChannelModel(0.5, 1.0, 0)

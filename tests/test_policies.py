@@ -95,12 +95,6 @@ class TestMixtureAndPeriodic:
             with pytest.raises(ValueError, match=type(other).__name__):
                 RenewalMixture(first, second, 0.5)
 
-    def test_periodic_schedule(self):
-        pol = PeriodicPolicy(4)
-        assert [pol.transmits_at(t) for t in range(1, 9)] == [
-            True, False, False, False, True, False, False, False,
-        ]
-
     def test_period_validated(self):
         with pytest.raises(ValueError):
             PeriodicPolicy(0)

@@ -6,9 +6,9 @@ from scipy.sparse.csgraph import connected_components
 from aoi_sched import arq, oracles, rvi
 from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation, enumerate_states, transitions
+from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states, transitions
 from aoi_sched.policies import DeterministicTable
-from aoi_sched.rvi import SolverConfig, bellman_residual, solve
+from aoi_sched.rvi import bellman_residual, solve
 
 ARQ_HALF = ChannelModel(0.5, 1.0, 0)
 ARQ_TRUNC = Truncation(200, 0)
@@ -64,13 +64,14 @@ class TestSolveArq:
         assert threshold_of(out.policy) == d + 1
 
     def test_h_nondecreasing_in_age(self):
-        out = solve(ARQ_HALF, ARQ_TRUNC, 10.0)
-        hs = [out.h[State(d, 0)] for d in range(1, ARQ_TRUNC.n_max + 1)]
+        # Under ARQ the states are the ages 1..n_max in StateSpace order.
+        hs = solve(ARQ_HALF, ARQ_TRUNC, 10.0).h_array.tolist()
+        assert len(hs) == ARQ_TRUNC.n_max
         assert all(b >= a - 1e-9 for a, b in zip(hs, hs[1:]))
 
     def test_reference_state_anchored(self):
         out = solve(ARQ_HALF, ARQ_TRUNC, 10.0)
-        assert out.h[State(1, 0)] == 0.0
+        assert out.h_array[StateSpace(ARQ_HALF, ARQ_TRUNC).off[1]] == 0.0  # (1, 0)
 
 
 class TestSolveHarq:
@@ -89,10 +90,11 @@ class TestSolveHarq:
         assert out.residual <= 1e-8
         assert bellman_residual(out, model, trunc, 5.0) <= 2e-8
 
-    def test_unsolved_values_violate_optimality(self):
+    def test_unsolved_values_violate_optimality(self, monkeypatch):
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(60, 9)
-        out = solve(model, trunc, 5.0, SolverConfig(epsilon=1e300))
+        monkeypatch.setattr(rvi, "_EPSILON", 1e300)
+        out = solve(model, trunc, 5.0)
         assert out.iterations == 1
         assert bellman_residual(out, model, trunc, 5.0) > 1e-3
 
@@ -118,24 +120,26 @@ class TestSolveHarq:
 
 
 class TestUnconstrainedMode:
+    """At ``eta = 0`` a transmission costs nothing, so no state idles."""
+
     def test_never_idles(self):
         model = ChannelModel(0.5, 0.5, 3)
         trunc = Truncation(80, 3)
-        out = solve(model, trunc, 0.0, unconstrained=True)
+        out = solve(model, trunc, 0.0)
         assert all(a != Action.IDLE for a in out.policy.actions.values())
 
     def test_residual_with_restricted_actions(self):
         model = ChannelModel(0.5, 0.5, 3)
         trunc = Truncation(80, 3)
-        out = solve(model, trunc, 0.0, unconstrained=True)
-        assert bellman_residual(out, model, trunc, 0.0, unconstrained=True) <= 2e-8
+        out = solve(model, trunc, 0.0)
+        assert bellman_residual(out, model, trunc, 0.0) <= 2e-8
 
     def test_beats_always_new(self):
-        # Retransmissions decode more reliably, so the budget-free optimum is
+        # Retransmissions decode more reliably, so the uncharged optimum is
         # at least as fresh as always sending fresh updates.
         model = ChannelModel(0.5, 0.5, 3)
         trunc = Truncation(80, 3)
-        out = solve(model, trunc, 0.0, unconstrained=True)
+        out = solve(model, trunc, 0.0)
         res = evaluate_exact(out.policy, model, trunc)
         assert res.avg_aoi <= 1.0 / (1.0 - 0.5) + 1e-9
 
@@ -165,16 +169,18 @@ class TestDeterminismAndErrors:
         trunc = Truncation(60, 5)
         a = solve(model, trunc, 3.0)
         b = solve(model, trunc, 3.0)
-        assert a.h == b.h
-        assert a.q == b.q
+        assert a.h_array.tobytes() == b.h_array.tobytes()
+        assert a.q_array.tobytes() == b.q_array.tobytes()
         assert a.gain == b.gain
         assert a.policy.actions == b.policy.actions
 
-    def test_iteration_limit_raises(self):
+    def test_iteration_limit_raises(self, monkeypatch):
         model = ChannelModel(0.3, 0.5, 5)
         trunc = Truncation(60, 5)
+        monkeypatch.setattr(rvi, "_EPSILON", 1e-12)
+        monkeypatch.setattr(rvi, "_MAX_EVALUATIONS", 3)
         with pytest.raises(ConvergenceError) as err:
-            solve(model, trunc, 3.0, SolverConfig(epsilon=1e-12, max_iters=3))
+            solve(model, trunc, 3.0)
         assert err.value.residual > 0.0
 
     def test_warm_start_reaches_same_fixed_point(self):
@@ -182,8 +188,7 @@ class TestDeterminismAndErrors:
         trunc = Truncation(60, 5)
         cold = solve(model, trunc, 3.0)
         warm = solve(model, trunc, 3.0, h0=solve(model, trunc, 2.5).h_array)
-        for s in cold.h:
-            assert warm.h[s] == pytest.approx(cold.h[s], abs=5e-8)
+        assert warm.h_array == pytest.approx(cold.h_array, abs=5e-8)
         assert warm.policy.actions == cold.policy.actions
 
 

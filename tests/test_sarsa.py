@@ -151,21 +151,18 @@ class TestTrainMatchesSteps:
         alpha0=st.floats(0.0, 2.0),
         eta0=st.floats(0.0, 20.0),
         eta_adapt=st.booleans(),
-        unconstrained=st.booleans(),
     )
     @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, alpha0=1.0, eta0=2.0,
-             eta_adapt=True, unconstrained=False)
+             eta_adapt=True)
     @example(model=UNBOUNDED, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, alpha0=1.0, eta0=0.5,
-             eta_adapt=False, unconstrained=True)
+             eta_adapt=False)
     @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, alpha0=0.5, eta0=2.0,
-             eta_adapt=True, unconstrained=False)
+             eta_adapt=True)
     @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_step_loop(
-        self, model, n_max, r_max, horizon, seed, tau, alpha0, eta0, eta_adapt, unconstrained
-    ):
+    def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, alpha0, eta0, eta_adapt):
         cfg = LearnerConfig(
             trunc=Truncation(n_max, r_max), tau=tau, alpha0=alpha0, eta0=eta0, eta_adapt=eta_adapt,
-            c_max=0.4, horizon=horizon, seed=seed, unconstrained=unconstrained,
+            c_max=0.4, horizon=horizon, seed=seed,
         )
         ref, ref_rows = _reference_train(model, cfg)
         ls, tl = train(model, cfg)
@@ -212,19 +209,6 @@ class TestTrain:
         assert len(tl.running_aoi) == len(tl.running_cost) == len(tl.steps) == 500
         assert 0.0 <= tl.running_cost[-1] <= 1.0
         assert ls.n == 500
-
-    def test_clean_channel_unconstrained_learns_to_transmit(self):
-        # Budget-free mode on an error-free single-attempt link leaves the
-        # fresh update as the only action, so the age is pinned at 1.
-        model = ChannelModel(TINY, 1.0, 0)
-        cfg = LearnerConfig(
-            trunc=Truncation(20, 0), eta0=0.0, eta_adapt=False, c_max=1.0,
-            horizon=5_000, seed=5, unconstrained=True,
-        )
-        ls, tl = train(model, cfg)
-        assert tl.running_aoi[-1] == pytest.approx(1.0, abs=1e-12)
-        greedy = ls.greedy_table()
-        assert all(a is Action.NEW_UPDATE for a in greedy.actions.values())
 
     def test_greedy_ties_prefer_retransmit_then_new_update(self):
         # On an all-zero table every admissible action ties; the last one wins.

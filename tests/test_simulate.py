@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,24 @@ class TestLongRunAgreement:
         trunc = Truncation(200, 0)
         mix = RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(5), 2.0 / 7.0)
         assert oracles.simulation_excess([(mix, model, trunc)], 100_000, 10, 13, 2e-5) <= 3.0
+
+    @pytest.mark.parametrize("horizon", [19_999, 20_000, 20_001, 20_002])
+    def test_periodic_cost_is_compared_at_its_horizon(self, horizon, monkeypatch):
+        # The schedule fixes the transmissions, so every replication has the
+        # same cost, off 1/3 by up to 1/horizon; at 19,999 and 20,002 slots
+        # that rounding exceeds the slack, and with no variance a comparison
+        # with 1/3 would count it as infinitely many standard errors.
+        case = [(PeriodicPolicy(3), ChannelModel(0.5, 0.5, 3), Truncation(100, 3))]
+        assert oracles.simulation_excess(case, horizon, 8, 7, 2e-5) <= 3.0
+        # One transmission more per replication is well past the slack.
+        real = simulate.evaluate_simulated
+
+        def one_more(*args):
+            stats = real(*args)
+            return dataclasses.replace(stats, mean_cost=stats.mean_cost + 1.0 / horizon)
+
+        monkeypatch.setattr(simulate, "evaluate_simulated", one_more)
+        assert oracles.simulation_excess(case, horizon, 8, 7, 2e-5) == math.inf
 
 
 class TestBaseline:
@@ -263,13 +284,13 @@ class TestCycleKernel:
         model = ChannelModel(0.5, 0.5, 3)
         policy = retransmit_after_failure(Truncation(20, 3))
         with pytest.raises(ProtocolViolationError) as err:
-            run(policy, model, 100_000, rng=np.random.default_rng(19))
+            run(policy, model, 100_000, np.random.default_rng(19))
         slot = err.value.slot
         assert slot > 1 and "attempt cap" in str(err.value)
-        _, trace = run(policy, model, slot - 1, rng=np.random.default_rng(19), collect_trace=True)
+        _, trace = run(policy, model, slot - 1, np.random.default_rng(19), collect_trace=True)
         assert trace[-1].state_after.r == 3  # the next slot retransmits at the cap
         with pytest.raises(ProtocolViolationError) as err:
-            run(policy, model, slot, rng=np.random.default_rng(19))
+            run(policy, model, slot, np.random.default_rng(19))
         assert err.value.slot == slot
 
 
@@ -299,8 +320,8 @@ def test_short_trace_is_prefix_of_longer_run(policy):
     model = ChannelModel(0.5, 0.5, 3)
     if policy is None:
         policy = harq_table(model, Truncation(60, 3), 4.0)
-    _, short = run(policy, model, 50, rng=np.random.default_rng(1), collect_trace=True)
-    stats, trace = run(policy, model, 5_000, rng=np.random.default_rng(1), collect_trace=True)
+    _, short = run(policy, model, 50, np.random.default_rng(1), collect_trace=True)
+    stats, trace = run(policy, model, 5_000, np.random.default_rng(1), collect_trace=True)
     assert trace[:50] == short
     assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
     assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 5_000, rel=1e-14)
@@ -410,7 +431,7 @@ def test_kernel_matches_slot_by_slot_reference(case):
     else:
         model = ChannelModel(0.999, 0.9999, None)
         policy = retransmit_after_failure(Truncation(20, 3))
-    _, trace = run(policy, model, 3_000, rng=np.random.default_rng(18), collect_trace=True)
+    _, trace = run(policy, model, 3_000, np.random.default_rng(18), collect_trace=True)
     assert trace == reference_trace(policy, model, 3_000, np.random.default_rng(18))
 
 
@@ -420,5 +441,5 @@ def test_violation_slot_matches_reference():
     with pytest.raises(ProtocolViolationError) as ref:
         reference_trace(policy, model, 100_000, np.random.default_rng(23))
     with pytest.raises(ProtocolViolationError) as err:
-        run(policy, model, 100_000, rng=np.random.default_rng(23))
+        run(policy, model, 100_000, np.random.default_rng(23))
     assert err.value.slot == ref.value.slot
