@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -81,6 +82,8 @@ def _checked(convert, build):
 
 
 _CMAX = _checked(float, baseline_periodic)  # the budget range every solver checks
+# The charge range, which the solver checks first; a solve on two states is instant.
+_ETA = _checked(float, functools.partial(solve, ChannelModel(0.5), Truncation(2, 0)))
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
@@ -476,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="policy iteration for the average-cost optimum at a fixed charge")
     _model_args(p)
-    p.add_argument("--eta", type=float, default=5.0)
+    p.add_argument("--eta", type=_ETA, default=5.0)
     p.add_argument("--out", help="CSV dump of h/Q/policy tables")
     p.set_defaults(func=cmd_solve)
 
@@ -513,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count(0), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=_checked(float, lambda tau: LearnerConfig(Truncation(2, 0), tau)), default=1.0)
     p.add_argument("--eta0", type=float, default=2.0)
     p.add_argument("--eta-step", type=float, default=0.5)
     p.add_argument("--no-eta-adapt", action="store_true")
@@ -530,11 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, nargs="+")
     p.add_argument("--cmax", type=float, nargs="+")
     p.add_argument("--protocols", nargs="+", choices=("arq", "harq", "baseline"))
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_count(0), help="slots per replication (0: no simulation)")
     p.add_argument("--reps", type=int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count(1), default=1)
     p.add_argument("--quick", action="store_true", help="reduced horizon and replications")
     p.add_argument("--out", help="sweep CSV (stdout when omitted)")
     p.set_defaults(func=cmd_sweep)

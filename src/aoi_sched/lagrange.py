@@ -250,16 +250,13 @@ def solve_constrained(
 
     mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
 
+    # Without an exact hit the endpoints' costs differ, so their tables do too.
     diff = table_difference(policy_low, policy_high)
-    if len(diff) == 0:
-        mixed: Policy = policy_high
-        achieved = res_high
+    if len(diff) == 1:
+        mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
     else:
-        if len(diff) == 1:
-            mixed = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
-        else:
-            mixed = RenewalMixture(policy_low, policy_high, renewal_mixture_weight(res_low, res_high, c_max))
-        achieved = evaluate_exact(mixed, model, trunc)
+        mixed = RenewalMixture(policy_low, policy_high, renewal_mixture_weight(res_low, res_high, c_max))
+    achieved = evaluate_exact(mixed, model, trunc)
     return ConstrainedSolution(
         eta_star,
         policy_low,

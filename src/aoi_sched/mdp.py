@@ -11,18 +11,17 @@ improving HARQ combining.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs, dtrtrs
 
 from .errors import InadmissibleActionError, InadmissibleQueryError
-
-# Scan limit when locating the first r with g(r) underflowing to exactly 0.
-_UNDERFLOW_SCAN_LIMIT = 8192
 
 
 class Action(IntEnum):
@@ -58,49 +57,42 @@ class TransitionEntry(NamedTuple):
 class ChannelModel:
     """Decoding-error profile ``g(r) = p0 * lam**r`` with retransmission cap.
 
-    ``r_max`` is the largest admissible attempt count; ``None`` leaves it
-    unbounded (the solver truncation then supplies the cap).  If ``g(r)``
-    underflows to exactly zero for some ``r``, success at that point is
-    certain and ``r_max`` is tightened to the smallest such ``r``.
+    ``r_max`` is the largest admissible attempt count, a finite integer.  If
+    ``g(r)`` underflows to exactly zero for some ``r <= r_max``, success at
+    that point is certain and ``r_max`` is cut back to the smallest such
+    ``r``; so a large ``r_max`` sets no practical cap.
     """
 
     p0: float
     lam: float = 1.0
-    r_max: int | None = 0
+    r_max: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.p0 < 1.0:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if self.r_max is not None and self.r_max < 0:
-            raise ValueError(f"r_max must be non-negative, got {self.r_max}")
-        cap = self._underflow_cap()
-        if cap is not None and (self.r_max is None or cap < self.r_max):
-            object.__setattr__(self, "r_max", cap)
-
-    def _underflow_cap(self) -> int | None:
-        if self.lam == 1.0:
-            return None
-        bound = self.r_max if self.r_max is not None else _UNDERFLOW_SCAN_LIMIT
-        # g is monotone in r, so the first zero can be found by bisection,
-        # but the bound is small enough that a geometric probe suffices.
-        if self.p0 * self.lam ** min(bound, _UNDERFLOW_SCAN_LIMIT) > 0.0:
-            return None
-        lo, hi = 0, min(bound, _UNDERFLOW_SCAN_LIMIT)
+        if not isinstance(self.r_max, Integral) or self.r_max < 0:
+            raise ValueError(f"r_max must be a non-negative integer, got {self.r_max}")
+        # g is non-increasing in r, so bisect for its first zero.  Every lam < 1
+        # underflows before sys.maxsize, and below it lam**hi converts hi to a
+        # float without overflow.
+        lo, hi = 0, min(self.r_max, sys.maxsize)
+        if self.p0 * self.lam**hi > 0.0:
+            return
         while lo < hi:
             mid = (lo + hi) // 2
             if self.p0 * self.lam**mid > 0.0:
                 lo = mid + 1
             else:
                 hi = mid
-        return lo
+        object.__setattr__(self, "r_max", lo)
 
     def error_prob(self, r: int) -> float:
         """Decoding-error probability after ``r`` prior attempts."""
         if r < 0:
             raise InadmissibleQueryError(f"attempt count must be non-negative, got {r}")
-        if self.r_max is not None and r > self.r_max:
+        if r > self.r_max:
             raise InadmissibleQueryError(
                 f"attempt count {r} exceeds the model's r_max={self.r_max}"
             )
@@ -129,8 +121,6 @@ class Truncation:
 
 def effective_r_max(model: ChannelModel, trunc: Truncation) -> int:
     """Attempt-count cap actually in force: the tighter of model and truncation."""
-    if model.r_max is None:
-        return trunc.r_max
     return min(model.r_max, trunc.r_max)
 
 
@@ -203,11 +193,10 @@ def slot_outcomes(model: ChannelModel, width: int = 2) -> SlotOutcomes:
     default suffices for fresh updates.  A failed fresh update leaves the
     marker 1 when retransmission is possible at all, else 0.  ``StateSpace``,
     the simulator, the periodic evaluation, ``SlotEnv`` and ``sarsa.train``
-    read this table, widening it before the attempts reach a last column
-    below the model's cap.
+    read this table, each building it once, wide enough for every attempt
+    count it can reach.
     """
-    if model.r_max is not None:
-        width = min(width, model.r_max + 1)
+    width = min(width, model.r_max + 1)
     top = width - 1
     # Python floats from the model, so the bits match transitions().
     g = [model.error_prob(r) for r in range(width)]
@@ -275,12 +264,6 @@ class StateSpace:
         self.succ_idx[retx, Action.RETRANSMIT, 1] = self.off.take(out.reset_age[Action.RETRANSMIT].take(rr))
         self.succ_prob[retx, Action.RETRANSMIT, 0] = fail
         self.succ_prob[retx, Action.RETRANSMIT, 1] = 1.0 - fail
-        # Far beyond the underflow scan limit g(r) can be exactly 0; transitions()
-        # then drops the failure branch and success moves to the first slot.
-        dead = retx[fail == 0.0]
-        for arr in (self.succ_idx, self.succ_prob):
-            arr[dead, Action.RETRANSMIT, 0] = arr[dead, Action.RETRANSMIT, 1]
-            arr[dead, Action.RETRANSMIT, 1] = 0
 
     def __len__(self) -> int:
         return len(self.delta)

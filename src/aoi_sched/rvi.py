@@ -113,8 +113,8 @@ def solve(
     iteration; identical inputs always produce bit-identical outputs.
     ``iterations`` counts policy evaluations.
     """
-    if eta < 0.0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and non-negative, got {eta}")
     space = StateSpace(model, trunc)
     h = np.zeros(len(space)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h.shape != (len(space),):

@@ -27,6 +27,7 @@ from .simulate import SlotEnv
 
 _N_ACTIONS = len(Action)
 _BLOCK = 1024  # uniforms per generator call in train
+_ALPHA0 = 1.0  # learning rate _ALPHA0 / sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class LearnerConfig:
 
     trunc: Truncation
     tau: float = 1.0
-    alpha0: float = 1.0  # learning rate alpha0 / sqrt(n)
     eta0: float = 2.0
     eta_adapt: bool = True
     eta_step: float = 0.5  # charge step eta_step / sqrt(n)
@@ -44,10 +44,8 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.alpha0 < 0.0:
-            raise ValueError(f"alpha0 must be non-negative, got {self.alpha0}")
         if not 0.0 < self.c_max <= 1.0:
             raise ValueError(f"c_max must lie in (0, 1], got {self.c_max}")
 
@@ -147,7 +145,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     probs_next = softmax_probs(ls.q[j], cfg.tau, ls.space.admissible[j])
     a_next = _sample_action(probs_next, rng.random())
 
-    alpha = cfg.alpha0 / math.sqrt(n)
+    alpha = _ALPHA0 / math.sqrt(n)
     ls.q[i, a] += alpha * (c - ls.gain + ls.q[j, a_next] - ls.q[i, a])
     ls.gain += (c - ls.gain) / n
     ls.empirical_cost += ((1.0 if a.transmits else 0.0) - ls.empirical_cost) / n
@@ -181,17 +179,19 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     rng_env = np.random.default_rng([cfg.seed, 0])
     rng_act = np.random.default_rng([cfg.seed, 1])
     ls = make_learner(cfg, model)
-    horizon, tau, alpha0, eta_adapt = cfg.horizon, cfg.tau, cfg.alpha0, cfg.eta_adapt
+    horizon, tau, alpha0, eta_adapt = cfg.horizon, cfg.tau, _ALPHA0, cfg.eta_adapt
     eta_step, c_max = cfg.eta_step, cfg.c_max
-    n_max, r_cap, r_model = ls.space.trunc.n_max, ls.space.r_cap, model.r_max
+    n_max, r_cap = ls.space.trunc.n_max, ls.space.r_cap
     off = ls.space.off.tolist()
     q = ls.q.tolist()
     # Added to a row, this sends inadmissible entries to +inf, whose weight
     # exp(-inf) is the exact 0 that softmax_probs gives them.
     mask = np.where(ls.space.admissible, 0.0, np.inf).tolist()
+    # The mask forbids retransmitting at r_cap, so the attempts stay at most
+    # max(1, r_cap), and every entry read here equals SlotEnv's full table.
+    fail, reset_age, fail_att, allowed = (x.tolist() for x in slot_outcomes(model, r_cap + 2))
     env_u, env_k = [], 0
     act_u, act_k = [], 0
-    width = 0  # columns of the slot-outcome lists, loaded and widened as in SlotEnv.admissible
     delta, r, j = 1, 0, 0  # true state and its table row
     gain, eta, emp, aoi_sum = ls.gain, ls.eta, ls.empirical_cost, 0.0
     r_aoi, r_cost, etas, gains = (array("d") for _ in range(4))  # unboxed, unlike a list of floats
@@ -227,9 +227,6 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
             if n == horizon:
                 break
         a, i = b, j
-        if r + 1 >= width and (r_model is None or width <= r_model):
-            fail, reset_age, fail_att, allowed = (x.tolist() for x in slot_outcomes(model, 2 * (r + 1)))
-            width = len(fail[0])
         if not allowed[a][r]:
             raise ProtocolViolationError(0, f"inadmissible action {Action(a).name} in state {State(delta, r)}")
         # Cost lives in the truncated problem: the age is clamped like the table.

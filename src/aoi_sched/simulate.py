@@ -2,7 +2,9 @@
 
 One run executes a policy against the channel from the synchronized start
 state (1, 0).  The age is never truncated here; simulation is the ground
-truth against which solver truncation error is measured.
+truth against which solver truncation error is measured.  The attempt count
+never passes the model's cap, so a run builds its ``mdp.slot_outcomes``
+table once, before the first slot.
 
 Stationary policies and renewal mixtures run as lockstep renewal cycles, the
 regenerative method of Crane & Iglehart (1975).  Every visit to (1, 0) starts
@@ -132,25 +134,20 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
     u = np.empty((3, _BLOCK, _LANES))
     u_act, u_chan, u_mix = u
-    width, stride = 0, 1
+    # Indexed by action * width + attempts.  Attempts never pass the model's cap,
+    # not even by a retransmission there, where the run raises ProtocolViolationError.
+    width = model.r_max + 1
+    out = slot_outcomes(model, width)
+    fail, reset_age, fail_att = (x.ravel() for x in out[:3])
+    e0, e1, n_age, n_att = _kernel_tables(policy, width)
+    stride = n_age * n_att
+    top, att_width, out_width = (np.full(_LANES, v) for v in (n_age - 1, n_att, width))
 
     steps = scanned = 0
     while True:
         if steps + _BLOCK > cap:
             cap += cap // 2 + _BLOCK
             hd, hr, ha = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap)
-        # Attempts reach at most the cap, or, unbounded, one more per step.
-        reach = model.r_max if model.r_max is not None else int(hr[steps].max()) + _BLOCK
-        if width <= reach:
-            # Indexed by action * width + attempts.  Attempts stay below width even
-            # past the cap, where the run raises ProtocolViolationError anyway.
-            out = slot_outcomes(model, 2 * reach + 1)
-            width = out.fail.shape[1]
-            fail, reset_age, fail_att = (x.ravel() for x in out[:3])
-            e0, e1, n_age, n_att = _kernel_tables(policy, width)
-            comp = comp // stride * (n_age * n_att)
-            stride = n_age * n_att
-            top, att_width, out_width = (np.full(_LANES, v) for v in (n_age - 1, n_att, width))
         rng.random(out=u)
         draw = (u_mix >= weight) * stride
         block = zip(hd[steps:], hr[steps:], ha[steps:], hd[steps + 1 :], hr[steps + 1 :], u_act, u_chan, draw)
@@ -332,29 +329,25 @@ class SlotEnv:
     """Minimal slot interface for learners: hides the error profile.
 
     ``step`` applies an action to the true (untruncated) state and reports
-    the next state and the transmission outcome from ``mdp.slot_outcomes``.
-    With ``sarsa.step`` it is the per-slot specification of ``sarsa.train``,
-    which runs the same slots on list copies of the table.
+    the next state and the transmission outcome from ``mdp.slot_outcomes``,
+    loaded once up to the model's attempt cap.  With ``sarsa.step`` it is the
+    per-slot specification of ``sarsa.train``, which runs the same slots on
+    list copies of the table.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
-        self.model = model
         self.rng = rng
         self.state = State(1, 0)
-        self._fail = [[]]  # outcome table rows, loaded and widened by admissible()
+        # Nested lists: a Python lookup per slot is far cheaper than a numpy one.
+        out = slot_outcomes(model, model.r_max + 1)
+        self._fail, self._reset_age, self._fail_att, self._admissible = (x.tolist() for x in out)
 
     def reset(self) -> State:
         self.state = State(1, 0)
         return self.state
 
     def admissible(self, a: Action) -> bool:
-        r, width = self.state.r, len(self._fail[0])
-        # The last column is exact only at the model's own cap.
-        if r + 1 >= width and (self.model.r_max is None or width <= self.model.r_max):
-            # Nested lists: a Python lookup per slot is far cheaper than a numpy one.
-            out = slot_outcomes(self.model, 2 * (r + 1))
-            self._fail, self._reset_age, self._fail_att, self._admissible = (x.tolist() for x in out)
-        return self._admissible[a][r]
+        return self._admissible[a][self.state.r]
 
     def step(self, a: Action) -> tuple[State, bool | None]:
         if not self.admissible(a):

@@ -303,6 +303,8 @@ def test_verify_fails_when_a_collaborator_breaks(name, monkeypatch, capsys):
         ["simulate", "--reps", "0"],
         ["simulate", "--horizon", "0"],
         ["simulate", "--trace-slots", "0"],
+        ["sweep", "--horizon", "-5"],
+        ["sweep", "--workers", "0"],
     ],
 )
 def test_count_flags_reject_bad_values(argv, capsys):
@@ -326,6 +328,11 @@ def test_count_flags_reject_bad_values(argv, capsys):
         (["learn", "--cmax", "1.5"], "--cmax"),
         (["arq", "--p", "1", "--cmax", "0.3"], "--p"),
         (["arq", "--p", "0.5", "--cmax", "-0.1"], "--cmax"),
+        (["solve", "--eta", "-1"], "--eta"),
+        (["solve", "--eta", "nan"], "--eta"),
+        (["solve", "--eta", "inf"], "--eta"),
+        (["learn", "--tau", "0"], "--tau"),
+        (["learn", "--tau", "nan"], "--tau"),
     ],
 )
 def test_value_flags_reject_bad_values(argv, flag, capsys):

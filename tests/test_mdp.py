@@ -30,7 +30,7 @@ class TestErrorProb:
         assert ChannelModel(0.5, 0.5, 3).error_prob(0) == 0.5
 
     def test_arq_constant_error(self):
-        assert ChannelModel(0.5, 1.0, None).error_prob(7) == 0.5
+        assert ChannelModel(0.5, 1.0, 40).error_prob(7) == 0.5
 
     def test_exponential_decay(self):
         assert ChannelModel(0.3, 0.5, 3).error_prob(2) == pytest.approx(0.075, abs=1e-15)
@@ -41,10 +41,25 @@ class TestErrorProb:
 
     def test_underflow_caps_r_max(self):
         # g(2) = 0.5 * (1e-300)**2 underflows to exactly 0.
-        model = ChannelModel(0.5, 1e-300, None)
+        model = ChannelModel(0.5, 1e-300, 40)
         assert model.r_max == 2
         assert model.error_prob(2) == 0.0
         assert model.error_prob(1) > 0.0
+
+    def test_underflow_cap_is_exact_for_large_caps(self):
+        model = ChannelModel(0.5, 0.95, 20000)
+        assert model.r_max == 14506
+        assert model.error_prob(14506) == 0.0 and model.error_prob(14505) > 0.0
+
+    def test_huge_cap_needs_no_float_conversion(self):
+        # g(1074) = 2**-1075 rounds to 0; without decay nothing underflows.
+        assert ChannelModel(0.5, 0.5, 10**400).r_max == 1074
+        assert ChannelModel(0.5, 1.0, 10**400).r_max == 10**400
+
+    @pytest.mark.parametrize("bad", [None, -1, 2.0])
+    def test_r_max_validation(self, bad):
+        with pytest.raises(ValueError, match="r_max"):
+            ChannelModel(0.5, 0.5, bad)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_p0_validation(self, bad):
@@ -233,21 +248,13 @@ class TestStateSpace:
     @given(
         p0=st.floats(0.01, 0.99),
         lam=st.one_of(st.floats(1e-200, 1.0), st.just(1.0)),
-        model_r_max=st.one_of(st.none(), st.integers(0, 12)),
+        model_r_max=st.one_of(st.just(40), st.integers(0, 12)),
         n_max=st.integers(2, 80),
         trunc_r_max=st.integers(0, 90),
     )
     @settings(max_examples=150, deadline=None)
     def test_arrays_equal_scalar_specification(self, p0, lam, model_r_max, n_max, trunc_r_max):
         assert_matches_spec(ChannelModel(p0, lam, model_r_max), Truncation(n_max, trunc_r_max))
-
-    def test_failure_branch_dropped_where_error_underflows(self, monkeypatch):
-        # Past the underflow scan limit g(r) can be exactly 0 below the cap;
-        # the successful retransmission then takes the first successor slot.
-        monkeypatch.setattr(mdp, "_UNDERFLOW_SCAN_LIMIT", 1)
-        model = ChannelModel(0.5, 1e-200, None)
-        assert model.r_max is None and model.error_prob(2) == 0.0
-        assert_matches_spec(model, Truncation(10, 9))
 
     def test_hot_paths_never_call_the_scalar_specification(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -275,7 +282,7 @@ def random_chain(space, seed):
 CHAIN_CASES = dict(
     p0=st.floats(0.01, 0.99),
     lam=st.floats(0.05, 1.0),
-    r_max=st.sampled_from([0, 1, 3, None]),
+    r_max=st.sampled_from([0, 1, 3, 40]),
     n_max=st.integers(2, 40),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -286,7 +293,7 @@ class TestBorderChain:
     @settings(max_examples=60, deadline=None)
     def test_border_holds_every_state_not_entered_from_the_age_below(self, p0, lam, r_max, n_max, seed):
         model = ChannelModel(p0, lam, r_max)
-        space = StateSpace(model, Truncation(n_max, n_max if r_max is None else r_max))
+        space = StateSpace(model, Truncation(n_max, r_max))
         succ = space.succ_idx[space.succ_prob > 0.0]
         src = np.broadcast_to(np.arange(len(space))[:, None, None], space.succ_idx.shape)[space.succ_prob > 0.0]
         elsewhere = space.age[succ] != space.age[src] + 1
@@ -302,7 +309,7 @@ class TestBorderChain:
     @settings(max_examples=60, deadline=None)
     def test_complement_matches_dense_elimination(self, p0, lam, r_max, n_max, seed):
         model = ChannelModel(p0, lam, r_max)
-        space = StateSpace(model, Truncation(n_max, n_max if r_max is None else r_max))
+        space = StateSpace(model, Truncation(n_max, r_max))
         src, dst, prob = random_chain(space, seed)
         P = np.zeros((len(space), len(space)))
         np.add.at(P, (src, dst), prob)

@@ -76,9 +76,10 @@ class TestStep:
         assert ls.empirical_cost == 1.0
         assert ls.n == 1
 
-    def test_zero_step_size_freezes_table(self):
+    def test_zero_step_size_freezes_table(self, monkeypatch):
+        monkeypatch.setattr(sarsa, "_ALPHA0", 0.0)
         model = ChannelModel(0.5, 0.5, 3)
-        cfg = _cfg(alpha0=0.0, eta0=2.0)
+        cfg = _cfg(eta0=2.0)
         rng = np.random.default_rng(1)
         env = SlotEnv(model, np.random.default_rng(2))
         ls = make_learner(cfg, model)
@@ -129,16 +130,13 @@ def _reference_train(model, cfg):
     return ls, np.array(rows, dtype=np.float64).reshape(cfg.horizon, 4).T
 
 
-# lam = 0.95 keeps r_max unbounded (lam = 0.5 would cap it by underflow), so
-# its learner can outgrow any slot-outcome table.
-UNBOUNDED = ChannelModel(0.6, 0.95, None)
-MODELS = [UNBOUNDED, ChannelModel(0.5, 1.0, 0), ChannelModel(0.5, 0.5, 3), ChannelModel(0.7, 0.8, 9)]
+# A model cap wider than every truncation cap drawn below, so the learner's
+# table is tighter than the channel.
+WIDE = ChannelModel(0.6, 0.95, 40)
+MODELS = [WIDE, ChannelModel(0.5, 1.0, 0), ChannelModel(0.5, 0.5, 3), ChannelModel(0.7, 0.8, 9)]
 
 
 class TestTrainMatchesSteps:
-    def test_unbounded_model_stays_unbounded(self):
-        assert UNBOUNDED.r_max is None
-
     # Horizons past 1024 cross a block of action uniforms, and past about
     # 2000 a block of channel uniforms.
     @given(
@@ -148,20 +146,16 @@ class TestTrainMatchesSteps:
         horizon=st.integers(0, 3000),
         seed=st.integers(0, 2**32 - 1),
         tau=st.floats(0.05, 5.0),
-        alpha0=st.floats(0.0, 2.0),
         eta0=st.floats(0.0, 20.0),
         eta_adapt=st.booleans(),
     )
-    @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, alpha0=1.0, eta0=2.0,
-             eta_adapt=True)
-    @example(model=UNBOUNDED, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, alpha0=1.0, eta0=0.5,
-             eta_adapt=False)
-    @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, alpha0=0.5, eta0=2.0,
-             eta_adapt=True)
+    @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, eta0=2.0, eta_adapt=True)
+    @example(model=WIDE, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, eta0=0.5, eta_adapt=False)
+    @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, eta0=2.0, eta_adapt=True)
     @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, alpha0, eta0, eta_adapt):
+    def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, eta0, eta_adapt):
         cfg = LearnerConfig(
-            trunc=Truncation(n_max, r_max), tau=tau, alpha0=alpha0, eta0=eta0, eta_adapt=eta_adapt,
+            trunc=Truncation(n_max, r_max), tau=tau, eta0=eta0, eta_adapt=eta_adapt,
             c_max=0.4, horizon=horizon, seed=seed,
         )
         ref, ref_rows = _reference_train(model, cfg)
@@ -183,6 +177,14 @@ class TestTrainMatchesSteps:
         cfg = LearnerConfig(trunc=Truncation(30, 3), c_max=0.4, horizon=2000, seed=0)
         with pytest.raises(ProtocolViolationError, match="inadmissible action RETRANSMIT in state"):
             train(ChannelModel(0.5, 0.5, 3), cfg)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_outcome_table_built_once(self, model, monkeypatch):
+        calls = []
+        real = sarsa.slot_outcomes
+        monkeypatch.setattr(sarsa, "slot_outcomes", lambda *args: calls.append(args) or real(*args))
+        train(model, LearnerConfig(trunc=Truncation(30, 3), c_max=0.4, horizon=3000, seed=4))
+        assert len(calls) == 1
 
 
 class TestTrain:

@@ -16,7 +16,7 @@ TINY = 1e-300
 
 def assert_trace_valid(trace, model):
     """Every recorded step must be in the transition support of its action."""
-    big = Truncation(10**9, model.r_max if model.r_max is not None else 10**8)
+    big = Truncation(10**9, model.r_max)
     for rec in trace:
         support = {e.next for e in transitions(rec.state_before, rec.action, model, big)}
         assert rec.state_after in support, rec
@@ -178,15 +178,15 @@ class TestSlotEnv:
         with pytest.raises(ProtocolViolationError):
             env.step(Action.RETRANSMIT)
 
-    @pytest.mark.parametrize("r_max", [0, 3, None])
+    @pytest.mark.parametrize("r_max", [0, 3, 40])
     def test_step_matches_transitions(self, r_max):
         # Uniform 0 fails every transmission, the largest uniform delivers it;
         # together they must reach exactly the support of the scalar rule.
         model = ChannelModel(0.6, 0.95, r_max)
-        assert model.r_max == r_max  # g(r) never underflows, so None stays unbounded
-        big = Truncation(10**9, r_max if r_max is not None else 10**8)
-        ages = range(1, 16)  # attempts up to 14, past the first table of an unbounded model
-        for s in (State(d, r) for d in ages for r in range(min(d, (r_max if r_max is not None else d) + 1))):
+        assert model.r_max == r_max  # g(r) does not underflow this early
+        big = Truncation(10**9, r_max)
+        ages = range(1, 16)  # attempts up to 14
+        for s in (State(d, r) for d in ages for r in range(min(d, r_max + 1))):
             allowed = admissible_actions(s, model, big)
             for a in Action:
                 outcomes = set()
@@ -203,17 +203,14 @@ class TestSlotEnv:
                 if a in allowed:
                     assert outcomes == {e.next for e in transitions(s, a, model, big)}, (s, a)
 
-    def test_unbounded_retransmissions_outgrow_the_first_table(self):
-        model = ChannelModel(0.6, 0.95, None)
-        assert model.r_max is None
-        big = Truncation(10**9, 10**8)
-        env = SlotEnv(model, ForcedUniform(0.0))
-        s = env.reset()
-        for a in [Action.NEW_UPDATE] + [Action.RETRANSMIT] * 40:
-            fail_branch = transitions(s, a, model, big)[0].next
-            s, ok = env.step(a)
-            assert ok is False and s == fail_branch
-        assert s == State(42, 41)
+    def test_outcome_table_built_once(self, monkeypatch):
+        calls = []
+        real = simulate.slot_outcomes
+        monkeypatch.setattr(simulate, "slot_outcomes", lambda *args: calls.append(args) or real(*args))
+        env = SlotEnv(ChannelModel(0.6, 0.95, 40), ForcedUniform(0.0))
+        for a in [Action.NEW_UPDATE] + [Action.RETRANSMIT] * 39:
+            env.step(a)
+        assert env.state.r == 40 and len(calls) == 1
 
 
 class ForcedUniform:
@@ -271,14 +268,23 @@ class TestCycleKernel:
         assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
 
     def test_unbounded_attempts_are_exact(self):
-        # Without a model cap the attempt count can outgrow any fixed table:
-        # here long runs of failed retransmissions take it past 100.
-        model = ChannelModel(0.999, 0.9999, None)
+        # Under a wide model cap long runs of failed retransmissions take the
+        # attempt count past 100.
+        model = ChannelModel(0.999, 0.9999, 1000)
         policy = retransmit_after_failure(Truncation(20, 3))
         stats, trace = run(policy, model, 3_000, seed=8, collect_trace=True)
         assert max(rec.state_after.r for rec in trace) > 100
         assert_trace_valid(trace, model)
         assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 3_000, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["cycles", "periodic"])
+    def test_outcome_table_built_once(self, kind, monkeypatch):
+        calls = []
+        real = simulate.slot_outcomes
+        monkeypatch.setattr(simulate, "slot_outcomes", lambda *args: calls.append(args) or real(*args))
+        policy = retransmit_after_failure(Truncation(20, 3)) if kind == "cycles" else PeriodicPolicy(3)
+        run(policy, ChannelModel(0.999, 0.9999, 1000), 3_000, seed=8)
+        assert len(calls) == 1
 
     def test_violation_raised_exactly_within_the_horizon(self):
         model = ChannelModel(0.5, 0.5, 3)
@@ -343,12 +349,12 @@ def reference_trace(policy, model, horizon, rng):
     def slot(state, action, u_chan):
         if action is Action.IDLE:
             return None, State(state.delta + 1, 0)
-        if action is Action.RETRANSMIT and not 1 <= state.r < (model.r_max if model.r_max is not None else np.inf):
+        if action is Action.RETRANSMIT and not 1 <= state.r < model.r_max:
             raise ProtocolViolationError(len(trace) + 1, "inadmissible retransmission")
         attempts = 0 if action is Action.NEW_UPDATE else state.r
         if u_chan >= model.error_prob(attempts):
             return True, State(attempts + 1, 0)
-        failed = 1 if model.r_max is None or model.r_max >= 1 else 0
+        failed = 1 if model.r_max >= 1 else 0
         return False, State(state.delta + 1, failed if action is Action.NEW_UPDATE else state.r + 1)
 
     def choose(probs, u):
@@ -429,7 +435,7 @@ def test_kernel_matches_slot_by_slot_reference(case):
         acts[State(32, 1)] = acts[State(33, 2)] = Action.RETRANSMIT
         policy = DeterministicTable(acts, trunc)
     else:
-        model = ChannelModel(0.999, 0.9999, None)
+        model = ChannelModel(0.999, 0.9999, 1000)
         policy = retransmit_after_failure(Truncation(20, 3))
     _, trace = run(policy, model, 3_000, np.random.default_rng(18), collect_trace=True)
     assert trace == reference_trace(policy, model, 3_000, np.random.default_rng(18))
