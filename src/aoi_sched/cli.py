@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=_CMAX, default=0.4)
     p.add_argument("--horizon", type=_count(1), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", help="stats CSV")
     p.add_argument("--trace-out", help="slot trace CSV (first --trace-slots slots)")
     p.add_argument("--trace-slots", type=_count(1), default=1000)
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=_CMAX, default=0.4)
     p.add_argument("--steps", type=_count(0), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--tau", type=_checked(float, lambda tau: LearnerConfig(Truncation(2, 0), tau)), default=1.0)
     p.add_argument("--eta0", type=float, default=2.0)
     p.add_argument("--eta-step", type=float, default=0.5)
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_count(0), help="slots per replication (0: no simulation)")
     p.add_argument("--reps", type=int)
     p.add_argument("--nmax", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_count(0))
     p.add_argument("--workers", type=_count(1), default=1)
     p.add_argument("--quick", action="store_true", help="reduced horizon and replications")
     p.add_argument("--out", help="sweep CSV (stdout when omitted)")

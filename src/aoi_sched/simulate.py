@@ -9,15 +9,20 @@ table once, before the first slot.
 Stationary policies and renewal mixtures run as lockstep renewal cycles, the
 regenerative method of Crane & Iglehart (1975).  Every visit to (1, 0) starts
 a cycle independent of and distributed as every other, so ``_LANES`` lanes
-each start at (1, 0) and advance together, one vectorized step per slot.
-Cycle ``i`` of the run is cycle ``i // _LANES`` of lane ``i % _LANES``.  The
-cycles are joined in that order and cut at exactly ``horizon`` slots, the
-last one possibly partial; a lane that never renews contributes one endless
-partial cycle.  The order does not depend on any outcome, so the joined
-timeline is distributed as one long run.  Uniforms are drawn in blocks of
-``_BLOCK`` steps for all lanes (action, channel and mixture component per
-lane and step), so no lane's path depends on the horizon: the first ``n``
-slots of a run are the run of ``n`` slots on the same generator.
+each start at (1, 0) and advance together, one vectorized step per decision
+slot.  A lane with no packet in flight first jumps over the ages at which its
+policy's table idles surely, adding their slots and ages in closed form, and
+then draws its action and channel outcome at the next age; a lane whose
+table idles surely from its age on jumps past any horizon.  Cycle ``i`` of
+the run is cycle ``i // _LANES`` of lane ``i % _LANES``.  The cycles are
+joined in that order and cut at exactly ``horizon`` slots, the last one
+possibly partial, even inside a jump; a lane that never renews contributes
+one endless partial cycle.  The order does not depend on any outcome, so the
+joined timeline is distributed as one long run.  Uniforms are drawn in
+blocks of ``_BLOCK`` steps for all lanes (action, channel and mixture
+component per lane and step; a jumped sure idle draws none), so no lane's
+path depends on the horizon: the first ``n`` slots of a run are the run of
+``n`` slots on the same generator.
 
 The open-loop periodic baseline acts on the slot number, not on renewals; a
 closed-form pass over its transmission slots simulates it.
@@ -36,7 +41,7 @@ from .policies import PeriodicPolicy, Policy, RenewalMixture
 
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
-_NEVER = np.iinfo(np.int64).max  # start step of a cycle not yet begun
+_NEVER = 2**62  # an age or step no run reaches, with room to count past it
 _ACTIONS = tuple(Action)
 
 
@@ -76,27 +81,37 @@ def baseline_periodic(c_max: float) -> PeriodicPolicy:
     return PeriodicPolicy(math.ceil(1.0 / c_max - 1e-12))
 
 
-def _kernel_tables(policy: Policy, width: int):
-    """Flat action tables of the kernel for attempt counts below ``width``.
+def _kernel_tables(policy: Policy):
+    """Flat tables of the kernel, indexed by ``(component, attempts, age)``.
 
-    Action edges ``e0``, ``e1`` are indexed by ``(component, age, attempts)``
-    with ``n_att >= width`` attempts, so attempts need no clamping; a uniform
-    ``u`` selects action ``(u >= e0) + (u >= e1)``.  A stationary policy is a
-    one-component mixture.
+    Components are padded to the largest age and attempt count among them by
+    repeating their last row and column, which keeps each one's clamping; the
+    kernel clamps ages and attempts to the padded table, so the tables have
+    the policy's size whatever the model's attempt cap.  A uniform ``u``
+    selects action ``(u >= e0) + (u >= e1)``.  In column 0, ``jump`` is the
+    first age from the row's own on whose row is not a sure idle (a clamped
+    age reads the last row), or ``_NEVER`` when the last row idles surely; in
+    the other columns it is the row's own age.  ``row`` is the flat index of
+    the row at age ``jump``, clamped.  A stationary policy is a one-component
+    mixture.
     """
     mixture = isinstance(policy, RenewalMixture)
     parts = [p.table for p in ((policy.first, policy.second) if mixture else (policy,))]
     n_age = max(p.shape[0] for p in parts)
-    n_att = max(width, *(p.shape[1] for p in parts))
-    # Repeating the last row and column keeps each component's clamping.
+    n_att = max(p.shape[1] for p in parts)
     probs = np.stack(
         [np.pad(p, ((0, n_age - p.shape[0]), (0, n_att - p.shape[1]), (0, 0)), mode="edge") for p in parts]
-    )
+    ).transpose(0, 2, 1, 3)
     # An edge with no probability beyond it is never crossed, whatever the
-    # rounding of the cumulative sum.
+    # rounding of the cumulative sum; a sure idle has e0 = inf.
     beyond = np.cumsum(probs[..., ::-1], axis=-1)[..., -2::-1]
     edges = np.where(beyond > 0.0, np.cumsum(probs, axis=-1)[..., :-1], np.inf)
-    return edges[..., 0].ravel(), edges[..., 1].ravel(), n_age, n_att
+    age = np.broadcast_to(np.arange(n_age), edges.shape[:-1])
+    jump = age.copy()
+    decides = np.where(edges[:, 0, :, 0] < np.inf, age[:, 0], _NEVER)
+    jump[:, 0] = np.minimum.accumulate(decides[:, ::-1], axis=1)[:, ::-1]
+    row = np.arange(age.size).reshape(age.shape) - age + np.minimum(jump, n_age - 1)
+    return edges[..., 0].ravel(), edges[..., 1].ravel(), jump.ravel(), row.ravel(), n_age, n_att
 
 
 def _grow(a: np.ndarray, rows: int) -> np.ndarray:
@@ -112,16 +127,21 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     ``horizon`` slots and, when ``trace`` is set, its per-slot age,
     attempts, action, and next age and attempts.
     """
-    weight = policy.weight_first if isinstance(policy, RenewalMixture) else 1.0
+    mixture = isinstance(policy, RenewalMixture)
+    weight = policy.weight_first if mixture else 1.0
     lanes = np.arange(_LANES)
 
-    # Per-lane history, row t = state before step t: age, attempts, action.
-    # Room for about 1.25 * horizon / _LANES steps, grown when a run needs more.
-    cap = (horizon // (_LANES * _BLOCK) * 5 // 4 + 2) * _BLOCK
+    # Per-lane history, row t = state before step t: age, attempts, action of
+    # its decision slot, and the slots of the steps before it.  Room for about
+    # 0.625 * horizon / _LANES steps, as a threshold-shaped policy decides in
+    # under half of its slots, grown when a run needs more.
+    cap = (horizon // (_LANES * _BLOCK) * 5 // 8 + 2) * _BLOCK
     hd = np.empty((cap + 1, _LANES), np.int64)
     hr = np.empty((cap + 1, _LANES), np.int64)
     ha = np.empty((cap, _LANES), np.uint8)
-    hd[0], hr[0] = 1, 0
+    hs = np.empty((cap + 1, _LANES), np.int64)
+    hd[0], hr[0], hs[0] = 1, 0, 0
+    he = np.empty((_BLOCK, _LANES), np.int64)  # decision age of each step of a block
     # starts[l, c]: the step at which lane l's cycle c begins.
     starts = np.full((_LANES, 8), _NEVER)
     starts[:, 0] = 0
@@ -130,6 +150,7 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     idx, j, tmp = (np.empty(_LANES, np.int64) for _ in range(3))
     edge = np.empty(_LANES)
     lo, hi, renew = (np.empty(_LANES, bool) for _ in range(3))
+    lo8, hi8 = lo.view(np.uint8), hi.view(np.uint8)
     # Array operands: ufuncs convert a Python scalar operand on every call.
     one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
     u = np.empty((3, _BLOCK, _LANES))
@@ -139,44 +160,54 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     width = model.r_max + 1
     out = slot_outcomes(model, width)
     fail, reset_age, fail_att = (x.ravel() for x in out[:3])
-    e0, e1, n_age, n_att = _kernel_tables(policy, width)
+    e0, e1, jump, row, n_age, n_att = _kernel_tables(policy)
     stride = n_age * n_att
-    top, att_width, out_width = (np.full(_LANES, v) for v in (n_age - 1, n_att, width))
+    column = np.minimum(np.arange(width), n_att - 1) * n_age  # table offset of each attempt count
+    age_top, out_width = np.full(_LANES, n_age - 1), np.full(_LANES, width)
 
     steps = scanned = 0
     while True:
         if steps + _BLOCK > cap:
             cap += cap // 2 + _BLOCK
-            hd, hr, ha = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap)
+            hd, hr, ha, hs = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap), _grow(hs, cap + 1)
         rng.random(out=u)
         draw = (u_mix >= weight) * stride
-        block = zip(hd[steps:], hr[steps:], ha[steps:], hd[steps + 1 :], hr[steps + 1 :], u_act, u_chan, draw)
-        for d, r, a, dn, rn, ua, uc, new_comp in block:
-            np.equal(d, one, out=renew)
-            np.putmask(comp, renew, new_comp)  # redrawn at every visit to (1, 0)
-            np.minimum(d, top, out=idx)
-            idx *= att_width
-            idx += r
-            idx += comp
+        block = zip(hd[steps:], hr[steps:], ha[steps:], he, hd[steps + 1 :], hr[steps + 1 :], u_act, u_chan, draw)
+        for d, r, a, e, dn, rn, ua, uc, new_comp in block:
+            column.take(r, out=idx, mode="clip")
+            if mixture:
+                np.equal(d, one, out=renew)
+                np.putmask(comp, renew, new_comp)  # redrawn at every visit to (1, 0)
+                idx += comp
+            np.minimum(d, age_top, out=tmp)
+            idx += tmp
+            # Idle surely up to the decision age e, then decide in its row.
+            jump.take(idx, out=e, mode="clip")
+            np.maximum(e, d, out=e)
+            row.take(idx, out=idx, mode="clip")
             e0.take(idx, out=edge, mode="clip")
             np.greater_equal(ua, edge, out=lo)
             e1.take(idx, out=edge, mode="clip")
             np.greater_equal(ua, edge, out=hi)
-            np.add(lo.view(np.uint8), hi.view(np.uint8), out=a)
+            np.add(lo8, hi8, out=a)
             np.copyto(j, a)
             j *= out_width
             j += r
             fail.take(j, out=edge, mode="clip")
             np.greater_equal(uc, edge, out=hi)  # delivered
             reset_age.take(j, out=tmp, mode="clip")
-            np.add(d, one, out=dn)
+            np.add(e, one, out=dn)
             np.putmask(dn, hi, tmp)
             fail_att.take(j, out=rn, mode="clip")
             np.putmask(rn, hi, zero)
+        # A step covers its jumped ages d .. e - 1 and its decision slot.
+        covered = hs[steps + 1 : steps + _BLOCK + 1]
+        np.cumsum(he - hd[steps : steps + _BLOCK] + 1, axis=0, out=covered)
+        covered += hs[steps]
 
         steps += _BLOCK
-        if steps * _LANES < horizon:
-            continue  # too few lane steps to cover the horizon yet
+        if np.minimum(hs[steps], horizon).sum() < horizon:
+            continue  # too few lane slots to cover the horizon yet
         # Cycles begun since the last scan: age 1 after a step.
         lane_of, step_of = np.nonzero(hd[scanned + 1 : steps + 1].T == 1)
         if len(lane_of):
@@ -190,59 +221,60 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
             done += count
         scanned = steps
         # The joined timeline is covered up to the first cycle still running,
-        # plus that cycle's progress.
+        # plus that cycle's progress; a lane that idles surely forever has
+        # covered about _NEVER slots.
         first = int((done * _LANES + lanes).min())
         q, lane = divmod(first, _LANES)
-        before = starts[lanes, q + (lanes < lane)]
-        if before.sum() - before[lane] + steps >= horizon:
-            break
-        # A lane idling at the last age row with no packet in flight idles
-        # forever: its cycle never ends and covers the rest of the horizon.
-        top_row = (n_age - 1) * n_att + comp[lane]
-        if hd[steps, lane] >= n_age - 1 and hr[steps, lane] == 0 and e0[top_row] == np.inf:
+        before = hs[starts[lanes, q + (lanes < lane)], lanes]
+        if before.sum() - before[lane] + hs[steps, lane] >= horizon:
             break
 
-    ends = np.cumsum(np.diff(starts[:, : q + 2], axis=1).T.ravel()[:first])
+    # Slot of each lane at which its cycles begin; cycles not begun read the last.
+    at = hs[np.minimum(starts[:, : q + 2], steps), lanes[:, None]]
+    ends = np.cumsum(np.diff(at, axis=1).T.ravel()[:first])
     m = int(np.searchsorted(ends, horizon))  # the cycle holding the last slot
     begins = np.concatenate(([0], ends[:m]))  # first slot of each cycle, minus one
     q, lane = divmod(m, _LANES)
-    cut = starts[lanes, q + (lanes < lane)]
+    cut = at[lanes, q + (lanes < lane)]
     cut[lane] += horizon - begins[m]
-    # Slots past the last step belong to the lane idling forever.
-    idle_tail = max(int(cut[lane]) - steps, 0)
-    cut[lane] -= idle_tail
-    kept = np.arange(steps)[:, None] < cut  # lane steps inside the first horizon slots
+    # Slots of each step inside the first horizon slots, and whether its
+    # decision slot, its last, is one of them.
+    kept = np.minimum(hs[1 : steps + 1], cut)
+    kept -= hs[:steps]
+    np.maximum(kept, 0, out=kept)
+    decided = hs[1 : steps + 1] <= cut
 
-    step_of, lane_of = np.nonzero(kept & (ha[:steps] == Action.RETRANSMIT))
-    bad = ~out.admissible[Action.RETRANSMIT, hr[step_of, lane_of]]
+    bad = decided & (ha[:steps] == Action.RETRANSMIT)
+    bad &= ~out.admissible[Action.RETRANSMIT].take(hr[:steps], mode="clip")
     if bad.any():
-        step_of, lane_of = step_of[bad], lane_of[bad]
+        step_of, lane_of = np.nonzero(bad)
         cyc = (starts[lane_of] <= step_of[:, None]).sum(axis=1) - 1
-        slot = begins[cyc * _LANES + lane_of] + step_of - starts[lane_of, cyc] + 1
+        slot = begins[cyc * _LANES + lane_of] + hs[step_of + 1, lane_of] - hs[starts[lane_of, cyc], lane_of]
         k = int(slot.argmin())
         r_bad = int(hr[step_of[k], lane_of[k]])
         if r_bad < 1:
             raise ProtocolViolationError(int(slot[k]), "retransmit with no failed packet in flight")
         raise ProtocolViolationError(int(slot[k]), f"retransmit at the attempt cap r={r_bad}")
 
-    age = int(hd[steps, lane])  # where the idle tail starts
-    aoi_sum = int(hd[:steps].sum(where=kept)) + idle_tail * age + idle_tail * (idle_tail - 1) // 2
-    n_tx = int(np.count_nonzero(ha[:steps] * kept))
+    # A step's kept slots have ages d, d + 1, ..., d + kept - 1.
+    aoi_sum = int(np.vdot(kept, hd[:steps])) + (int(np.vdot(kept, kept)) - int(kept.sum())) // 2
+    n_tx = int(np.count_nonzero(ha[:steps] * decided))
     rows = None
     if trace:
+        # Steps of the timeline in order, then their kept slots.
         order = np.arange(m + 1)
-        length = np.diff(np.append(begins, horizon))
-        lane_t = np.repeat(order % _LANES, length)
-        step_t = np.repeat(starts[order % _LANES, order // _LANES] - begins, length) + np.arange(horizon)
-        # Past the last step: ages climb from the last state, attempts stay 0.
-        now, after = np.minimum(step_t, steps), np.minimum(step_t + 1, steps)
-        rows = (
-            hd[now, lane_t] + (step_t - now),
-            hr[now, lane_t],
-            ha[np.minimum(step_t, steps - 1), lane_t] * (step_t < steps),
-            hd[after, lane_t] + (step_t + 1 - after),
-            hr[after, lane_t],
-        )
+        lane_c, col_c = order % _LANES, order // _LANES
+        first_step = starts[lane_c, col_c]
+        n = np.minimum(starts[lane_c, col_c + 1], steps) - first_step
+        step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        flat = step_t * _LANES + np.repeat(lane_c, n)
+        count = kept.ravel()[flat]
+        f = np.repeat(flat, count)
+        offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
+        d, r, s = (x[: steps + 1].ravel() for x in (hd, hr, hs))
+        last = offset == s[f + _LANES] - s[f] - 1  # the decision slot; the others idle
+        ages = d[f] + offset
+        rows = (ages, r[f], ha[:steps].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
     return aoi_sum, n_tx, rows
 
 

@@ -305,6 +305,9 @@ def test_verify_fails_when_a_collaborator_breaks(name, monkeypatch, capsys):
         ["simulate", "--trace-slots", "0"],
         ["sweep", "--horizon", "-5"],
         ["sweep", "--workers", "0"],
+        ["simulate", "--seed", "-1"],
+        ["learn", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
     ],
 )
 def test_count_flags_reject_bad_values(argv, capsys):

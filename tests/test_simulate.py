@@ -286,6 +286,21 @@ class TestCycleKernel:
         run(policy, ChannelModel(0.999, 0.9999, 1000), 3_000, seed=8)
         assert len(calls) == 1
 
+    def test_table_sizes_do_not_depend_on_the_attempt_cap(self, monkeypatch):
+        sizes = []
+        real = simulate._kernel_tables
+
+        def spy(policy):
+            tables = real(policy)
+            sizes.append([t.size for t in tables[:4]])
+            return tables
+
+        monkeypatch.setattr(simulate, "_kernel_tables", spy)
+        policy = harq_table(ChannelModel(0.5, 0.5, 3), Truncation(60, 3), 4.0)
+        for r_max in (3, 20_000):
+            run(policy, ChannelModel(0.5, 1.0, r_max), 2_000, seed=1)
+        assert sizes == [[policy.table.size // len(Action)] * 4] * 2
+
     def test_violation_raised_exactly_within_the_horizon(self):
         model = ChannelModel(0.5, 0.5, 3)
         policy = retransmit_after_failure(Truncation(20, 3))
@@ -339,7 +354,11 @@ def reference_trace(policy, model, horizon, rng):
 
     Cycle ``i`` is the next cycle of lane ``i % _LANES``; lane ``l`` at its
     step ``s`` reads uniforms ``[:, s % _BLOCK, l]`` of block ``s // _BLOCK``.
-    The periodic baseline reads one channel uniform per transmission slot.
+    A step at (1, 0) first draws a mixture's component.  With no packet in
+    flight, a step then idles through every age whose action is surely idle,
+    reading nothing more, and decides at the next one; a sure idle with a
+    packet in flight is a step of its own.  The periodic baseline reads one
+    channel uniform per transmission slot.
     """
     lanes, block = simulate._LANES, simulate._BLOCK
     blocks = []
@@ -383,6 +402,12 @@ def reference_trace(policy, model, horizon, rng):
                 active = policy.first if u_mix < policy.weight_first else policy.second
             elif state == State(1, 0):
                 active = policy
+            while state.r == 0 and set(active.action_probs(state)) == {Action.IDLE} and len(trace) < horizon:
+                after = State(state.delta + 1, 0)
+                trace.append(SlotRecord(len(trace) + 1, state, Action.IDLE, None, after))
+                state = after
+            if len(trace) == horizon:
+                break
             action = choose(active.action_probs(state), u_act)
             success, after = slot(state, action, u_chan)
             trace.append(SlotRecord(len(trace) + 1, state, action, success, after))
@@ -397,12 +422,14 @@ def reference_trace(policy, model, horizon, rng):
     "case",
     [
         "harq-table", "randomized-table", "threshold", "mixture", "periodic",
-        "dying", "dying-arq", "top-row-retransmit", "unbounded-attempts",
+        "dying", "dying-arq", "top-row-retransmit", "unbounded-attempts", "far-threshold",
+        "idle-after-failure",
     ],
 )
 def test_kernel_matches_slot_by_slot_reference(case):
     model = ChannelModel(0.5, 0.5, 3)
     w = 2.0 / 7.0
+    horizon = 3_000
     if case == "harq-table":
         policy = harq_table(model, Truncation(60, 3), 4.0)
     elif case == "randomized-table":
@@ -434,11 +461,24 @@ def test_kernel_matches_slot_by_slot_reference(case):
         acts[State(31, 0)] = Action.NEW_UPDATE
         acts[State(32, 1)] = acts[State(33, 2)] = Action.RETRANSMIT
         policy = DeterministicTable(acts, trunc)
-    else:
+    elif case == "unbounded-attempts":
         model = ChannelModel(0.999, 0.9999, 1000)
         policy = retransmit_after_failure(Truncation(20, 3))
-    _, trace = run(policy, model, 3_000, np.random.default_rng(18), collect_trace=True)
-    assert trace == reference_trace(policy, model, 3_000, np.random.default_rng(18))
+    elif case == "far-threshold":
+        # About ten cycles of 3000 slots, each a jump and one or two decisions.
+        model, policy, horizon = ChannelModel(0.5, 1.0, 0), ThresholdPolicy(3000), 30_000
+    else:
+        # A failed send at age 1 leaves a packet in flight; idling at (2, 1)
+        # is a step of its own and lands at (3, 0), from which the next step
+        # jumps to age 6.
+        trunc = Truncation(12, 3)
+        acts = {
+            s: Action.IDLE if 1 < s.delta < 6 or s.r == 3 else Action(min(s.r, 1) + 1)
+            for s in enumerate_states(trunc)
+        }
+        policy = DeterministicTable(acts, trunc)
+    _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
+    assert trace == reference_trace(policy, model, horizon, np.random.default_rng(18))
 
 
 def test_violation_slot_matches_reference():
