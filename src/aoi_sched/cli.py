@@ -132,7 +132,7 @@ STATS_HEADER = [
 def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
-    res = evaluate_exact(out.policy, model, trunc)
+    res = evaluate_exact(out.policy, model, trunc, space=out.space)
     if args.out:
         rows = [
             [s.delta, s.r, f"{h:.12g}", *(f"{v:.12g}" if math.isfinite(v) else "" for v in q), a.code]

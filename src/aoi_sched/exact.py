@@ -45,12 +45,15 @@ class EvalResult:
 
 
 def induced_chain(
-    policy: Policy, model: ChannelModel, trunc: Truncation
+    policy: Policy, model: ChannelModel, trunc: Truncation, *, space: StateSpace | None = None
 ) -> tuple[StateSpace, np.ndarray, np.ndarray]:
     """The chain under ``policy``: its state space, the probability of every
     branch ``space.succ_idx`` (states × actions × 2), and the per-state
-    transmit probability."""
-    space = StateSpace(model, trunc)
+    transmit probability.  ``space`` is as in ``evaluate_exact``."""
+    if space is None:
+        space = StateSpace(model, trunc)
+    elif not space.fits(model, trunc):
+        raise ValueError(f"the given state space was not built for {model} under {trunc}")
     probs = clamped_rows(policy.table, space.age, space.r)  # (states × actions)
     bad = np.argwhere((probs > 0.0) & ~space.admissible)
     if len(bad):
@@ -75,10 +78,12 @@ def _closed_class(chain: BorderChain) -> np.ndarray:
     return np.flatnonzero(label == found[0])
 
 
-def _evaluate_chain(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
-    space, branch, tx = induced_chain(policy, model, trunc)
+def _evaluate_chain(
+    policy: Policy, model: ChannelModel, trunc: Truncation, space: StateSpace | None
+) -> EvalResult:
+    space, branch, tx = induced_chain(policy, model, trunc, space=space)
     n, dst = len(space), space.succ_idx.ravel()
-    chain = BorderChain(space, np.repeat(np.arange(n), branch[0].size), dst, branch.ravel())
+    chain = BorderChain(space, branch)
     members = _closed_class(chain)
     pi = np.zeros(n)
     pi[space.border[members]] = chain.stationary(members)
@@ -123,13 +128,23 @@ def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResul
     return EvalResult(avg_aoi, avg_cost, stationary, 0.0)  # untruncated
 
 
-def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> EvalResult:
-    """Exact average age and transmission rate of ``policy`` on the truncated chain."""
+def evaluate_exact(
+    policy: Policy, model: ChannelModel, trunc: Truncation, *, space: StateSpace | None = None
+) -> EvalResult:
+    """Exact average age and transmission rate of ``policy`` on the truncated chain.
+
+    ``space`` is the ``StateSpace`` of ``(model, trunc)``, built when omitted;
+    a caller that has just solved on it (``SolverOutput.space``) passes it
+    on.  A space of another model or truncation raises ``ValueError``, also
+    for the periodic baseline, which does not read it.
+    """
+    if space is not None and not space.fits(model, trunc):
+        raise ValueError(f"the given state space was not built for {model} under {trunc}")
     if isinstance(policy, PeriodicPolicy):
         return _evaluate_periodic(policy, model)
     if isinstance(policy, RenewalMixture):
-        first = evaluate_exact(policy.first, model, trunc)
-        second = evaluate_exact(policy.second, model, trunc)
+        first = evaluate_exact(policy.first, model, trunc, space=space)
+        second = evaluate_exact(policy.second, model, trunc, space=space)
         w = policy.weight_first
         if w >= 1.0:
             return first
@@ -150,7 +165,7 @@ def evaluate_exact(policy: Policy, model: ChannelModel, trunc: Truncation) -> Ev
         tail_mass = (w * t1 * first.tail_mass + (1.0 - w) * t2 * second.tail_mass) / denom
         stationary = w * t1 / denom * first.stationary + (1.0 - w) * t2 / denom * second.stationary
         return EvalResult(avg_aoi, avg_cost, stationary, tail_mass)
-    return _evaluate_chain(policy, model, trunc)
+    return _evaluate_chain(policy, model, trunc, space)
 
 
 def arq_eval_truncation(p: float, threshold: int) -> Truncation:

@@ -21,7 +21,9 @@ every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
 idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
 if the budget needs it, the cap is too small and ``TruncationError`` says
 which cap to use.  Each trace row also records the probe's policy
-evaluations and solver residual.
+evaluations and solver residual.  The first probe's solve builds the
+``StateSpace`` of ``(model, trunc)``; every later probe, every evaluation of
+the search and the final evaluation of the mixture run on that one space.
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -136,14 +138,14 @@ def search_eta_star(
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
     trace: list[TraceRow] = []
-    h = None
+    h = space = None
 
     def probe(eta: float, phase: str) -> _Probe:
-        nonlocal h
-        out = solve(model, trunc, eta, h0=h)
-        h = out.h_array
+        nonlocal h, space
+        out = solve(model, trunc, eta, h0=h, space=space)
+        h, space = out.h_array, out.space
         try:
-            res = evaluate_exact(out.policy, model, trunc)
+            res = evaluate_exact(out.policy, model, trunc, space=space)
             p = _Probe(eta, out, res, res.avg_aoi, res.avg_cost)
         except NoStationaryAoIError:
             # Without transmissions the age climbs to the cap and stays there.
@@ -256,7 +258,7 @@ def solve_constrained(
         mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
     else:
         mixed = RenewalMixture(policy_low, policy_high, renewal_mixture_weight(res_low, res_high, c_max))
-    achieved = evaluate_exact(mixed, model, trunc)
+    achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
     return ConstrainedSolution(
         eta_star,
         policy_low,

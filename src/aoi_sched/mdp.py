@@ -219,6 +219,20 @@ def enumerate_states(trunc: Truncation) -> list[State]:
     ]
 
 
+class ScatterPlan(NamedTuple):
+    """Where each branch of ``StateSpace.succ_idx`` lands in ``BorderChain``'s blocks.
+
+    The blocks lie end to end in one flat array: ``complement`` (border to
+    border), ``p_lb`` (ladder to border), the band of ``P_LL`` in LAPACK
+    upper band storage, and ``P_BL`` of the low border states, transposed
+    (the right-hand side of ``z``).  ``ends`` holds the end of each block.
+    """
+
+    pos: np.ndarray  # flat position of every branch, in succ_idx.ravel() order
+    ends: tuple[int, int, int, int]
+    width: int  # band width of I - P_LL
+
+
 class StateSpace:
     """Dense indexing of the truncated state set plus transition arrays.
 
@@ -232,9 +246,15 @@ class StateSpace:
     evaluations and the stationary-distribution builder read them;
     ``transitions`` is their per-state specification.  Unused successor
     slots hold index 0 with probability 0.
+
+    A space records the ``model`` it was built for, and ``scatter`` is built
+    on first use and kept, so every ``BorderChain`` on one space shares it:
+    a multiplier search builds one space and solves and evaluates every
+    probe on it.
     """
 
     def __init__(self, model: ChannelModel, trunc: Truncation):
+        self.model = model
         self.trunc = trunc
         self.r_cap = r_cap = effective_r_max(model, trunc)
         n_max = trunc.n_max
@@ -268,6 +288,14 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.delta)
 
+    def fits(self, model: ChannelModel, trunc: Truncation) -> bool:
+        """Whether this is the space ``StateSpace(model, trunc)`` would build."""
+        return (
+            self.model == model
+            and self.trunc.n_max == trunc.n_max
+            and self.r_cap == effective_r_max(model, trunc)
+        )
+
     @cached_property
     def on_border(self) -> np.ndarray:
         """Marks the states a slot can enter other than by one age step up.
@@ -290,51 +318,67 @@ class StateSpace:
         return np.flatnonzero(~self.on_border)
 
     @cached_property
-    def slot(self) -> np.ndarray:
-        """Position of each state within ``border`` or within ``ladder``."""
-        slot = np.empty(len(self), dtype=np.int64)
-        slot[self.border] = np.arange(len(self.border))
-        slot[self.ladder] = np.arange(len(self.ladder))
-        return slot
+    def scatter(self) -> ScatterPlan:
+        """The positions of every branch in ``BorderChain``'s blocks.
+
+        Only the border states below the cap row reach the ladder: a cap-row
+        state stays in the cap row or is delivered to a low border state.
+        """
+        nb, m = len(self.border), len(self.ladder)
+        n_low = nb - (self.r_cap + 1)
+        slot = np.empty(len(self), dtype=np.int64)  # position within border or ladder
+        slot[self.border] = np.arange(nb)
+        slot[self.ladder] = np.arange(m)
+        src = np.broadcast_to(np.arange(len(self))[:, None, None], self.succ_idx.shape)
+        s, d = slot[src], slot[self.succ_idx]
+        from_lad, to_lad = ~self.on_border[src], ~self.on_border[self.succ_idx]
+        within = from_lad & to_lad
+        step = d - s  # > 0 within the ladder: it only climbs
+        width = int(step[within].max()) if within.any() else 0
+        ends = tuple(int(e) for e in np.cumsum([nb * nb, m * nb, (width + 1) * m, m * n_low]))
+        # LAPACK upper band storage: entry (i, j) of I - P_LL sits at
+        # ab[width + i - j, j]; the unit diagonal (row width) is implicit.
+        pos = np.where(
+            from_lad,
+            np.where(to_lad, ends[1] + (width - step) * m + d, ends[0] + s * nb + d),
+            np.where(to_lad, ends[2] + d * n_low + s, s * nb + d),
+        )
+        return ScatterPlan(pos.ravel(), ends, width)
 
 
 class BorderChain:
     """A Markov chain on a ``StateSpace``, watched at its visits to the border.
 
-    ``src``, ``dst`` and ``prob`` list the chain's transitions; duplicate
-    pairs add up.  Off the border, on the *ladder*, a slot moves one age up
-    or lands on the border, so in ``StateSpace`` order ``I - P_LL`` is unit
-    upper triangular with a band at most ``r_cap + 2`` wide: never singular,
-    and solved by banded substitution.  Eliminating the ladder leaves the
-    stochastic complement ``complement = P_BB + P_BL (I - P_LL)^-1 P_LB``
-    (Meyer, SIAM Review 31, 1989), the chain seen only at its border
-    visits.  Only the border states below the cap row reach the ladder, so
-    ``z`` holds the rows ``P_BL (I - P_LL)^-1`` of those ``n_low`` states:
-    the expected ladder visits before the chain returns to the border.
+    ``branch`` holds the chain's probability of every successor branch of
+    ``space.succ_idx`` (states × actions × 2): under a policy that plays
+    action ``a`` with probability ``p[i, a]`` it is ``p[:, :, None] *
+    space.succ_prob``.  The branches are scattered into the blocks below by
+    the space's ``scatter`` plan; branches with the same source and
+    successor add up.  Off the border, on the *ladder*, a slot moves one age
+    up or lands on the border, so in ``StateSpace`` order ``I - P_LL`` is
+    unit upper triangular with a band at most ``r_cap + 2`` wide: never
+    singular, and solved by banded substitution.  Eliminating the ladder
+    leaves the stochastic complement ``complement = P_BB + P_BL (I -
+    P_LL)^-1 P_LB`` (Meyer, SIAM Review 31, 1989), the chain seen only at its
+    border visits.  Only the border states below the cap row reach the
+    ladder, so ``z`` holds the rows ``P_BL (I - P_LL)^-1`` of those
+    ``n_low`` states: the expected ladder visits before the chain returns to
+    the border.
     """
 
-    def __init__(self, space: StateSpace, src: np.ndarray, dst: np.ndarray, prob: np.ndarray):
+    def __init__(self, space: StateSpace, branch: np.ndarray):
         self.space = space
         nb, m = len(space.border), len(space.ladder)
         self.n_low = n_low = nb - (space.r_cap + 1)  # the cap row closes the border
-        s, d = space.slot[src], space.slot[dst]
-        from_lad, to_lad = ~space.on_border[src], ~space.on_border[dst]
-
-        def dense(mask, rows, cols, shape):
-            flat = rows[mask] * shape[1] + cols[mask]
-            return np.bincount(flat, prob[mask], shape[0] * shape[1]).reshape(shape)
-
-        self.complement = dense(~from_lad & ~to_lad, s, d, (nb, nb))
-        self.p_lb = dense(from_lad & ~to_lad, s, d, (m, nb))
-        within = from_lad & to_lad
-        step = d[within] - s[within]  # > 0: the ladder only climbs
-        width = int(step.max()) if len(step) else 0
-        # LAPACK upper band storage: entry (i, j) of I - P_LL sits at
-        # ab[width + i - j, j]; the unit diagonal (row width) is implicit.
-        self.ab = np.bincount(
-            (width - step) * m + d[within], -prob[within], (width + 1) * m
-        ).reshape(width + 1, m)
-        self.z = self.solve(dense(~from_lad & to_lad, d, s, (m, n_low)), transposed=True).T
+        plan = space.scatter
+        e0, e1, e2, e3 = plan.ends
+        blocks = np.bincount(plan.pos, branch.ravel(), e3)
+        self.complement = blocks[:e0].reshape(nb, nb)
+        self.p_lb = blocks[e0:e1].reshape(m, nb)
+        # The band of I - P_LL off its diagonal, negated in place; 0.0 - x keeps empty entries at +0.0.
+        self.ab = blocks[e1:e2].reshape(plan.width + 1, m)
+        np.subtract(0.0, self.ab, out=self.ab)
+        self.z = self.solve(blocks[e2:].reshape(m, n_low), transposed=True).T
         self.complement[:n_low] += self.z @ self.p_lb
 
     def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:

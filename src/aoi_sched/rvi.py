@@ -47,7 +47,9 @@ class SolverOutput:
 
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
     in ``StateSpace`` order, which is also the key order of ``policy.actions``.
-    Outputs compare by identity, as an array field has no single truth value.
+    ``space`` is the state space the output was solved on; a caller that
+    goes on to work on the same chain passes it on.  Outputs compare by
+    identity, as an array field has no single truth value.
     """
 
     gain: float
@@ -56,6 +58,7 @@ class SolverOutput:
     residual: float
     h_array: np.ndarray = field(repr=False)
     q_array: np.ndarray = field(repr=False)
+    space: StateSpace = field(repr=False)
 
 
 def _masked_q(space: StateSpace, h: np.ndarray, eta: float) -> np.ndarray:
@@ -76,7 +79,8 @@ def _evaluate(
     nxt = space.succ_idx[rows, actions]
     prob = space.succ_prob[rows, actions]
     cost = space.delta + eta * (actions != Action.IDLE)
-    chain = BorderChain(space, rows.repeat(2), nxt.ravel(), prob.ravel())
+    one_hot = actions[:, None] == np.arange(len(Action))
+    chain = BorderChain(space, one_hot[:, :, None] * space.succ_prob)
     solved = chain.values(cost)
     if solved is None:  # (1, 0) is transient, or there are several closed classes
         label = chain.classes[1]
@@ -105,17 +109,25 @@ def solve(
     eta: float,
     *,
     h0: np.ndarray | None = None,
+    space: StateSpace | None = None,
 ) -> SolverOutput:
     """Run policy iteration for the given multiplier.
 
     The first policy is greedy on the state-action costs of ``h0`` (zero when
     omitted), so passing the values of a nearby multiplier warm-starts the
     iteration; identical inputs always produce bit-identical outputs.
-    ``iterations`` counts policy evaluations.
+    ``iterations`` counts policy evaluations.  ``space`` is the
+    ``StateSpace`` of ``(model, trunc)``, built when omitted; a search that
+    solves many multipliers passes one space to all of them, and the output
+    carries it on.  A space of another model or truncation raises
+    ``ValueError``.
     """
     if not 0.0 <= eta < np.inf:
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
-    space = StateSpace(model, trunc)
+    if space is None:
+        space = StateSpace(model, trunc)
+    elif not space.fits(model, trunc):
+        raise ValueError(f"the given state space was not built for {model} under {trunc}")
     h = np.zeros(len(space)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h.shape != (len(space),):
         raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
@@ -140,16 +152,14 @@ def solve(
 
     # First action within the tie tolerance wins: idle < new < retransmit.
     greedy = np.argmax(q <= (v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))[:, None], axis=1)
-    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q)
+    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q, space)
 
 
 def bellman_residual(out: SolverOutput, model: ChannelModel, trunc: Truncation, eta: float) -> float:
-    """Sup-norm violation of the average-cost optimality equations by ``out``."""
-    space = StateSpace(model, trunc)
-    if out.policy.trunc != Truncation(trunc.n_max, space.r_cap):
-        raise ValueError(
-            f"out was solved on {out.policy.trunc}, not on this space ({trunc}, r_cap {space.r_cap})"
-        )
+    """Sup-norm violation of the average-cost optimality equations by ``out``, on its own space."""
+    space = out.space
+    if not space.fits(model, trunc):
+        raise ValueError(f"out was solved on {space.model} under {out.policy.trunc}, not on {model} under {trunc}")
     q = _masked_q(space, out.h_array, eta)
     v = q.min(axis=1)
     return float(np.abs(v - out.gain - out.h_array).max())

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from aoi_sched import arq, errors
+from aoi_sched import arq, errors, exact, mdp, rvi
 from aoi_sched.errors import BracketingError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
@@ -197,6 +197,23 @@ class TestSolveConstrained:
         assert sol.mu == 1.0
         assert sol.achieved_cost == pytest.approx(0.4, abs=1e-9)
         assert sol.achieved_aoi == pytest.approx(3.2, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "point", [(0.5, 1.0, 0, 0.35, 200), (0.7, 0.5, 3, 0.4, 120), (0.3, 0.5, 9, 1.0, 120)], ids=["arq", "harq", "hit"]
+    )
+    def test_one_state_space_per_solve(self, point, monkeypatch):
+        builds = []
+
+        def counted(model, trunc):
+            builds.append((model, trunc))
+            return mdp.StateSpace(model, trunc)
+
+        monkeypatch.setattr(rvi, "StateSpace", counted)
+        monkeypatch.setattr(exact, "StateSpace", counted)
+        p0, lam, r_max, c_max, n_max = point
+        sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
+        assert sol.search.exact_hit == (c_max == 1.0)
+        assert len(builds) == 1
 
     def test_harq_beats_arq_at_same_budget(self):
         # Never retransmitting is always available, so allowing combining

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aoi_sched import mdp
-from aoi_sched.errors import InadmissibleActionError, InadmissibleQueryError
+from aoi_sched import mdp, rvi
+from aoi_sched.errors import InadmissibleActionError, InadmissibleQueryError, NoStationaryAoIError
+from aoi_sched.exact import evaluate_exact
 from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import (
     Action,
@@ -19,6 +20,7 @@ from aoi_sched.mdp import (
     stage_cost,
     transitions,
 )
+from aoi_sched.policies import RandomizedTable
 
 
 def as_dict(entries):
@@ -315,9 +317,58 @@ class TestBorderChain:
         np.add.at(P, (src, dst), prob)
         B, L = space.border, space.ladder
         I_LL = np.eye(len(L)) - P[np.ix_(L, L)]
-        chain = mdp.BorderChain(space, src, dst, prob)
+        chain = mdp.BorderChain(space, prob.reshape(space.succ_idx.shape))
         expected = P[np.ix_(B, B)] + P[np.ix_(B, L)] @ np.linalg.solve(I_LL, P[np.ix_(L, B)])
         np.testing.assert_allclose(chain.complement, expected, rtol=1e-12, atol=1e-15)
         rhs = np.random.default_rng(seed).random((len(L), 3))
         np.testing.assert_allclose(chain.solve(rhs), np.linalg.solve(I_LL, rhs), rtol=1e-12)
         np.testing.assert_allclose(chain.solve(rhs, transposed=True), np.linalg.solve(I_LL.T, rhs), rtol=1e-12)
+
+
+def random_table(space, seed):
+    """The random randomized policy of ``random_chain`` as a ``RandomizedTable``."""
+    weights = np.random.default_rng(seed).random(space.admissible.shape) ** 4 * space.admissible
+    table = np.zeros((space.trunc.n_max + 1, space.r_cap + 1, len(Action)))
+    table[space.age, space.r] = weights / weights.sum(axis=1, keepdims=True)
+    return RandomizedTable(table, Truncation(space.trunc.n_max, space.r_cap))
+
+
+def same_evaluation(a, b):
+    return (a.avg_aoi, a.avg_cost, a.tail_mass, a.stationary.tobytes()) == (
+        b.avg_aoi, b.avg_cost, b.tail_mass, b.stationary.tobytes()
+    )
+
+
+class TestSharedSpace:
+    @given(**CHAIN_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_a_given_space_changes_no_bit(self, p0, lam, r_max, n_max, seed):
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        space = StateSpace(model, trunc)
+        eta = float(np.random.default_rng(seed).uniform(0.0, 3.0 * n_max))
+        fresh, shared = rvi.solve(model, trunc, eta), rvi.solve(model, trunc, eta, space=space)
+        assert shared.space is space
+        assert fresh.gain == shared.gain
+        assert fresh.h_array.tobytes() == shared.h_array.tobytes()
+        assert fresh.q_array.tobytes() == shared.q_array.tobytes()
+        assert fresh.policy.table.tobytes() == shared.policy.table.tobytes()
+        randomized = random_table(space, seed)
+        assert same_evaluation(evaluate_exact(randomized, model, trunc), evaluate_exact(randomized, model, trunc, space=space))
+        try:
+            res = evaluate_exact(fresh.policy, model, trunc)
+        except NoStationaryAoIError:  # the solved policy idles forever at the age cap
+            with pytest.raises(NoStationaryAoIError):
+                evaluate_exact(fresh.policy, model, trunc, space=space)
+        else:
+            assert same_evaluation(res, evaluate_exact(fresh.policy, model, trunc, space=space))
+
+    @given(**CHAIN_CASES)
+    @settings(max_examples=20, deadline=None)
+    def test_a_space_of_another_model_or_cap_raises(self, p0, lam, r_max, n_max, seed):
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        policy = random_table(StateSpace(model, trunc), seed)
+        for other in (StateSpace(ChannelModel(p0 / 2, lam, r_max), trunc), StateSpace(model, Truncation(n_max + 1, r_max))):
+            with pytest.raises(ValueError, match="not built for"):
+                rvi.solve(model, trunc, 1.0, space=other)
+            with pytest.raises(ValueError, match="not built for"):
+                evaluate_exact(policy, model, trunc, space=other)
