@@ -12,12 +12,15 @@ every workload in ``BENCHMARK.json`` the script then runs
 
 once in the base tree and once in the working tree per pair, pair ``i``
 with seed ``i + 1``; odd pairs run the working tree first, so drift on
-a shared host falls on both sides alike.  Runs go one at a time.  The
-result is ``BENCH_<label>.json`` in the working tree: every run's final
-JSON line and ``record`` line, and per workload and end-to-end metric the
-median and quartiles of each side, the number of pairs the working tree
-wins, and whether the medians lie further apart than the base's
-interquartile range.  The benchmark's own files are run, never imported.
+a shared host falls on both sides alike.  After the pairs, each side runs
+the workload once more with ``--trace 1``, at seed ``pairs + 1``, for its
+per-layer metrics.  Runs go one at a time.  The result is
+``BENCH_<label>.json`` in the working tree: every run's final JSON line and
+``record`` line, per workload and end-to-end metric the median and
+quartiles of each side, the number of pairs the working tree wins, and
+whether the medians lie further apart than the base's interquartile range,
+and, apart from them, each side's traced run.  The benchmark's own files
+are run, never imported.
 """
 
 import argparse
@@ -45,9 +48,9 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     run = {"returncode": proc.returncode, "result": None, "record": None}
@@ -123,14 +126,19 @@ def main() -> int:
                     runs.append(run)
                     value = run["result"]["metrics"]["ops_per_ref_s"]["value"] if run["result"] else "failed"
                     print(f"{workload} pair {i} {side}: ops_per_ref_s {value}", flush=True)
+            # One traced run per side for the per-layer metrics; not a pair.
+            traced = {side: run_once(trees[side], workload, args.pairs + 1, args.seconds, trace=1)
+                      for side in ("base", "change")}
             report["workloads"][workload] = {
                 "runs": runs,
                 "summary": summarize(runs, bench["end_to_end"]),
+                "traced": traced,
             }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
-    failed = sum(run["returncode"] != 0 for w in report["workloads"].values() for run in w["runs"])
+    failed = sum(run["returncode"] != 0 for w in report["workloads"].values()
+                 for run in [*w["runs"], *w["traced"].values()])
     return 1 if failed else 0
 
 

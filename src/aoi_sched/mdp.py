@@ -225,7 +225,9 @@ class ScatterPlan(NamedTuple):
     The blocks lie end to end in one flat array: ``complement`` (border to
     border), ``p_lb`` (ladder to border), the band of ``P_LL`` in LAPACK
     upper band storage, and ``P_BL`` of the low border states, transposed
-    (the right-hand side of ``z``).  ``ends`` holds the end of each block.
+    (the right-hand side of ``z``).  The last two are laid out column by
+    column, as LAPACK reads them, so its band solve copies neither.
+    ``ends`` holds the end of each block.
     """
 
     pos: np.ndarray  # flat position of every branch, in succ_idx.ravel() order
@@ -340,8 +342,8 @@ class StateSpace:
         # ab[width + i - j, j]; the unit diagonal (row width) is implicit.
         pos = np.where(
             from_lad,
-            np.where(to_lad, ends[1] + (width - step) * m + d, ends[0] + s * nb + d),
-            np.where(to_lad, ends[2] + d * n_low + s, s * nb + d),
+            np.where(to_lad, ends[1] + d * (width + 1) + width - step, ends[0] + s * nb + d),
+            np.where(to_lad, ends[2] + s * m + d, s * nb + d),
         )
         return ScatterPlan(pos.ravel(), ends, width)
 
@@ -376,9 +378,11 @@ class BorderChain:
         self.complement = blocks[:e0].reshape(nb, nb)
         self.p_lb = blocks[e0:e1].reshape(m, nb)
         # The band of I - P_LL off its diagonal, negated in place; 0.0 - x keeps empty entries at +0.0.
-        self.ab = blocks[e1:e2].reshape(plan.width + 1, m)
+        self.ab = blocks[e1:e2].reshape(m, plan.width + 1).T
         np.subtract(0.0, self.ab, out=self.ab)
-        self.z = self.solve(blocks[e2:].reshape(m, n_low), transposed=True).T
+        # Solved in place: the right-hand side is this chain's own.
+        rhs = blocks[e2:].reshape(n_low, m).T
+        self.z = (dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0] if rhs.size else rhs).T
         self.complement[:n_low] += self.z @ self.p_lb
 
     def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:

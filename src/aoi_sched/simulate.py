@@ -22,7 +22,10 @@ joined timeline is distributed as one long run.  Uniforms are drawn in
 blocks of ``_BLOCK`` steps for all lanes (action, channel and mixture
 component per lane and step; a jumped sure idle draws none), so no lane's
 path depends on the horizon: the first ``n`` slots of a run are the run of
-``n`` slots on the same generator.
+``n`` slots on the same generator.  The bookkeeping keeps, per lane and
+step, the age, attempts, action and slots, and per block of steps each
+lane's slots and renewals; the coverage check and the cut look up the few
+cycles they need from those, and the kept steps are summed in one pass.
 
 The open-loop periodic baseline acts on the slot number, not on renewals; a
 closed-form pass over its transmission slots simulates it.
@@ -42,6 +45,7 @@ from .policies import PeriodicPolicy, Policy, RenewalMixture
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
 _NEVER = 2**62  # an age or step no run reaches, with room to count past it
+_BLOCK_STEPS = np.arange(_BLOCK)[:, None] * _LANES + np.arange(_LANES)  # flat history index of a block's steps
 _ACTIONS = tuple(Action)
 
 
@@ -120,32 +124,73 @@ def _grow(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _cycle_starts(c, renewals, before, hd, hn):
+    """Row at which cycle ``c[..., l]`` of each lane ``l`` begins, and the lane's slots before it.
+
+    ``renewals[k]`` counts each lane's renewals in blocks ``0 .. k`` of the
+    history ``hd`` (ages) and ``hn`` (slots per step), ``before[k]`` its
+    slots before block ``k``; every cycle asked for has begun.
+    """
+    lanes = np.arange(_LANES)
+    k = np.count_nonzero(renewals[(slice(None),) + (None,) * (c.ndim - 1)] < c, axis=0)  # the block of the renewal
+    rank = c - np.where(k > 0, renewals[k - 1, lanes], 0)
+    at = k * (_BLOCK * _LANES) + _BLOCK_STEPS.reshape((_BLOCK,) + (1,) * (c.ndim - 1) + (_LANES,))
+    earlier = np.cumsum(hd[1:].ravel().take(at) == 1, axis=0, dtype=np.int8) < rank  # steps before the renewal
+    s = np.count_nonzero(earlier, axis=0)  # the renewal's step in the block
+    steps = hn.ravel().take(at)
+    slots = before[k, lanes] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
+    return np.where(c > 0, k * _BLOCK + s + 1, 0), np.where(c > 0, slots, 0)
+
+
+def _cycle_table(hd, steps):
+    """Row at which each cycle begins, ``[lane, cycle]``, or ``_NEVER`` before it begins."""
+    lane_of, row = np.nonzero(hd[1 : steps + 1].T == 1)
+    count = np.bincount(lane_of, minlength=_LANES)
+    table = np.full((_LANES, count.max() + 2), _NEVER)
+    table[:, 0] = 0
+    table[lane_of, np.arange(1, len(row) + 1) - np.repeat(np.cumsum(count) - count, count)] = row + 1
+    return table
+
+
 def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
     """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
 
     Returns the age sum and transmission count of the joined timeline's first
     ``horizon`` slots and, when ``trace`` is set, its per-slot age,
     attempts, action, and next age and attempts.
+
+    The lanes advance one block of ``_BLOCK`` steps at a time, and each block
+    is booked once, on its own rows: its decision ages become its steps'
+    slot counts, and each lane's slots before the block and renewals (age 1
+    after a step) in it are kept.  A cycle's first step and the lane's slots
+    before it are then found by reading one block per lane
+    (``_cycle_starts``), which the coverage check does only once a cheap
+    bound from the per-block counts allows the horizon to be covered, and
+    the cut for the rounds around it.  The kept steps are every lane's steps
+    before its cut, so one pass over the kept rows sums the ages and
+    transmissions.  Only a table that can retransmit where the model admits
+    no retransmission has its retransmissions checked, and only the trace
+    and a violation need every cycle's first step (``_cycle_table``).
     """
     mixture = isinstance(policy, RenewalMixture)
     weight = policy.weight_first if mixture else 1.0
     lanes = np.arange(_LANES)
 
-    # Per-lane history, row t = state before step t: age, attempts, action of
-    # its decision slot, and the slots of the steps before it.  Room for about
-    # 0.625 * horizon / _LANES steps, as a threshold-shaped policy decides in
-    # under half of its slots, grown when a run needs more.
+    # Per-lane history, row t = step t: age and three times the attempts
+    # before it, the action of its decision slot, and its slots (the loop
+    # writes the decision age there, the booking the slot count).  Room for
+    # about 0.625 * horizon / _LANES steps, as a threshold-shaped policy
+    # decides in under half of its slots, grown to a run's pace if it needs more.
     cap = (horizon // (_LANES * _BLOCK) * 5 // 8 + 2) * _BLOCK
     hd = np.empty((cap + 1, _LANES), np.int64)
     hr = np.empty((cap + 1, _LANES), np.int64)
     ha = np.empty((cap, _LANES), np.uint8)
-    hs = np.empty((cap + 1, _LANES), np.int64)
-    hd[0], hr[0], hs[0] = 1, 0, 0
-    he = np.empty((_BLOCK, _LANES), np.int64)  # decision age of each step of a block
-    # starts[l, c]: the step at which lane l's cycle c begins.
-    starts = np.full((_LANES, 8), _NEVER)
-    starts[:, 0] = 0
-    done = np.zeros(_LANES, np.int64)  # complete cycles per lane
+    hn = np.empty((cap, _LANES), np.int64)
+    hd[0], hr[0] = 1, 0
+    # Per block: each lane's slots before it and its renewals (age 1 after
+    # a step) in it.
+    total = np.zeros(_LANES, np.int64)
+    before, renewals = [], []
     comp = np.zeros(_LANES, np.int64)  # table offset of each lane's mixture component
     idx, j, tmp = (np.empty(_LANES, np.int64) for _ in range(3))
     edge = np.empty(_LANES)
@@ -154,127 +199,183 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     # Array operands: ufuncs convert a Python scalar operand on every call.
     one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
     u = np.empty((3, _BLOCK, _LANES))
-    u_act, u_chan, u_mix = u
-    # Indexed by action * width + attempts.  Attempts never pass the model's cap,
-    # not even by a retransmission there, where the run raises ProtocolViolationError.
+    act_rows, chan_rows = list(u[0]), list(u[1])
+    pick = np.empty((_BLOCK, _LANES), bool)
+    draw = np.empty((_BLOCK, _LANES), np.int64)
+    draw_rows = list(draw)
+    # Indexed by 3 * attempts + action, so that a step's index is one add.
+    # Attempts never pass the model's cap, not even by a retransmission
+    # there, where the run raises ProtocolViolationError.
     width = model.r_max + 1
     out = slot_outcomes(model, width)
-    fail, reset_age, fail_att = (x.ravel() for x in out[:3])
+    fail, reset_age, fail_att = (x.T.ravel() for x in out[:3])
+    fail_att = 3 * fail_att
     e0, e1, jump, row, n_age, n_att = _kernel_tables(policy)
+    e0, e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
     stride = n_age * n_att
-    column = np.minimum(np.arange(width), n_att - 1) * n_age  # table offset of each attempt count
-    age_top, out_width = np.full(_LANES, n_age - 1), np.full(_LANES, width)
+    column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
+    age_top = np.full(_LANES, n_age - 1)
+    # Local names: the step loop looks up no global or attribute.
+    add, equal, greater_equal, maximum, minimum, putmask = np.add, np.equal, np.greater_equal, np.maximum, np.minimum, np.putmask
+    take_column, take_jump, take_e0, take_e1 = column.take, jump.take, e0.take, e1.take
+    take_fail, take_reset_age, take_fail_att = fail.take, reset_age.take, fail_att.take
 
-    steps = scanned = 0
+    t = reach = 0
     while True:
-        if steps + _BLOCK > cap:
-            cap += cap // 2 + _BLOCK
-            hd, hr, ha, hs = _grow(hd, cap + 1), _grow(hr, cap + 1), _grow(ha, cap), _grow(hs, cap + 1)
+        if t + _BLOCK > cap:
+            # The pace so far with a tenth to spare.  Dropping the row views
+            # lets each old array go as soon as it is copied.
+            pace = t * horizon // max(reach, 1) * 11 // 10 + 2 * _BLOCK
+            cap = -(-max(pace, cap + cap // 4 + _BLOCK) // _BLOCK) * _BLOCK
+            ages = attempts = actions = decision_ages = d = r = a = e = dn = rn = n = None
+            hd = _grow(hd, cap + 1)
+            hr = _grow(hr, cap + 1)
+            ha = _grow(ha, cap)
+            hn = _grow(hn, cap)
         rng.random(out=u)
-        draw = (u_mix >= weight) * stride
-        block = zip(hd[steps:], hr[steps:], ha[steps:], he, hd[steps + 1 :], hr[steps + 1 :], u_act, u_chan, draw)
-        for d, r, a, e, dn, rn, ua, uc, new_comp in block:
-            column.take(r, out=idx, mode="clip")
+        if mixture:
+            np.greater_equal(u[2], weight, out=pick)
+            np.multiply(pick, stride, out=draw)
+        t0 = t
+        ages, attempts = list(hd[t : t + _BLOCK + 1]), list(hr[t : t + _BLOCK + 1])
+        actions, decision_ages = list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
+        for s in range(_BLOCK):
+            d, r, a, e, dn, rn = ages[s], attempts[s], actions[s], decision_ages[s], ages[s + 1], attempts[s + 1]
+            take_column(r, out=idx, mode="clip")
             if mixture:
-                np.equal(d, one, out=renew)
-                np.putmask(comp, renew, new_comp)  # redrawn at every visit to (1, 0)
-                idx += comp
-            np.minimum(d, age_top, out=tmp)
-            idx += tmp
+                equal(d, one, out=renew)
+                putmask(comp, renew, draw_rows[s])  # redrawn at every visit to (1, 0)
+                add(idx, comp, out=idx)
+            minimum(d, age_top, out=tmp)
+            add(idx, tmp, out=idx)
             # Idle surely up to the decision age e, then decide in its row.
-            jump.take(idx, out=e, mode="clip")
-            np.maximum(e, d, out=e)
-            row.take(idx, out=idx, mode="clip")
-            e0.take(idx, out=edge, mode="clip")
-            np.greater_equal(ua, edge, out=lo)
-            e1.take(idx, out=edge, mode="clip")
-            np.greater_equal(ua, edge, out=hi)
-            np.add(lo8, hi8, out=a)
-            np.copyto(j, a)
-            j *= out_width
-            j += r
-            fail.take(j, out=edge, mode="clip")
-            np.greater_equal(uc, edge, out=hi)  # delivered
-            reset_age.take(j, out=tmp, mode="clip")
-            np.add(e, one, out=dn)
-            np.putmask(dn, hi, tmp)
-            fail_att.take(j, out=rn, mode="clip")
-            np.putmask(rn, hi, zero)
-        # A step covers its jumped ages d .. e - 1 and its decision slot.
-        covered = hs[steps + 1 : steps + _BLOCK + 1]
-        np.cumsum(he - hd[steps : steps + _BLOCK] + 1, axis=0, out=covered)
-        covered += hs[steps]
+            take_jump(idx, out=e, mode="clip")
+            maximum(e, d, out=e)
+            ua = act_rows[s]
+            take_e0(idx, out=edge, mode="clip")
+            greater_equal(ua, edge, out=lo)
+            take_e1(idx, out=edge, mode="clip")
+            greater_equal(ua, edge, out=hi)
+            add(lo8, hi8, out=a)
+            add(r, a, out=j)
+            take_fail(j, out=edge, mode="clip")
+            greater_equal(chan_rows[s], edge, out=hi)  # delivered
+            take_reset_age(j, out=tmp, mode="clip")
+            add(e, one, out=dn)
+            putmask(dn, hi, tmp)
+            take_fail_att(j, out=rn, mode="clip")
+            putmask(rn, hi, zero)
+        t += _BLOCK
 
-        steps += _BLOCK
-        if np.minimum(hs[steps], horizon).sum() < horizon:
-            continue  # too few lane slots to cover the horizon yet
-        # Cycles begun since the last scan: age 1 after a step.
-        lane_of, step_of = np.nonzero(hd[scanned + 1 : steps + 1].T == 1)
-        if len(lane_of):
-            count = np.bincount(lane_of, minlength=_LANES)
-            col = done[lane_of] + 1 + np.arange(len(lane_of)) - np.repeat(np.cumsum(count) - count, count)
-            if col.max() + 2 > starts.shape[1]:
-                wider = np.full((_LANES, 2 * (col.max() + 2)), _NEVER)
-                wider[:, : starts.shape[1]] = starts
-                starts = wider
-            starts[lane_of, col] = step_of + scanned + 1
-            done += count
-        scanned = steps
+        # Book the block.  A step covers its jumped ages d .. e - 1 and its
+        # decision slot.
+        n = hn[t0:t]
+        n -= hd[t0:t]
+        n += 1
+        before.append(total.copy())
+        total += n.sum(axis=0)
+        renewals.append(np.count_nonzero(hd[t0 + 1 : t + 1] == 1, axis=0))
         # The joined timeline is covered up to the first cycle still running,
         # plus that cycle's progress; a lane that idles surely forever has
         # covered about _NEVER slots.
-        first = int((done * _LANES + lanes).min())
-        q, lane = divmod(first, _LANES)
-        before = hs[starts[lanes, q + (lanes < lane)], lanes]
-        if before.sum() - before[lane] + hs[steps, lane] >= horizon:
+        reach = int(np.minimum(total, horizon).sum())
+        if reach >= horizon:
+            blocks = np.cumsum(renewals, axis=0), np.stack(before + [total]), hd, hn
+            first = int((blocks[0][-1] * _LANES + lanes).min())
+            q, lane = divmod(first, _LANES)
+            cycle = q + (lanes < lane)
+            # At most the lanes' slots after the blocks in which these cycles
+            # begin, each taken up to the horizon.
+            most = np.minimum(blocks[1][np.count_nonzero(blocks[0] < cycle, axis=0) + 1, lanes], horizon)
+            if most.sum() - most[lane] + min(total[lane], horizon) >= horizon:
+                cycle_rows, cycle_slots = _cycle_starts(cycle, *blocks)
+                if cycle_slots.sum() - cycle_slots[lane] + total[lane] >= horizon:
+                    break
+
+    # The cut.  Round c is cycle c of every lane; rounds before q are
+    # complete, and so is round q up to the first cycle still running.  Find
+    # the last round c that begins inside the horizon, from the round that
+    # the pace so far points at, looking up rounds c and c + 1 together
+    # (round q + 1 only for the lanes before ``lane``, from the check);
+    # then the lane whose cycle in round c holds the last slot.
+    c = min(q, q * horizon // max(int(cycle_slots.sum() - cycle_slots[lane]), 1))
+    while True:
+        if c < q:
+            (rows_c, upper_rows), (at_c, upper) = _cycle_starts(np.full((2, _LANES), [[c], [c + 1]]), *blocks)
+        else:
+            rows_c, at_c = _cycle_starts(np.full(_LANES, q), *blocks)
+            upper_rows, upper = cycle_rows, cycle_slots
+        if at_c.sum() >= horizon:
+            c -= 1
+        elif c < q and upper.sum() < horizon:
+            c += 1
+        else:
             break
-
-    # Slot of each lane at which its cycles begin; cycles not begun read the last.
-    at = hs[np.minimum(starts[:, : q + 2], steps), lanes[:, None]]
-    ends = np.cumsum(np.diff(at, axis=1).T.ravel()[:first])
-    m = int(np.searchsorted(ends, horizon))  # the cycle holding the last slot
-    begins = np.concatenate(([0], ends[:m]))  # first slot of each cycle, minus one
-    q, lane = divmod(m, _LANES)
-    cut = at[lanes, q + (lanes < lane)]
-    cut[lane] += horizon - begins[m]
-    # Slots of each step inside the first horizon slots, and whether its
-    # decision slot, its last, is one of them.
-    kept = np.minimum(hs[1 : steps + 1], cut)
-    kept -= hs[:steps]
-    np.maximum(kept, 0, out=kept)
-    decided = hs[1 : steps + 1] <= cut
-
-    bad = decided & (ha[:steps] == Action.RETRANSMIT)
-    bad &= ~out.admissible[Action.RETRANSMIT].take(hr[:steps], mode="clip")
-    if bad.any():
-        step_of, lane_of = np.nonzero(bad)
-        cyc = (starts[lane_of] <= step_of[:, None]).sum(axis=1) - 1
-        slot = begins[cyc * _LANES + lane_of] + hs[step_of + 1, lane_of] - hs[starts[lane_of, cyc], lane_of]
-        k = int(slot.argmin())
-        r_bad = int(hr[step_of[k], lane_of[k]])
-        if r_bad < 1:
-            raise ProtocolViolationError(int(slot[k]), "retransmit with no failed packet in flight")
-        raise ProtocolViolationError(int(slot[k]), f"retransmit at the attempt cap r={r_bad}")
+    lead = int(at_c.sum())
+    width = lane if c == q else _LANES
+    ends = lead + np.cumsum(upper[:width] - at_c[:width])
+    lane = int(np.searchsorted(ends, horizon))
+    m = c * _LANES + lane  # the cycle that holds the last slot
+    rem = horizon - int(ends[lane - 1] if lane else lead)  # its slots inside the horizon
+    # Steps inside the horizon per lane: every step of the other lanes'
+    # cycles before m, and the steps of cycle m that end inside it.  The
+    # step of cycle m that the cut ends, if any, keeps ``part`` of its
+    # jumped slots and not its decision slot.
+    full = np.where(lanes < lane, upper_rows, rows_c)
+    inside = np.cumsum(hn[full[lane] : t, lane])
+    k = int(np.searchsorted(inside, rem, "right"))
+    part = rem - (int(inside[k - 1]) if k else 0)
+    full[lane] += k
+    # Rows below every lane's cut are kept whole; the band above keeps each
+    # lane's steps before its cut, and ``part`` of the step the cut ends.
+    low, depth = int(full.min()), min(int(full.max()) + 1, t)
+    band = np.arange(low, depth)[:, None] < full
+    np.multiply(hn[low:depth], band, out=hn[low:depth])
+    if part:
+        hn[full[lane], lane] = part
+    kept = hn[:depth]
 
     # A step's kept slots have ages d, d + 1, ..., d + kept - 1.
-    aoi_sum = int(np.vdot(kept, hd[:steps])) + (int(np.vdot(kept, kept)) - int(kept.sum())) // 2
-    n_tx = int(np.count_nonzero(ha[:steps] * decided))
-    rows = None
-    if trace:
-        # Steps of the timeline in order, then their kept slots.
-        order = np.arange(m + 1)
-        lane_c, col_c = order % _LANES, order // _LANES
-        first_step = starts[lane_c, col_c]
-        n = np.minimum(starts[lane_c, col_c + 1], steps) - first_step
-        step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        flat = step_t * _LANES + np.repeat(lane_c, n)
-        count = kept.ravel()[flat]
-        f = np.repeat(flat, count)
-        offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
-        d, r, s = (x[: steps + 1].ravel() for x in (hd, hr, hs))
-        last = offset == s[f + _LANES] - s[f] - 1  # the decision slot; the others idle
-        ages = d[f] + offset
-        rows = (ages, r[f], ha[:steps].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
+    aoi_sum = int(np.einsum("ij,ij->", kept, hd[:depth])) + (int(np.einsum("ij,ij->", kept, kept)) - horizon) // 2
+    n_tx = int(np.count_nonzero(ha[:low]) + np.count_nonzero(np.logical_and(ha[low:depth], band)))
+    # The model admits no retransmission without a failed packet in flight
+    # or at its attempt cap; only a table that retransmits in one of those
+    # attempt columns can send one.  ``bad`` holds such decided steps.
+    bad = []
+    if np.isfinite(e1.reshape(-1, n_att, n_age)[:, [0, min(model.r_max, n_att - 1)]]).any():
+        retx = ha[:depth] == Action.RETRANSMIT
+        retx[low:] &= band
+        f = np.flatnonzero(retx)
+        bad = f[~out.admissible[Action.RETRANSMIT][hr[:depth].ravel()[f] // 3]]
+    if not (trace or len(bad)):
+        return aoi_sum, n_tx, None
+
+    # The timeline's steps in order, as flat history indices, and their kept slots.
+    c_step = _cycle_table(hd, t)
+    order = np.arange(m + 1)
+    lane_c, col_c = order % _LANES, order // _LANES
+    first_step = c_step[lane_c, col_c]
+    n = np.minimum(c_step[lane_c, col_c + 1], depth) - first_step
+    step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    flat = step_t * _LANES + np.repeat(lane_c, n)
+    count = kept.ravel()[flat]
+    if len(bad):
+        # A decided step's decision slot is the last of its kept slots.
+        position = np.empty(depth * _LANES, np.int64)
+        position[flat] = np.arange(len(flat))
+        slots = np.cumsum(count)[position[bad]]
+        i = int(slots.argmin())
+        r_bad = int(hr.ravel()[bad[i]]) // 3
+        if r_bad < 1:
+            raise ProtocolViolationError(int(slots[i]), "retransmit with no failed packet in flight")
+        raise ProtocolViolationError(int(slots[i]), f"retransmit at the attempt cap r={r_bad}")
+    f = np.repeat(flat, count)
+    offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
+    d, r = hd[: depth + 1].ravel(), hr[: depth + 1].ravel() // 3
+    decided = (np.arange(depth)[:, None] < full).ravel()[f]
+    last = decided & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
+    ages = d[f] + offset
+    rows = (ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
     return aoi_sum, n_tx, rows
 
 

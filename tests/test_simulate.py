@@ -6,7 +6,7 @@ import pytest
 
 from aoi_sched.errors import ProtocolViolationError
 from aoi_sched.mdp import Action, ChannelModel, State, Truncation, admissible_actions, enumerate_states, transitions
-from aoi_sched import oracles, simulate
+from aoi_sched import arq, oracles, simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
 from aoi_sched.simulate import SlotEnv, SlotRecord, baseline_periodic, evaluate_simulated, run
@@ -301,6 +301,23 @@ class TestCycleKernel:
             run(policy, ChannelModel(0.5, 1.0, r_max), 2_000, seed=1)
         assert sizes == [[policy.table.size // len(Action)] * 4] * 2
 
+    @pytest.mark.parametrize("kind", ["arq-threshold", "harq-table"])
+    def test_every_horizon_is_a_prefix_of_one_long_run(self, kind):
+        # Each horizon ends the joined cycles in another round, often several
+        # rounds before the last cycle the coverage check saw complete.
+        if kind == "arq-threshold":
+            model, policy = ChannelModel(0.5, 1.0, 0), arq.optimal_policy(0.5, 0.35).policy()
+        else:
+            model = ChannelModel(0.5, 0.5, 3)
+            policy = harq_table(model, Truncation(60, 3), 4.0)
+        _, trace = run(policy, model, 60_000, np.random.default_rng(5), collect_trace=True)
+        ages = np.cumsum([rec.state_before.delta for rec in trace])
+        sends = np.cumsum([rec.action is not Action.IDLE for rec in trace])
+        for horizon in range(1_000, 60_001, 1_009):
+            stats, _ = run(policy, model, horizon, np.random.default_rng(5))
+            assert stats.mean_aoi == ages[horizon - 1] / horizon, horizon
+            assert stats.mean_cost == sends[horizon - 1] / horizon, horizon
+
     def test_violation_raised_exactly_within_the_horizon(self):
         model = ChannelModel(0.5, 0.5, 3)
         policy = retransmit_after_failure(Truncation(20, 3))
@@ -418,15 +435,15 @@ def reference_trace(policy, model, horizon, rng):
             return trace
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "harq-table", "randomized-table", "threshold", "mixture", "periodic",
-        "dying", "dying-arq", "top-row-retransmit", "unbounded-attempts", "far-threshold",
-        "idle-after-failure",
-    ],
-)
-def test_kernel_matches_slot_by_slot_reference(case):
+KERNEL_CASES = [
+    "harq-table", "randomized-table", "threshold", "mixture", "periodic",
+    "dying", "dying-arq", "top-row-retransmit", "unbounded-attempts", "far-threshold",
+    "idle-after-failure",
+]
+
+
+def kernel_case(case):
+    """``(policy, model, horizon)`` of a kernel case checked against the slot-by-slot reference."""
     model = ChannelModel(0.5, 0.5, 3)
     w = 2.0 / 7.0
     horizon = 3_000
@@ -477,8 +494,27 @@ def test_kernel_matches_slot_by_slot_reference(case):
             for s in enumerate_states(trunc)
         }
         policy = DeterministicTable(acts, trunc)
+    return policy, model, horizon
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_matches_slot_by_slot_reference(case):
+    policy, model, horizon = kernel_case(case)
     _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
     assert trace == reference_trace(policy, model, horizon, np.random.default_rng(18))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_untraced_sums_match_the_trace(case):
+    # The untraced run sums ages and transmissions without building the
+    # trace that the reference checks; both must count the same slots.  Its
+    # averages are integer sums over the horizon, and at these sizes two
+    # sums one apart never round to the same quotient.
+    policy, model, horizon = kernel_case(case)
+    stats, _ = run(policy, model, horizon, np.random.default_rng(18))
+    _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
+    assert stats.mean_aoi == sum(rec.state_before.delta for rec in trace) / horizon
+    assert stats.mean_cost == sum(rec.action is not Action.IDLE for rec in trace) / horizon
 
 
 def test_violation_slot_matches_reference():
