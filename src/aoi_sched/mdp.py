@@ -19,8 +19,8 @@ from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, dtrtrs
 
+from ._lapack import dtbtrs, dtrtrs
 from .errors import InadmissibleActionError, InadmissibleQueryError
 
 
@@ -427,15 +427,15 @@ class BorderChain:
         nb, r = len(order), rhs.shape[1]
         w = np.empty((nb, r + nb))
         w[:, :r] = rhs
-        w[:, r:] = self.complement[np.ix_(order, order)]
+        w[:, r:] = self.complement.take(order, 0).take(order, 1)
         out = np.zeros(nb)
         for k in range(nb - 1, 0, -1):
             row = w[k, : r + k]
-            out[k] = row[r:].sum()
-            if out[k] == 0.0:
+            out[k] = total = row[r:].sum()
+            if total == 0.0:
                 break
             col = w[:k, r + k]
-            col /= out[k]
+            col /= total
             w[:k, : r + k] += col[:, None] * row
         return w, out
 
@@ -445,7 +445,7 @@ class BorderChain:
             return np.ones(1)
         w, _ = self._reduce(members, np.empty((len(members), 0)))
         # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
-        pi = dtrtrs(-w[1:, 1:], w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
+        pi = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
         return np.concatenate([[1.0], pi])
 
     def values(self, cost: np.ndarray, anchor: int = 0) -> tuple[float, np.ndarray] | None:
@@ -466,14 +466,15 @@ class BorderChain:
         visit[: self.n_low, 0] += self.z @ cost[space.ladder]
         visit[: self.n_low, 1] += self.z.sum(axis=1)
         order = np.arange(nb)
-        order[[0, anchor]] = anchor, 0
+        order[0], order[anchor] = anchor, 0
         w, out = self._reduce(order, visit[order])
         if not (out[1:] > 0.0).all():
             return None
         g = w[0, 0] / w[0, 1]
         # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.
-        lower = -np.tril(w[1:, 3:], -1)
-        lower[np.diag_indices(nb - 1)] = out[1:]
+        # LAPACK reads only the lower triangle, so the weights above it need no masking.
+        lower = np.negative(w[1:, 3:], order="F")
+        np.fill_diagonal(lower, out[1:])
         h = np.zeros(nb)
         h[order[1:]] = dtrtrs(lower, w[1:, 0] - g * w[1:, 1], lower=1)[0]
         return float(g), h - h[0]

@@ -1,10 +1,15 @@
+import ctypes.util
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import lapack as scipy_lapack
 
-from aoi_sched import mdp, rvi
+from aoi_sched import _lapack, mdp, rvi
 from aoi_sched.errors import InadmissibleActionError, InadmissibleQueryError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.lagrange import solve_constrained
@@ -372,3 +377,107 @@ class TestSharedSpace:
                 rvi.solve(model, trunc, 1.0, space=other)
             with pytest.raises(ValueError, match="not built for"):
                 evaluate_exact(policy, model, trunc, space=other)
+
+
+# Whether the solves come from numpy's OpenBLAS rather than scipy.
+NUMPY_LAPACK = _lapack.dtbtrs is not scipy_lapack.dtbtrs
+
+
+def same_solve(ours, theirs):
+    (x, info), (y, their_info) = ours, theirs
+    return info == their_info and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def ordered(a, fortran):
+    return np.asfortranarray(a) if fortran else np.ascontiguousarray(a)
+
+
+# Ladder band widths: r_cap + 2 at a cap of 40, and a cap clipped by n_max = 150.
+WIDE_BANDS = [mdp.StateSpace(ChannelModel(0.5, lam, r), Truncation(150, r)).scatter.width
+              for lam, r in ((0.5, 40), (1.0, 20000))]
+
+
+class TestLapack:
+    @given(
+        kd=st.integers(0, 12) | st.sampled_from(WIDE_BANDS),
+        n=st.integers(0, 600),
+        nrhs=st.integers(1, 4),
+        vector=st.booleans(),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kd=WIDE_BANDS[0], n=600, nrhs=4, vector=False, fortran=True, seed=0)
+    @example(kd=WIDE_BANDS[1], n=600, nrhs=4, vector=False, fortran=False, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_band_solve_matches_scipy_bit_for_bit(self, kd, n, nrhs, vector, fortran, seed):
+        rng = np.random.default_rng(seed)
+        # Off-diagonal rows and columns sum below 1 in magnitude, so no solve overflows.
+        ab = ordered(rng.uniform(-1.0, 1.0, (kd + 1, n)) / (kd + 1), fortran)
+        b = ordered(rng.standard_normal(n if vector else (n, nrhs)), fortran)
+        for trans in "NT":
+            expected = scipy_lapack.dtbtrs(ab, b, uplo="U", trans=trans, diag="U")
+            assert same_solve(_lapack.dtbtrs(ab, b, uplo="U", trans=trans, diag="U"), expected)
+        # BorderChain.__init__ solves its own right-hand side in place.
+        rhs = np.asfortranarray(b.copy())
+        x, info = _lapack.dtbtrs(ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)
+        assert x is rhs
+        assert same_solve((x, info), expected)
+
+    @given(
+        n=st.integers(1, 40),
+        nrhs=st.integers(1, 4),
+        vector=st.booleans(),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_triangular_solves_match_scipy_bit_for_bit(self, n, nrhs, vector, fortran, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (n, n)) / n
+        a[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n)
+        a = ordered(a, fortran)
+        b = ordered(rng.standard_normal(n if vector else (n, nrhs)), fortran)
+        # The two solves of BorderChain: stationary masses and differential values.
+        for kwargs in (dict(lower=0, trans=1, unitdiag=1), dict(lower=1)):
+            assert same_solve(_lapack.dtrtrs(a, b, **kwargs), scipy_lapack.dtrtrs(a, b, **kwargs))
+        # BorderChain.values leaves the strict upper triangle unmasked.
+        unmasked = a.copy()
+        unmasked[np.triu_indices(n, 1)] = np.nan
+        assert same_solve(_lapack.dtrtrs(unmasked, b, lower=1), _lapack.dtrtrs(np.tril(a), b, lower=1))
+
+    @pytest.mark.skipif(not NUMPY_LAPACK, reason="scipy's wrappers check their arguments themselves")
+    def test_an_illegal_argument_raises(self):
+        with pytest.raises(ValueError, match="dtbtrs: argument 10"):  # ldb = 4 < n = 5
+            _lapack.dtbtrs(np.ones((2, 5)), np.ones(4), uplo="U", trans="N", diag="U")
+        with pytest.raises(ValueError, match="dtrtrs: argument 9"):
+            _lapack.dtrtrs(np.eye(5), np.ones(4))
+
+    def test_without_a_usable_library_the_solves_are_scipys(self, monkeypatch):
+        not_lapack = [Path(__file__)] + [lib for lib in [ctypes.util.find_library("m")] if lib]
+        dtbtrs, dtrtrs = _lapack.load(not_lapack)
+        assert dtbtrs is scipy_lapack.dtbtrs and dtrtrs is scipy_lapack.dtrtrs
+        assert _lapack.load([]) == (dtbtrs, dtrtrs)
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
+        default = rvi.solve(model, trunc, 5.0)
+        monkeypatch.setattr(mdp, "dtbtrs", dtbtrs)
+        monkeypatch.setattr(mdp, "dtrtrs", dtrtrs)
+        fallback = rvi.solve(model, trunc, 5.0)
+        assert fallback.gain == default.gain
+        assert fallback.h_array.tobytes() == default.h_array.tobytes()
+
+    def test_planning_imports_no_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "from aoi_sched import _lapack\n"
+            "from aoi_sched.lagrange import solve_constrained\n"
+            "from aoi_sched.mdp import ChannelModel, Truncation\n"
+            "solve_constrained(ChannelModel(0.5, 0.5, 3), Truncation(120, 3), 0.4)\n"
+            "print(getattr(_lapack.dtbtrs, '__module__', None) == _lapack.__name__, 'scipy.linalg' in sys.modules)\n"
+        )
+        src = str(Path(mdp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        from_numpy, loaded = proc.stdout.split()
+        assert from_numpy == str(NUMPY_LAPACK)
+        if NUMPY_LAPACK:
+            assert loaded == "False"
