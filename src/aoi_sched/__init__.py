@@ -44,6 +44,6 @@ from .policies import (
 )
 from .rvi import SolverOutput, bellman_residual, solve
 from .sarsa import LearnerConfig, LearnerState, Timeline, softmax_probs, train
-from .simulate import RunStats, SlotRecord, baseline_periodic, evaluate_simulated, run
+from .simulate import RunStats, SlotTrace, baseline_periodic, evaluate_simulated, run
 
 __version__ = "0.1.0"

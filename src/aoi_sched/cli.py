@@ -32,7 +32,7 @@ from .simulate import baseline_periodic, evaluate_simulated, run
 
 STATS_SCHEMA = "aoi-stats-1"
 SWEEP_SCHEMA = "aoi-sweep-1"
-TRACE_SCHEMA = "aoi-trace-1"
+_CODES = np.array([a.code for a in Action])  # CSV code of each action value
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -82,8 +82,14 @@ def _checked(convert, build):
 
 
 _CMAX = _checked(float, baseline_periodic)  # the budget range every solver checks
+_NMAX = _checked(int, lambda n: Truncation(n, 0))
 # The charge range, which the solver checks first; a solve on two states is instant.
 _ETA = _checked(float, functools.partial(solve, ChannelModel(0.5), Truncation(2, 0)))
+
+
+def _learner(field: str):
+    """argparse type of the learner's float setting ``field``, ranged by ``LearnerConfig``."""
+    return _checked(float, lambda value: LearnerConfig(Truncation(2, 0), **{field: value}))
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
@@ -93,7 +99,7 @@ def _model_args(p: argparse.ArgumentParser) -> None:
         help="per-retransmission error decay",
     )
     p.add_argument("--rmax", type=_checked(int, lambda r: ChannelModel(0.5, 1.0, r)), default=0, help="retransmission cap (ARQ: 0)")
-    p.add_argument("--nmax", type=_checked(int, lambda n: Truncation(n, 0)), default=150, help="age cap of the solver truncation")
+    p.add_argument("--nmax", type=_NMAX, default=150, help="age cap of the solver truncation")
 
 
 def _model_from(args) -> tuple[ChannelModel, Truncation]:
@@ -132,17 +138,16 @@ STATS_HEADER = [
 def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
-    res = evaluate_exact(out.policy, model, trunc, space=out.space)
+    space = out.space
+    res = evaluate_exact(out.policy, model, trunc, space=space)
+    actions = out.policy.table[space.age, space.r].argmax(axis=1)
     if args.out:
+        columns = space.age, space.r, out.h_array, out.q_array, _CODES[actions]
         rows = [
-            [s.delta, s.r, f"{h:.12g}", *(f"{v:.12g}" if math.isfinite(v) else "" for v in q), a.code]
-            for (s, a), h, q in zip(out.policy.actions.items(), out.h_array.tolist(), out.q_array.tolist())
+            [delta, r, f"{h:.12g}", *(f"{v:.12g}" if math.isfinite(v) else "" for v in q), code]
+            for delta, r, h, q, code in zip(*(x.tolist() for x in columns))
         ]
-        _write_csv(
-            _outpath(args.out),
-            ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"],
-            rows,
-        )
+        _write_csv(_outpath(args.out), ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"], rows)
     summary = {
         "eta": args.eta,
         "gain": out.gain,
@@ -153,8 +158,8 @@ def cmd_solve(args) -> int:
         "tail_mass": res.tail_mass,
     }
     if args.rmax == 0:
-        transmit_ages = [s.delta for s, a in out.policy.actions.items() if a != Action.IDLE]
-        summary["threshold"] = min(transmit_ages) if transmit_ages else None
+        transmit_ages = space.age[actions != Action.IDLE]
+        summary["threshold"] = int(transmit_ages.min()) if len(transmit_ages) else None
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -240,15 +245,10 @@ def cmd_simulate(args) -> int:
         # The start of replication 0: a short run is the prefix of a longer one.
         rep0 = np.random.default_rng([args.seed, 0])
         _, trace = run(policy, model, min(args.horizon, args.trace_slots), rep0, collect_trace=True)
-        _write_csv(
-            _outpath(args.trace_out),
-            ["t", "delta", "r", "action", "success"],
-            [
-                [rec.t, rec.state_before.delta, rec.state_before.r, rec.action.code,
-                 "" if rec.success is None else int(rec.success)]
-                for rec in trace
-            ],
-        )
+        success = np.where(trace.action == Action.IDLE, "", np.where(trace.delivered, "1", "0"))
+        columns = np.arange(1, len(success) + 1), trace.delta, trace.r, _CODES[trace.action], success
+        rows = zip(*(x.tolist() for x in columns))
+        _write_csv(_outpath(args.trace_out), ["t", "delta", "r", "action", "success"], rows)
     if args.out:
         _write_csv(
             _outpath(args.out),
@@ -516,9 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count(0), default=10_000)
     p.add_argument("--reps", type=_count(1), default=100)
     p.add_argument("--seed", type=_count(0), default=0)
-    p.add_argument("--tau", type=_checked(float, lambda tau: LearnerConfig(Truncation(2, 0), tau)), default=1.0)
-    p.add_argument("--eta0", type=float, default=2.0)
-    p.add_argument("--eta-step", type=float, default=0.5)
+    p.add_argument("--tau", type=_learner("tau"), default=1.0)
+    p.add_argument("--eta0", type=_learner("eta0"), default=2.0)
+    p.add_argument("--eta-step", type=_learner("eta_step"), default=0.5)
     p.add_argument("--no-eta-adapt", action="store_true")
     p.add_argument("--timeline-out", help="aggregated learning-curve CSV")
     p.add_argument("--timeline-points", type=_count(1), default=200)
@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmax", type=float, nargs="+")
     p.add_argument("--protocols", nargs="+", choices=("arq", "harq", "baseline"))
     p.add_argument("--horizon", type=_count(0), help="slots per replication (0: no simulation)")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--reps", type=_count(1))
+    p.add_argument("--nmax", type=_NMAX)
     p.add_argument("--seed", type=_count(0))
     p.add_argument("--workers", type=_count(1), default=1)
     p.add_argument("--quick", action="store_true", help="reduced horizon and replications")

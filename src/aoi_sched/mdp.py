@@ -385,11 +385,11 @@ class BorderChain:
         self.z = (dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0] if rhs.size else rhs).T
         self.complement[:n_low] += self.z @ self.p_lb
 
-    def solve(self, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """``(I - P_LL)^-1 rhs``, or ``(I - P_LL)^-T rhs`` when ``transposed``."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I - P_LL)^-1 rhs``."""
         if rhs.size == 0:
             return np.zeros(rhs.shape)
-        return dtbtrs(self.ab, rhs, uplo="U", trans="T" if transposed else "N", diag="U")[0]
+        return dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0]
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:

@@ -55,9 +55,10 @@ def arq_solver_residual(points, n_max: int) -> float:
     for p, eta in points:
         model, trunc = ChannelModel(p, 1.0, 0), Truncation(n_max, 0)
         out = rvi.solve(model, trunc, eta)
-        acts = out.policy.actions
-        thr = min((s.delta for s, a in acts.items() if a != Action.IDLE), default=None)
-        if thr not in arq.threshold_candidates(p, eta) or any((a != Action.IDLE) != (s.delta >= thr) for s, a in acts.items()):
+        age = out.space.age
+        transmits = out.policy.table[age, out.space.r].argmax(axis=1) != Action.IDLE
+        thr = int(age[transmits].min()) if transmits.any() else None
+        if thr not in arq.threshold_candidates(p, eta) or (transmits != (age >= thr)).any():
             return math.inf
         worst = max(worst, rvi.bellman_residual(out, model, trunc, eta))
     return worst

@@ -47,7 +47,7 @@ def _probs_at(table: np.ndarray, s: State) -> dict[Action, float]:
 
 @dataclass(frozen=True, eq=False)
 class DeterministicTable:
-    """One action per truncated state; ``actions`` is a dict view in ``StateSpace`` order."""
+    """One action per truncated state: a one-hot ``table``."""
 
     table: np.ndarray  # or a State -> Action mapping, converted on construction
     trunc: Truncation
@@ -63,11 +63,6 @@ class DeterministicTable:
         table = np.zeros((space.trunc.n_max + 1, space.r_cap + 1, len(Action)))
         table[space.age, space.r, actions] = 1.0
         return cls(table, Truncation(space.trunc.n_max, space.r_cap))
-
-    @cached_property
-    def actions(self) -> dict[State, Action]:
-        d, r, a = np.nonzero(self.table)
-        return dict(zip(map(State, d.tolist(), r.tolist()), map(Action, a.tolist())))
 
     def action_probs(self, s: State) -> dict[Action, float]:
         return _probs_at(self.table, s)

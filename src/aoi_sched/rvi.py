@@ -46,7 +46,7 @@ class SolverOutput:
     """Converged differential values, state-action costs, gain and greedy policy.
 
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
-    in ``StateSpace`` order, which is also the key order of ``policy.actions``.
+    in ``StateSpace`` order, the order of ``policy.table[space.age, space.r]``.
     ``space`` is the state space the output was solved on; a caller that
     goes on to work on the same chain passes it on.  Outputs compare by
     identity, as an array field has no single truth value.

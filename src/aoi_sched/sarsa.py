@@ -44,8 +44,12 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        for name in ("eta0", "eta_step"):  # eta0 in the charge range of rvi.solve
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 < self.c_max <= 1.0:
             raise ValueError(f"c_max must lie in (0, 1], got {self.c_max}")
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,16 +47,22 @@ _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
 _NEVER = 2**62  # an age or step no run reaches, with room to count past it
 _BLOCK_STEPS = np.arange(_BLOCK)[:, None] * _LANES + np.arange(_LANES)  # flat history index of a block's steps
-_ACTIONS = tuple(Action)
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    t: int
-    state_before: State
-    action: Action
-    success: bool | None
-    state_after: State
+class SlotTrace(NamedTuple):
+    """A run's slots as columns: slot ``t``, at index ``t - 1``, begins in ``(delta, r)``,
+    takes ``action`` and ends in ``(next_delta, next_r)``.  Actions are uint8, the rest int64."""
+
+    delta: np.ndarray
+    r: np.ndarray
+    action: np.ndarray
+    next_delta: np.ndarray
+    next_r: np.ndarray
+
+    @property
+    def delivered(self) -> np.ndarray:
+        """Whether each slot delivers: it transmits and the age does not rise (a failure raises it)."""
+        return (self.action != Action.IDLE) & (self.next_delta <= self.delta)
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,7 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
 
     Returns the age sum and transmission count of the joined timeline's first
-    ``horizon`` slots and, when ``trace`` is set, its per-slot age,
-    attempts, action, and next age and attempts.
+    ``horizon`` slots and, when ``trace`` is set, its ``SlotTrace``.
 
     The lanes advance one block of ``_BLOCK`` steps at a time, and each block
     is booked once, on its own rows: its decision ages become its steps'
@@ -375,8 +381,9 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     decided = (np.arange(depth)[:, None] < full).ravel()[f]
     last = decided & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
     ages = d[f] + offset
-    rows = (ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
-    return aoi_sum, n_tx, rows
+    return aoi_sum, n_tx, SlotTrace(
+        ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last
+    )
 
 
 def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
@@ -392,28 +399,17 @@ def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np
     delivered = rng.random(len(tx_slot)) >= out.fail[Action.NEW_UPDATE, 0]
     gaps = np.diff(np.concatenate(([0], tx_slot[delivered], [horizon])))
     aoi_sum = int((gaps * (gaps + 1) // 2).sum())
-    rows = None
-    if trace:
-        last = np.zeros(horizon + 1, np.int64)  # last delivery slot up to t
-        last[tx_slot[delivered]] = tx_slot[delivered]
-        np.maximum.accumulate(last, out=last)
-        ages = np.arange(1, horizon + 2) - last
-        attempts = np.zeros(horizon + 1, np.int64)  # a failed fresh update marks the next slot
-        attempts[tx_slot[~delivered]] = out.fail_att[Action.NEW_UPDATE, 0]
-        actions = np.zeros(horizon, np.int8)
-        actions[tx_slot - 1] = Action.NEW_UPDATE
-        rows = (ages[:-1], attempts[:-1], actions, ages[1:], attempts[1:])
-    return aoi_sum, len(tx_slot), rows
-
-
-def _records(ages, attempts, actions, next_ages, next_attempts) -> list[SlotRecord]:
-    # A delivery never raises the age; a failure or an idle slot raises it by one.
-    return [
-        SlotRecord(t, State(d, r), _ACTIONS[a], None if a == 0 else d1 <= d, State(d1, r1))
-        for t, (d, r, a, d1, r1) in enumerate(
-            zip(*(x.tolist() for x in (ages, attempts, actions, next_ages, next_attempts))), start=1
-        )
-    ]
+    if not trace:
+        return aoi_sum, len(tx_slot), None
+    last = np.zeros(horizon + 1, np.int64)  # last delivery slot up to t
+    last[tx_slot[delivered]] = tx_slot[delivered]
+    np.maximum.accumulate(last, out=last)
+    ages = np.arange(1, horizon + 2) - last
+    attempts = np.zeros(horizon + 1, np.int64)  # a failed fresh update marks the next slot
+    attempts[tx_slot[~delivered]] = out.fail_att[Action.NEW_UPDATE, 0]
+    actions = np.zeros(horizon, np.uint8)
+    actions[tx_slot - 1] = Action.NEW_UPDATE
+    return aoi_sum, len(tx_slot), SlotTrace(ages[:-1], attempts[:-1], actions, ages[1:], attempts[1:])
 
 
 def run(
@@ -423,21 +419,20 @@ def run(
     seed=0,
     *,
     collect_trace: bool = False,
-) -> tuple[RunStats, list[SlotRecord] | None]:
+) -> tuple[RunStats, SlotTrace | None]:
     """Simulate ``horizon`` slots from (1, 0); deterministic given the seed.
 
     ``seed`` is anything ``np.random.default_rng`` takes, a ``Generator``
     included, which is used as it is.  Returns the single-replication time
-    averages and, when requested, the full slot trace.  The trace of ``n``
-    slots is the start of every longer run on the same stream.
+    averages and, when requested, the run's ``SlotTrace``.  The trace of
+    ``n`` slots is the start of every longer run on the same stream.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     rng = np.random.default_rng(seed)
     simulate = _periodic if isinstance(policy, PeriodicPolicy) else _cycles
-    aoi_sum, n_tx, rows = simulate(policy, model, horizon, rng, collect_trace)
-    stats = RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon])
-    return stats, (_records(*rows) if collect_trace else None)
+    aoi_sum, n_tx, trace = simulate(policy, model, horizon, rng, collect_trace)
+    return RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon]), trace
 
 
 def evaluate_simulated(

@@ -234,9 +234,5 @@ def test_criterion_11_no_retransmit_after_idle():
         ]
         for k, policy in enumerate(policies):
             _, trace = run(policy, model, 100_000, seed=31 + k, collect_trace=True)
-            violations = sum(
-                1
-                for prev, cur in zip(trace, trace[1:])
-                if prev.action is Action.IDLE and cur.action is Action.RETRANSMIT
-            )
+            violations = np.count_nonzero((trace.action[:-1] == Action.IDLE) & (trace.action[1:] == Action.RETRANSMIT))
             assert violations == 0

@@ -99,7 +99,7 @@ def test_simulate_stats_and_trace(tmp_path, capsys):
     assert len(trows) == 51
     # The trace is the start of replication 0.
     _, rep0 = run(ThresholdPolicy(4), ChannelModel(0.5, 1.0, 0), 5000, np.random.default_rng([3, 0]), collect_trace=True)
-    assert [int(row[1]) for row in trows[1:]] == [rec.state_before.delta for rec in rep0[:50]]
+    assert [int(row[1]) for row in trows[1:]] == rep0.delta[:50].tolist()
 
 
 def test_learn_zero_horizon(tmp_path, capsys):
@@ -308,6 +308,7 @@ def test_verify_fails_when_a_collaborator_breaks(name, monkeypatch, capsys):
         ["simulate", "--seed", "-1"],
         ["learn", "--seed", "-1"],
         ["sweep", "--seed", "-1"],
+        ["sweep", "--reps", "0"],
     ],
 )
 def test_count_flags_reject_bad_values(argv, capsys):
@@ -336,6 +337,12 @@ def test_count_flags_reject_bad_values(argv, capsys):
         (["solve", "--eta", "inf"], "--eta"),
         (["learn", "--tau", "0"], "--tau"),
         (["learn", "--tau", "nan"], "--tau"),
+        (["learn", "--tau", "inf"], "--tau"),
+        (["learn", "--eta0", "nan"], "--eta0"),
+        (["learn", "--eta0", "-5", "--no-eta-adapt"], "--eta0"),
+        (["learn", "--eta-step", "nan"], "--eta-step"),
+        (["learn", "--eta-step", "inf"], "--eta-step"),
+        (["sweep", "--nmax", "1"], "--nmax"),
     ],
 )
 def test_value_flags_reject_bad_values(argv, flag, capsys):

@@ -10,6 +10,8 @@ from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
 from aoi_sched.policies import RandomizedTable, table_difference
 from aoi_sched.rvi import bellman_residual
 
+import spec
+
 
 class TestMixtureWeight:
     def test_interior_value(self):
@@ -39,7 +41,7 @@ class TestSearchEtaStar:
         assert result.eta_star == pytest.approx(7.0, abs=1e-12)
         assert not result.exact_hit
         thresholds = [
-            min(s.delta for s, a in out.policy.actions.items() if a != Action.IDLE)
+            min(s.delta for s, a in spec.actions(out.policy).items() if a != Action.IDLE)
             for out, _ in (result.low, result.high)
         ]
         assert thresholds == [4, 5]
@@ -118,7 +120,7 @@ class TestSolveConstrained:
         sol = solve_constrained(model, trunc, c_max)
         assert isinstance(sol.mixed, RandomizedTable)
         (state,) = table_difference(sol.policy_low, sol.policy_high)
-        a_low, a_high = sol.policy_low.actions[state], sol.policy_high.actions[state]
+        a_low, a_high = spec.actions(sol.policy_low)[state], spec.actions(sol.policy_high)[state]
 
         def gap(w):
             table = sol.mixed.table.copy()
@@ -169,7 +171,7 @@ class TestSolveConstrained:
         sol = solve_constrained(model, Truncation(80, 3), 1.0)
         assert sol.eta_star == 0.0
         assert sol.mixed is sol.policy_low is sol.policy_high
-        assert all(a != Action.IDLE for a in sol.mixed.actions.values())
+        assert all(a != Action.IDLE for a in spec.actions(sol.mixed).values())
         assert sol.achieved_cost == pytest.approx(1.0, abs=1e-12)
 
     @given(

@@ -10,6 +10,8 @@ from aoi_sched.policies import (
     table_difference,
 )
 
+import spec
+
 
 class TestTables:
     def test_lookup_clamps_to_truncation(self):
@@ -51,8 +53,8 @@ class TestTables:
         trunc = Truncation(6, 2)
         acts = {s: Action(min(s.r + (s.delta > 3), 2)) for s in reversed(enumerate_states(trunc))}
         table = DeterministicTable(acts, trunc)
-        assert table.actions == acts
-        assert list(table.actions) == enumerate_states(trunc)
+        assert spec.actions(table) == acts
+        assert list(spec.actions(table)) == enumerate_states(trunc)
 
     def test_table_difference(self):
         trunc = Truncation(3, 0)

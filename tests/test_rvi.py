@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from aoi_sched import arq, oracles, rvi
@@ -9,6 +9,8 @@ from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states, transitions
 from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import bellman_residual, solve
+
+import spec
 
 ARQ_HALF = ChannelModel(0.5, 1.0, 0)
 ARQ_TRUNC = Truncation(200, 0)
@@ -36,7 +38,7 @@ def rvi_reference_gain(model, trunc, eta, epsilon=1e-11, kappa=0.5):
 
 
 def threshold_of(policy):
-    tx = sorted(s.delta for s, a in policy.actions.items() if a != Action.IDLE)
+    tx = sorted(s.delta for s, a in spec.actions(policy).items() if a != Action.IDLE)
     return tx[0] if tx else None
 
 
@@ -110,13 +112,13 @@ class TestSolveHarq:
     )
     def test_mapping_and_array_forms_agree(self, model, trunc):
         policy = solve(model, trunc, 5.0).policy
-        assert DeterministicTable(policy.actions, policy.trunc).table.tobytes() == policy.table.tobytes()
+        assert DeterministicTable(spec.actions(policy), policy.trunc).table.tobytes() == policy.table.tobytes()
 
     def test_policy_is_greedy_on_q(self):
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(60, 9)
         out = solve(model, trunc, 5.0)
-        assert list(out.policy.actions.values()) == np.argmin(out.q_array, axis=1).tolist()
+        assert list(spec.actions(out.policy).values()) == np.argmin(out.q_array, axis=1).tolist()
 
 
 class TestUnconstrainedMode:
@@ -126,7 +128,7 @@ class TestUnconstrainedMode:
         model = ChannelModel(0.5, 0.5, 3)
         trunc = Truncation(80, 3)
         out = solve(model, trunc, 0.0)
-        assert all(a != Action.IDLE for a in out.policy.actions.values())
+        assert all(a != Action.IDLE for a in spec.actions(out.policy).values())
 
     def test_residual_with_restricted_actions(self):
         model = ChannelModel(0.5, 0.5, 3)
@@ -172,7 +174,7 @@ class TestDeterminismAndErrors:
         assert a.h_array.tobytes() == b.h_array.tobytes()
         assert a.q_array.tobytes() == b.q_array.tobytes()
         assert a.gain == b.gain
-        assert a.policy.actions == b.policy.actions
+        assert spec.actions(a.policy) == spec.actions(b.policy)
 
     def test_iteration_limit_raises(self, monkeypatch):
         model = ChannelModel(0.3, 0.5, 5)
@@ -189,7 +191,7 @@ class TestDeterminismAndErrors:
         cold = solve(model, trunc, 3.0)
         warm = solve(model, trunc, 3.0, h0=solve(model, trunc, 2.5).h_array)
         assert warm.h_array == pytest.approx(cold.h_array, abs=5e-8)
-        assert warm.policy.actions == cold.policy.actions
+        assert spec.actions(warm.policy) == spec.actions(cold.policy)
 
 
 class TestPolicyIteration:
@@ -247,6 +249,10 @@ def assert_matches_dense_evaluation(model, trunc, actions, eta):
     M = np.eye(len(P)) - P
     M[:, 0] += 1.0
     y = np.linalg.solve(M, cost)
+    # One step of iterative refinement: where the values reach 1e9 the
+    # matrix's condition number does too, and the plain LU solve alone can
+    # be off by more than the tolerance.
+    y += np.linalg.solve(M, cost - M @ y)
     g, h = rvi._evaluate(space, actions, eta)
     scale = max(1.0, np.abs(y).max())
     assert abs(g - y[0]) <= 1e-12 * scale
@@ -262,6 +268,8 @@ class TestLadderEvaluation:
         eta=st.floats(0.0, 100.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Values up to 2.2e9, where the unrefined dense solve was off by 0.72.
+    @example(p0=0.875, lam=0.25, r_max=3, n_max=38, eta=0.0, seed=206753)
     @settings(max_examples=60, deadline=None)
     def test_matches_a_dense_solve(self, p0, lam, r_max, n_max, eta, seed):
         model = ChannelModel(p0, lam, r_max)

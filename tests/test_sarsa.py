@@ -18,6 +18,8 @@ from aoi_sched.sarsa import (
 )
 from aoi_sched.simulate import SlotEnv
 
+import spec
+
 TINY = 1e-300
 ALL = np.array([True, True, True])
 
@@ -56,6 +58,18 @@ def _cfg(**kw):
     base = dict(trunc=Truncation(30, 3), eta_adapt=False, c_max=0.4, seed=0)
     base.update(kw)
     return LearnerConfig(**base)
+
+
+class TestLearnerConfig:
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("field", ["tau", "eta0", "eta_step"])
+    def test_settings_are_finite_and_in_range(self, field, value):
+        # The charge and its step may be zero; the temperature may not.
+        if value == 0.0 and field != "tau":
+            assert getattr(_cfg(**{field: value}), field) == 0.0
+        else:
+            with pytest.raises(ValueError, match=f"{field} must be finite and"):
+                _cfg(**{field: value})
 
 
 class TestStep:
@@ -216,7 +230,7 @@ class TestTrain:
         # On an all-zero table every admissible action ties; the last one wins.
         model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(20, 3)
         greedy = make_learner(LearnerConfig(trunc=trunc), model).greedy_table()
-        assert greedy.actions == {
+        assert spec.actions(greedy) == {
             s: Action.RETRANSMIT if 1 <= s.r < 3 else Action.NEW_UPDATE for s in enumerate_states(trunc)
         }
 

@@ -9,24 +9,37 @@ from aoi_sched.mdp import Action, ChannelModel, State, Truncation, admissible_ac
 from aoi_sched import arq, oracles, simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
-from aoi_sched.simulate import SlotEnv, SlotRecord, baseline_periodic, evaluate_simulated, run
+from aoi_sched.simulate import SlotEnv, SlotTrace, baseline_periodic, evaluate_simulated, run
+
+import spec
 
 TINY = 1e-300
+
+
+def slot_rows(trace):
+    """The trace's slots as ``(delta, r, action, delivered, next_delta, next_r)`` tuples."""
+    columns = trace.delta, trace.r, trace.action, trace.delivered, trace.next_delta, trace.next_r
+    return list(zip(*(x.tolist() for x in columns)))
 
 
 def assert_trace_valid(trace, model):
     """Every recorded step must be in the transition support of its action."""
     big = Truncation(10**9, model.r_max)
-    for rec in trace:
-        support = {e.next for e in transitions(rec.state_before, rec.action, model, big)}
-        assert rec.state_after in support, rec
+    for d, r, a, _, d1, r1 in slot_rows(trace):
+        support = {e.next for e in transitions(State(d, r), Action(a), model, big)}
+        assert State(d1, r1) in support, (d, r, a, d1, r1)
+
+
+def assert_connected(trace):
+    """Every slot begins in the state the slot before it ends in."""
+    assert np.array_equal(trace.next_delta[:-1], trace.delta[1:])
+    assert np.array_equal(trace.next_r[:-1], trace.r[1:])
 
 
 class TestRunBasics:
     def test_error_free_always_new_pins_age(self):
         stats, trace = run(ThresholdPolicy(1), ChannelModel(TINY, 1.0, 0), 10, seed=3, collect_trace=True)
-        ages = [rec.state_before.delta for rec in trace]
-        assert ages == [1] * 10
+        assert trace.delta.tolist() == [1] * 10
         assert stats.mean_aoi == 1.0
         assert stats.mean_cost == 1.0
 
@@ -40,9 +53,9 @@ class TestRunBasics:
             for s in enumerate_states(trunc)
         }
         _, trace = run(DeterministicTable(acts, trunc), model, 3, seed=0, collect_trace=True)
-        assert trace[0].action is Action.NEW_UPDATE and trace[0].success is False
-        assert trace[1].action is Action.RETRANSMIT and trace[1].success is True
-        assert trace[1].state_after == State(2, 0)
+        assert trace.action[:2].tolist() == [Action.NEW_UPDATE, Action.RETRANSMIT]
+        assert trace.delivered[:2].tolist() == [False, True]
+        assert (trace.next_delta[1], trace.next_r[1]) == (2, 0)
 
     def test_idle_resets_attempt_marker(self):
         model = ChannelModel(1.0 - 1e-12, 0.9, 3)
@@ -50,17 +63,24 @@ class TestRunBasics:
         acts = {s: Action.IDLE for s in enumerate_states(trunc)}
         acts[State(1, 0)] = Action.NEW_UPDATE
         _, trace = run(DeterministicTable(acts, trunc), model, 3, seed=0, collect_trace=True)
-        assert trace[0].state_after.r == 1
-        assert trace[1].action is Action.IDLE
-        assert trace[1].state_after.r == 0
+        assert trace.next_r[0] == 1
+        assert trace.action[1] == Action.IDLE
+        assert trace.next_r[1] == 0
 
     def test_seed_determinism(self):
         model = ChannelModel(0.5, 0.5, 3)
         pol = ThresholdPolicy(3)
         s1, t1 = run(pol, model, 2000, seed=42, collect_trace=True)
         s2, t2 = run(pol, model, 2000, seed=42, collect_trace=True)
-        assert t1 == t2
+        assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
         assert s1 == s2
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy(4), PeriodicPolicy(3)], ids=["cycles", "periodic"])
+    def test_trace_columns_have_one_dtype(self, policy):
+        _, trace = run(policy, ChannelModel(0.5, 0.5, 3), 100, seed=1, collect_trace=True)
+        assert isinstance(trace, SlotTrace)
+        assert [column.dtype for column in trace] == [np.int64, np.int64, np.uint8, np.int64, np.int64]
+        assert {len(column) for column in trace} == {100}
 
     def test_trace_follows_transition_support(self):
         model = ChannelModel(0.4, 0.6, 3)
@@ -132,7 +152,7 @@ class TestBaseline:
 
     def test_ignores_feedback(self):
         _, trace = run(baseline_periodic(0.25), ChannelModel(0.9, 1.0, 0), 100, seed=2, collect_trace=True)
-        tx_slots = [rec.t for rec in trace if rec.action != Action.IDLE]
+        tx_slots = (np.flatnonzero(trace.action != Action.IDLE) + 1).tolist()
         assert tx_slots == [1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53, 57, 61, 65, 69, 73, 77, 81, 85, 89, 93, 97]
 
 
@@ -144,9 +164,7 @@ class TestNoRetransmitAfterIdle:
         trunc = Truncation(60, 5)
         out = solve(model, trunc, 4.0)
         _, trace = run(out.policy, model, 20_000, seed=9, collect_trace=True)
-        for prev, cur in zip(trace, trace[1:]):
-            if prev.action is Action.IDLE:
-                assert cur.action is not Action.RETRANSMIT
+        assert not ((trace.action[:-1] == Action.IDLE) & (trace.action[1:] == Action.RETRANSMIT)).any()
 
 
 class TestRunStatsAggregation:
@@ -225,7 +243,7 @@ class ForcedUniform:
 
 def harq_table(model, trunc, eta):
     policy = solve(model, trunc, eta).policy
-    assert Action.RETRANSMIT in policy.actions.values()
+    assert Action.RETRANSMIT in spec.actions(policy).values()
     return policy
 
 
@@ -244,7 +262,7 @@ class TestCycleKernel:
         stats, trace = run(idle, ChannelModel(0.5, 0.5, 3), horizon, seed=4, collect_trace=True)
         assert stats.mean_aoi == (horizon + 1) / 2
         assert stats.mean_cost == 0.0
-        assert trace[-1].state_after == State(horizon + 1, 0)
+        assert (trace.next_delta[-1], trace.next_r[-1]) == (horizon + 1, 0)
 
     def test_replications_do_not_depend_on_their_count(self):
         model = ChannelModel(0.5, 0.5, 3)
@@ -264,8 +282,8 @@ class TestCycleKernel:
         model = ChannelModel(0.5, 0.5, 3)
         policy = harq_table(model, Truncation(60, 3), 4.0)
         _, trace = run(policy, model, 20_000, seed=12, collect_trace=True)
-        assert [rec.t for rec in trace] == list(range(1, 20_001))
-        assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
+        assert all(len(column) == 20_000 for column in trace)
+        assert_connected(trace)
 
     def test_unbounded_attempts_are_exact(self):
         # Under a wide model cap long runs of failed retransmissions take the
@@ -273,9 +291,9 @@ class TestCycleKernel:
         model = ChannelModel(0.999, 0.9999, 1000)
         policy = retransmit_after_failure(Truncation(20, 3))
         stats, trace = run(policy, model, 3_000, seed=8, collect_trace=True)
-        assert max(rec.state_after.r for rec in trace) > 100
+        assert trace.next_r.max() > 100
         assert_trace_valid(trace, model)
-        assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 3_000, rel=1e-14)
+        assert trace.delta.sum() == pytest.approx(stats.mean_aoi * 3_000, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ["cycles", "periodic"])
     def test_outcome_table_built_once(self, kind, monkeypatch):
@@ -311,8 +329,8 @@ class TestCycleKernel:
             model = ChannelModel(0.5, 0.5, 3)
             policy = harq_table(model, Truncation(60, 3), 4.0)
         _, trace = run(policy, model, 60_000, np.random.default_rng(5), collect_trace=True)
-        ages = np.cumsum([rec.state_before.delta for rec in trace])
-        sends = np.cumsum([rec.action is not Action.IDLE for rec in trace])
+        ages = np.cumsum(trace.delta)
+        sends = np.cumsum(trace.action != Action.IDLE)
         for horizon in range(1_000, 60_001, 1_009):
             stats, _ = run(policy, model, horizon, np.random.default_rng(5))
             assert stats.mean_aoi == ages[horizon - 1] / horizon, horizon
@@ -326,7 +344,7 @@ class TestCycleKernel:
         slot = err.value.slot
         assert slot > 1 and "attempt cap" in str(err.value)
         _, trace = run(policy, model, slot - 1, np.random.default_rng(19), collect_trace=True)
-        assert trace[-1].state_after.r == 3  # the next slot retransmits at the cap
+        assert trace.next_r[-1] == 3  # the next slot retransmits at the cap
         with pytest.raises(ProtocolViolationError) as err:
             run(policy, model, slot, np.random.default_rng(19))
         assert err.value.slot == slot
@@ -360,14 +378,16 @@ def test_short_trace_is_prefix_of_longer_run(policy):
         policy = harq_table(model, Truncation(60, 3), 4.0)
     _, short = run(policy, model, 50, np.random.default_rng(1), collect_trace=True)
     stats, trace = run(policy, model, 5_000, np.random.default_rng(1), collect_trace=True)
-    assert trace[:50] == short
-    assert all(a.state_after == b.state_before for a, b in zip(trace, trace[1:]))
-    assert sum(rec.state_before.delta for rec in trace) == pytest.approx(stats.mean_aoi * 5_000, rel=1e-14)
-    assert sum(rec.action is not Action.IDLE for rec in trace) == pytest.approx(stats.mean_cost * 5_000, rel=1e-14)
+    assert all(np.array_equal(column[:50], prefix) for column, prefix in zip(trace, short))
+    assert_connected(trace)
+    assert trace.delta.sum() == pytest.approx(stats.mean_aoi * 5_000, rel=1e-14)
+    assert np.count_nonzero(trace.action) == pytest.approx(stats.mean_cost * 5_000, rel=1e-14)
 
 
 def reference_trace(policy, model, horizon, rng):
     """Slot-by-slot reference of ``run`` on the same uniforms, from the policies' own ``action_probs``.
+
+    Returns the ``slot_rows`` of the trace.
 
     Cycle ``i`` is the next cycle of lane ``i % _LANES``; lane ``l`` at its
     step ``s`` reads uniforms ``[:, s % _BLOCK, l]`` of block ``s // _BLOCK``.
@@ -384,7 +404,7 @@ def reference_trace(policy, model, horizon, rng):
 
     def slot(state, action, u_chan):
         if action is Action.IDLE:
-            return None, State(state.delta + 1, 0)
+            return False, State(state.delta + 1, 0)
         if action is Action.RETRANSMIT and not 1 <= state.r < model.r_max:
             raise ProtocolViolationError(len(trace) + 1, "inadmissible retransmission")
         attempts = 0 if action is Action.NEW_UPDATE else state.r
@@ -404,8 +424,8 @@ def reference_trace(policy, model, horizon, rng):
         state = State(1, 0)
         for t in range(1, horizon + 1):
             action = Action.NEW_UPDATE if (t - 1) % policy.period == 0 else Action.IDLE
-            success, after = slot(state, action, rng.random() if action else 0.0)
-            trace.append(SlotRecord(t, state, action, success, after))
+            delivered, after = slot(state, action, rng.random() if action else 0.0)
+            trace.append((*state, action, delivered, *after))
             state = after
         return trace
     for i in range(horizon):
@@ -421,13 +441,13 @@ def reference_trace(policy, model, horizon, rng):
                 active = policy
             while state.r == 0 and set(active.action_probs(state)) == {Action.IDLE} and len(trace) < horizon:
                 after = State(state.delta + 1, 0)
-                trace.append(SlotRecord(len(trace) + 1, state, Action.IDLE, None, after))
+                trace.append((*state, Action.IDLE, False, *after))
                 state = after
             if len(trace) == horizon:
                 break
             action = choose(active.action_probs(state), u_act)
-            success, after = slot(state, action, u_chan)
-            trace.append(SlotRecord(len(trace) + 1, state, action, success, after))
+            delivered, after = slot(state, action, u_chan)
+            trace.append((*state, action, delivered, *after))
             state = after
             if state == State(1, 0):
                 break
@@ -501,7 +521,7 @@ def kernel_case(case):
 def test_kernel_matches_slot_by_slot_reference(case):
     policy, model, horizon = kernel_case(case)
     _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
-    assert trace == reference_trace(policy, model, horizon, np.random.default_rng(18))
+    assert slot_rows(trace) == reference_trace(policy, model, horizon, np.random.default_rng(18))
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)
@@ -513,8 +533,8 @@ def test_untraced_sums_match_the_trace(case):
     policy, model, horizon = kernel_case(case)
     stats, _ = run(policy, model, horizon, np.random.default_rng(18))
     _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
-    assert stats.mean_aoi == sum(rec.state_before.delta for rec in trace) / horizon
-    assert stats.mean_cost == sum(rec.action is not Action.IDLE for rec in trace) / horizon
+    assert stats.mean_aoi == trace.delta.sum() / horizon
+    assert stats.mean_cost == np.count_nonzero(trace.action) / horizon
 
 
 def test_violation_slot_matches_reference():
