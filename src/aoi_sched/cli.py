@@ -83,6 +83,8 @@ def _checked(convert, build):
 
 _CMAX = _checked(float, baseline_periodic)  # the budget range every solver checks
 _NMAX = _checked(int, lambda n: Truncation(n, 0))
+# Types of the sweep's count settings, whether a flag or the config file sets them.
+_SWEEP_COUNTS = {"horizon": _count(0), "reps": _count(1), "nmax": _NMAX, "seed": _count(0)}
 # The charge range, which the solver checks first; a solve on two states is instant.
 _ETA = _checked(float, functools.partial(solve, ChannelModel(0.5), Truncation(2, 0)))
 
@@ -410,7 +412,15 @@ def cmd_sweep(args) -> int:
         flag = getattr(args, name.replace("-", "_"), None)
         if flag is not None:
             return flag
-        return file_cfg.get(name, default)
+        if name not in file_cfg:
+            return default
+        if name not in _SWEEP_COUNTS:
+            return file_cfg[name]
+        try:
+            return _SWEEP_COUNTS[name](str(file_cfg[name]))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            print(f"aoi-sched sweep: error: config key {name!r}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
 
     p0s = pick("p0", [0.5])
     lams = pick("lam", [0.5])
@@ -533,10 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, nargs="+")
     p.add_argument("--cmax", type=float, nargs="+")
     p.add_argument("--protocols", nargs="+", choices=("arq", "harq", "baseline"))
-    p.add_argument("--horizon", type=_count(0), help="slots per replication (0: no simulation)")
-    p.add_argument("--reps", type=_count(1))
-    p.add_argument("--nmax", type=_NMAX)
-    p.add_argument("--seed", type=_count(0))
+    p.add_argument("--horizon", type=_SWEEP_COUNTS["horizon"], help="slots per replication (0: no simulation)")
+    p.add_argument("--reps", type=_SWEEP_COUNTS["reps"])
+    p.add_argument("--nmax", type=_SWEEP_COUNTS["nmax"])
+    p.add_argument("--seed", type=_SWEEP_COUNTS["seed"])
     p.add_argument("--workers", type=_count(1), default=1)
     p.add_argument("--quick", action="store_true", help="reduced horizon and replications")
     p.add_argument("--out", help="sweep CSV (stdout when omitted)")

@@ -2,9 +2,11 @@
 
 One run executes a policy against the channel from the synchronized start
 state (1, 0).  The age is never truncated here; simulation is the ground
-truth against which solver truncation error is measured.  The attempt count
-never passes the model's cap, so a run builds its ``mdp.slot_outcomes``
-table once, before the first slot.
+truth against which solver truncation error is measured.  What a run reads
+of its policy and of the model is a ``Kernel``, built once per
+``(policy, model)``: ``evaluate_simulated`` builds one for all its
+replications.  The attempt count never passes the model's cap, so the
+kernel's ``mdp.slot_outcomes`` table has ``r_max + 1`` columns.
 
 Stationary policies and renewal mixtures run as lockstep renewal cycles, the
 regenerative method of Crane & Iglehart (1975).  Every visit to (1, 0) starts
@@ -22,9 +24,13 @@ joined timeline is distributed as one long run.  Uniforms are drawn in
 blocks of ``_BLOCK`` steps for all lanes (action, channel and mixture
 component per lane and step; a jumped sure idle draws none), so no lane's
 path depends on the horizon: the first ``n`` slots of a run are the run of
-``n`` slots on the same generator.  The bookkeeping keeps, per lane and
-step, the age, attempts, action and slots, and per block of steps each
-lane's slots and renewals; the coverage check and the cut look up the few
+``n`` slots on the same generator.  A block's rows that the kernel does not
+read (the mixture component of a stationary policy, the action of a policy
+that decides surely) are skipped on a PCG64 stream, which leaves it where
+drawing them would.  The bookkeeping keeps, per lane and step, the age,
+attempts, action and slots, and per run of ``_SUB`` steps each lane's slots
+and renewals; the loop stops at the first run end at which the joined
+cycles cover the horizon, the coverage check and the cut look up the few
 cycles they need from those, and the kept steps are summed in one pass.
 
 The open-loop periodic baseline acts on the slot number, not on renewals; a
@@ -46,7 +52,9 @@ from .policies import PeriodicPolicy, Policy, RenewalMixture
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
 _NEVER = 2**62  # an age or step no run reaches, with room to count past it
-_BLOCK_STEPS = np.arange(_BLOCK)[:, None] * _LANES + np.arange(_LANES)  # flat history index of a block's steps
+_SUB = 8  # steps per run, the unit of the bookkeeping and of the coverage check
+_LANE_IDS = np.arange(_LANES)
+_RUN_STEPS = np.arange(_SUB)[:, None] * _LANES + _LANE_IDS  # flat history index of a run's steps
 
 
 class SlotTrace(NamedTuple):
@@ -131,22 +139,74 @@ def _grow(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _cycle_starts(c, renewals, before, hd, hn):
-    """Row at which cycle ``c[..., l]`` of each lane ``l`` begins, and the lane's slots before it.
+class Kernel:
+    """The tables that every run of one ``(policy, model)`` pair reads, built once.
 
-    ``renewals[k]`` counts each lane's renewals in blocks ``0 .. k`` of the
-    history ``hd`` (ages) and ``hn`` (slots per step), ``before[k]`` its
-    slots before block ``k``; every cycle asked for has begun.
+    For stationary policies and renewal mixtures: the policy's tables
+    (``_kernel_tables``) and whether it decides surely, the model's
+    ``slot_outcomes`` arrays indexed by ``3 * attempts + action``, and the
+    table offset of each attempt count.  For the periodic baseline: its
+    outcome table.  ``run`` builds one when it is given none, and
+    ``evaluate_simulated`` builds one for all its replications.  Runs reuse
+    its work arrays, so a kernel serves one run at a time.
     """
-    lanes = np.arange(_LANES)
-    k = np.count_nonzero(renewals[(slice(None),) + (None,) * (c.ndim - 1)] < c, axis=0)  # the block of the renewal
-    rank = c - np.where(k > 0, renewals[k - 1, lanes], 0)
-    at = k * (_BLOCK * _LANES) + _BLOCK_STEPS.reshape((_BLOCK,) + (1,) * (c.ndim - 1) + (_LANES,))
-    earlier = np.cumsum(hd[1:].ravel().take(at) == 1, axis=0, dtype=np.int8) < rank  # steps before the renewal
-    s = np.count_nonzero(earlier, axis=0)  # the renewal's step in the block
-    steps = hn.ravel().take(at)
-    slots = before[k, lanes] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
-    return np.where(c > 0, k * _BLOCK + s + 1, 0), np.where(c > 0, slots, 0)
+
+    def __init__(self, policy: Policy, model: ChannelModel):
+        self.policy, self.model = policy, model
+        self.periodic = isinstance(policy, PeriodicPolicy)
+        if self.periodic:
+            self.outcomes = slot_outcomes(model)
+            return
+        self.mixture = isinstance(policy, RenewalMixture)
+        self.weight = policy.weight_first if self.mixture else 1.0
+        # Indexed by 3 * attempts + action, so that a step's index is one add.
+        # Attempts never pass the model's cap, not even by a retransmission
+        # there, where the run raises ProtocolViolationError.
+        width = model.r_max + 1
+        out = slot_outcomes(model, width)
+        self.fail, self.reset_age, fail_att = (x.T.ravel() for x in out[:3])
+        self.fail_att = 3 * fail_att
+        self.retransmit_ok = out.admissible[Action.RETRANSMIT]
+        e0, e1, self.jump, row, n_age, n_att = _kernel_tables(policy)
+        self.e0, self.e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
+        self.stride = n_age * n_att
+        self.column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
+        self.age_top = np.full(_LANES, n_age - 1)
+        # The model admits no retransmission without a failed packet in
+        # flight or at its attempt cap; only a table that retransmits in one
+        # of those attempt columns can send one.
+        self.may_violate = bool(np.isfinite(self.e1.reshape(-1, n_att, n_age)[:, [0, min(model.r_max, n_att - 1)]]).any())
+        # A uniform in [0, 1) crosses every edge at or below 0 and none at
+        # or above 1.  A table whose edges all lie there decides surely: its
+        # action is ``sure``, and it reads no action uniforms.
+        e0, e1 = self.e0, self.e1
+        surely = (((e0 <= 0.0) | (e0 >= 1.0)) & ((e1 <= 0.0) | (e1 >= 1.0))).all()
+        self.sure = np.add(e0 <= 0.0, e1 <= 0.0, dtype=np.uint8) if surely else None
+        # The rows of each block of uniforms (action, channel and mixture
+        # component) that the runs read.
+        self.rows = slice(0 if self.sure is None else 1, 3 if self.mixture else 2)
+        # Work arrays that the runs reuse, one run at a time: a fresh array
+        # of this size costs more in page faults than the bookkeeping of a
+        # run's steps.
+        self.u = np.empty((3, _BLOCK, _LANES))
+        self._history = None
+
+    def history(self, steps: int):
+        """A run's per-lane history with room for ``steps`` steps, in the last run's arrays if they have it."""
+        if self._history is None or len(self._history[3]) < steps:
+            rows = (steps + 1, _LANES)
+            self._history = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.uint8), np.empty(rows, np.int64)
+        hd, hr, ha, hn = self._history
+        return hd[: steps + 1], hr[: steps + 1], ha[:steps], hn[:steps]
+
+    def keep(self, hd: np.ndarray, hr: np.ndarray, ha: np.ndarray, hn: np.ndarray) -> None:
+        """Keep a run's history arrays for the next run if they outgrew the kernel's."""
+        if len(hn) > len(self._history[3]):
+            self._history = hd, hr, ha, hn
+
+    def fits(self, policy: Policy, model: ChannelModel) -> bool:
+        """Whether this is the kernel ``Kernel(policy, model)`` would build."""
+        return self.policy == policy and self.model == model
 
 
 def _cycle_table(hd, steps):
@@ -159,44 +219,97 @@ def _cycle_table(hd, steps):
     return table
 
 
-def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
+class _Ledger:
+    """Each lane's slots and renewals (age 1 after a step) before every run of ``_SUB`` steps.
+
+    Steps are booked once, in whole runs, when they have run: their decision
+    ages become their slot counts, and each run's slots and renewals are
+    added to the lanes' running sums.  A cycle's first step and the lane's
+    slots before it lie between the sums around the run of the renewal that
+    begins it (``bounds``), and are found exactly by reading that one run per
+    lane (``starts``).
+    """
+
+    def __init__(self, steps: int):
+        self.slots = np.zeros((steps // _SUB + 1, _LANES), np.int64)  # row g: each lane's slots before run g
+        self.count = np.zeros_like(self.slots)  # row g: each lane's renewals before run g
+        self.runs = 0  # runs booked
+
+    def grow(self, steps: int) -> None:
+        self.slots, self.count = _grow(self.slots, steps // _SUB + 1), _grow(self.count, steps // _SUB + 1)
+
+    def book(self, hd: np.ndarray, hn: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Book steps ``a .. b - 1``, whole runs; return each lane's slots so far.
+
+        A step covers its jumped ages d .. e - 1 and its decision slot.
+        """
+        n = hn[a:b]
+        n -= hd[a:b]
+        n += 1
+        g, h = a // _SUB, b // _SUB
+        slots = n.reshape(h - g, _SUB, _LANES).sum(axis=1)
+        count = (hd[a + 1 : b + 1] == 1).reshape(h - g, _SUB, _LANES).sum(axis=1)
+        for i in range(h - g):
+            np.add(self.slots[g + i], slots[i], out=self.slots[g + i + 1])
+            np.add(self.count[g + i], count[i], out=self.count[g + i + 1])
+        self.runs = h
+        return self.slots[h]
+
+    def bounds(self, cycle: np.ndarray):
+        """Each lane's slots before and after the run of the renewal that begins its
+        cycle ``cycle[l]``: bounds on its slots before that cycle."""
+        g = np.count_nonzero(self.count[1 : self.runs + 1] < cycle, axis=0)
+        return self.slots[g, _LANE_IDS], self.slots[g + 1, _LANE_IDS]
+
+    def starts(self, cycle: np.ndarray, hd: np.ndarray, hn: np.ndarray):
+        """Row at which cycle ``cycle[..., l]`` of each lane ``l`` begins, and the lane's slots before it.
+
+        Every cycle asked for has begun.
+        """
+        axes = (slice(None),) + (None,) * (cycle.ndim - 1)
+        g = np.count_nonzero(self.count[1 : self.runs + 1][axes] < cycle, axis=0)  # the run of the renewal
+        rank = cycle - self.count[g, _LANE_IDS]
+        at = g * (_SUB * _LANES) + _RUN_STEPS.reshape((_SUB,) + (1,) * (cycle.ndim - 1) + (_LANES,))
+        earlier = np.cumsum(hd[1:].ravel().take(at) == 1, axis=0, dtype=np.int8) < rank  # steps before the renewal
+        s = np.count_nonzero(earlier, axis=0)  # the renewal's step in the run
+        steps = hn.ravel().take(at)
+        slots = self.slots[g, _LANE_IDS] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
+        return np.where(cycle > 0, g * _SUB + s + 1, 0), np.where(cycle > 0, slots, 0)
+
+
+def _cycles(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
     """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
 
     Returns the age sum and transmission count of the joined timeline's first
     ``horizon`` slots and, when ``trace`` is set, its ``SlotTrace``.
 
-    The lanes advance one block of ``_BLOCK`` steps at a time, and each block
-    is booked once, on its own rows: its decision ages become its steps'
-    slot counts, and each lane's slots before the block and renewals (age 1
-    after a step) in it are kept.  A cycle's first step and the lane's slots
-    before it are then found by reading one block per lane
-    (``_cycle_starts``), which the coverage check does only once a cheap
-    bound from the per-block counts allows the horizon to be covered, and
-    the cut for the rounds around it.  The kept steps are every lane's steps
-    before its cut, so one pass over the kept rows sums the ages and
-    transmissions.  Only a table that can retransmit where the model admits
-    no retransmission has its retransmissions checked, and only the trace
-    and a violation need every cycle's first step (``_cycle_table``).
+    Each block of ``_BLOCK`` steps draws its uniforms first, the rows that
+    the kernel reads, and the lanes then step through it in segments of
+    whole runs of ``_SUB`` steps, each booked once (``_Ledger``).  After a
+    segment, once the lanes' slots could cover the horizon, the coverage
+    check bounds the joined timeline's coverage from the per-run sums, and
+    looks up the cycles it needs, reading one run per lane, only when the
+    bounds leave it open.  The loop stops at the first segment end at which
+    the horizon is covered.  A segment runs to the end of its block unless
+    the pace of the upper bound says that the horizon is covered before;
+    then it runs to the run in which the pace says so.  The cut looks up the
+    round that begins last inside the horizon and the round after it.  The
+    kept steps are every lane's steps before its cut, so one pass over the
+    kept rows sums the ages and transmissions.  Only a table that can
+    retransmit where the model admits no retransmission has its
+    retransmissions checked, and only the trace and a violation need every
+    cycle's first step (``_cycle_table``).
     """
-    mixture = isinstance(policy, RenewalMixture)
-    weight = policy.weight_first if mixture else 1.0
-    lanes = np.arange(_LANES)
-
+    lanes = _LANE_IDS
     # Per-lane history, row t = step t: age and three times the attempts
     # before it, the action of its decision slot, and its slots (the loop
     # writes the decision age there, the booking the slot count).  Room for
     # about 0.625 * horizon / _LANES steps, as a threshold-shaped policy
     # decides in under half of its slots, grown to a run's pace if it needs more.
     cap = (horizon // (_LANES * _BLOCK) * 5 // 8 + 2) * _BLOCK
-    hd = np.empty((cap + 1, _LANES), np.int64)
-    hr = np.empty((cap + 1, _LANES), np.int64)
-    ha = np.empty((cap, _LANES), np.uint8)
-    hn = np.empty((cap, _LANES), np.int64)
+    hd, hr, ha, hn = k.history(cap)
     hd[0], hr[0] = 1, 0
-    # Per block: each lane's slots before it and its renewals (age 1 after
-    # a step) in it.
-    total = np.zeros(_LANES, np.int64)
-    before, renewals = [], []
+    ledger = _Ledger(cap)
     comp = np.zeros(_LANES, np.int64)  # table offset of each lane's mixture component
     idx, j, tmp = (np.empty(_LANES, np.int64) for _ in range(3))
     edge = np.empty(_LANES)
@@ -204,113 +317,125 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     lo8, hi8 = lo.view(np.uint8), hi.view(np.uint8)
     # Array operands: ufuncs convert a Python scalar operand on every call.
     one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
-    u = np.empty((3, _BLOCK, _LANES))
-    act_rows, chan_rows = list(u[0]), list(u[1])
+    u = k.u
     pick = np.empty((_BLOCK, _LANES), bool)
     draw = np.empty((_BLOCK, _LANES), np.int64)
-    draw_rows = list(draw)
-    # Indexed by 3 * attempts + action, so that a step's index is one add.
-    # Attempts never pass the model's cap, not even by a retransmission
-    # there, where the run raises ProtocolViolationError.
-    width = model.r_max + 1
-    out = slot_outcomes(model, width)
-    fail, reset_age, fail_att = (x.T.ravel() for x in out[:3])
-    fail_att = 3 * fail_att
-    e0, e1, jump, row, n_age, n_att = _kernel_tables(policy)
-    e0, e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
-    stride = n_age * n_att
-    column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
-    age_top = np.full(_LANES, n_age - 1)
+    act_rows, chan_rows, draw_rows = list(u[0]), list(u[1]), list(draw)
+    # A PCG64 stream skips the rows of a block that the kernel does not read
+    # exactly as drawing them would pass them, unless a half-used 64-bit
+    # output is buffered, which skipping would drop.
+    bits, rows = rng.bit_generator, k.rows
+    pcg = type(bits) in (np.random.PCG64, np.random.PCG64DXSM)
+    skip = bits.advance if pcg and rows != slice(0, 3) and not bits.state["has_uint32"] else None
+    mixture, weight, stride, sure = k.mixture, k.weight, k.stride, k.sure is not None
     # Local names: the step loop looks up no global or attribute.
     add, equal, greater_equal, maximum, minimum, putmask = np.add, np.equal, np.greater_equal, np.maximum, np.minimum, np.putmask
-    take_column, take_jump, take_e0, take_e1 = column.take, jump.take, e0.take, e1.take
-    take_fail, take_reset_age, take_fail_att = fail.take, reset_age.take, fail_att.take
+    take_column, take_jump, take_e0, take_e1 = k.column.take, k.jump.take, k.e0.take, k.e1.take
+    take_fail, take_reset_age, take_fail_att = k.fail.take, k.reset_age.take, k.fail_att.take
+    take_sure, age_top = getattr(k.sure, "take", None), k.age_top
 
     t = reach = 0
-    while True:
+    gauge = [(0, 0)]  # steps and the upper bound on the coverage, at the segment ends that take it
+    covered = False
+    while not covered:
         if t + _BLOCK > cap:
             # The pace so far with a tenth to spare.  Dropping the row views
             # lets each old array go as soon as it is copied.
             pace = t * horizon // max(reach, 1) * 11 // 10 + 2 * _BLOCK
             cap = -(-max(pace, cap + cap // 4 + _BLOCK) // _BLOCK) * _BLOCK
-            ages = attempts = actions = decision_ages = d = r = a = e = dn = rn = n = None
+            ages = attempts = actions = decision_ages = d = r = a = e = dn = rn = None
             hd = _grow(hd, cap + 1)
             hr = _grow(hr, cap + 1)
             ha = _grow(ha, cap)
             hn = _grow(hn, cap)
-        rng.random(out=u)
+            ledger.grow(cap)
+        if skip is None:
+            rng.random(out=u)
+        else:
+            skip(rows.start * _BLOCK * _LANES)
+            rng.random(out=u[rows])
+            skip((3 - rows.stop) * _BLOCK * _LANES)
         if mixture:
             np.greater_equal(u[2], weight, out=pick)
             np.multiply(pick, stride, out=draw)
-        t0 = t
         ages, attempts = list(hd[t : t + _BLOCK + 1]), list(hr[t : t + _BLOCK + 1])
         actions, decision_ages = list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
-        for s in range(_BLOCK):
-            d, r, a, e, dn, rn = ages[s], attempts[s], actions[s], decision_ages[s], ages[s + 1], attempts[s + 1]
-            take_column(r, out=idx, mode="clip")
-            if mixture:
-                equal(d, one, out=renew)
-                putmask(comp, renew, draw_rows[s])  # redrawn at every visit to (1, 0)
-                add(idx, comp, out=idx)
-            minimum(d, age_top, out=tmp)
-            add(idx, tmp, out=idx)
-            # Idle surely up to the decision age e, then decide in its row.
-            take_jump(idx, out=e, mode="clip")
-            maximum(e, d, out=e)
-            ua = act_rows[s]
-            take_e0(idx, out=edge, mode="clip")
-            greater_equal(ua, edge, out=lo)
-            take_e1(idx, out=edge, mode="clip")
-            greater_equal(ua, edge, out=hi)
-            add(lo8, hi8, out=a)
-            add(r, a, out=j)
-            take_fail(j, out=edge, mode="clip")
-            greater_equal(chan_rows[s], edge, out=hi)  # delivered
-            take_reset_age(j, out=tmp, mode="clip")
-            add(e, one, out=dn)
-            putmask(dn, hi, tmp)
-            take_fail_att(j, out=rn, mode="clip")
-            putmask(rn, hi, zero)
-        t += _BLOCK
-
-        # Book the block.  A step covers its jumped ages d .. e - 1 and its
-        # decision slot.
-        n = hn[t0:t]
-        n -= hd[t0:t]
-        n += 1
-        before.append(total.copy())
-        total += n.sum(axis=0)
-        renewals.append(np.count_nonzero(hd[t0 + 1 : t + 1] == 1, axis=0))
-        # The joined timeline is covered up to the first cycle still running,
-        # plus that cycle's progress; a lane that idles surely forever has
-        # covered about _NEVER slots.
-        reach = int(np.minimum(total, horizon).sum())
-        if reach >= horizon:
-            blocks = np.cumsum(renewals, axis=0), np.stack(before + [total]), hd, hn
-            first = int((blocks[0][-1] * _LANES + lanes).min())
-            q, lane = divmod(first, _LANES)
-            cycle = q + (lanes < lane)
-            # At most the lanes' slots after the blocks in which these cycles
-            # begin, each taken up to the horizon.
-            most = np.minimum(blocks[1][np.count_nonzero(blocks[0] < cycle, axis=0) + 1, lanes], horizon)
-            if most.sum() - most[lane] + min(total[lane], horizon) >= horizon:
-                cycle_rows, cycle_slots = _cycle_starts(cycle, *blocks)
-                if cycle_slots.sum() - cycle_slots[lane] + total[lane] >= horizon:
-                    break
+        s = 0
+        while s < _BLOCK and not covered:
+            # Steps until the upper bound reaches the horizon at its latest
+            # pace; before the bound is taken, the rest of the block, or at
+            # the first step four slots per lane and step.
+            if len(gauge) > 1:
+                (t0, b0), (t1, b1) = gauge[-2:]
+                need = (horizon - b1) * (t1 - t0) // max(b1 - b0, 1)
+            else:
+                need = _BLOCK if t + s else horizon // (_LANES * 4)
+            stop = min(s + max(_SUB, need // _SUB * _SUB), _BLOCK)
+            for i in range(s, stop):
+                d, r, a, e, dn, rn = ages[i], attempts[i], actions[i], decision_ages[i], ages[i + 1], attempts[i + 1]
+                take_column(r, out=idx, mode="clip")
+                if mixture:
+                    equal(d, one, out=renew)
+                    putmask(comp, renew, draw_rows[i])  # redrawn at every visit to (1, 0)
+                    add(idx, comp, out=idx)
+                minimum(d, age_top, out=tmp)
+                add(idx, tmp, out=idx)
+                # Idle surely up to the decision age e, then decide in its row.
+                take_jump(idx, out=e, mode="clip")
+                maximum(e, d, out=e)
+                if sure:
+                    take_sure(idx, out=a, mode="clip")
+                else:
+                    ua = act_rows[i]
+                    take_e0(idx, out=edge, mode="clip")
+                    greater_equal(ua, edge, out=lo)
+                    take_e1(idx, out=edge, mode="clip")
+                    greater_equal(ua, edge, out=hi)
+                    add(lo8, hi8, out=a)
+                add(r, a, out=j)
+                take_fail(j, out=edge, mode="clip")
+                greater_equal(chan_rows[i], edge, out=hi)  # delivered
+                take_reset_age(j, out=tmp, mode="clip")
+                add(e, one, out=dn)
+                putmask(dn, hi, tmp)
+                take_fail_att(j, out=rn, mode="clip")
+                putmask(rn, hi, zero)
+            total = ledger.book(hd, hn, t + s, t + stop)
+            s = stop
+            # The joined timeline is covered up to the first cycle still
+            # running, plus that cycle's progress; a lane that idles surely
+            # forever has covered about _NEVER slots.  Each lane adds at most
+            # ``horizon`` of its slots, so ``reach`` bounds the coverage from
+            # above, and so do the lanes' slots after the runs in which these
+            # cycles begin.  Their slots before those runs bound it from
+            # below, and the cycles are looked up only between the bounds.
+            reach = int(np.minimum(total, horizon).sum())
+            if reach >= horizon:
+                q, lane = divmod(int((ledger.count[ledger.runs] * _LANES + lanes).min()), _LANES)
+                cycle = q + (lanes < lane)
+                least, most = ledger.bounds(cycle)
+                np.minimum(most, horizon, out=most)
+                gauge.append((t + s, int(most.sum() - most[lane]) + min(int(total[lane]), horizon)))
+                low = int(least.sum() - least[lane]) + int(total[lane])
+                lead = int(least.sum() + most.sum()) // 2  # about the slots before the first cycle still running
+                if low < horizon <= gauge[-1][1]:
+                    at = ledger.starts(cycle, hd, hn)[1]
+                    lead = int(at.sum())
+                    low = lead - int(at[lane]) + int(total[lane])
+                covered = low >= horizon
+        t += s
+    k.keep(hd, hr, ha, hn)
 
     # The cut.  Round c is cycle c of every lane; rounds before q are
     # complete, and so is round q up to the first cycle still running.  Find
     # the last round c that begins inside the horizon, from the round that
     # the pace so far points at, looking up rounds c and c + 1 together
-    # (round q + 1 only for the lanes before ``lane``, from the check);
-    # then the lane whose cycle in round c holds the last slot.
-    c = min(q, q * horizon // max(int(cycle_slots.sum() - cycle_slots[lane]), 1))
+    # (round q + 1 only for the lanes before ``lane``); then the lane whose
+    # cycle in round c holds the last slot.
+    c = min(q, (q * _LANES + lane) * horizon // max(lead * _LANES, 1))
+    begun = ledger.count[ledger.runs]
     while True:
-        if c < q:
-            (rows_c, upper_rows), (at_c, upper) = _cycle_starts(np.full((2, _LANES), [[c], [c + 1]]), *blocks)
-        else:
-            rows_c, at_c = _cycle_starts(np.full(_LANES, q), *blocks)
-            upper_rows, upper = cycle_rows, cycle_slots
+        (rows_c, upper_rows), (at_c, upper) = ledger.starts(np.minimum([[c], [c + 1]], begun), hd, hn)
         if at_c.sum() >= horizon:
             c -= 1
         elif c < q and upper.sum() < horizon:
@@ -329,9 +454,9 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     # jumped slots and not its decision slot.
     full = np.where(lanes < lane, upper_rows, rows_c)
     inside = np.cumsum(hn[full[lane] : t, lane])
-    k = int(np.searchsorted(inside, rem, "right"))
-    part = rem - (int(inside[k - 1]) if k else 0)
-    full[lane] += k
+    step = int(np.searchsorted(inside, rem, "right"))
+    part = rem - (int(inside[step - 1]) if step else 0)
+    full[lane] += step
     # Rows below every lane's cut are kept whole; the band above keeps each
     # lane's steps before its cut, and ``part`` of the step the cut ends.
     low, depth = int(full.min()), min(int(full.max()) + 1, t)
@@ -344,15 +469,12 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     # A step's kept slots have ages d, d + 1, ..., d + kept - 1.
     aoi_sum = int(np.einsum("ij,ij->", kept, hd[:depth])) + (int(np.einsum("ij,ij->", kept, kept)) - horizon) // 2
     n_tx = int(np.count_nonzero(ha[:low]) + np.count_nonzero(np.logical_and(ha[low:depth], band)))
-    # The model admits no retransmission without a failed packet in flight
-    # or at its attempt cap; only a table that retransmits in one of those
-    # attempt columns can send one.  ``bad`` holds such decided steps.
-    bad = []
-    if np.isfinite(e1.reshape(-1, n_att, n_age)[:, [0, min(model.r_max, n_att - 1)]]).any():
+    bad = []  # decided steps that retransmit where the model admits none
+    if k.may_violate:
         retx = ha[:depth] == Action.RETRANSMIT
         retx[low:] &= band
         f = np.flatnonzero(retx)
-        bad = f[~out.admissible[Action.RETRANSMIT][hr[:depth].ravel()[f] // 3]]
+        bad = f[~k.retransmit_ok[hr[:depth].ravel()[f] // 3]]
     if not (trace or len(bad)):
         return aoi_sum, n_tx, None
 
@@ -386,16 +508,18 @@ def _cycles(policy: Policy, model: ChannelModel, horizon: int, rng: np.random.Ge
     )
 
 
-def _periodic(policy: PeriodicPolicy, model: ChannelModel, horizon: int, rng: np.random.Generator, trace: bool):
+
+
+def _periodic(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
     """Closed-form pass over the periodic baseline's transmission slots.
 
     One channel uniform per transmission slot, in slot order.  The age climbs
     by one per slot from 1 at slot 1 and is 1 again in the slot after a
     delivery, so the ages between deliveries are arithmetic series.
     """
-    k = policy.period
-    tx_slot = 1 + k * np.arange((horizon - 1) // k + 1)
-    out = slot_outcomes(model)
+    period = k.policy.period
+    tx_slot = 1 + period * np.arange((horizon - 1) // period + 1)
+    out = k.outcomes
     delivered = rng.random(len(tx_slot)) >= out.fail[Action.NEW_UPDATE, 0]
     gaps = np.diff(np.concatenate(([0], tx_slot[delivered], [horizon])))
     aoi_sum = int((gaps * (gaps + 1) // 2).sum())
@@ -419,6 +543,7 @@ def run(
     seed=0,
     *,
     collect_trace: bool = False,
+    kernel: Kernel | None = None,
 ) -> tuple[RunStats, SlotTrace | None]:
     """Simulate ``horizon`` slots from (1, 0); deterministic given the seed.
 
@@ -426,12 +551,18 @@ def run(
     included, which is used as it is.  Returns the single-replication time
     averages and, when requested, the run's ``SlotTrace``.  The trace of
     ``n`` slots is the start of every longer run on the same stream.
+    ``kernel`` is the ``Kernel(policy, model)`` to read, built when omitted;
+    a kernel of another policy or model raises ``ValueError``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if kernel is None:
+        kernel = Kernel(policy, model)
+    elif not kernel.fits(policy, model):
+        raise ValueError(f"the given kernel was not built for {policy.describe()} on {model}")
     rng = np.random.default_rng(seed)
-    simulate = _periodic if isinstance(policy, PeriodicPolicy) else _cycles
-    aoi_sum, n_tx, trace = simulate(policy, model, horizon, rng, collect_trace)
+    simulate = _periodic if kernel.periodic else _cycles
+    aoi_sum, n_tx, trace = simulate(kernel, horizon, rng, collect_trace)
     return RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon]), trace
 
 
@@ -442,12 +573,16 @@ def evaluate_simulated(
     replications: int,
     seed=0,
 ) -> RunStats:
-    """Independent replications with per-replication streams derived from (seed, index)."""
+    """Independent replications with per-replication streams derived from (seed, index).
+
+    The replications share one ``Kernel``.
+    """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    kernel = Kernel(policy, model)
     aois, costs = [], []
     for rep in range(replications):
-        stats, _ = run(policy, model, horizon, np.random.default_rng([seed, rep]))
+        stats, _ = run(policy, model, horizon, np.random.default_rng([seed, rep]), kernel=kernel)
         aois.append(stats.mean_aoi)
         costs.append(stats.mean_cost)
     return RunStats.from_reps(aois, costs)

@@ -319,6 +319,27 @@ def test_count_flags_reject_bad_values(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("reps", 0, "expected an integer of at least 1, got 0"),
+        ("horizon", -5, "expected an integer of at least 0, got -5"),
+        ("seed", -1, "expected an integer of at least 0, got -1"),
+        ("nmax", 1, "must"),
+        ("reps", 2.5, "invalid literal"),
+    ],
+)
+def test_sweep_config_counts_are_checked_like_their_flags(key, value, message, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cmax": [0.5], "protocols": ["baseline"], "horizon": 100, key: value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and message in err, err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["simulate", "--threshold", "0"], "--threshold"),

@@ -545,3 +545,134 @@ def test_violation_slot_matches_reference():
     with pytest.raises(ProtocolViolationError) as err:
         run(policy, model, 100_000, np.random.default_rng(23))
     assert err.value.slot == ref.value.slot
+
+
+def verify_case(kind):
+    """``(policy, model)`` of one of the five policy kinds of acceptance 10."""
+    model, arq_model = ChannelModel(0.5, 0.5, 3), ChannelModel(0.5, 1.0, 0)
+    w = 2.0 / 7.0
+    if kind == "table":
+        return solve(model, Truncation(120, 3), 5.0).policy, model
+    if kind == "randomized":
+        trunc = Truncation(200, 0)
+        probs = {
+            s: {Action.NEW_UPDATE: w, Action.IDLE: 1.0 - w} if s.delta == 4
+            else {Action.NEW_UPDATE: 1.0} if s.delta > 4 else {Action.IDLE: 1.0}
+            for s in enumerate_states(trunc)
+        }
+        return RandomizedTable(probs, trunc), arq_model
+    if kind == "threshold":
+        return arq.optimal_policy(0.5, 0.35).policy(), arq_model
+    if kind == "mixture":
+        return RenewalMixture(ThresholdPolicy(4), ThresholdPolicy(5), w), arq_model
+    return PeriodicPolicy(3), model
+
+
+VERIFY_KINDS = ["table", "randomized", "threshold", "mixture", "periodic"]
+
+
+def next_outputs(rng):
+    """The next outputs of a generator, a buffered half of a 64-bit one first."""
+    return rng.integers(0, 2**32, 3, dtype=np.uint32).tolist(), rng.bit_generator.random_raw(3).tolist()
+
+
+def assert_same_run(first, second):
+    (stats, trace), (ref_stats, ref_trace) = first, second
+    assert stats == ref_stats
+    assert all(np.array_equal(column, ref) for column, ref in zip(trace or (), ref_trace or (), strict=True))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    @pytest.mark.parametrize("horizon", [2_000, 100_000])
+    def test_replications_are_fresh_runs(self, kind, horizon):
+        # One kernel serves every replication; each equals a run that builds its own.
+        policy, model = verify_case(kind)
+        stats = evaluate_simulated(policy, model, horizon, 3, seed=2024)
+        for rep in range(3):
+            alone, _ = run(policy, model, horizon, np.random.default_rng([2024, rep]))
+            assert (stats.aoi_per_rep[rep], stats.cost_per_rep[rep]) == (alone.mean_aoi, alone.mean_cost)
+
+    def test_one_kernel_serves_runs_of_any_length(self):
+        # The runs reuse the kernel's work arrays, which a run that decides in
+        # every slot outgrows.
+        model = ChannelModel(0.5, 1.0, 0)
+        for policy in (ThresholdPolicy(1), ThresholdPolicy(4, 0.5)):
+            kernel = simulate.Kernel(policy, model)
+            for horizon, trace in ((3_000, True), (100_000, False), (50, True), (20_000, True)):
+                assert_same_run(
+                    run(policy, model, horizon, np.random.default_rng(horizon), collect_trace=trace, kernel=kernel),
+                    run(policy, model, horizon, np.random.default_rng(horizon), collect_trace=trace),
+                )
+
+    def test_evaluation_builds_the_kernel_once(self, monkeypatch):
+        calls = []
+        real = simulate._kernel_tables
+        monkeypatch.setattr(simulate, "_kernel_tables", lambda policy: calls.append(policy) or real(policy))
+        policy, model = verify_case("table")
+        evaluate_simulated(policy, model, 2_000, 5, seed=1)
+        assert len(calls) == 1
+
+    def test_kernel_of_another_policy_or_model_is_refused(self):
+        policy, model = verify_case("table")
+        kernel = simulate.Kernel(policy, model)
+        run(policy, model, 100, seed=1, kernel=kernel)
+        with pytest.raises(ValueError, match="not built for"):
+            run(ThresholdPolicy(4), model, 100, seed=1, kernel=kernel)
+        with pytest.raises(ValueError, match="not built for"):
+            run(policy, ChannelModel(0.5, 0.5, 4), 100, seed=1, kernel=kernel)
+        with pytest.raises(ValueError, match="not built for"):
+            run(PeriodicPolicy(3), model, 100, seed=1, kernel=simulate.Kernel(PeriodicPolicy(4), model))
+        # An equal policy reads the same tables.
+        run(ThresholdPolicy(4), model, 100, seed=1, kernel=simulate.Kernel(ThresholdPolicy(4), model))
+
+    @pytest.mark.parametrize("kind", ["arq-threshold", "harq-table"])
+    @pytest.mark.parametrize("horizon", [2_000, 100_000])
+    @pytest.mark.parametrize(
+        "stream", [np.random.default_rng, lambda seed: np.random.Generator(np.random.SFC64(seed))], ids=["pcg64", "sfc64"]
+    )
+    def test_mixture_of_one_policy_is_that_policy(self, kind, horizon, stream):
+        # A mixture reads every block's component row, and the policy alone
+        # skips it on default_rng's PCG64 stream (SFC64 cannot skip, and
+        # draws it); both leave the stream at the same place.
+        if kind == "arq-threshold":
+            model, policy = ChannelModel(0.5, 1.0, 0), arq.optimal_policy(0.5, 0.35).policy()
+        else:
+            model = ChannelModel(0.5, 0.5, 3)
+            policy = harq_table(model, Truncation(60, 3), 4.0)
+        mixed, alone = stream(7), stream(7)
+        assert_same_run(
+            run(RenewalMixture(policy, policy, 0.3), model, horizon, mixed, collect_trace=True),
+            run(policy, model, horizon, alone, collect_trace=True),
+        )
+        assert next_outputs(mixed) == next_outputs(alone)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.SFC64], ids=["pcg64", "sfc64"])
+    def test_a_sure_table_reads_no_action_uniforms(self, bits):
+        # The same table read as if it were randomized draws and compares its
+        # action uniforms, and takes the same actions.
+        model = ChannelModel(0.5, 0.5, 3)
+        policy = harq_table(model, Truncation(60, 3), 4.0)
+        kernel = simulate.Kernel(policy, model)
+        assert kernel.sure is not None and kernel.rows == slice(1, 2)
+        drawn = simulate.Kernel(policy, model)
+        drawn.sure, drawn.rows = None, slice(0, 2)
+        for horizon in (2_000, 100_000):
+            sure, read = np.random.Generator(bits(11)), np.random.Generator(bits(11))
+            assert_same_run(
+                run(policy, model, horizon, sure, collect_trace=True, kernel=kernel),
+                run(policy, model, horizon, read, collect_trace=True, kernel=drawn),
+            )
+            assert next_outputs(sure) == next_outputs(read)
+
+    def test_a_buffered_half_output_is_kept(self):
+        # A stream holding half of a 64-bit output does not skip, so the half
+        # survives the run as it would survive drawing.
+        # The mixture of randomized thresholds reads every row and skips none.
+        model, policy = ChannelModel(0.5, 1.0, 0), ThresholdPolicy(4, 0.5)
+        held, drawn = np.random.default_rng(5), np.random.default_rng(5)
+        held.integers(0, 2**32, dtype=np.uint32)
+        drawn.integers(0, 2**32, dtype=np.uint32)
+        run(policy, model, 3_000, held)
+        run(RenewalMixture(policy, policy, 0.5), model, 3_000, drawn)
+        assert next_outputs(held) == next_outputs(drawn)
