@@ -24,16 +24,7 @@ from .lagrange import (
     search_eta_star,
     solve_constrained,
 )
-from .mdp import (
-    Action,
-    ChannelModel,
-    State,
-    Truncation,
-    admissible_actions,
-    enumerate_states,
-    stage_cost,
-    transitions,
-)
+from .mdp import Action, ChannelModel, State, Truncation, enumerate_states
 from .policies import (
     DeterministicTable,
     PeriodicPolicy,
@@ -43,7 +34,7 @@ from .policies import (
     ThresholdPolicy,
 )
 from .rvi import SolverOutput, bellman_residual, solve
-from .sarsa import LearnerConfig, LearnerState, Timeline, softmax_probs, train
+from .sarsa import LearnerConfig, LearnerState, Timeline, train
 from .simulate import RunStats, SlotTrace, baseline_periodic, evaluate_simulated, run
 
 __version__ = "0.1.0"

@@ -85,6 +85,9 @@ _CMAX = _checked(float, baseline_periodic)  # the budget range every solver chec
 _NMAX = _checked(int, lambda n: Truncation(n, 0))
 # Types of the sweep's count settings, whether a flag or the config file sets them.
 _SWEEP_COUNTS = {"horizon": _count(0), "reps": _count(1), "nmax": _NMAX, "seed": _count(0)}
+# The sweep's grid settings: several values each, as a flag's values or a config file's list.
+_SWEEP_GRID = ("p0", "lam", "rmax", "cmax", "protocols")
+_PROTOCOLS = ("arq", "harq", "baseline")
 # The charge range, which the solver checks first; a solve on two states is instant.
 _ETA = _checked(float, functools.partial(solve, ChannelModel(0.5), Truncation(2, 0)))
 
@@ -285,16 +288,6 @@ def cmd_learn(args) -> int:
         c_max=args.cmax,
         horizon=args.steps,
     )
-    if args.steps == 0:
-        if args.timeline_out:
-            _write_csv(
-                _outpath(args.timeline_out),
-                ["n", "mean_running_aoi", "var_running_aoi", "mean_running_cost", "mean_eta", "mean_gain"],
-                [],
-            )
-        print(json.dumps({"replications": args.reps, "steps": 0}))
-        return 0
-
     aoi = np.zeros((args.reps, args.steps))
     cost = np.zeros((args.reps, args.steps))
     etas = np.zeros((args.reps, args.steps))
@@ -309,7 +302,7 @@ def cmd_learn(args) -> int:
     if args.timeline_out:
         stride = max(1, args.steps // args.timeline_points)
         idx = list(range(stride - 1, args.steps, stride))
-        if idx[-1] != args.steps - 1:
+        if args.steps and idx[-1] != args.steps - 1:
             idx.append(args.steps - 1)
         _write_csv(
             _outpath(args.timeline_out),
@@ -328,6 +321,9 @@ def cmd_learn(args) -> int:
             for delta, r, q, adm in zip(space.age.tolist(), space.r.tolist(), final_state.q, space.admissible)
         ]
         _write_csv(_outpath(args.qtable_out), ["delta", "r", "q_idle", "q_new", "q_retx"], rows)
+    if args.steps == 0:
+        print(json.dumps({"replications": args.reps, "steps": 0}))
+        return 0
 
     summary = {
         "replications": args.reps,
@@ -374,15 +370,13 @@ def _sweep_point(task):
             policy = sol.mixed
             exact_aoi, exact_cost = sol.achieved_aoi, sol.achieved_cost
             eta_star = f"{sol.eta_star:.12g}"
-        elif protocol == "baseline":
+        else:  # baseline; the flag and the config file admit no other protocol
             model = ChannelModel(p0, lam, r_max)
             trunc = Truncation(n_max, r_max)
             policy = baseline_periodic(c_max)
             res = evaluate_exact(policy, model, trunc)
             exact_aoi, exact_cost = res.avg_aoi, res.avg_cost
             eta_star = ""
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
         if horizon > 0:
             stats = evaluate_simulated(policy, model, horizon, reps, seed)
             sim = [f"{stats.mean_aoi:.12g}", f"{stats.var_aoi:.12g}", f"{stats.mean_cost:.12g}"]
@@ -403,10 +397,15 @@ SWEEP_HEADER = [
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+    def fail(message):
+        print(f"aoi-sched sweep: error: {message}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(file_cfg, dict):
+        fail(f"config file {args.config}: expected a JSON object, got {type(file_cfg).__name__}")
+    for name in sorted(file_cfg.keys() - {*_SWEEP_GRID, *_SWEEP_COUNTS}):
+        fail(f"config key {name!r}: unknown, expected one of {', '.join([*_SWEEP_GRID, *_SWEEP_COUNTS])}")
 
     def pick(name, default):
         flag = getattr(args, name.replace("-", "_"), None)
@@ -414,19 +413,23 @@ def cmd_sweep(args) -> int:
             return flag
         if name not in file_cfg:
             return default
-        if name not in _SWEEP_COUNTS:
-            return file_cfg[name]
-        try:
-            return _SWEEP_COUNTS[name](str(file_cfg[name]))
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            print(f"aoi-sched sweep: error: config key {name!r}: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+        value = file_cfg[name]
+        if name in _SWEEP_COUNTS:
+            try:
+                return _SWEEP_COUNTS[name](str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                fail(f"config key {name!r}: {exc}")
+        if not isinstance(value, list):
+            fail(f"config key {name!r}: expected a list, got {value!r}")
+        if name == "protocols" and any(p not in _PROTOCOLS for p in value):
+            fail(f"config key {name!r}: expected a list of {', '.join(_PROTOCOLS)}, got {value!r}")
+        return value
 
     p0s = pick("p0", [0.5])
     lams = pick("lam", [0.5])
     rmaxs = pick("rmax", [3])
     cmaxs = pick("cmax", [round(0.1 * k, 10) for k in range(1, 11)])
-    protocols = pick("protocols", ["arq", "harq", "baseline"])
+    protocols = pick("protocols", list(_PROTOCOLS))
     horizon = pick("horizon", 10_000)
     reps = pick("reps", 1000 if not args.quick else 50)
     n_max = pick("nmax", 150)
@@ -542,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, nargs="+")
     p.add_argument("--rmax", type=int, nargs="+")
     p.add_argument("--cmax", type=float, nargs="+")
-    p.add_argument("--protocols", nargs="+", choices=("arq", "harq", "baseline"))
+    p.add_argument("--protocols", nargs="+", choices=_PROTOCOLS)
     p.add_argument("--horizon", type=_SWEEP_COUNTS["horizon"], help="slots per replication (0: no simulation)")
     p.add_argument("--reps", type=_SWEEP_COUNTS["reps"])
     p.add_argument("--nmax", type=_SWEEP_COUNTS["nmax"])

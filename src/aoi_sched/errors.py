@@ -5,10 +5,6 @@ class InadmissibleQueryError(ValueError):
     """A channel query outside the model's retransmission range."""
 
 
-class InadmissibleActionError(ValueError):
-    """An action that is not allowed in the given state."""
-
-
 class ProtocolViolationError(RuntimeError):
     """A policy emitted an inadmissible action during simulation."""
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._lapack import dtbtrs, dtrtrs
-from .errors import InadmissibleActionError, InadmissibleQueryError
+from .errors import InadmissibleQueryError
 
 
 class Action(IntEnum):
@@ -46,11 +46,6 @@ class State(NamedTuple):
 
     delta: int
     r: int
-
-
-class TransitionEntry(NamedTuple):
-    next: State
-    prob: float
 
 
 @dataclass(frozen=True)
@@ -124,60 +119,6 @@ def effective_r_max(model: ChannelModel, trunc: Truncation) -> int:
     return min(model.r_max, trunc.r_max)
 
 
-def is_admissible_state(s: State, trunc: Truncation, r_cap: int) -> bool:
-    return 1 <= s.delta <= trunc.n_max and 0 <= s.r < min(s.delta, r_cap + 1)
-
-
-def admissible_actions(s: State, model: ChannelModel, trunc: Truncation) -> tuple[Action, ...]:
-    """Actions allowed in ``s``.
-
-    Retransmission requires a failed packet in flight (``r >= 1``) and room
-    for one more combining attempt (``r < r_max``); it is forbidden at the
-    cap so the error profile is never extrapolated.
-    """
-    if 1 <= s.r < effective_r_max(model, trunc):
-        return (Action.IDLE, Action.NEW_UPDATE, Action.RETRANSMIT)
-    return (Action.IDLE, Action.NEW_UPDATE)
-
-
-def stage_cost(s: State, a: Action, eta: float) -> float:
-    """Per-slot cost: the age plus ``eta`` whenever a transmission is made."""
-    return float(s.delta) + (eta if a.transmits else 0.0)
-
-
-def transitions(
-    s: State, a: Action, model: ChannelModel, trunc: Truncation
-) -> list[TransitionEntry]:
-    """Exact transition support of ``(s, a)`` in the truncated chain.
-
-    Ages exceeding ``n_max`` are clamped (self-loop in age); the attempt
-    count never needs clamping except for a fresh update under ``r_max = 0``,
-    where the failed-attempt marker collapses back to 0.
-    """
-    r_cap = effective_r_max(model, trunc)
-    if not is_admissible_state(s, trunc, r_cap):
-        raise InadmissibleActionError(f"state {s} is not admissible under {trunc}")
-    if a not in admissible_actions(s, model, trunc):
-        raise InadmissibleActionError(f"action {a.name} is not admissible in state {s}")
-
-    up = min(s.delta + 1, trunc.n_max)
-    if a is Action.IDLE:
-        return [TransitionEntry(State(up, 0), 1.0)]
-    if a is Action.NEW_UPDATE:
-        g = model.error_prob(0)
-        entries = [
-            TransitionEntry(State(up, min(1, r_cap)), g),
-            TransitionEntry(State(1, 0), 1.0 - g),
-        ]
-    else:
-        g = model.error_prob(s.r)
-        entries = [
-            TransitionEntry(State(up, s.r + 1), g),
-            TransitionEntry(State(s.r + 1, 0), 1.0 - g),
-        ]
-    return [e for e in entries if e.prob > 0.0]
-
-
 class SlotOutcomes(NamedTuple):
     fail: np.ndarray  # probability that nothing is delivered, 1 when idling
     reset_age: np.ndarray  # age after a delivery
@@ -186,19 +127,25 @@ class SlotOutcomes(NamedTuple):
 
 
 def slot_outcomes(model: ChannelModel, width: int = 2) -> SlotOutcomes:
-    """The slot rule of ``transitions`` as ``(action, attempts)`` arrays.
+    """The slot rule, as ``(action, attempts)`` arrays.
+
+    Idling delivers nothing.  A fresh update fails with ``g(0)``.  A
+    retransmission, allowed from ``r = 1`` to below the attempt cap so the
+    error profile is never extrapolated, fails with ``g(r)`` and otherwise
+    delivers information ``r + 1`` slots old.  A failure leaves 1 failed
+    attempt after a fresh update, ``r + 1`` after a retransmission.
 
     The table covers the attempts below ``width``, or up to ``model.r_max``
     if that is fewer, and its last column acts as the attempt cap; the
-    default suffices for fresh updates.  A failed fresh update leaves the
-    marker 1 when retransmission is possible at all, else 0.  ``StateSpace``,
-    the simulator, the periodic evaluation, ``SlotEnv`` and ``sarsa.train``
-    read this table, each building it once, wide enough for every attempt
-    count it can reach.
+    default suffices for fresh updates, and with one column a failed fresh
+    update leaves 0.  ``StateSpace``, the simulator, the periodic
+    evaluation, ``SlotEnv`` and ``sarsa.train`` read this table, each
+    building it once, wide enough for every attempt count it can reach.
+    ``tests/spec.py`` states the same rule state by state.
     """
     width = min(width, model.r_max + 1)
     top = width - 1
-    # Python floats from the model, so the bits match transitions().
+    # Python floats from the model, so the bits match a per-state g(r).
     g = [model.error_prob(r) for r in range(width)]
     # Nested lists: a table this small builds faster from them than by stacking.
     return SlotOutcomes(
@@ -244,10 +191,10 @@ class StateSpace:
     ``(delta, r)`` sits at index ``off[delta] + r``: state ``i`` is ``(age[i],
     r[i])`` and the renewal state (1, 0) is index 0.  The at-most-two
     successor indices and probabilities of every (state, action) are gathered
-    from ``slot_outcomes`` by index arithmetic.  The solver's policy
-    evaluations and the stationary-distribution builder read them;
-    ``transitions`` is their per-state specification.  Unused successor
-    slots hold index 0 with probability 0.
+    from ``slot_outcomes`` by index arithmetic; ages above ``n_max`` are
+    clamped, so the cap row loops on itself in age.  The solver's policy
+    evaluations and the stationary-distribution builder read them.  Unused
+    successor slots hold index 0 with probability 0.
 
     A space records the ``model`` it was built for, and ``scatter`` is built
     on first use and kept, so every ``BorderChain`` on one space shares it:

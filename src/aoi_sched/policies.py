@@ -2,11 +2,11 @@
 
 Stationary kinds hold ``table``: entry ``[delta, r, a]`` is the probability
 of ``a`` in state ``(delta, r)``, and larger ages and attempt counts read the
-last row and column, so a table extends naturally to larger states.  Tables
-also accept a per-state mapping listing every state of their truncation;
-``action_probs(state)`` is the per-state view.  The renewal mixture and the
-open-loop periodic baseline need execution context (active branch, slot
-phase) and are handled specially by the evaluators.
+last row and column (``clamped_rows``), so a table extends naturally to
+larger states.  Tables also accept a per-state mapping over every state of
+their truncation, as ``enumerate_states`` lists them.  The renewal mixture
+and the open-loop periodic baseline need execution context (active branch,
+slot phase) and are handled specially by the evaluators.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def clamped_rows(table: np.ndarray, delta, r) -> np.ndarray:
     return table[np.minimum(delta, len(table) - 1), np.minimum(r, table.shape[1] - 1)]
 
 
-def _probs_at(table: np.ndarray, s: State) -> dict[Action, float]:
-    row = clamped_rows(table, s.delta, s.r)
-    return {Action(a): float(row[a]) for a in np.flatnonzero(row > 0.0)}
-
-
 @dataclass(frozen=True, eq=False)
 class DeterministicTable:
     """One action per truncated state: a one-hot ``table``."""
@@ -63,9 +58,6 @@ class DeterministicTable:
         table = np.zeros((space.trunc.n_max + 1, space.r_cap + 1, len(Action)))
         table[space.age, space.r, actions] = 1.0
         return cls(table, Truncation(space.trunc.n_max, space.r_cap))
-
-    def action_probs(self, s: State) -> dict[Action, float]:
-        return _probs_at(self.table, s)
 
     def describe(self) -> str:
         return "table"
@@ -94,9 +86,6 @@ class RandomizedTable:
             raise ValueError(f"action probabilities at {State(int(d), int(r))} sum to {total[d, r]}, not 1")
         object.__setattr__(self, "table", np.maximum(table, 0.0))
 
-    def action_probs(self, s: State) -> dict[Action, float]:
-        return _probs_at(self.table, s)
-
     def describe(self) -> str:
         return "randomized-table"
 
@@ -117,17 +106,6 @@ class ThresholdPolicy:
             raise ValueError(f"threshold must be at least 1, got {self.threshold}")
         if not 0.0 <= self.transmit_prob <= 1.0:
             raise ValueError(f"transmit_prob must lie in [0, 1], got {self.transmit_prob}")
-
-    def action_probs(self, s: State) -> dict[Action, float]:
-        if s.delta > self.threshold:
-            return {Action.NEW_UPDATE: 1.0}
-        if s.delta == self.threshold:
-            if self.transmit_prob >= 1.0:
-                return {Action.NEW_UPDATE: 1.0}
-            if self.transmit_prob <= 0.0:
-                return {Action.IDLE: 1.0}
-            return {Action.NEW_UPDATE: self.transmit_prob, Action.IDLE: 1.0 - self.transmit_prob}
-        return {Action.IDLE: 1.0}
 
     @cached_property
     def table(self) -> np.ndarray:

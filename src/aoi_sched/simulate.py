@@ -595,7 +595,8 @@ class SlotEnv:
     the next state and the transmission outcome from ``mdp.slot_outcomes``,
     loaded once up to the model's attempt cap.  With ``sarsa.step`` it is the
     per-slot specification of ``sarsa.train``, which runs the same slots on
-    list copies of the table.
+    list copies of the table; the tests check its steps against the
+    per-state slot rule of ``tests/spec.py``.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):

@@ -1,8 +1,95 @@
-"""Per-state views of the package's arrays, for tests that check one state at a time."""
+"""Per-state references for the package's arrays, for tests that check one state at a time.
+
+The package states the slot rule once, as the ``mdp.slot_outcomes`` table,
+and each policy once, as its ``table``.  The functions here state the same
+rules state by state, written from ``ChannelModel.error_prob`` and the
+policies' own parameters, and read nothing of ``slot_outcomes``,
+``StateSpace`` or a threshold policy's ``table``.
+"""
+
+from typing import NamedTuple
 
 import numpy as np
 
-from aoi_sched.mdp import Action, State
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation
+from aoi_sched.policies import ThresholdPolicy, clamped_rows
+
+
+class InadmissibleActionError(ValueError):
+    """A state outside the truncation, or an action that is not allowed in its state."""
+
+
+class TransitionEntry(NamedTuple):
+    next: State
+    prob: float
+
+
+def is_admissible_state(s: State, trunc: Truncation, r_cap: int) -> bool:
+    return 1 <= s.delta <= trunc.n_max and 0 <= s.r < min(s.delta, r_cap + 1)
+
+
+def admissible_actions(s: State, model: ChannelModel, trunc: Truncation) -> tuple[Action, ...]:
+    """Actions allowed in ``s``.
+
+    Retransmission requires a failed packet in flight (``r >= 1``) and room
+    for one more combining attempt (``r`` below the tighter of the model's
+    and the truncation's cap); it is forbidden at the cap so the error
+    profile is never extrapolated.
+    """
+    if 1 <= s.r < min(model.r_max, trunc.r_max):
+        return (Action.IDLE, Action.NEW_UPDATE, Action.RETRANSMIT)
+    return (Action.IDLE, Action.NEW_UPDATE)
+
+
+def transitions(s: State, a: Action, model: ChannelModel, trunc: Truncation) -> list[TransitionEntry]:
+    """Exact transition support of ``(s, a)`` in the truncated chain.
+
+    Ages exceeding ``n_max`` are clamped (self-loop in age); the attempt
+    count never needs clamping except for a fresh update under ``r_max = 0``,
+    where the failed-attempt marker collapses back to 0.
+    """
+    r_cap = min(model.r_max, trunc.r_max)
+    if not is_admissible_state(s, trunc, r_cap):
+        raise InadmissibleActionError(f"state {s} is not admissible under {trunc}")
+    if a not in admissible_actions(s, model, trunc):
+        raise InadmissibleActionError(f"action {a.name} is not admissible in state {s}")
+
+    up = min(s.delta + 1, trunc.n_max)
+    if a is Action.IDLE:
+        return [TransitionEntry(State(up, 0), 1.0)]
+    if a is Action.NEW_UPDATE:
+        g = model.error_prob(0)
+        entries = [
+            TransitionEntry(State(up, min(1, r_cap)), g),
+            TransitionEntry(State(1, 0), 1.0 - g),
+        ]
+    else:
+        g = model.error_prob(s.r)
+        entries = [
+            TransitionEntry(State(up, s.r + 1), g),
+            TransitionEntry(State(s.r + 1, 0), 1.0 - g),
+        ]
+    return [e for e in entries if e.prob > 0.0]
+
+
+def threshold(policy: ThresholdPolicy, s: State) -> dict[Action, float]:
+    """The threshold rule in ``s``: idle below the threshold, send above it, and at it send with ``transmit_prob``."""
+    if s.delta != policy.threshold:
+        return {Action.NEW_UPDATE if s.delta > policy.threshold else Action.IDLE: 1.0}
+    p = policy.transmit_prob
+    return {a: q for a, q in ((Action.IDLE, 1.0 - p), (Action.NEW_UPDATE, p)) if q > 0.0}
+
+
+def probs(policy, s: State) -> dict[Action, float]:
+    """The positive action probabilities of a stationary policy in ``s``.
+
+    A threshold policy follows ``threshold``; a table reads its row at
+    ``s``, larger states reading its last row and column.
+    """
+    if isinstance(policy, ThresholdPolicy):
+        return threshold(policy, s)
+    row = clamped_rows(policy.table, s.delta, s.r)
+    return {Action(a): float(row[a]) for a in np.flatnonzero(row > 0.0)}
 
 
 def actions(policy) -> dict[State, Action]:

@@ -9,7 +9,7 @@ import pytest
 from aoi_sched import arq, exact, lagrange, rvi, simulate
 from aoi_sched.cli import SWEEP_HEADER, main
 from aoi_sched.errors import BracketingError
-from aoi_sched.mdp import ChannelModel
+from aoi_sched.mdp import ChannelModel, Truncation, enumerate_states
 from aoi_sched.policies import ThresholdPolicy
 from aoi_sched.simulate import run
 
@@ -112,6 +112,21 @@ def test_learn_zero_horizon(tmp_path, capsys):
     rows = read_csv(timeline)
     assert rows[0][0] == "n"
     assert len(rows) == 1  # header only
+
+
+def test_learn_zero_horizon_writes_the_untrained_table(tmp_path, capsys):
+    qtable = tmp_path / "q.csv"
+    rc = main([
+        "learn", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "50",
+        "--steps", "0", "--reps", "2", "--qtable-out", str(qtable),
+    ])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {"replications": 2, "steps": 0}
+    rows = read_csv(qtable)
+    assert rows[0] == ["delta", "r", "q_idle", "q_new", "q_retx"]
+    assert [(int(d), int(r)) for d, r, *_ in rows[1:]] == enumerate_states(Truncation(50, 3))
+    # An all-zero table; retransmission is inadmissible without a failed packet and at the cap.
+    assert all(row[2:] == ["0", "0", "0" if 1 <= int(row[1]) < 3 else ""] for row in rows[1:])
 
 
 def test_learn_small_run(tmp_path, capsys):
@@ -336,6 +351,37 @@ def test_sweep_config_counts_are_checked_like_their_flags(key, value, message, t
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"config key '{key}'" in err and message in err, err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("cmaxx", [0.5], "unknown, expected one of p0, lam, rmax, cmax, protocols, horizon, reps, nmax, seed"),
+        ("cmax", 0.5, "expected a list, got 0.5"),
+        ("protocols", "arq", "expected a list, got 'arq'"),
+        ("protocols", ["arq", "harqq"], "expected a list of arq, harq, baseline, got ['arq', 'harqq']"),
+    ],
+    ids=["unknown-key", "scalar-grid", "protocols-string", "unknown-protocol"],
+)
+def test_sweep_config_rejects_malformed_grid_keys(key, value, message, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"cmax": [0.5], "protocols": ["baseline"], "horizon": 0, key: value}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}': {message}" in err, err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps([{"cmax": [0.5]}]))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert f"config file {cfg}: expected a JSON object, got list" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

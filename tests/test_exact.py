@@ -15,7 +15,6 @@ from aoi_sched.mdp import (
     effective_r_max,
     enumerate_states,
     slot_outcomes,
-    transitions,
 )
 from aoi_sched.policies import (
     DeterministicTable,
@@ -26,6 +25,8 @@ from aoi_sched.policies import (
 )
 from aoi_sched.rvi import solve
 from aoi_sched.simulate import baseline_periodic
+
+import spec
 
 TINY = 1e-300  # effectively error-free channel that still satisfies 0 < g(0)
 
@@ -51,10 +52,10 @@ def mixture_oracle(pol_a, pol_b, w, model, trunc):
     for b, pol in enumerate((pol_a, pol_b)):
         for s in states:
             i = b * n + idx[s]
-            for a, pa in pol.action_probs(s).items():
+            for a, pa in spec.probs(pol, s).items():
                 if a != Action.IDLE:
                     tx[i] += pa
-                for nxt, p in transitions(s, a, model, trunc):
+                for nxt, p in spec.transitions(s, a, model, trunc):
                     j = idx[nxt]
                     if j == renewal:
                         P[i, 0 * n + j] += pa * p * w
@@ -73,16 +74,16 @@ def mixture_oracle(pol_a, pol_b, w, model, trunc):
 
 
 def reference_chain(policy, model, trunc):
-    """Dense transition matrix and transmit probability, state by state from ``transitions``."""
+    """Dense transition matrix and transmit probability, state by state from ``spec.transitions``."""
     states = enumerate_states(Truncation(trunc.n_max, effective_r_max(model, trunc)))
     idx = {s: i for i, s in enumerate(states)}
     P = np.zeros((len(states), len(states)))
     tx = np.zeros(len(states))
     for i, s in enumerate(states):
-        for a, pa in policy.action_probs(s).items():
+        for a, pa in spec.probs(policy, s).items():
             if a != Action.IDLE:
                 tx[i] += pa
-            for nxt, p in transitions(s, a, model, trunc):
+            for nxt, p in spec.transitions(s, a, model, trunc):
                 P[i, idx[nxt]] += pa * p
     return P, tx
 

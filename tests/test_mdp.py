@@ -1,5 +1,7 @@
 import ctypes.util
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,22 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack as scipy_lapack
 
 from aoi_sched import _lapack, mdp, rvi
-from aoi_sched.errors import InadmissibleActionError, InadmissibleQueryError, NoStationaryAoIError
+from aoi_sched.errors import InadmissibleQueryError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.lagrange import solve_constrained
-from aoi_sched.mdp import (
-    Action,
-    ChannelModel,
-    State,
-    StateSpace,
-    Truncation,
-    admissible_actions,
-    effective_r_max,
-    enumerate_states,
-    stage_cost,
-    transitions,
-)
+from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation, effective_r_max, enumerate_states
 from aoi_sched.policies import RandomizedTable
+
+from spec import InadmissibleActionError, admissible_actions, transitions
 
 
 def as_dict(entries):
@@ -170,17 +162,6 @@ class TestTransitions:
         assert State(3, 0) in retx
 
 
-class TestStageCost:
-    def test_idle_carries_no_charge(self):
-        assert stage_cost(State(7, 2), Action.IDLE, 5.0) == 7.0
-
-    def test_transmission_charged(self):
-        assert stage_cost(State(1, 0), Action.NEW_UPDATE, 5.0) == 6.0
-
-    def test_unconstrained_mode_charge_free(self):
-        assert stage_cost(State(4, 1), Action.RETRANSMIT, 0.0) == 4.0
-
-
 class TestEnumerateStates:
     def test_small_grid(self):
         assert enumerate_states(Truncation(3, 3)) == [
@@ -263,18 +244,22 @@ class TestStateSpace:
     def test_arrays_equal_scalar_specification(self, p0, lam, model_r_max, n_max, trunc_r_max):
         assert_matches_spec(ChannelModel(p0, lam, model_r_max), Truncation(n_max, trunc_r_max))
 
-    def test_hot_paths_never_call_the_scalar_specification(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("scalar specification called on a hot path")
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("aoi_sched"):
-                for attr in ("transitions", "admissible_actions"):
-                    if hasattr(module, attr):
-                        monkeypatch.setattr(module, attr, forbidden)
-        p0, lam, r_max, c_max, n_max = 0.3, 0.5, 9, 0.4, 120  # operating point A
-        sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
-        assert sol.achieved_cost == pytest.approx(c_max, abs=1e-6)
+    def test_no_module_defines_a_per_state_specification(self):
+        # The per-state references live in tests/spec.py; the package states
+        # each rule once, as an array.
+        moved = {"TransitionEntry", "is_admissible_state", "admissible_actions", "transitions",
+                 "stage_cost", "InadmissibleActionError"}
+        package = importlib.import_module("aoi_sched")
+        modules = [package] + [
+            importlib.import_module(info.name) for info in pkgutil.iter_modules(package.__path__, "aoi_sched.")
+        ]
+        assert len(modules) > 10
+        for module in modules:
+            assert not moved & set(vars(module)), module.__name__
+            for name, value in vars(module).items():
+                if isinstance(value, type) and value.__module__ == module.__name__:
+                    assert not hasattr(value, "action_probs"), (module.__name__, name)
+        assert not hasattr(package, "softmax_probs")
 
 
 def random_chain(space, seed):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from aoi_sched.mdp import Action, State, Truncation, enumerate_states
 from aoi_sched.policies import (
@@ -7,6 +8,7 @@ from aoi_sched.policies import (
     RandomizedTable,
     RenewalMixture,
     ThresholdPolicy,
+    clamped_rows,
     table_difference,
 )
 
@@ -20,8 +22,8 @@ class TestTables:
             {State(d, 0): (Action.NEW_UPDATE if d == 5 else Action.IDLE) for d in range(1, 6)},
             trunc,
         )
-        assert table.action_probs(State(17, 0)) == {Action.NEW_UPDATE: 1.0}
-        assert table.action_probs(State(4, 0)) == {Action.IDLE: 1.0}
+        assert spec.probs(table, State(17, 0)) == {Action.NEW_UPDATE: 1.0}
+        assert spec.probs(table, State(4, 0)) == {Action.IDLE: 1.0}
 
     def test_randomized_rows_validated(self):
         trunc = Truncation(3, 0)
@@ -39,7 +41,7 @@ class TestTables:
             RandomizedTable(table, trunc)
         table[3, 1] = 1.0 + 2e-10, -2e-10, 0.0  # within tolerance: accepted, read as 0
         accepted = RandomizedTable(table, trunc)
-        assert accepted.action_probs(State(3, 1)) == {Action.IDLE: 1.0 + 2e-10}
+        assert spec.probs(accepted, State(3, 1)) == {Action.IDLE: 1.0 + 2e-10}
         assert accepted.table.min() == 0.0
 
     def test_zero_probability_actions_dropped(self):
@@ -47,7 +49,7 @@ class TestTables:
         table = RandomizedTable(
             {s: {Action.IDLE: 1.0, Action.NEW_UPDATE: 0.0} for s in enumerate_states(trunc)}, trunc
         )
-        assert table.action_probs(State(1, 0)) == {Action.IDLE: 1.0}
+        assert spec.probs(table, State(1, 0)) == {Action.IDLE: 1.0}
 
     def test_actions_view_lists_every_state_in_order(self):
         trunc = Truncation(6, 2)
@@ -70,9 +72,19 @@ class TestTables:
 class TestThresholdPolicy:
     def test_decision_regions(self):
         pol = ThresholdPolicy(4, 0.3)
-        assert pol.action_probs(State(3, 0)) == {Action.IDLE: 1.0}
-        assert pol.action_probs(State(4, 0)) == {Action.NEW_UPDATE: 0.3, Action.IDLE: 0.7}
-        assert pol.action_probs(State(9, 2)) == {Action.NEW_UPDATE: 1.0}
+        assert spec.threshold(pol, State(3, 0)) == {Action.IDLE: 1.0}
+        assert spec.threshold(pol, State(4, 0)) == {Action.NEW_UPDATE: 0.3, Action.IDLE: 0.7}
+        assert spec.threshold(pol, State(9, 2)) == {Action.NEW_UPDATE: 1.0}
+
+    @given(
+        threshold=st.integers(1, 30),
+        transmit_prob=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_table_rows_follow_the_threshold_rule(self, threshold, transmit_prob):
+        policy = ThresholdPolicy(threshold, transmit_prob)
+        for s in enumerate_states(Truncation(threshold + 5, 4)):
+            row = clamped_rows(policy.table, s.delta, s.r)
+            assert {a: p for a, p in zip(Action, row.tolist()) if p > 0.0} == spec.threshold(policy, s), s
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,22 +129,22 @@ def clamped(rows, trunc):
 
 class TestActionTable:
     @pytest.mark.parametrize(
-        "policy, spec",
+        "policy, reference",
         [
             (DeterministicTable({s: next(iter(d)) for s, d in DET_ROWS.items()}, DET_TRUNC), clamped(DET_ROWS, DET_TRUNC)),
             (RandomizedTable(RND_ROWS, RND_TRUNC), clamped(RND_ROWS, RND_TRUNC)),
-            (ThresholdPolicy(3, 0.4), ThresholdPolicy(3, 0.4).action_probs),
-            (ThresholdPolicy(2, 1.0), ThresholdPolicy(2, 1.0).action_probs),
+            (ThresholdPolicy(3, 0.4), lambda s: spec.threshold(ThresholdPolicy(3, 0.4), s)),
+            (ThresholdPolicy(2, 1.0), lambda s: spec.threshold(ThresholdPolicy(2, 1.0), s)),
         ],
         ids=["deterministic", "randomized", "threshold", "sure-threshold"],
     )
-    def test_rows_are_the_action_probs_with_clamping(self, policy, spec):
+    def test_rows_are_the_action_probs_with_clamping(self, policy, reference):
         table = policy.table
         n_age, n_att = table.shape[:2]
         for s in enumerate_states(Truncation(15, 4)):
             row = table[min(s.delta, n_age - 1), min(s.r, n_att - 1)]
-            assert {a: p for a, p in zip(Action, row) if p > 0.0} == spec(s)
-            assert policy.action_probs(s) == spec(s)
+            assert {a: p for a, p in zip(Action, row) if p > 0.0} == reference(s)
+            assert spec.probs(policy, s) == reference(s)
 
     def test_table_must_list_every_state(self):
         trunc = Truncation(5, 1)

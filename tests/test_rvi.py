@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components
 from aoi_sched import arq, oracles, rvi
 from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states, transitions
+from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states
 from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import bellman_residual, solve
 
@@ -239,7 +239,7 @@ def assert_matches_dense_evaluation(model, trunc, actions, eta):
     idx = {s: i for i, s in enumerate(states)}
     P = np.zeros((len(states), len(states)))
     for i, s in enumerate(states):
-        for nxt, p in transitions(s, Action(actions[i]), model, trunc):
+        for nxt, p in spec.transitions(s, Action(actions[i]), model, trunc):
             P[i, idx[nxt]] += p
     cost = space.delta + eta * (actions != Action.IDLE)
     if closed_classes(P) > 1:

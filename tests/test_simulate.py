@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aoi_sched.errors import ProtocolViolationError
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation, admissible_actions, enumerate_states, transitions
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states
 from aoi_sched import arq, oracles, simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
@@ -26,7 +26,7 @@ def assert_trace_valid(trace, model):
     """Every recorded step must be in the transition support of its action."""
     big = Truncation(10**9, model.r_max)
     for d, r, a, _, d1, r1 in slot_rows(trace):
-        support = {e.next for e in transitions(State(d, r), Action(a), model, big)}
+        support = {e.next for e in spec.transitions(State(d, r), Action(a), model, big)}
         assert State(d1, r1) in support, (d, r, a, d1, r1)
 
 
@@ -205,7 +205,7 @@ class TestSlotEnv:
         big = Truncation(10**9, r_max)
         ages = range(1, 16)  # attempts up to 14
         for s in (State(d, r) for d in ages for r in range(min(d, r_max + 1))):
-            allowed = admissible_actions(s, model, big)
+            allowed = spec.admissible_actions(s, model, big)
             for a in Action:
                 outcomes = set()
                 for u, delivered in ((0.0, False), (1.0 - 2.0**-53, True)):
@@ -219,7 +219,7 @@ class TestSlotEnv:
                     assert ok is (None if a is Action.IDLE else delivered)
                     outcomes.add(nxt)
                 if a in allowed:
-                    assert outcomes == {e.next for e in transitions(s, a, model, big)}, (s, a)
+                    assert outcomes == {e.next for e in spec.transitions(s, a, model, big)}, (s, a)
 
     def test_outcome_table_built_once(self, monkeypatch):
         calls = []
@@ -385,7 +385,7 @@ def test_short_trace_is_prefix_of_longer_run(policy):
 
 
 def reference_trace(policy, model, horizon, rng):
-    """Slot-by-slot reference of ``run`` on the same uniforms, from the policies' own ``action_probs``.
+    """Slot-by-slot reference of ``run`` on the same uniforms, from ``spec.probs``.
 
     Returns the ``slot_rows`` of the trace.
 
@@ -439,13 +439,13 @@ def reference_trace(policy, model, horizon, rng):
                 active = policy.first if u_mix < policy.weight_first else policy.second
             elif state == State(1, 0):
                 active = policy
-            while state.r == 0 and set(active.action_probs(state)) == {Action.IDLE} and len(trace) < horizon:
+            while state.r == 0 and set(spec.probs(active, state)) == {Action.IDLE} and len(trace) < horizon:
                 after = State(state.delta + 1, 0)
                 trace.append((*state, Action.IDLE, False, *after))
                 state = after
             if len(trace) == horizon:
                 break
-            action = choose(active.action_probs(state), u_act)
+            action = choose(spec.probs(active, state), u_act)
             delivered, after = slot(state, action, u_chan)
             trace.append((*state, action, delivered, *after))
             state = after
