@@ -1,50 +1,27 @@
 #!/usr/bin/env python3
 """Reproduce the age-versus-budget comparison data.
 
-For each budget on the grid this computes the optimal randomized ARQ
-threshold (closed form), the optimal HARQ policy (solver plus multiplier
-search), and the no-feedback periodic baseline, each evaluated exactly and
-by simulation.  Output is one sweep CSV per channel setting.
+For each budget from 0.1 to 1 in steps of 0.05 this computes the optimal
+randomized ARQ threshold (closed form), the optimal HARQ policy (solver plus
+multiplier search) and the no-feedback periodic baseline at p0 = 0.3, 0.5 and
+0.7, lam = 0.5 and r_max = 3, each evaluated exactly and by simulation, into
+one sweep CSV (budget_sweep.csv).  This is ``aoi-sched sweep`` with these
+settings: every ``sweep`` flag is accepted, and one given here overrides the
+script's own.
 
     python scripts/budget_sweep.py --out data/sweep.csv
     python scripts/budget_sweep.py --quick        # small horizon, few reps
+    python scripts/budget_sweep.py --p0 0.5 --horizon 0 --workers 2
 """
 
-import argparse
 import sys
 
-from aoi_sched.cli import main as cli_main
+from aoi_sched import cli
 
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="budget_sweep.csv")
-    parser.add_argument("--p0", type=float, nargs="+", default=[0.3, 0.5, 0.7])
-    parser.add_argument("--lam", type=float, nargs="+", default=[0.5])
-    parser.add_argument("--rmax", type=int, nargs="+", default=[3])
-    parser.add_argument("--horizon", type=int, default=10_000)
-    parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args()
-
-    cmaxs = [round(0.05 * k, 10) for k in range(2, 21)]
-    argv = [
-        "sweep",
-        "--p0", *map(str, args.p0),
-        "--lam", *map(str, args.lam),
-        "--rmax", *map(str, args.rmax),
-        "--cmax", *map(str, cmaxs),
-        "--protocols", "arq", "harq", "baseline",
-        "--horizon", str(args.horizon),
-        "--reps", str(args.reps),
-        "--workers", str(args.workers),
-        "--out", args.out,
-    ]
-    if args.quick:
-        argv.append("--quick")
-    return cli_main(argv)
-
+CMAX = [str(round(0.05 * k, 10)) for k in range(2, 21)]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main([
+        "sweep", "--p0", "0.3", "0.5", "0.7", "--lam", "0.5", "--rmax", "3", "--cmax", *CMAX,
+        "--out", "budget_sweep.csv", *sys.argv[1:],
+    ]))

@@ -1,46 +1,24 @@
 #!/usr/bin/env python3
 """Learning-curve experiment: online learner versus the planned policy.
 
-Trains the average-cost learner on a hidden channel for many replications,
-writes the aggregated running-average timeline, and prints the gap to the
-exact value of the planned (solver) policy at the same budget.
+Trains the average-cost learner on a hidden channel (p0 = 0.5, lam = 0.5,
+r_max = 3, budget 0.4, age cap 100) for 1000 replications of 10,000 steps,
+writes the aggregated running-average timeline (learning_curve.csv), and
+prints the gap to the exact value of the planned (solver) policy at the same
+budget.  This is ``aoi-sched learn`` with these settings: every ``learn``
+flag is accepted, and one given here overrides the script's own.
 
-    python scripts/learning_curves.py --out data/learn.csv
+    python scripts/learning_curves.py --timeline-out data/learn.csv
     python scripts/learning_curves.py --reps 100 --steps 10000
 """
 
-import argparse
 import sys
 
-from aoi_sched.cli import main as cli_main
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="learning_curve.csv")
-    parser.add_argument("--p0", type=float, default=0.5)
-    parser.add_argument("--lam", type=float, default=0.5)
-    parser.add_argument("--rmax", type=int, default=3)
-    parser.add_argument("--cmax", type=float, default=0.4)
-    parser.add_argument("--steps", type=int, default=10_000)
-    parser.add_argument("--reps", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
-    return cli_main([
-        "learn",
-        "--p0", str(args.p0),
-        "--lam", str(args.lam),
-        "--rmax", str(args.rmax),
-        "--nmax", "100",
-        "--cmax", str(args.cmax),
-        "--steps", str(args.steps),
-        "--reps", str(args.reps),
-        "--seed", str(args.seed),
-        "--timeline-out", args.out,
-        "--compare-rvi",
-    ])
-
+from aoi_sched import cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.main([
+        "learn", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "100", "--cmax", "0.4",
+        "--steps", "10000", "--reps", "1000", "--timeline-out", "learning_curve.csv", "--compare-rvi",
+        *sys.argv[1:],
+    ]))

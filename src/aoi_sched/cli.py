@@ -81,12 +81,24 @@ def _checked(convert, build):
     return parse
 
 
+def _config_flags(name: str) -> list[str]:
+    """argparse type of ``sweep --config``: the JSON object in file ``name`` as
+    flags, ``"key": v`` as ``--key v`` and a list value as its elements."""
+    try:
+        config = json.loads(Path(name).read_text())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {name}: {exc}") from None
+    if not isinstance(config, dict):
+        raise argparse.ArgumentTypeError(f"{name}: expected a JSON object, got {type(config).__name__}")
+    return [
+        text
+        for key, value in config.items()
+        for text in (f"--{key}", *map(str, value if isinstance(value, list) else [value]))
+    ]
+
+
 _CMAX = _checked(float, baseline_periodic)  # the budget range every solver checks
 _NMAX = _checked(int, lambda n: Truncation(n, 0))
-# Types of the sweep's count settings, whether a flag or the config file sets them.
-_SWEEP_COUNTS = {"horizon": _count(0), "reps": _count(1), "nmax": _NMAX, "seed": _count(0)}
-# The sweep's grid settings: several values each, as a flag's values or a config file's list.
-_SWEEP_GRID = ("p0", "lam", "rmax", "cmax", "protocols")
 _PROTOCOLS = ("arq", "harq", "baseline")
 # The charge range, which the solver checks first; a solve on two states is instant.
 _ETA = _checked(float, functools.partial(solve, ChannelModel(0.5), Truncation(2, 0)))
@@ -283,35 +295,30 @@ def cmd_learn(args) -> int:
         trunc=trunc,
         tau=args.tau,
         eta0=args.eta0,
-        eta_adapt=not args.no_eta_adapt,
         eta_step=args.eta_step,
         c_max=args.cmax,
         horizon=args.steps,
     )
-    aoi = np.zeros((args.reps, args.steps))
-    cost = np.zeros((args.reps, args.steps))
-    etas = np.zeros((args.reps, args.steps))
-    gains = np.zeros((args.reps, args.steps))
+    # The timeline's steps: at most --timeline-points, ending at the last step.
+    stride = max(1, math.ceil(args.steps / args.timeline_points))
+    idx = [*range(stride - 1, args.steps - 1, stride), args.steps - 1] if args.steps else []
+    aoi, cost, etas, gains = (np.zeros((args.reps, len(idx))) for _ in range(4))
     for rep in range(args.reps):
         ls, tl = train(model, LearnerConfig(seed=args.seed + rep, **cfg_common))
-        aoi[rep], cost[rep] = tl.running_aoi, tl.running_cost
-        etas[rep], gains[rep] = tl.eta, tl.gain
+        aoi[rep], cost[rep] = tl.running_aoi[idx], tl.running_cost[idx]
+        etas[rep], gains[rep] = tl.eta[idx], tl.gain[idx]
         if rep == 0:
             final_state = ls
 
     if args.timeline_out:
-        stride = max(1, args.steps // args.timeline_points)
-        idx = list(range(stride - 1, args.steps, stride))
-        if args.steps and idx[-1] != args.steps - 1:
-            idx.append(args.steps - 1)
         _write_csv(
             _outpath(args.timeline_out),
             ["n", "mean_running_aoi", "var_running_aoi", "mean_running_cost", "mean_eta", "mean_gain"],
             [
-                [k + 1, f"{aoi[:, k].mean():.12g}",
-                 f"{(aoi[:, k].var(ddof=1) if args.reps > 1 else 0.0):.12g}",
-                 f"{cost[:, k].mean():.12g}", f"{etas[:, k].mean():.12g}", f"{gains[:, k].mean():.12g}"]
-                for k in idx
+                [k + 1, f"{aoi[:, m].mean():.12g}",
+                 f"{(aoi[:, m].var(ddof=1) if args.reps > 1 else 0.0):.12g}",
+                 f"{cost[:, m].mean():.12g}", f"{etas[:, m].mean():.12g}", f"{gains[:, m].mean():.12g}"]
+                for m, k in enumerate(idx)
             ],
         )
     if args.qtable_out:
@@ -370,7 +377,7 @@ def _sweep_point(task):
             policy = sol.mixed
             exact_aoi, exact_cost = sol.achieved_aoi, sol.achieved_cost
             eta_star = f"{sol.eta_star:.12g}"
-        else:  # baseline; the flag and the config file admit no other protocol
+        else:  # baseline; the flag admits no other protocol
             model = ChannelModel(p0, lam, r_max)
             trunc = Truncation(n_max, r_max)
             policy = baseline_periodic(c_max)
@@ -397,50 +404,13 @@ SWEEP_HEADER = [
 
 
 def cmd_sweep(args) -> int:
-    def fail(message):
-        print(f"aoi-sched sweep: error: {message}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(file_cfg, dict):
-        fail(f"config file {args.config}: expected a JSON object, got {type(file_cfg).__name__}")
-    for name in sorted(file_cfg.keys() - {*_SWEEP_GRID, *_SWEEP_COUNTS}):
-        fail(f"config key {name!r}: unknown, expected one of {', '.join([*_SWEEP_GRID, *_SWEEP_COUNTS])}")
-
-    def pick(name, default):
-        flag = getattr(args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name not in file_cfg:
-            return default
-        value = file_cfg[name]
-        if name in _SWEEP_COUNTS:
-            try:
-                return _SWEEP_COUNTS[name](str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                fail(f"config key {name!r}: {exc}")
-        if not isinstance(value, list):
-            fail(f"config key {name!r}: expected a list, got {value!r}")
-        if name == "protocols" and any(p not in _PROTOCOLS for p in value):
-            fail(f"config key {name!r}: expected a list of {', '.join(_PROTOCOLS)}, got {value!r}")
-        return value
-
-    p0s = pick("p0", [0.5])
-    lams = pick("lam", [0.5])
-    rmaxs = pick("rmax", [3])
-    cmaxs = pick("cmax", [round(0.1 * k, 10) for k in range(1, 11)])
-    protocols = pick("protocols", list(_PROTOCOLS))
-    horizon = pick("horizon", 10_000)
-    reps = pick("reps", 1000 if not args.quick else 50)
-    n_max = pick("nmax", 150)
-    seed = pick("seed", 0)
+    horizon, reps = args.horizon, args.reps
     if args.quick:
-        horizon = min(horizon, 2000)
-        reps = min(reps, 50)
+        horizon, reps = min(horizon, 2000), min(reps, 50)
 
     tasks = [
-        (prot, p0, lam, rmax, cmax, n_max, horizon, reps, seed)
-        for p0, lam, rmax, cmax, prot in itertools.product(p0s, lams, rmaxs, cmaxs, protocols)
+        (prot, p0, lam, rmax, cmax, args.nmax, horizon, reps, args.seed)
+        for p0, lam, rmax, cmax, prot in itertools.product(args.p0, args.lam, args.rmax, args.cmax, args.protocols)
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -532,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_learner("tau"), default=1.0)
     p.add_argument("--eta0", type=_learner("eta0"), default=2.0)
     p.add_argument("--eta-step", type=_learner("eta_step"), default=0.5)
-    p.add_argument("--no-eta-adapt", action="store_true")
     p.add_argument("--timeline-out", help="aggregated learning-curve CSV")
     p.add_argument("--timeline-points", type=_count(1), default=200)
     p.add_argument("--qtable-out", help="final table CSV (first replication)")
@@ -540,16 +509,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("sweep", help="grid experiments over budgets and channels")
-    p.add_argument("--config", help="JSON experiment config; flags override")
-    p.add_argument("--p0", type=float, nargs="+")
-    p.add_argument("--lam", type=float, nargs="+")
-    p.add_argument("--rmax", type=int, nargs="+")
-    p.add_argument("--cmax", type=float, nargs="+")
-    p.add_argument("--protocols", nargs="+", choices=_PROTOCOLS)
-    p.add_argument("--horizon", type=_SWEEP_COUNTS["horizon"], help="slots per replication (0: no simulation)")
-    p.add_argument("--reps", type=_SWEEP_COUNTS["reps"])
-    p.add_argument("--nmax", type=_SWEEP_COUNTS["nmax"])
-    p.add_argument("--seed", type=_SWEEP_COUNTS["seed"])
+    p.add_argument("--config", type=_config_flags, help="JSON object of sweep flags; the command line's override it")
+    p.add_argument("--p0", type=float, nargs="+", default=[0.5])
+    p.add_argument("--lam", type=float, nargs="+", default=[0.5])
+    p.add_argument("--rmax", type=int, nargs="+", default=[3])
+    p.add_argument("--cmax", type=float, nargs="+", default=[round(0.1 * k, 10) for k in range(1, 11)])
+    p.add_argument("--protocols", nargs="+", choices=_PROTOCOLS, default=list(_PROTOCOLS))
+    p.add_argument("--horizon", type=_count(0), default=10_000, help="slots per replication (0: no simulation)")
+    p.add_argument("--reps", type=_count(1), default=1000)
+    p.add_argument("--nmax", type=_NMAX, default=150)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--workers", type=_count(1), default=1)
     p.add_argument("--quick", action="store_true", help="reduced horizon and replications")
     p.add_argument("--out", help="sweep CSV (stdout when omitted)")
@@ -562,7 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):  # the file's flags, then the command line's, which win
+        args = parser.parse_args([args.command, *args.config, *argv[1:]])
     try:
         return args.func(args)
     except _NAMED_ERRORS as exc:

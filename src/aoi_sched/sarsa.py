@@ -37,8 +37,7 @@ class LearnerConfig:
     trunc: Truncation
     tau: float = 1.0
     eta0: float = 2.0
-    eta_adapt: bool = True
-    eta_step: float = 0.5  # charge step eta_step / sqrt(n)
+    eta_step: float = 0.5  # charge step eta_step / sqrt(n); 0 holds the charge at eta0
     c_max: float = 1.0
     horizon: int = 10_000
     seed: int = 0
@@ -153,8 +152,7 @@ def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Gene
     ls.q[i, a] += alpha * (c - ls.gain + ls.q[j, a_next] - ls.q[i, a])
     ls.gain += (c - ls.gain) / n
     ls.empirical_cost += ((1.0 if a.transmits else 0.0) - ls.empirical_cost) / n
-    if cfg.eta_adapt:
-        ls.eta = max(0.0, ls.eta + cfg.eta_step / math.sqrt(n) * (ls.empirical_cost - cfg.c_max))
+    ls.eta = max(0.0, ls.eta + cfg.eta_step / math.sqrt(n) * (ls.empirical_cost - cfg.c_max))
 
     ls.state = nxt
     ls.next_action = a_next
@@ -183,7 +181,7 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     rng_env = np.random.default_rng([cfg.seed, 0])
     rng_act = np.random.default_rng([cfg.seed, 1])
     ls = make_learner(cfg, model)
-    horizon, tau, alpha0, eta_adapt = cfg.horizon, cfg.tau, _ALPHA0, cfg.eta_adapt
+    horizon, tau, alpha0 = cfg.horizon, cfg.tau, _ALPHA0
     eta_step, c_max = cfg.eta_step, cfg.c_max
     n_max, r_cap = ls.space.trunc.n_max, ls.space.r_cap
     off = ls.space.off.tolist()
@@ -223,8 +221,7 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
             qi[a] += alpha0 / math.sqrt(n) * (c - gain + row[b] - qi[a])
             gain += (c - gain) / n
             emp += ((1.0 if a else 0.0) - emp) / n
-            if eta_adapt:
-                eta = max(0.0, eta + eta_step / math.sqrt(n) * (emp - c_max))
+            eta = max(0.0, eta + eta_step / math.sqrt(n) * (emp - c_max))
             r_cost.append(emp)
             etas.append(eta)
             gains.append(gain)

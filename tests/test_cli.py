@@ -129,6 +129,27 @@ def test_learn_zero_horizon_writes_the_untrained_table(tmp_path, capsys):
     assert all(row[2:] == ["0", "0", "0" if 1 <= int(row[1]) < 3 else ""] for row in rows[1:])
 
 
+@pytest.mark.parametrize(
+    "steps, points, ns",
+    [
+        (5, 3, [2, 4, 5]),
+        (7, 7, list(range(1, 8))),
+        (3, 5, [1, 2, 3]),
+        (10_000, 200, list(range(50, 10_001, 50))),
+        (10_000, 300, [*range(34, 10_000, 34), 10_000]),
+    ],
+)
+def test_timeline_has_at_most_the_points_asked_for(steps, points, ns, tmp_path, capsys):
+    timeline = tmp_path / "tl.csv"
+    rc = main([
+        "learn", "--rmax", "3", "--nmax", "30", "--steps", str(steps), "--reps", "1",
+        "--timeline-points", str(points), "--timeline-out", str(timeline),
+    ])
+    assert rc == 0
+    assert [int(row[0]) for row in read_csv(timeline)[1:]] == ns
+    assert len(ns) <= points
+
+
 def test_learn_small_run(tmp_path, capsys):
     timeline = tmp_path / "tl.csv"
     qtable = tmp_path / "q.csv"
@@ -333,6 +354,21 @@ def test_count_flags_reject_bad_values(argv, capsys):
     assert "expected an integer of at least" in capsys.readouterr().err
 
 
+def sweep_config_exits_2(text, tmp_path, capsys):
+    """Run ``sweep --config`` on a file holding ``text``; it must exit 2 and
+    write no CSV.  Returns the error output."""
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err, err
+    return err
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -340,49 +376,88 @@ def test_count_flags_reject_bad_values(argv, capsys):
         ("horizon", -5, "expected an integer of at least 0, got -5"),
         ("seed", -1, "expected an integer of at least 0, got -1"),
         ("nmax", 1, "must"),
-        ("reps", 2.5, "invalid literal"),
+        ("reps", 2.5, "invalid count value"),
     ],
 )
 def test_sweep_config_counts_are_checked_like_their_flags(key, value, message, tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"cmax": [0.5], "protocols": ["baseline"], "horizon": 100, key: value}))
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"config key '{key}'" in err and message in err, err
-    assert not (tmp_path / "sweep.csv").exists()
+    config = {"cmax": [0.5], "protocols": ["baseline"], "horizon": 100, key: value}
+    err = sweep_config_exits_2(json.dumps(config), tmp_path, capsys)
+    assert f"argument --{key}: " in err and message in err, err
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("cmaxx", [0.5], "unknown, expected one of p0, lam, rmax, cmax, protocols, horizon, reps, nmax, seed"),
-        ("cmax", 0.5, "expected a list, got 0.5"),
-        ("protocols", "arq", "expected a list, got 'arq'"),
-        ("protocols", ["arq", "harqq"], "expected a list of arq, harq, baseline, got ['arq', 'harqq']"),
+        ("cmaxx", [0.5], "unrecognized arguments: --cmaxx 0.5"),
+        ("protocols", ["arq", "harqq"], "argument --protocols: invalid choice: 'harqq'"),
+        ("p0", None, "argument --p0: invalid float value: 'None'"),
+        ("p0", [], "argument --p0: expected at least one argument"),
     ],
-    ids=["unknown-key", "scalar-grid", "protocols-string", "unknown-protocol"],
+    ids=["unknown-key", "unknown-protocol", "null-value", "empty-list"],
 )
 def test_sweep_config_rejects_malformed_grid_keys(key, value, message, tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"cmax": [0.5], "protocols": ["baseline"], "horizon": 0, key: value}))
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"config key '{key}': {message}" in err, err
-    assert not (tmp_path / "sweep.csv").exists()
+    config = {"cmax": [0.5], "protocols": ["baseline"], "horizon": 0, key: value}
+    err = sweep_config_exits_2(json.dumps(config), tmp_path, capsys)
+    assert message in err, err
 
 
 def test_sweep_config_must_be_an_object(tmp_path, capsys):
+    err = sweep_config_exits_2(json.dumps([{"cmax": [0.5]}]), tmp_path, capsys)
+    assert f"argument --config: {tmp_path / 'config.json'}: expected a JSON object, got list" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "No such file or directory"), ('{"cmax": [0.5],}', "Expecting property name")],
+    ids=["missing", "malformed"],
+)
+def test_sweep_config_that_cannot_be_read(text, message, tmp_path, capsys):
+    err = sweep_config_exits_2(text, tmp_path, capsys)
+    assert f"argument --config: cannot read {tmp_path / 'config.json'}: " in err and message in err, err
+
+
+def sweep_csv(argv, tmp_path, name):
+    out = tmp_path / name
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_sweep_config_values_are_parsed_like_flags(tmp_path, capsys):
+    # Strings and integers in the file are flag text: "0.5" is 0.5, and a
+    # float setting given 1 is 1.0.
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps([{"cmax": [0.5]}]))
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")])
-    assert exc.value.code == 2
-    assert f"config file {cfg}: expected a JSON object, got list" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    cfg.write_text(json.dumps({"p0": ["0.5"], "lam": [1], "protocols": ["baseline"], "cmax": [0.5], "horizon": 0}))
+    by_file = sweep_csv(["--config", str(cfg)], tmp_path, "file.csv")
+    by_flags = sweep_csv(
+        ["--p0", "0.5", "--lam", "1", "--protocols", "baseline", "--cmax", "0.5", "--horizon", "0"], tmp_path, "flags.csv"
+    )
+    assert by_file == by_flags
+    assert read_csv(tmp_path / "file.csv")[1][2:4] == ["0.5", "1.0"]
+
+
+@pytest.mark.parametrize("key, value", [("cmax", 0.5), ("protocols", "arq")], ids=["scalar-grid", "protocols-string"])
+def test_sweep_config_scalar_is_a_one_element_grid(key, value, tmp_path, capsys):
+    config = {"cmax": [0.5], "protocols": ["arq"], "horizon": 0}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    as_list = sweep_csv(["--config", str(cfg)], tmp_path, "list.csv")
+    cfg.write_text(json.dumps({**config, key: value}))
+    assert sweep_csv(["--config", str(cfg)], tmp_path, "scalar.csv") == as_list
+
+
+def test_sweep_config_keys_are_sweep_flags(tmp_path, capsys):
+    # Any sweep flag is a key, "quick" with no values; the command line wins.
+    cfg = tmp_path / "config.json"
+    in_file = tmp_path / "in_file.csv"
+    cfg.write_text(json.dumps({
+        "cmax": [0.5], "protocols": ["baseline"], "reps": 500, "horizon": 5000,
+        "quick": [], "out": str(in_file), "workers": 1,
+    }))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    quick = sweep_csv(["--cmax", "0.5", "--protocols", "baseline", "--reps", "50", "--horizon", "2000"], tmp_path, "quick.csv")
+    assert in_file.read_bytes() == quick
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "flag.csv"), "--reps", "3"]) == 0
+    assert read_csv(tmp_path / "flag.csv")[1] != read_csv(in_file)[1]
 
 
 @pytest.mark.parametrize(
@@ -406,7 +481,7 @@ def test_sweep_config_must_be_an_object(tmp_path, capsys):
         (["learn", "--tau", "nan"], "--tau"),
         (["learn", "--tau", "inf"], "--tau"),
         (["learn", "--eta0", "nan"], "--eta0"),
-        (["learn", "--eta0", "-5", "--no-eta-adapt"], "--eta0"),
+        (["learn", "--eta0", "-5"], "--eta0"),
         (["learn", "--eta-step", "nan"], "--eta-step"),
         (["learn", "--eta-step", "inf"], "--eta-step"),
         (["sweep", "--nmax", "1"], "--nmax"),

@@ -55,7 +55,7 @@ class TestSoftmax:
 
 
 def _cfg(**kw):
-    base = dict(trunc=Truncation(30, 3), eta_adapt=False, c_max=0.4, seed=0)
+    base = dict(trunc=Truncation(30, 3), eta_step=0.0, c_max=0.4, seed=0)
     base.update(kw)
     return LearnerConfig(**base)
 
@@ -118,7 +118,7 @@ class TestStep:
     def test_charge_adaptation_moves_toward_budget(self):
         model = ChannelModel(TINY, 1.0, 0)
         cfg = LearnerConfig(
-            trunc=Truncation(20, 0), eta0=0.0, eta_adapt=True, eta_step=1.0, c_max=0.4, seed=0
+            trunc=Truncation(20, 0), eta0=0.0, eta_step=1.0, c_max=0.4, seed=0
         )
         rng = np.random.default_rng(1)
         env = SlotEnv(model, np.random.default_rng(2))
@@ -161,15 +161,15 @@ class TestTrainMatchesSteps:
         seed=st.integers(0, 2**32 - 1),
         tau=st.floats(0.05, 5.0),
         eta0=st.floats(0.0, 20.0),
-        eta_adapt=st.booleans(),
+        eta_step=st.sampled_from([0.5, 0.0]),
     )
-    @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, eta0=2.0, eta_adapt=True)
-    @example(model=WIDE, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, eta0=0.5, eta_adapt=False)
-    @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, eta0=2.0, eta_adapt=True)
+    @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, eta0=2.0, eta_step=0.5)
+    @example(model=WIDE, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, eta0=0.5, eta_step=0.0)
+    @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, eta0=2.0, eta_step=0.5)
     @settings(max_examples=25, deadline=None)
-    def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, eta0, eta_adapt):
+    def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, eta0, eta_step):
         cfg = LearnerConfig(
-            trunc=Truncation(n_max, r_max), tau=tau, eta0=eta0, eta_adapt=eta_adapt,
+            trunc=Truncation(n_max, r_max), tau=tau, eta0=eta0, eta_step=eta_step,
             c_max=0.4, horizon=horizon, seed=seed,
         )
         ref, ref_rows = _reference_train(model, cfg)

@@ -1,0 +1,62 @@
+"""The experiment scripts are the CLI's subcommands with fixed settings."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from aoi_sched.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BUDGETS = [f"{0.05 * k:.2f}" for k in range(2, 21)]  # 0.10, 0.15, ..., 1.00
+
+
+def run_script(name, *argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code
+
+
+def test_budget_sweep_is_the_sweep_subcommand(tmp_path, monkeypatch, capsys):
+    script, cli = tmp_path / "script.csv", tmp_path / "cli.csv"
+    assert run_script("budget_sweep.py", "--p0", "0.5", "--horizon", "0", "--out", str(script), monkeypatch=monkeypatch) == 0
+    assert main([
+        "sweep", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", *BUDGETS,
+        "--protocols", "arq", "harq", "baseline", "--horizon", "0", "--out", str(cli),
+    ]) == 0
+    assert script.read_bytes() == cli.read_bytes()
+    assert len(script.read_text().splitlines()) == 1 + 3 * len(BUDGETS)
+
+
+def test_learning_curves_is_the_learn_subcommand(tmp_path, monkeypatch, capsys):
+    script, cli = tmp_path / "script.csv", tmp_path / "cli.csv"
+    assert run_script(
+        "learning_curves.py", "--reps", "2", "--steps", "200", "--timeline-out", str(script), monkeypatch=monkeypatch
+    ) == 0
+    script_summary = json.loads(capsys.readouterr().out)
+    assert main([
+        "learn", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "100", "--cmax", "0.4",
+        "--steps", "200", "--reps", "2", "--timeline-out", str(cli), "--compare-rvi",
+    ]) == 0
+    assert script_summary == json.loads(capsys.readouterr().out)
+    assert "gap" in script_summary
+    assert script.read_bytes() == cli.read_bytes()
+
+
+def test_a_flag_given_to_a_script_overrides_its_own_setting(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["--p0", "0.7", "--cmax", "0.3", "--protocols", "arq", "--horizon", "0", "--out", str(out)]
+    assert run_script("budget_sweep.py", *argv, monkeypatch=monkeypatch) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1:6] for row in rows] == [["arq", "0.7", "0.5", "3", "0.3"]]
+
+    # An ARQ link in place of the script's HARQ one: the table has no retransmission states.
+    qtable = tmp_path / "q.csv"
+    argv = ["--reps", "1", "--steps", "50", "--rmax", "0", "--lam", "1", "--timeline-out", str(tmp_path / "tl.csv")]
+    assert run_script("learning_curves.py", *argv, "--qtable-out", str(qtable), monkeypatch=monkeypatch) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 50
+    rows = [line.split(",") for line in qtable.read_text().splitlines()[1:]]
+    assert len(rows) == 100 and {row[1] for row in rows} == {"0"}
