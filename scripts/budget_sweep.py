@@ -21,6 +21,8 @@ from aoi_sched import cli
 CMAX = [str(round(0.05 * k, 10)) for k in range(2, 21)]
 
 if __name__ == "__main__":
+    if {"-h", "--help"} & set(sys.argv[1:]):  # the settings fixed here, then the flags
+        print(__doc__)
     sys.exit(cli.main([
         "sweep", "--p0", "0.3", "0.5", "0.7", "--lam", "0.5", "--rmax", "3", "--cmax", *CMAX,
         "--out", "budget_sweep.csv", *sys.argv[1:],

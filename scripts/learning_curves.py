@@ -17,6 +17,8 @@ import sys
 from aoi_sched import cli
 
 if __name__ == "__main__":
+    if {"-h", "--help"} & set(sys.argv[1:]):  # the settings fixed here, then the flags
+        print(__doc__)
     sys.exit(cli.main([
         "learn", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--nmax", "100", "--cmax", "0.4",
         "--steps", "10000", "--reps", "1000", "--timeline-out", "learning_curve.csv", "--compare-rvi",

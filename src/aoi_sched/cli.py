@@ -458,7 +458,9 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aoi-sched", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: an abbreviated flag, or sweep --config key, is unknown.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("solve", help="policy iteration for the average-cost optimum at a fixed charge")
     _model_args(p)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from math import exp
+from math import exp, sqrt
 
 import numpy as np
 
@@ -171,10 +171,17 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     channel and ``default_rng([seed, 1])`` for the actions.  ``step`` and
     ``SlotEnv`` are its specification, and it repeats their float operations
     in their order.  Uniforms come in blocks, which equal successive scalar
-    draws, and the channel draws one only when the action transmits.  The one
-    difference is ``math.exp`` for numpy's vector ``exp``: they can disagree
-    in the last bit, which moves a sampled action only if its uniform lies
-    within that bit of a cumulative probability.
+    draws, and the channel draws one only when the action transmits.
+
+    Of the softmax weights ``exp(-(v - m) / tau)`` that ``softmax_probs``
+    takes over a row's admissible entries ``v`` with minimum ``m``, the loop
+    calls ``exp`` only for those off the minimum.  The minimum gets 1.0,
+    which is ``exp(-0.0)``, and a retransmission where the row forbids it
+    gets 0.0, which is ``exp(-inf)``, the weight ``softmax_probs`` gives an
+    inadmissible entry; both are exact, so the sum and the probabilities
+    keep their bits.  The one difference is ``math.exp`` for numpy's vector
+    ``exp``: they can disagree in the last bit, which moves a sampled action
+    only if its uniform lies within that bit of a cumulative probability.
     """
     if cfg.horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {cfg.horizon}")
@@ -186,11 +193,11 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     n_max, r_cap = ls.space.trunc.n_max, ls.space.r_cap
     off = ls.space.off.tolist()
     q = ls.q.tolist()
-    # Added to a row, this sends inadmissible entries to +inf, whose weight
-    # exp(-inf) is the exact 0 that softmax_probs gives them.
-    mask = np.where(ls.space.admissible, 0.0, np.inf).tolist()
-    # The mask forbids retransmitting at r_cap, so the attempts stay at most
-    # max(1, r_cap), and every entry read here equals SlotEnv's full table.
+    # Idling and fresh updates are admissible in every row, a retransmission
+    # only where this flag is set.
+    retx = ls.space.admissible[:, Action.RETRANSMIT].tolist()
+    # No retransmission at r_cap, so the attempts stay at most max(1, r_cap),
+    # and every entry read here equals SlotEnv's full table.
     fail, reset_age, fail_att, allowed = (x.tolist() for x in slot_outcomes(model, r_cap + 2))
     env_u, env_k = [], 0
     act_u, act_k = [], 0
@@ -201,10 +208,21 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     # update (which needs that sample) and then plays the action in slot
     # n + 1; a zero horizon runs no step and so draws nothing.
     for n in range(horizon + 1 if horizon else 0):
-        row, inf = q[j], mask[j]
-        v0, v1, v2 = row[0] + inf[0], row[1] + inf[1], row[2] + inf[2]
-        m = min(v0, v1, v2)
-        w0, w1, w2 = exp(-(v0 - m) / tau), exp(-(v1 - m) / tau), exp(-(v2 - m) / tau)
+        row = q[j]
+        v0, v1, v2 = row
+        # The minimum's weight is 1.0 and a forbidden retransmission's 0.0;
+        # (m - v) / tau is -(v - m) / tau bit for bit.
+        if retx[j]:
+            if v0 <= v1 and v0 <= v2:
+                w0, w1, w2 = 1.0, exp((v0 - v1) / tau), exp((v0 - v2) / tau)
+            elif v1 <= v2:
+                w0, w1, w2 = exp((v1 - v0) / tau), 1.0, exp((v1 - v2) / tau)
+            else:
+                w0, w1, w2 = exp((v2 - v0) / tau), exp((v2 - v1) / tau), 1.0
+        elif v0 <= v1:
+            w0, w1, w2 = 1.0, exp((v0 - v1) / tau), 0.0
+        else:
+            w0, w1, w2 = exp((v1 - v0) / tau), 1.0, 0.0
         s = w0 + w1 + w2
         if act_k == len(act_u):
             act_u, act_k = rng_act.random(_BLOCK).tolist(), 0
@@ -217,11 +235,12 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
             acc += w1 / s
             b = 1 if u < acc else 2
         if n:
-            qi = q[i]
-            qi[a] += alpha0 / math.sqrt(n) * (c - gain + row[b] - qi[a])
+            qi, rn = q[i], sqrt(n)
+            qi[a] += alpha0 / rn * (c - gain + row[b] - qi[a])
             gain += (c - gain) / n
             emp += ((1.0 if a else 0.0) - emp) / n
-            eta = max(0.0, eta + eta_step / math.sqrt(n) * (emp - c_max))
+            eta += eta_step / rn * (emp - c_max)
+            eta = eta if eta > 0.0 else 0.0  # max(0.0, eta), signed zero and all
             r_cost.append(emp)
             etas.append(eta)
             gains.append(gain)

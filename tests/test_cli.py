@@ -389,16 +389,25 @@ def test_sweep_config_counts_are_checked_like_their_flags(key, value, message, t
     "key, value, message",
     [
         ("cmaxx", [0.5], "unrecognized arguments: --cmaxx 0.5"),
+        ("cm", [0.5], "unrecognized arguments: --cm 0.5"),  # not an abbreviation of --cmax
         ("protocols", ["arq", "harqq"], "argument --protocols: invalid choice: 'harqq'"),
         ("p0", None, "argument --p0: invalid float value: 'None'"),
         ("p0", [], "argument --p0: expected at least one argument"),
     ],
-    ids=["unknown-key", "unknown-protocol", "null-value", "empty-list"],
+    ids=["unknown-key", "abbreviated-key", "unknown-protocol", "null-value", "empty-list"],
 )
 def test_sweep_config_rejects_malformed_grid_keys(key, value, message, tmp_path, capsys):
     config = {"cmax": [0.5], "protocols": ["baseline"], "horizon": 0, key: value}
     err = sweep_config_exits_2(json.dumps(config), tmp_path, capsys)
     assert message in err, err
+
+
+def test_abbreviated_flag_is_unknown(capsys):
+    # With prefix matching it would stand for --steps.
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--ste", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ste 5" in capsys.readouterr().err
 
 
 def test_sweep_config_must_be_an_object(tmp_path, capsys):

@@ -166,6 +166,13 @@ class TestTrainMatchesSteps:
     @example(model=MODELS[2], n_max=100, r_max=3, horizon=3000, seed=0, tau=1.0, eta0=2.0, eta_step=0.5)
     @example(model=WIDE, n_max=60, r_max=12, horizon=3000, seed=1, tau=0.3, eta0=0.5, eta_step=0.0)
     @example(model=MODELS[1], n_max=30, r_max=0, horizon=2500, seed=2, tau=1.0, eta0=2.0, eta_step=0.5)
+    # Weights off the row minimum underflow to 0.0 (162 of them).
+    @example(model=MODELS[2], n_max=60, r_max=3, horizon=3000, seed=3, tau=0.05, eta0=20.0, eta_step=0.0)
+    # An ARQ truncation of a HARQ channel: every row forbids retransmitting.
+    @example(model=MODELS[3], n_max=40, r_max=0, horizon=3000, seed=4, tau=0.5, eta0=2.0, eta_step=0.5)
+    # A cap below the model's, reached in 27 of the slots.  At this tau a
+    # softmax shifted by any entry but the row minimum overflows to inf.
+    @example(model=WIDE, n_max=60, r_max=2, horizon=3000, seed=3, tau=0.01, eta0=0.0, eta_step=0.0)
     @settings(max_examples=25, deadline=None)
     def test_bit_identical_to_step_loop(self, model, n_max, r_max, horizon, seed, tau, eta0, eta_step):
         cfg = LearnerConfig(

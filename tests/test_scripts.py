@@ -1,5 +1,6 @@
 """The experiment scripts are the CLI's subcommands with fixed settings."""
 
+import ast
 import json
 import runpy
 import sys
@@ -60,3 +61,11 @@ def test_a_flag_given_to_a_script_overrides_its_own_setting(tmp_path, monkeypatc
     assert json.loads(capsys.readouterr().out)["steps"] == 50
     rows = [line.split(",") for line in qtable.read_text().splitlines()[1:]]
     assert len(rows) == 100 and {row[1] for row in rows} == {"0"}
+
+
+@pytest.mark.parametrize("name, command", [("budget_sweep.py", "sweep"), ("learning_curves.py", "learn")])
+def test_help_starts_with_the_script_docstring(name, command, monkeypatch, capsys):
+    doc = ast.get_docstring(ast.parse((SCRIPTS / name).read_text()), clean=False)
+    assert run_script(name, "--help", monkeypatch=monkeypatch) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(doc) and f"usage: aoi-sched {command}" in out[len(doc):]
