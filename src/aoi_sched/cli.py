@@ -456,11 +456,24 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  No prefix matching: an abbreviated flag, or
+    ``sweep --config`` key, is unknown.  It reports unknown arguments itself,
+    with its own usage, where argparse would leave them to the top-level parser."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aoi-sched", description=__doc__)
-    # No prefix matching: an abbreviated flag, or sweep --config key, is unknown.
-    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("solve", help="policy iteration for the average-cost optimum at a fixed charge")
     _model_args(p)

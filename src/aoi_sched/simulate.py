@@ -28,10 +28,30 @@ path depends on the horizon: the first ``n`` slots of a run are the run of
 read (the mixture component of a stationary policy, the action of a policy
 that decides surely) are skipped on a PCG64 stream, which leaves it where
 drawing them would.  The bookkeeping keeps, per lane and step, the age,
-attempts, action and slots, and per run of ``_SUB`` steps each lane's slots
-and renewals; the loop stops at the first run end at which the joined
-cycles cover the horizon, the coverage check and the cut look up the few
-cycles they need from those, and the kept steps are summed in one pass.
+action and slots, and per run of ``_SUB`` steps each lane's slots and
+renewals; the loop stops at the first run end at which the joined cycles
+cover the horizon, the coverage check and the cut look up the few cycles
+they need from those, and the kept steps are summed in one pass.  The
+attempts are kept for the step at hand only, and rebuilt from the ages and
+actions where the trace or a violation needs them.
+
+``evaluate_simulated`` steps its replications in batches, side by side: a
+batch of ``B`` replications is one step loop over ``(B, _LANES)`` lanes.
+Each replication keeps its own generator, ``default_rng([seed, i])``, its
+own blocks of uniforms and skips, its own bookkeeping rows, coverage check
+and cut; one that is covered steps on, unread, until the whole batch is.
+So every replication equals ``run`` on its stream alone, and ``run`` is a
+batch of one.  A step costs numpy's per-call overhead more than its width,
+so wider steps are cheaper per lane.  ``B`` is as many replications as
+``_BUDGET`` lane-steps of history hold at the steps the horizon is expected
+to take (``_history_steps``), at least one: 15 up to 16,383 slots, 3 at
+100,000, and 1 from 188,416; the history starts with room for at most
+the budget and grows at the pace of the slowest replication.  A batch's
+history grows with ``B``, so it is kept narrow: below ``_NARROW`` slots the
+ages and slot counts are int32, 9 bytes per lane and step with the action,
+and above it int64.  No age or slot count of a run of fewer slots reaches
+2**31, and the tables that fill the history are cast to its dtype, as a
+``take`` into an int32 array wraps an int64 value silently.
 
 The open-loop periodic baseline acts on the slot number, not on renewals; a
 closed-form pass over its transmission slots simulates it.
@@ -53,9 +73,9 @@ _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
 _NEVER = 2**62  # an age or step no run reaches, with room to count past it
 _SUB = 8  # steps per run, the unit of the bookkeeping and of the coverage check
+_BUDGET = 15 * 2**14  # lane-steps of history a batch starts with: 3 replications of 100k slots, 15 of 2,000
+_NARROW = 2**29  # horizons below it keep ages and slot counts as int32
 _LANE_IDS = np.arange(_LANES)
-_RUN_STEPS = np.arange(_SUB)[:, None] * _LANES + _LANE_IDS  # flat history index of a run's steps
-
 
 class SlotTrace(NamedTuple):
     """A run's slots as columns: slot ``t``, at index ``t - 1``, begins in ``(delta, r)``,
@@ -147,8 +167,8 @@ class Kernel:
     ``slot_outcomes`` arrays indexed by ``3 * attempts + action``, and the
     table offset of each attempt count.  For the periodic baseline: its
     outcome table.  ``run`` builds one when it is given none, and
-    ``evaluate_simulated`` builds one for all its replications.  Runs reuse
-    its work arrays, so a kernel serves one run at a time.
+    ``evaluate_simulated`` builds one for all its replications.  Batches
+    reuse its work arrays, so a kernel serves one batch at a time.
     """
 
     def __init__(self, policy: Policy, model: ChannelModel):
@@ -169,9 +189,8 @@ class Kernel:
         self.retransmit_ok = out.admissible[Action.RETRANSMIT]
         e0, e1, self.jump, row, n_age, n_att = _kernel_tables(policy)
         self.e0, self.e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
-        self.stride = n_age * n_att
+        self.stride, self.n_age = n_age * n_att, n_age
         self.column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
-        self.age_top = np.full(_LANES, n_age - 1)
         # The model admits no retransmission without a failed packet in
         # flight or at its attempt cap; only a table that retransmits in one
         # of those attempt columns can send one.
@@ -185,24 +204,28 @@ class Kernel:
         # The rows of each block of uniforms (action, channel and mixture
         # component) that the runs read.
         self.rows = slice(0 if self.sure is None else 1, 3 if self.mixture else 2)
-        # Work arrays that the runs reuse, one run at a time: a fresh array
-        # of this size costs more in page faults than the bookkeeping of a
-        # run's steps.
-        self.u = np.empty((3, _BLOCK, _LANES))
+        # Work arrays that the batches reuse, one batch at a time: a fresh
+        # array of this size costs more in page faults than the bookkeeping
+        # of a run's steps.
+        self.u = np.empty((0, 0, _BLOCK, _LANES))
         self._history = None
 
-    def history(self, steps: int):
-        """A run's per-lane history with room for ``steps`` steps, in the last run's arrays if they have it."""
-        if self._history is None or len(self._history[3]) < steps:
-            rows = (steps + 1, _LANES)
-            self._history = np.empty(rows, np.int64), np.empty(rows, np.int64), np.empty(rows, np.uint8), np.empty(rows, np.int64)
-        hd, hr, ha, hn = self._history
-        return hd[: steps + 1], hr[: steps + 1], ha[:steps], hn[:steps]
+    def history(self, steps: int, reps: int, dtype):
+        """A batch's history with room for ``steps`` steps of ``reps`` replications, in
+        the last batch's arrays if they have it: ages, actions and slots, as
+        ``(step, replication, lane)``."""
+        w = reps * _LANES
+        rows = steps + 1, steps, steps
+        if self._history is None or self._history[0].dtype != dtype or any(
+            len(x) < n * w for x, n in zip(self._history, rows)
+        ):
+            self._history = tuple(np.empty(n * w, t) for n, t in zip(rows, (dtype, np.uint8, dtype)))
+        return tuple(x[: n * w].reshape(n, reps, _LANES) for x, n in zip(self._history, rows))
 
-    def keep(self, hd: np.ndarray, hr: np.ndarray, ha: np.ndarray, hn: np.ndarray) -> None:
-        """Keep a run's history arrays for the next run if they outgrew the kernel's."""
-        if len(hn) > len(self._history[3]):
-            self._history = hd, hr, ha, hn
+    def keep(self, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray) -> None:
+        """Keep a batch's history arrays for the next batch if they outgrew the kernel's."""
+        if hn.size > len(self._history[2]):
+            self._history = hd.reshape(-1), ha.reshape(-1), hn.reshape(-1)
 
     def fits(self, policy: Policy, model: ChannelModel) -> bool:
         """Whether this is the kernel ``Kernel(policy, model)`` would build."""
@@ -227,13 +250,15 @@ class _Ledger:
     added to the lanes' running sums.  A cycle's first step and the lane's
     slots before it lie between the sums around the run of the renewal that
     begins it (``bounds``), and are found exactly by reading that one run per
-    lane (``starts``).
+    lane (``starts``).  The rows hold every replication of a batch; a lookup
+    reads one replication's lanes over its first ``runs`` runs.
     """
 
-    def __init__(self, steps: int):
-        self.slots = np.zeros((steps // _SUB + 1, _LANES), np.int64)  # row g: each lane's slots before run g
+    def __init__(self, steps: int, reps: int, dtype):
+        self.slots = np.zeros((steps // _SUB + 1, reps, _LANES), dtype)  # row g: each lane's slots before run g
         self.count = np.zeros_like(self.slots)  # row g: each lane's renewals before run g
-        self.runs = 0  # runs booked
+        self.width = reps * _LANES  # history entries per step
+        self.run_steps = np.arange(_SUB)[:, None] * self.width + _LANE_IDS  # flat history index of run 0's steps
 
     def grow(self, steps: int) -> None:
         self.slots, self.count = _grow(self.slots, steps // _SUB + 1), _grow(self.count, steps // _SUB + 1)
@@ -247,130 +272,167 @@ class _Ledger:
         n -= hd[a:b]
         n += 1
         g, h = a // _SUB, b // _SUB
-        slots = n.reshape(h - g, _SUB, _LANES).sum(axis=1)
-        count = (hd[a + 1 : b + 1] == 1).reshape(h - g, _SUB, _LANES).sum(axis=1)
+        slots = n.reshape(h - g, _SUB, *n.shape[1:]).sum(axis=1)
+        count = (hd[a + 1 : b + 1] == 1).reshape(h - g, _SUB, *n.shape[1:]).sum(axis=1)
         for i in range(h - g):
             np.add(self.slots[g + i], slots[i], out=self.slots[g + i + 1])
             np.add(self.count[g + i], count[i], out=self.count[g + i + 1])
-        self.runs = h
         return self.slots[h]
 
-    def bounds(self, cycle: np.ndarray):
+    def bounds(self, reps: np.ndarray, runs: int, cycle: np.ndarray):
         """Each lane's slots before and after the run of the renewal that begins its
-        cycle ``cycle[l]``: bounds on its slots before that cycle."""
-        g = np.count_nonzero(self.count[1 : self.runs + 1] < cycle, axis=0)
-        return self.slots[g, _LANE_IDS], self.slots[g + 1, _LANE_IDS]
+        cycle ``cycle[i, l]`` in replication ``reps[i]``: bounds on its slots before that cycle."""
+        g = np.count_nonzero(self.count[1 : runs + 1, reps] < cycle, axis=0)
+        return self.slots[g, reps[:, None], _LANE_IDS], self.slots[g + 1, reps[:, None], _LANE_IDS]
 
-    def starts(self, cycle: np.ndarray, hd: np.ndarray, hn: np.ndarray):
-        """Row at which cycle ``cycle[..., l]`` of each lane ``l`` begins, and the lane's slots before it.
+    def starts(self, reps: np.ndarray, runs: int, cycle: np.ndarray, hd: np.ndarray, hn: np.ndarray):
+        """Row at which cycle ``cycle[i, ..., l]`` of each lane ``l`` of replication
+        ``reps[i]`` begins, and the lane's slots before it.
 
-        Every cycle asked for has begun.
+        Every cycle asked for has begun within the first ``runs`` runs.
         """
-        axes = (slice(None),) + (None,) * (cycle.ndim - 1)
-        g = np.count_nonzero(self.count[1 : self.runs + 1][axes] < cycle, axis=0)  # the run of the renewal
-        rank = cycle - self.count[g, _LANE_IDS]
-        at = g * (_SUB * _LANES) + _RUN_STEPS.reshape((_SUB,) + (1,) * (cycle.ndim - 1) + (_LANES,))
+        inner = (1,) * (cycle.ndim - 2)
+        rep = reps.reshape((-1,) + inner + (1,))
+        count = self.count[1 : runs + 1, reps].reshape((runs, len(reps)) + inner + (_LANES,))
+        g = np.count_nonzero(count < cycle, axis=0)  # the run of the renewal
+        rank = cycle - self.count[g, rep, _LANE_IDS]
+        at = g * (_SUB * self.width) + rep * _LANES + self.run_steps.reshape((_SUB,) + (1,) * (cycle.ndim - 1) + (_LANES,))
         earlier = np.cumsum(hd[1:].ravel().take(at) == 1, axis=0, dtype=np.int8) < rank  # steps before the renewal
         s = np.count_nonzero(earlier, axis=0)  # the renewal's step in the run
         steps = hn.ravel().take(at)
-        slots = self.slots[g, _LANE_IDS] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
+        slots = self.slots[g, rep, _LANE_IDS] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
         return np.where(cycle > 0, g * _SUB + s + 1, 0), np.where(cycle > 0, slots, 0)
 
 
-def _cycles(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
+def _history_steps(horizon: int) -> int:
+    """The steps a run of ``horizon`` slots is expected to take: about 0.625 * horizon / _LANES,
+    as a threshold-shaped policy decides in under half of its slots."""
+    return (horizon // (_LANES * _BLOCK) * 5 // 8 + 2) * _BLOCK
+
+
+def _batch_size(horizon: int, replications: int) -> int:
+    """Replications stepped side by side: as many as ``_BUDGET`` holds at the expected steps."""
+    return max(1, min(replications, _BUDGET // (_LANES * _history_steps(horizon))))
+
+
+def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: bool):
     """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
 
-    Returns the age sum and transmission count of the joined timeline's first
-    ``horizon`` slots and, when ``trace`` is set, its ``SlotTrace``.
+    Steps a batch of replications side by side: replication ``b`` runs on
+    the generator ``rngs[b]`` and on the lanes ``[b]`` of every per-lane
+    array, and is what it would be alone.  Returns per replication the age
+    sum and transmission count of its joined timeline's first ``horizon``
+    slots and, when ``trace`` is set, its ``SlotTrace``.
 
     Each block of ``_BLOCK`` steps draws its uniforms first, the rows that
-    the kernel reads, and the lanes then step through it in segments of
-    whole runs of ``_SUB`` steps, each booked once (``_Ledger``).  After a
-    segment, once the lanes' slots could cover the horizon, the coverage
-    check bounds the joined timeline's coverage from the per-run sums, and
-    looks up the cycles it needs, reading one run per lane, only when the
-    bounds leave it open.  The loop stops at the first segment end at which
-    the horizon is covered.  A segment runs to the end of its block unless
-    the pace of the upper bound says that the horizon is covered before;
-    then it runs to the run in which the pace says so.  The cut looks up the
-    round that begins last inside the horizon and the round after it.  The
-    kept steps are every lane's steps before its cut, so one pass over the
-    kept rows sums the ages and transmissions.  Only a table that can
-    retransmit where the model admits no retransmission has its
-    retransmissions checked, and only the trace and a violation need every
-    cycle's first step (``_cycle_table``).
+    the kernel reads, each replication from its own generator, and the
+    lanes then step through it in segments of whole runs of ``_SUB`` steps,
+    each booked once (``_Ledger``).  After a segment, once a replication's
+    lanes' slots could cover the horizon, the coverage check bounds its
+    joined timeline's coverage from the per-run sums, and looks up the
+    cycles it needs, reading one run per lane, only when the bounds leave it
+    open.  A replication is covered at the first segment end at which the
+    horizon is; it draws no more uniforms, and its lanes step on, unread,
+    until the whole batch is covered.  A segment runs to the end of its
+    block unless the paces of the open replications' upper bounds all say
+    that their horizons are covered before; then it runs to the run in which
+    the last of them says so.  The history starts with room for the steps the horizon is
+    expected to take, at most ``_BUDGET`` lane-steps, and grows at the pace
+    of the slowest open replication.  Ages and slot counts are int32 below
+    ``_NARROW`` slots, and with them the tables the steps read them from.
+    Each replication is then cut (``_cut``).
     """
-    lanes = _LANE_IDS
-    # Per-lane history, row t = step t: age and three times the attempts
-    # before it, the action of its decision slot, and its slots (the loop
-    # writes the decision age there, the booking the slot count).  Room for
-    # about 0.625 * horizon / _LANES steps, as a threshold-shaped policy
-    # decides in under half of its slots, grown to a run's pace if it needs more.
-    cap = (horizon // (_LANES * _BLOCK) * 5 // 8 + 2) * _BLOCK
-    hd, hr, ha, hn = k.history(cap)
-    hd[0], hr[0] = 1, 0
-    ledger = _Ledger(cap)
-    comp = np.zeros(_LANES, np.int64)  # table offset of each lane's mixture component
-    idx, j, tmp = (np.empty(_LANES, np.int64) for _ in range(3))
-    edge = np.empty(_LANES)
-    lo, hi, renew = (np.empty(_LANES, bool) for _ in range(3))
+    reps = len(rngs)
+    lanes, shape = _LANE_IDS, (reps, _LANES)
+    # A take into an int32 array wraps int64 values silently, so the tables
+    # that fill the history, and the age that never comes, are of its dtype.
+    # Below _NARROW slots no age passes 2**30 plus the steps, at most the
+    # horizon and a block; an age beyond a policy's table clamps to it.
+    dtype, never = (np.int32, 2**30) if horizon < _NARROW else (np.int64, _NEVER)
+    # Per step t and lane: the age before it, the action of its decision
+    # slot, and its slots (the loop writes the decision age there, the
+    # booking the slot count).  The attempts are kept for the step at hand
+    # only, three times their count.
+    cap = min(_history_steps(horizon), max(_BUDGET // (reps * _LANES * _BLOCK), 1) * _BLOCK)
+    hd, ha, hn = k.history(cap, reps, dtype)
+    hd[0] = 1
+    ledger = _Ledger(cap, reps, dtype)
+    comp = np.zeros(shape, np.int64)  # table offset of each lane's mixture component
+    idx, j = np.empty(shape, np.int64), np.empty(shape, np.int64)
+    tmp = np.empty(shape, dtype)
+    attempts = [np.zeros(shape, np.int64), np.empty(shape, np.int64)] * (_BLOCK // 2 + 1)  # before step i, at i % 2
+    edge = np.empty(shape)
+    lo, hi, renew = (np.empty(shape, bool) for _ in range(3))
     lo8, hi8 = lo.view(np.uint8), hi.view(np.uint8)
     # Array operands: ufuncs convert a Python scalar operand on every call.
-    one, zero = np.ones(_LANES, np.int64), np.zeros(_LANES, np.int64)
-    u = k.u
-    pick = np.empty((_BLOCK, _LANES), bool)
-    draw = np.empty((_BLOCK, _LANES), np.int64)
-    act_rows, chan_rows, draw_rows = list(u[0]), list(u[1]), list(draw)
+    one, zero, age_top = np.ones(shape, dtype), np.zeros(shape, np.int64), np.full(shape, k.n_age - 1, dtype)
+    # The rows of each replication's block of uniforms that the kernel reads.
+    rows, read = k.rows, k.rows.stop - k.rows.start
+    if k.u.shape[0] < reps or k.u.shape[1] < read:
+        k.u = np.empty((reps, read, _BLOCK, _LANES))
+    u = k.u[:reps, :read]
+    block = {row: list(u[:, row - rows.start].swapaxes(0, 1)) for row in range(rows.start, rows.stop)}
+    act_rows, chan_rows = block.get(0), block[1]
+    mixture = k.mixture
+    if mixture:
+        pick = np.empty((_BLOCK,) + shape, bool)
+        draw = np.empty((_BLOCK,) + shape, np.int64)
+        draw_rows = list(draw)
     # A PCG64 stream skips the rows of a block that the kernel does not read
     # exactly as drawing them would pass them, unless a half-used 64-bit
-    # output is buffered, which skipping would drop.
-    bits, rows = rng.bit_generator, k.rows
-    pcg = type(bits) in (np.random.PCG64, np.random.PCG64DXSM)
-    skip = bits.advance if pcg and rows != slice(0, 3) and not bits.state["has_uint32"] else None
-    mixture, weight, stride, sure = k.mixture, k.weight, k.stride, k.sure is not None
+    # output is buffered, which skipping would drop; other streams draw them.
+    skips = [
+        bits.advance if type(bits) in (np.random.PCG64, np.random.PCG64DXSM) and not bits.state["has_uint32"]
+        else rng.random
+        for rng, bits in ((rng, rng.bit_generator) for rng in rngs)
+    ]
+    weight, stride, sure = k.weight, k.stride, k.sure is not None
     # Local names: the step loop looks up no global or attribute.
     add, equal, greater_equal, maximum, minimum, putmask = np.add, np.equal, np.greater_equal, np.maximum, np.minimum, np.putmask
-    take_column, take_jump, take_e0, take_e1 = k.column.take, k.jump.take, k.e0.take, k.e1.take
-    take_fail, take_reset_age, take_fail_att = k.fail.take, k.reset_age.take, k.fail_att.take
-    take_sure, age_top = getattr(k.sure, "take", None), k.age_top
+    take_column, take_jump = k.column.take, np.minimum(k.jump, never).astype(dtype).take
+    take_e0, take_e1, take_fail = k.e0.take, k.e1.take, k.fail.take
+    take_reset_age, take_fail_att = k.reset_age.astype(dtype).take, k.fail_att.take
+    take_sure = getattr(k.sure, "take", None)
 
-    t = reach = 0
-    gauge = [(0, 0)]  # steps and the upper bound on the coverage, at the segment ends that take it
-    covered = False
-    while not covered:
+    t = 0
+    reach = np.zeros(reps, np.int64)  # each replication's upper bound on its coverage
+    gauges = [[(0, 0)] for _ in range(reps)]  # steps and the upper bound on the coverage, at the segment ends that take it
+    ends = [None] * reps  # each covered replication's steps, and the round, lane and slots that the cut starts from
+    open_ = list(range(reps))
+    while open_:
         if t + _BLOCK > cap:
             # The pace so far with a tenth to spare.  Dropping the row views
             # lets each old array go as soon as it is copied.
-            pace = t * horizon // max(reach, 1) * 11 // 10 + 2 * _BLOCK
+            pace = t * horizon // max(int(reach[open_].min()), 1) * 11 // 10 + 2 * _BLOCK
             cap = -(-max(pace, cap + cap // 4 + _BLOCK) // _BLOCK) * _BLOCK
-            ages = attempts = actions = decision_ages = d = r = a = e = dn = rn = None
+            ages = actions = decision_ages = d = a = e = dn = None
             hd = _grow(hd, cap + 1)
-            hr = _grow(hr, cap + 1)
             ha = _grow(ha, cap)
             hn = _grow(hn, cap)
             ledger.grow(cap)
-        if skip is None:
-            rng.random(out=u)
-        else:
-            skip(rows.start * _BLOCK * _LANES)
-            rng.random(out=u[rows])
-            skip((3 - rows.stop) * _BLOCK * _LANES)
+        for rep in open_:
+            skips[rep](rows.start * _BLOCK * _LANES)
+            rngs[rep].random(out=u[rep])
+            skips[rep]((3 - rows.stop) * _BLOCK * _LANES)
         if mixture:
-            np.greater_equal(u[2], weight, out=pick)
+            np.greater_equal(u[:, 2 - rows.start].swapaxes(0, 1), weight, out=pick)
             np.multiply(pick, stride, out=draw)
-        ages, attempts = list(hd[t : t + _BLOCK + 1]), list(hr[t : t + _BLOCK + 1])
-        actions, decision_ages = list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
+        ages, actions, decision_ages = list(hd[t : t + _BLOCK + 1]), list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
         s = 0
-        while s < _BLOCK and not covered:
-            # Steps until the upper bound reaches the horizon at its latest
-            # pace; before the bound is taken, the rest of the block, or at
-            # the first step four slots per lane and step.
-            if len(gauge) > 1:
-                (t0, b0), (t1, b1) = gauge[-2:]
-                need = (horizon - b1) * (t1 - t0) // max(b1 - b0, 1)
-            else:
-                need = _BLOCK if t + s else horizon // (_LANES * 4)
-            stop = min(s + max(_SUB, need // _SUB * _SUB), _BLOCK)
+        while s < _BLOCK and open_:
+            # Steps until the last open replication's upper bound reaches
+            # the horizon at its latest pace; before its bound is taken, the
+            # rest of the block, or at the first step four slots per lane
+            # and step.  Steps that cover the others sooner are run anyway.
+            stop = s + _SUB
+            for rep in open_:
+                if len(gauges[rep]) > 1:
+                    (t0, b0), (t1, b1) = gauges[rep][-2:]
+                    need = (horizon - b1) * (t1 - t0) // max(b1 - b0, 1)
+                else:
+                    need = _BLOCK if t + s else horizon // (_LANES * 4)
+                stop = max(stop, s + need // _SUB * _SUB)
+            stop = min(stop, _BLOCK)
             for i in range(s, stop):
                 d, r, a, e, dn, rn = ages[i], attempts[i], actions[i], decision_ages[i], ages[i + 1], attempts[i + 1]
                 take_column(r, out=idx, mode="clip")
@@ -404,56 +466,111 @@ def _cycles(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
             s = stop
             # The joined timeline is covered up to the first cycle still
             # running, plus that cycle's progress; a lane that idles surely
-            # forever has covered about _NEVER slots.  Each lane adds at most
-            # ``horizon`` of its slots, so ``reach`` bounds the coverage from
-            # above, and so do the lanes' slots after the runs in which these
-            # cycles begin.  Their slots before those runs bound it from
-            # below, and the cycles are looked up only between the bounds.
-            reach = int(np.minimum(total, horizon).sum())
-            if reach >= horizon:
-                q, lane = divmod(int((ledger.count[ledger.runs] * _LANES + lanes).min()), _LANES)
-                cycle = q + (lanes < lane)
-                least, most = ledger.bounds(cycle)
+            # forever has covered about ``never`` slots.  Each lane adds at
+            # most ``horizon`` of its slots, so ``reach`` bounds the coverage
+            # from above, and so do the lanes' slots after the runs in which
+            # these cycles begin.  Their slots before those runs bound it
+            # from below, and the cycles are looked up only between the bounds.
+            np.minimum(total, horizon).sum(axis=1, out=reach)
+            due = np.array([rep for rep in open_ if reach[rep] >= horizon], np.int64)
+            if len(due):
+                runs, each = (t + s) // _SUB, np.arange(len(due))
+                q, lane = np.divmod((ledger.count[runs, due].astype(np.int64) * _LANES + lanes).min(axis=1), _LANES)
+                cycle = q[:, None] + (lanes < lane[:, None])
+                least, most = ledger.bounds(due, runs, cycle)
                 np.minimum(most, horizon, out=most)
-                gauge.append((t + s, int(most.sum() - most[lane]) + min(int(total[lane]), horizon)))
-                low = int(least.sum() - least[lane]) + int(total[lane])
-                lead = int(least.sum() + most.sum()) // 2  # about the slots before the first cycle still running
-                if low < horizon <= gauge[-1][1]:
-                    at = ledger.starts(cycle, hd, hn)[1]
-                    lead = int(at.sum())
-                    low = lead - int(at[lane]) + int(total[lane])
-                covered = low >= horizon
+                own = total[due, lane]
+                upper = most.sum(axis=1) - most[each, lane] + np.minimum(own, horizon)
+                low = least.sum(axis=1) - least[each, lane] + own
+                lead = (least.sum(axis=1) + most.sum(axis=1)) // 2  # about the slots before the first cycle still running
+                exact = (low < horizon) & (horizon <= upper)
+                if exact.any():
+                    at = ledger.starts(due[exact], runs, cycle[exact], hd, hn)[1]
+                    lead[exact] = at.sum(axis=1)
+                    low[exact] = lead[exact] - at[np.arange(len(at)), lane[exact]] + own[exact]
+                for rep, b, covered, found in zip(due.tolist(), upper.tolist(), (low >= horizon).tolist(), zip(q, lane, lead)):
+                    gauges[rep].append((t + s, b))
+                    if covered:
+                        ends[rep] = (t + s, *map(int, found))
+                        open_.remove(rep)
         t += s
-    k.keep(hd, hr, ha, hn)
+    k.keep(hd, ha, hn)
+    rounds = _last_rounds(ledger, horizon, ends, hd, hn)
+    return [_cut(k, horizon, *ends[rep][:3], *(x[rep] for x in rounds), hd[:, rep], ha[:, rep], hn[:, rep], trace) for rep in range(reps)]
 
-    # The cut.  Round c is cycle c of every lane; rounds before q are
-    # complete, and so is round q up to the first cycle still running.  Find
-    # the last round c that begins inside the horizon, from the round that
-    # the pace so far points at, looking up rounds c and c + 1 together
-    # (round q + 1 only for the lanes before ``lane``); then the lane whose
-    # cycle in round c holds the last slot.
-    c = min(q, (q * _LANES + lane) * horizon // max(lead * _LANES, 1))
-    begun = ledger.count[ledger.runs]
-    while True:
-        (rows_c, upper_rows), (at_c, upper) = ledger.starts(np.minimum([[c], [c + 1]], begun), hd, hn)
-        if at_c.sum() >= horizon:
-            c -= 1
-        elif c < q and upper.sum() < horizon:
-            c += 1
-        else:
-            break
+
+def _last_rounds(ledger: _Ledger, horizon: int, ends: list, hd: np.ndarray, hn: np.ndarray):
+    """Each replication's last round that begins inside the horizon, and the rows
+    at which it and the round after it begin in each lane, with the lane's slots before.
+
+    Round c is cycle c of every lane.  A replication covered after ``t``
+    steps, with round ``q`` running at lane ``lane`` and about ``lead`` slots
+    before that cycle (``ends``), has rounds before q complete, and round q
+    up to the first cycle still running.  From the round that the pace so
+    far points at, rounds c and c + 1 are looked up together (round q + 1
+    only for the lanes before ``lane``), all replications at once, until c
+    begins inside the horizon and c + 1 does not or is round q + 1.
+    """
+    reps = np.arange(len(ends))
+    t, q, lane, lead = (np.array(x, np.int64) for x in zip(*ends))
+    begun = ledger.count[t // _SUB, reps]
+    c = np.array([min(q0, (q0 * _LANES + l0) * horizon // max(s0 * _LANES, 1)) for _, q0, l0, s0 in ends], np.int64)
+    rows, slots = np.empty((2, len(ends), 2, _LANES), np.int64)
+    todo = reps
+    while len(todo):
+        cycles = np.minimum(np.stack([c[todo], c[todo] + 1], axis=1)[:, :, None], begun[todo, None])
+        rows[todo], slots[todo] = ledger.starts(todo, int(t.max()) // _SUB, cycles, hd, hn)
+        late = slots[todo, 0].sum(axis=1) >= horizon
+        early = ~late & (c[todo] < q[todo]) & (slots[todo, 1].sum(axis=1) < horizon)
+        c[todo] += early.astype(np.int64) - late
+        todo = todo[late | early]
+    return c, rows, slots
+
+
+def _attempts(k: Kernel, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray, depth: int) -> np.ndarray:
+    """Three times the attempt count before each of one replication's first ``depth + 1`` steps.
+
+    Rebuilt from the booked history as the steps left them: a step fails
+    when the age after it rises past its decision age (an idle always does)
+    and then leaves ``fail_att`` of its attempts and action; a delivery
+    leaves none.
+    """
+    hr = np.zeros((depth + 1, _LANES), np.int64)
+    for i in range(depth):
+        failed = hd[i + 1] > hd[i] + hn[i] - 1
+        np.multiply(k.fail_att.take(hr[i] + ha[i], mode="clip"), failed, out=hr[i + 1])
+    return hr
+
+
+def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, c: int, rows, slots, hd, ha, hn, trace: bool):
+    """One replication's age sum and transmission count, and its ``SlotTrace`` when
+    ``trace`` is set, from the history of its lanes, whose first ``t`` steps cover the horizon.
+
+    Round ``c`` is the last that begins inside the horizon (``_last_rounds``:
+    ``rows`` and ``slots`` of it and the round after it), and round ``q``
+    was running at lane ``lane`` when the steps were found to cover it.  The
+    kept steps are every lane's steps before its cut, so one pass over the
+    kept rows sums the ages and transmissions.  Only a table that can
+    retransmit where the model admits no retransmission has its
+    retransmissions checked, and only the trace and a violation need the
+    attempts (``_attempts``) and every cycle's first step (``_cycle_table``).
+    """
+    lanes = _LANE_IDS
+    (rows_c, upper_rows), (at_c, upper) = rows, slots
+    # The lane whose cycle in round c holds the last slot.
     lead = int(at_c.sum())
     width = lane if c == q else _LANES
     ends = lead + np.cumsum(upper[:width] - at_c[:width])
     lane = int(np.searchsorted(ends, horizon))
     m = c * _LANES + lane  # the cycle that holds the last slot
     rem = horizon - int(ends[lane - 1] if lane else lead)  # its slots inside the horizon
+    hd, ha, hn = hd[: t + 1], ha[:t], hn[:t]
     # Steps inside the horizon per lane: every step of the other lanes'
     # cycles before m, and the steps of cycle m that end inside it.  The
     # step of cycle m that the cut ends, if any, keeps ``part`` of its
     # jumped slots and not its decision slot.
     full = np.where(lanes < lane, upper_rows, rows_c)
-    inside = np.cumsum(hn[full[lane] : t, lane])
+    inside = np.cumsum(hn[full[lane] :, lane])
     step = int(np.searchsorted(inside, rem, "right"))
     part = rem - (int(inside[step - 1]) if step else 0)
     full[lane] += step
@@ -461,20 +578,22 @@ def _cycles(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
     # lane's steps before its cut, and ``part`` of the step the cut ends.
     low, depth = int(full.min()), min(int(full.max()) + 1, t)
     band = np.arange(low, depth)[:, None] < full
+    hr = _attempts(k, hd, ha, hn, depth) if k.may_violate or trace else None
     np.multiply(hn[low:depth], band, out=hn[low:depth])
     if part:
         hn[full[lane], lane] = part
     kept = hn[:depth]
 
     # A step's kept slots have ages d, d + 1, ..., d + kept - 1.
-    aoi_sum = int(np.einsum("ij,ij->", kept, hd[:depth])) + (int(np.einsum("ij,ij->", kept, kept)) - horizon) // 2
+    aoi_sum = int(np.einsum("ij,ij->", kept, hd[:depth], dtype=np.int64))
+    aoi_sum += (int(np.einsum("ij,ij->", kept, kept, dtype=np.int64)) - horizon) // 2
     n_tx = int(np.count_nonzero(ha[:low]) + np.count_nonzero(np.logical_and(ha[low:depth], band)))
     bad = []  # decided steps that retransmit where the model admits none
     if k.may_violate:
         retx = ha[:depth] == Action.RETRANSMIT
         retx[low:] &= band
         f = np.flatnonzero(retx)
-        bad = f[~k.retransmit_ok[hr[:depth].ravel()[f] // 3]]
+        bad = f[~k.retransmit_ok[hr.ravel()[f] // 3]]
     if not (trace or len(bad)):
         return aoi_sum, n_tx, None
 
@@ -499,15 +618,13 @@ def _cycles(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
         raise ProtocolViolationError(int(slots[i]), f"retransmit at the attempt cap r={r_bad}")
     f = np.repeat(flat, count)
     offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
-    d, r = hd[: depth + 1].ravel(), hr[: depth + 1].ravel() // 3
+    d, r = hd[: depth + 1].astype(np.int64).ravel(), hr.ravel() // 3
     decided = (np.arange(depth)[:, None] < full).ravel()[f]
     last = decided & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
     ages = d[f] + offset
     return aoi_sum, n_tx, SlotTrace(
         ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last
     )
-
-
 
 
 def _periodic(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
@@ -560,9 +677,7 @@ def run(
         kernel = Kernel(policy, model)
     elif not kernel.fits(policy, model):
         raise ValueError(f"the given kernel was not built for {policy.describe()} on {model}")
-    rng = np.random.default_rng(seed)
-    simulate = _periodic if kernel.periodic else _cycles
-    aoi_sum, n_tx, trace = simulate(kernel, horizon, rng, collect_trace)
+    ((aoi_sum, n_tx, trace),) = _simulate(kernel, horizon, [np.random.default_rng(seed)], collect_trace)
     return RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon]), trace
 
 
@@ -575,17 +690,27 @@ def evaluate_simulated(
 ) -> RunStats:
     """Independent replications with per-replication streams derived from (seed, index).
 
-    The replications share one ``Kernel``.
+    The replications share one ``Kernel`` and run in batches of side-by-side
+    replications (``_batch_size``); each equals ``run`` on its own stream.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
     kernel = Kernel(policy, model)
-    aois, costs = [], []
-    for rep in range(replications):
-        stats, _ = run(policy, model, horizon, np.random.default_rng([seed, rep]), kernel=kernel)
-        aois.append(stats.mean_aoi)
-        costs.append(stats.mean_cost)
-    return RunStats.from_reps(aois, costs)
+    size = _batch_size(horizon, replications)
+    sums = []
+    for first in range(0, replications, size):
+        rngs = [np.random.default_rng([seed, rep]) for rep in range(first, min(first + size, replications))]
+        sums += _simulate(kernel, horizon, rngs, False)
+    return RunStats.from_reps([aoi / horizon for aoi, _, _ in sums], [n_tx / horizon for _, n_tx, _ in sums])
+
+
+def _simulate(kernel: Kernel, horizon: int, rngs: list[np.random.Generator], trace: bool) -> list:
+    """One replication per generator, as ``(age sum, transmissions, SlotTrace or None)``."""
+    if kernel.periodic:
+        return [_periodic(kernel, horizon, rng, trace) for rng in rngs]
+    return _cycles(kernel, horizon, rngs, trace)
 
 
 class SlotEnv:

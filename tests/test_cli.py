@@ -410,6 +410,21 @@ def test_abbreviated_flag_is_unknown(capsys):
     assert "unrecognized arguments: --ste 5" in capsys.readouterr().err
 
 
+def test_unknown_flag_is_reported_with_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--ste", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: aoi-sched learn ") and "--steps STEPS" in err, err
+    assert "aoi-sched learn: error: unrecognized arguments: --ste 5" in err, err
+
+
+def test_unknown_config_key_is_reported_with_the_sweep_usage(tmp_path, capsys):
+    err = sweep_config_exits_2(json.dumps({"cm": [0.5]}), tmp_path, capsys)
+    assert err.startswith("usage: aoi-sched sweep ") and "--cmax CMAX" in err, err
+    assert "aoi-sched sweep: error: unrecognized arguments: --cm 0.5" in err, err
+
+
 def test_sweep_config_must_be_an_object(tmp_path, capsys):
     err = sweep_config_exits_2(json.dumps([{"cmax": [0.5]}]), tmp_path, capsys)
     assert f"argument --config: {tmp_path / 'config.json'}: expected a JSON object, got list" in err

@@ -676,3 +676,63 @@ class TestKernel:
         run(policy, model, 3_000, held)
         run(RenewalMixture(policy, policy, 0.5), model, 3_000, drawn)
         assert next_outputs(held) == next_outputs(drawn)
+
+
+def batches_of(size, horizon, monkeypatch):
+    """Make ``evaluate_simulated`` step up to ``size`` replications side by side at
+    ``horizon`` slots; returns the list that collects the sizes of its batches."""
+    monkeypatch.setattr(simulate, "_BUDGET", size * simulate._LANES * simulate._history_steps(horizon))
+    sizes = []
+    real = simulate._simulate
+    monkeypatch.setattr(simulate, "_simulate", lambda k, h, rngs, trace: sizes.append(len(rngs)) or real(k, h, rngs, trace))
+    return sizes
+
+
+class TestBatches:
+    @pytest.mark.parametrize("size, sizes", [(1, [1] * 5), (2, [2, 2, 1]), (3, [3, 2]), (8, [5])])
+    @pytest.mark.parametrize(
+        "kind, horizon", [(kind, 2_000) for kind in VERIFY_KINDS] + [("table", 100_000)], ids=lambda x: str(x)
+    )
+    def test_batches_do_not_change_any_replication(self, kind, horizon, size, sizes, monkeypatch):
+        # Five replications, so that the last batch is partial but for one and five.
+        policy, model = verify_case(kind)
+        alone = [run(policy, model, horizon, np.random.default_rng([2024, rep]))[0] for rep in range(5)]
+        ran = batches_of(size, horizon, monkeypatch)
+        stats = evaluate_simulated(policy, model, horizon, 5, seed=2024)
+        assert ran == sizes
+        assert stats.aoi_per_rep == tuple(s.mean_aoi for s in alone)
+        assert stats.cost_per_rep == tuple(s.mean_cost for s in alone)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6])
+    def test_violation_is_the_lowest_violating_replications(self, size, monkeypatch):
+        # At 2,500 slots replications 1, 2 and 4 violate, at slots 1956, 190
+        # and 365: the lowest index is not the earliest slot.
+        model, horizon = ChannelModel(0.2, 0.3, 3), 2_500
+        policy = retransmit_after_failure(Truncation(20, 3))
+        first = None
+        for rep in range(6):
+            try:
+                run(policy, model, horizon, np.random.default_rng([2, rep]))
+            except ProtocolViolationError as err:
+                first = first or (rep, err.slot, str(err))
+        assert first[:2] == (1, 1956)
+        batches_of(size, horizon, monkeypatch)
+        with pytest.raises(ProtocolViolationError) as err:
+            evaluate_simulated(policy, model, horizon, 6, seed=2)
+        assert (err.value.slot, str(err.value)) == first[1:]
+
+    def test_budget_batches_short_runs_and_keeps_long_ones_apart(self):
+        assert simulate._batch_size(2_000, 50) == 15
+        assert simulate._batch_size(100_000, 16) == 3
+        assert simulate._batch_size(1_000_000, 16) == 1
+        assert simulate._batch_size(2_000, 4) == 4
+
+    @pytest.mark.parametrize("horizon", [simulate._NARROW - 1, 2**31 + 3], ids=["int32", "int64"])
+    def test_idling_forever_allocates_for_the_steps_it_takes(self, horizon):
+        # One step jumps past the horizon; the history is sized from the
+        # budget, not from the horizon (10 GiB at 2**31 + 3 slots).
+        trunc = Truncation(20, 3)
+        idle = DeterministicTable({s: Action.IDLE for s in enumerate_states(trunc)}, trunc)
+        stats, _ = run(idle, ChannelModel(0.5, 0.5, 3), horizon, seed=4)
+        assert stats.mean_aoi == (horizon + 1) / 2
+        assert stats.mean_cost == 0.0
