@@ -249,9 +249,7 @@ def _build_policy(args, model, trunc):
         return ThresholdPolicy(1, 1.0)
     if kind == "optimal":
         return solve_constrained(model, trunc, args.cmax).mixed
-    if kind == "arq-optimal":
-        return arq.optimal_policy(model.p0, args.cmax).policy()
-    raise ValueError(f"unknown policy kind {kind!r}")
+    return arq.optimal_policy(model.p0, args.cmax).policy()  # "arq-optimal": the parser admits no other kind
 
 
 def cmd_simulate(args) -> int:

@@ -16,37 +16,40 @@ slot.  A lane with no packet in flight first jumps over the ages at which its
 policy's table idles surely, adding their slots and ages in closed form, and
 then draws its action and channel outcome at the next age; a lane whose
 table idles surely from its age on jumps past any horizon.  Cycle ``i`` of
-the run is cycle ``i // _LANES`` of lane ``i % _LANES``.  The cycles are
-joined in that order and cut at exactly ``horizon`` slots, the last one
-possibly partial, even inside a jump; a lane that never renews contributes
-one endless partial cycle.  The order does not depend on any outcome, so the
-joined timeline is distributed as one long run.  Uniforms are drawn in
-blocks of ``_BLOCK`` steps for all lanes (action, channel and mixture
-component per lane and step; a jumped sure idle draws none), so no lane's
-path depends on the horizon: the first ``n`` slots of a run are the run of
-``n`` slots on the same generator.  A block's rows that the kernel does not
-read (the mixture component of a stationary policy, the action of a policy
-that decides surely) are skipped on a PCG64 stream, which leaves it where
-drawing them would.  The bookkeeping keeps, per lane and step, the age,
-action and slots, and per run of ``_SUB`` steps each lane's slots and
-renewals; the loop stops at the first run end at which the joined cycles
-cover the horizon, the coverage check and the cut look up the few cycles
-they need from those, and the kept steps are summed in one pass.  The
-attempts are kept for the step at hand only, and rebuilt from the ages and
-actions where the trace or a violation needs them.
+the run is cycle ``i // _LANES`` of lane ``i % _LANES``, and round ``c`` is
+cycle ``c`` of every lane.  The cycles are joined in that order and cut at
+exactly ``horizon`` slots, the last one possibly partial, even inside a
+jump; a lane that never renews contributes one endless partial cycle.  The
+order does not depend on any outcome, so the joined timeline is distributed
+as one long run.  Uniforms are drawn in blocks of ``_BLOCK`` steps for all
+lanes (action, channel and mixture component per lane and step; a jumped
+sure idle draws none), so no lane's path depends on the horizon: the first
+``n`` slots of a run are the run of ``n`` slots on the same generator.  A
+block's rows that the kernel does not read (the mixture component of a
+stationary policy, the action of a policy that decides surely) are skipped
+on a PCG64 stream, which leaves it where drawing them would.  The
+bookkeeping keeps, per lane and step, the age, action and slots, and per
+lane and cycle a table of cycle starts: the step at which the cycle begins
+and the lane's slots before it.  The loop stops at the first segment end at
+which the joined cycles cover the horizon, which the table gives exactly;
+the cut reads the rounds it needs from the same table, and the kept steps
+are summed in one pass.  The attempts are kept for the step at hand only,
+and rebuilt from the ages and actions where the trace or a violation needs
+them.
 
 ``evaluate_simulated`` steps its replications in batches, side by side: a
 batch of ``B`` replications is one step loop over ``(B, _LANES)`` lanes.
 Each replication keeps its own generator, ``default_rng([seed, i])``, its
-own blocks of uniforms and skips, its own bookkeeping rows, coverage check
-and cut; one that is covered steps on, unread, until the whole batch is.
-So every replication equals ``run`` on its stream alone, and ``run`` is a
-batch of one.  A step costs numpy's per-call overhead more than its width,
-so wider steps are cheaper per lane.  ``B`` is as many replications as
-``_BUDGET`` lane-steps of history hold at the steps the horizon is expected
-to take (``_history_steps``), at least one: 15 up to 16,383 slots, 3 at
-100,000, and 1 from 188,416; the history starts with room for at most
-the budget and grows at the pace of the slowest replication.  A batch's
+own blocks of uniforms and skips, its own rows of the table of cycle
+starts, coverage check and cut; one that is covered steps on, unread, until
+the whole batch is.  So every replication equals ``run`` on its stream
+alone, and ``run`` is a batch of one.  A step costs numpy's per-call
+overhead more than its width, so wider steps are cheaper per lane.  ``B``
+is as many replications as ``_BUDGET`` lane-steps of history hold at the
+steps the horizon is expected to take (``_history_steps``), at least one:
+15 up to 16,383 slots, 3 at 100,000, and 1 from 188,416; the history starts
+with room for at most the budget and grows at the pace of the slowest
+replication.  A batch's
 history grows with ``B``, so it is kept narrow: below ``_NARROW`` slots the
 ages and slot counts are int32, 9 bytes per lane and step with the action,
 and above it int64.  No age or slot count of a run of fewer slots reaches
@@ -72,7 +75,7 @@ from .policies import PeriodicPolicy, Policy, RenewalMixture
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
 _NEVER = 2**62  # an age or step no run reaches, with room to count past it
-_SUB = 8  # steps per run, the unit of the bookkeeping and of the coverage check
+_SUB = 8  # steps per run: a segment, booked and checked for coverage at its end, is whole runs
 _BUDGET = 15 * 2**14  # lane-steps of history a batch starts with: 3 replications of 100k slots, 15 of 2,000
 _NARROW = 2**29  # horizons below it keep ages and slot counts as int32
 _LANE_IDS = np.arange(_LANES)
@@ -232,76 +235,40 @@ class Kernel:
         return self.policy == policy and self.model == model
 
 
-def _cycle_table(hd, steps):
-    """Row at which each cycle begins, ``[lane, cycle]``, or ``_NEVER`` before it begins."""
-    lane_of, row = np.nonzero(hd[1 : steps + 1].T == 1)
-    count = np.bincount(lane_of, minlength=_LANES)
-    table = np.full((_LANES, count.max() + 2), _NEVER)
-    table[:, 0] = 0
-    table[lane_of, np.arange(1, len(row) + 1) - np.repeat(np.cumsum(count) - count, count)] = row + 1
-    return table
+def _book(hd: np.ndarray, hn: np.ndarray, a: int, b: int, slots: np.ndarray, last: np.ndarray, table: np.ndarray):
+    """Book steps ``a .. b - 1`` once, when they have run; return the table of cycle starts.
 
-
-class _Ledger:
-    """Each lane's slots and renewals (age 1 after a step) before every run of ``_SUB`` steps.
-
-    Steps are booked once, in whole runs, when they have run: their decision
-    ages become their slot counts, and each run's slots and renewals are
-    added to the lanes' running sums.  A cycle's first step and the lane's
-    slots before it lie between the sums around the run of the renewal that
-    begins it (``bounds``), and are found exactly by reading that one run per
-    lane (``starts``).  The rows hold every replication of a batch; a lookup
-    reads one replication's lanes over its first ``runs`` runs.
+    A step covers its jumped ages d .. e - 1 and its decision slot, so its
+    decision age becomes its slot count.  A step after which a lane's age is
+    1 is a renewal: it begins the lane's next cycle, whose first step and the
+    lane's slots before it are appended to ``table[cycle, :, rep, lane]``.
+    Entry ``(cycle, 0, rep, lane)`` is at flat index ``cycle * 2 * width +
+    rep * _LANES + lane``, for ``width`` lanes in all, and ``last`` holds
+    that index of each lane's latest cycle.  Row 0 of ``slots`` and ``last``
+    is each lane's before the steps, row ``i + 1`` after step ``a + i``, and
+    row 0 again after them all.  The table has a row for every cycle begun
+    and the one after; it is grown to keep them.
     """
-
-    def __init__(self, steps: int, reps: int, dtype):
-        self.slots = np.zeros((steps // _SUB + 1, reps, _LANES), dtype)  # row g: each lane's slots before run g
-        self.count = np.zeros_like(self.slots)  # row g: each lane's renewals before run g
-        self.width = reps * _LANES  # history entries per step
-        self.run_steps = np.arange(_SUB)[:, None] * self.width + _LANE_IDS  # flat history index of run 0's steps
-
-    def grow(self, steps: int) -> None:
-        self.slots, self.count = _grow(self.slots, steps // _SUB + 1), _grow(self.count, steps // _SUB + 1)
-
-    def book(self, hd: np.ndarray, hn: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Book steps ``a .. b - 1``, whole runs; return each lane's slots so far.
-
-        A step covers its jumped ages d .. e - 1 and its decision slot.
-        """
-        n = hn[a:b]
-        n -= hd[a:b]
-        n += 1
-        g, h = a // _SUB, b // _SUB
-        slots = n.reshape(h - g, _SUB, *n.shape[1:]).sum(axis=1)
-        count = (hd[a + 1 : b + 1] == 1).reshape(h - g, _SUB, *n.shape[1:]).sum(axis=1)
-        for i in range(h - g):
-            np.add(self.slots[g + i], slots[i], out=self.slots[g + i + 1])
-            np.add(self.count[g + i], count[i], out=self.count[g + i + 1])
-        return self.slots[h]
-
-    def bounds(self, reps: np.ndarray, runs: int, cycle: np.ndarray):
-        """Each lane's slots before and after the run of the renewal that begins its
-        cycle ``cycle[i, l]`` in replication ``reps[i]``: bounds on its slots before that cycle."""
-        g = np.count_nonzero(self.count[1 : runs + 1, reps] < cycle, axis=0)
-        return self.slots[g, reps[:, None], _LANE_IDS], self.slots[g + 1, reps[:, None], _LANE_IDS]
-
-    def starts(self, reps: np.ndarray, runs: int, cycle: np.ndarray, hd: np.ndarray, hn: np.ndarray):
-        """Row at which cycle ``cycle[i, ..., l]`` of each lane ``l`` of replication
-        ``reps[i]`` begins, and the lane's slots before it.
-
-        Every cycle asked for has begun within the first ``runs`` runs.
-        """
-        inner = (1,) * (cycle.ndim - 2)
-        rep = reps.reshape((-1,) + inner + (1,))
-        count = self.count[1 : runs + 1, reps].reshape((runs, len(reps)) + inner + (_LANES,))
-        g = np.count_nonzero(count < cycle, axis=0)  # the run of the renewal
-        rank = cycle - self.count[g, rep, _LANE_IDS]
-        at = g * (_SUB * self.width) + rep * _LANES + self.run_steps.reshape((_SUB,) + (1,) * (cycle.ndim - 1) + (_LANES,))
-        earlier = np.cumsum(hd[1:].ravel().take(at) == 1, axis=0, dtype=np.int8) < rank  # steps before the renewal
-        s = np.count_nonzero(earlier, axis=0)  # the renewal's step in the run
-        steps = hn.ravel().take(at)
-        slots = self.slots[g, rep, _LANE_IDS] + (steps * earlier).sum(axis=0) + np.take_along_axis(steps, s[None], axis=0)[0]
-        return np.where(cycle > 0, g * _SUB + s + 1, 0), np.where(cycle > 0, slots, 0)
+    n = hn[a:b]
+    n -= hd[a:b]
+    n += 1
+    width = n[0].size
+    renew = hd[a + 1 : b + 1] == 1
+    jump = np.multiply(renew, 2 * width)
+    for i in range(b - a):
+        np.add(slots[i], n[i], out=slots[i + 1])
+        np.add(last[i], jump[i], out=last[i + 1])
+    rows = int(last[b - a].max()) // (2 * width) + 2
+    if rows > len(table):
+        table = _grow(table, max(rows, len(table) * 5 // 4))
+    at = np.flatnonzero(renew)
+    where = last[1:].take(at)
+    flat = table.reshape(-1)
+    # Values of the table's dtype: a fancy assignment that casts costs twice one that does not.
+    flat[where] = (at // width).astype(table.dtype) + (a + 1)
+    flat[where + width] = slots[1:].take(at)
+    slots[0], last[0] = slots[b - a], last[b - a]
+    return table
 
 
 def _history_steps(horizon: int) -> int:
@@ -327,18 +294,20 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     Each block of ``_BLOCK`` steps draws its uniforms first, the rows that
     the kernel reads, each replication from its own generator, and the
     lanes then step through it in segments of whole runs of ``_SUB`` steps,
-    each booked once (``_Ledger``).  After a segment, once a replication's
-    lanes' slots could cover the horizon, the coverage check bounds its
-    joined timeline's coverage from the per-run sums, and looks up the
-    cycles it needs, reading one run per lane, only when the bounds leave it
-    open.  A replication is covered at the first segment end at which the
-    horizon is; it draws no more uniforms, and its lanes step on, unread,
-    until the whole batch is covered.  A segment runs to the end of its
-    block unless the paces of the open replications' upper bounds all say
-    that their horizons are covered before; then it runs to the run in which
-    the last of them says so.  The history starts with room for the steps the horizon is
-    expected to take, at most ``_BUDGET`` lane-steps, and grows at the pace
-    of the slowest open replication.  Ages and slot counts are int32 below
+    each booked once (``_book``) into the table of cycle starts.  After a
+    segment, the table gives each replication's coverage exactly: the joined
+    timeline is covered up to the first cycle still running, round ``q`` of
+    the first lane ``l0`` with the fewest renewals, ``q``.  That is the slots
+    before round ``q + 1`` of the lanes before ``l0``, before round ``q`` of
+    the lanes after it, and all of lane ``l0``'s slots.  A replication is
+    covered at the first segment end at which the horizon is; it draws no
+    more uniforms, and its lanes step on, unread, until the whole batch is
+    covered.  A segment runs to the end of its block unless every open
+    replication's coverage still missing is run before, at the pace of its
+    lanes' slots so far; then it runs to the run in which the last of them
+    is.  The history starts with room for the steps the horizon is expected
+    to take, at most ``_BUDGET`` lane-steps, and grows at the pace of the
+    slowest open replication's lanes.  Ages and slot counts are int32 below
     ``_NARROW`` slots, and with them the tables the steps read them from.
     Each replication is then cut (``_cut``).
     """
@@ -356,7 +325,15 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     cap = min(_history_steps(horizon), max(_BUDGET // (reps * _LANES * _BLOCK), 1) * _BLOCK)
     hd, ha, hn = k.history(cap, reps, dtype)
     hd[0] = 1
-    ledger = _Ledger(cap, reps, dtype)
+    # The table of cycle starts, ``[cycle, (step, slots), replication,
+    # lane]``: the step at which each cycle begins and the lane's slots
+    # before it.  Cycle 0 begins at step 0; a cycle not begun is not written.
+    table = np.empty((cap // 2 + 2, 2, reps, _LANES), dtype)
+    table[0] = 0
+    # Each lane's slots and latest cycle (``_book``) so far in row 0, and
+    # after each step of the segment being booked in the rows below it.
+    slots, last = np.zeros((_BLOCK + 1,) + shape, dtype), np.empty((_BLOCK + 1,) + shape, np.int64)
+    last[0] = np.arange(reps * _LANES).reshape(shape)
     comp = np.zeros(shape, np.int64)  # table offset of each lane's mixture component
     idx, j = np.empty(shape, np.int64), np.empty(shape, np.int64)
     tmp = np.empty(shape, dtype)
@@ -394,22 +371,23 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     take_reset_age, take_fail_att = k.reset_age.astype(dtype).take, k.fail_att.take
     take_sure = getattr(k.sure, "take", None)
 
-    t = 0
-    reach = np.zeros(reps, np.int64)  # each replication's upper bound on its coverage
-    gauges = [[(0, 0)] for _ in range(reps)]  # steps and the upper bound on the coverage, at the segment ends that take it
-    ends = [None] * reps  # each covered replication's steps, and the round, lane and slots that the cut starts from
+    # Steps until the last open replication's coverage reaches the horizon
+    # at the pace of its lanes, at first four slots per lane and step.
+    t, need = 0, horizon // (_LANES * 4)
+    each = np.arange(reps)
+    ran = [0] * reps  # each replication's lanes' slots so far, each up to the horizon
+    ends = [None] * reps  # each covered replication's steps, and the round and lane running then
     open_ = list(range(reps))
     while open_:
         if t + _BLOCK > cap:
             # The pace so far with a tenth to spare.  Dropping the row views
             # lets each old array go as soon as it is copied.
-            pace = t * horizon // max(int(reach[open_].min()), 1) * 11 // 10 + 2 * _BLOCK
+            pace = t * horizon // max(min(ran[rep] for rep in open_), 1) * 11 // 10 + 2 * _BLOCK
             cap = -(-max(pace, cap + cap // 4 + _BLOCK) // _BLOCK) * _BLOCK
             ages = actions = decision_ages = d = a = e = dn = None
             hd = _grow(hd, cap + 1)
             ha = _grow(ha, cap)
             hn = _grow(hn, cap)
-            ledger.grow(cap)
         for rep in open_:
             skips[rep](rows.start * _BLOCK * _LANES)
             rngs[rep].random(out=u[rep])
@@ -420,19 +398,7 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
         ages, actions, decision_ages = list(hd[t : t + _BLOCK + 1]), list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
         s = 0
         while s < _BLOCK and open_:
-            # Steps until the last open replication's upper bound reaches
-            # the horizon at its latest pace; before its bound is taken, the
-            # rest of the block, or at the first step four slots per lane
-            # and step.  Steps that cover the others sooner are run anyway.
-            stop = s + _SUB
-            for rep in open_:
-                if len(gauges[rep]) > 1:
-                    (t0, b0), (t1, b1) = gauges[rep][-2:]
-                    need = (horizon - b1) * (t1 - t0) // max(b1 - b0, 1)
-                else:
-                    need = _BLOCK if t + s else horizon // (_LANES * 4)
-                stop = max(stop, s + need // _SUB * _SUB)
-            stop = min(stop, _BLOCK)
+            stop = min(s + max(need // _SUB, 1) * _SUB, _BLOCK)
             for i in range(s, stop):
                 d, r, a, e, dn, rn = ages[i], attempts[i], actions[i], decision_ages[i], ages[i + 1], attempts[i + 1]
                 take_column(r, out=idx, mode="clip")
@@ -462,69 +428,25 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
                 putmask(dn, hi, tmp)
                 take_fail_att(j, out=rn, mode="clip")
                 putmask(rn, hi, zero)
-            total = ledger.book(hd, hn, t + s, t + stop)
+            table = _book(hd, hn, t + s, t + stop, slots, last, table)
             s = stop
-            # The joined timeline is covered up to the first cycle still
-            # running, plus that cycle's progress; a lane that idles surely
-            # forever has covered about ``never`` slots.  Each lane adds at
-            # most ``horizon`` of its slots, so ``reach`` bounds the coverage
-            # from above, and so do the lanes' slots after the runs in which
-            # these cycles begin.  Their slots before those runs bound it
-            # from below, and the cycles are looked up only between the bounds.
-            np.minimum(total, horizon).sum(axis=1, out=reach)
-            due = np.array([rep for rep in open_ if reach[rep] >= horizon], np.int64)
-            if len(due):
-                runs, each = (t + s) // _SUB, np.arange(len(due))
-                q, lane = np.divmod((ledger.count[runs, due].astype(np.int64) * _LANES + lanes).min(axis=1), _LANES)
-                cycle = q[:, None] + (lanes < lane[:, None])
-                least, most = ledger.bounds(due, runs, cycle)
-                np.minimum(most, horizon, out=most)
-                own = total[due, lane]
-                upper = most.sum(axis=1) - most[each, lane] + np.minimum(own, horizon)
-                low = least.sum(axis=1) - least[each, lane] + own
-                lead = (least.sum(axis=1) + most.sum(axis=1)) // 2  # about the slots before the first cycle still running
-                exact = (low < horizon) & (horizon <= upper)
-                if exact.any():
-                    at = ledger.starts(due[exact], runs, cycle[exact], hd, hn)[1]
-                    lead[exact] = at.sum(axis=1)
-                    low[exact] = lead[exact] - at[np.arange(len(at)), lane[exact]] + own[exact]
-                for rep, b, covered, found in zip(due.tolist(), upper.tolist(), (low >= horizon).tolist(), zip(q, lane, lead)):
-                    gauges[rep].append((t + s, b))
-                    if covered:
-                        ends[rep] = (t + s, *map(int, found))
-                        open_.remove(rep)
+            # Each replication's coverage, exactly; a lane that idles surely
+            # forever has run about ``never`` slots.
+            count = last[0] // (2 * reps * _LANES)  # each lane's renewals
+            lane = count.argmin(axis=1)
+            q = count[each, lane]
+            at = table[q[:, None] + (lanes < lane[:, None]), 1, each[:, None], lanes]
+            at[each, lane] = slots[0, each, lane]
+            cover = at.sum(axis=1).tolist()
+            ran = np.minimum(slots[0], horizon).sum(axis=1).tolist()
+            for rep in [rep for rep in open_ if cover[rep] >= horizon]:
+                ends[rep] = (t + s, int(q[rep]), int(lane[rep]))
+                open_.remove(rep)
+            # Steps that cover the others sooner are run anyway.
+            need = max([(horizon - cover[rep]) * (t + s) // max(ran[rep], 1) for rep in open_], default=0)
         t += s
     k.keep(hd, ha, hn)
-    rounds = _last_rounds(ledger, horizon, ends, hd, hn)
-    return [_cut(k, horizon, *ends[rep][:3], *(x[rep] for x in rounds), hd[:, rep], ha[:, rep], hn[:, rep], trace) for rep in range(reps)]
-
-
-def _last_rounds(ledger: _Ledger, horizon: int, ends: list, hd: np.ndarray, hn: np.ndarray):
-    """Each replication's last round that begins inside the horizon, and the rows
-    at which it and the round after it begin in each lane, with the lane's slots before.
-
-    Round c is cycle c of every lane.  A replication covered after ``t``
-    steps, with round ``q`` running at lane ``lane`` and about ``lead`` slots
-    before that cycle (``ends``), has rounds before q complete, and round q
-    up to the first cycle still running.  From the round that the pace so
-    far points at, rounds c and c + 1 are looked up together (round q + 1
-    only for the lanes before ``lane``), all replications at once, until c
-    begins inside the horizon and c + 1 does not or is round q + 1.
-    """
-    reps = np.arange(len(ends))
-    t, q, lane, lead = (np.array(x, np.int64) for x in zip(*ends))
-    begun = ledger.count[t // _SUB, reps]
-    c = np.array([min(q0, (q0 * _LANES + l0) * horizon // max(s0 * _LANES, 1)) for _, q0, l0, s0 in ends], np.int64)
-    rows, slots = np.empty((2, len(ends), 2, _LANES), np.int64)
-    todo = reps
-    while len(todo):
-        cycles = np.minimum(np.stack([c[todo], c[todo] + 1], axis=1)[:, :, None], begun[todo, None])
-        rows[todo], slots[todo] = ledger.starts(todo, int(t.max()) // _SUB, cycles, hd, hn)
-        late = slots[todo, 0].sum(axis=1) >= horizon
-        early = ~late & (c[todo] < q[todo]) & (slots[todo, 1].sum(axis=1) < horizon)
-        c[todo] += early.astype(np.int64) - late
-        todo = todo[late | early]
-    return c, rows, slots
+    return [_cut(k, horizon, *ends[rep], table[:, :, rep], hd[:, rep], ha[:, rep], hn[:, rep], trace) for rep in range(reps)]
 
 
 def _attempts(k: Kernel, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray, depth: int) -> np.ndarray:
@@ -542,25 +464,29 @@ def _attempts(k: Kernel, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray, depth: 
     return hr
 
 
-def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, c: int, rows, slots, hd, ha, hn, trace: bool):
+def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, starts: np.ndarray, hd, ha, hn, trace: bool):
     """One replication's age sum and transmission count, and its ``SlotTrace`` when
     ``trace`` is set, from the history of its lanes, whose first ``t`` steps cover the horizon.
 
-    Round ``c`` is the last that begins inside the horizon (``_last_rounds``:
-    ``rows`` and ``slots`` of it and the round after it), and round ``q``
-    was running at lane ``lane`` when the steps were found to cover it.  The
-    kept steps are every lane's steps before its cut, so one pass over the
-    kept rows sums the ages and transmissions.  Only a table that can
-    retransmit where the model admits no retransmission has its
-    retransmissions checked, and only the trace and a violation need the
-    attempts (``_attempts``) and every cycle's first step (``_cycle_table``).
+    ``starts`` is its table of cycle starts, ``[cycle, (step, slots), lane]``.
+    Round ``q`` was running at lane ``lane`` when the steps were found to
+    cover the horizon, so every lane has begun the rounds up to ``q``; a
+    search over their totals, the slots before each, finds the last round
+    ``c`` that begins inside the horizon.  The kept steps are every lane's
+    steps before its cut, so one pass over the kept rows sums the ages and
+    transmissions.  Only a table that can retransmit where the model admits
+    no retransmission has its retransmissions checked, and only the trace
+    and a violation need the attempts (``_attempts``) and every cycle's
+    first step, which the table holds.
     """
     lanes = _LANE_IDS
-    (rows_c, upper_rows), (at_c, upper) = rows, slots
+    rows, slots = starts[:, 0], starts[:, 1]
+    before = slots[: q + 1].sum(axis=1)  # the slots before each round up to q
+    c = int(np.searchsorted(before, horizon)) - 1
     # The lane whose cycle in round c holds the last slot.
-    lead = int(at_c.sum())
+    lead = int(before[c])
     width = lane if c == q else _LANES
-    ends = lead + np.cumsum(upper[:width] - at_c[:width])
+    ends = lead + np.cumsum(slots[c + 1, :width] - slots[c, :width])
     lane = int(np.searchsorted(ends, horizon))
     m = c * _LANES + lane  # the cycle that holds the last slot
     rem = horizon - int(ends[lane - 1] if lane else lead)  # its slots inside the horizon
@@ -569,7 +495,7 @@ def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, c: int, rows, slots
     # cycles before m, and the steps of cycle m that end inside it.  The
     # step of cycle m that the cut ends, if any, keeps ``part`` of its
     # jumped slots and not its decision slot.
-    full = np.where(lanes < lane, upper_rows, rows_c)
+    full = np.where(lanes < lane, rows[c + 1], rows[c])
     inside = np.cumsum(hn[full[lane] :, lane])
     step = int(np.searchsorted(inside, rem, "right"))
     part = rem - (int(inside[step - 1]) if step else 0)
@@ -598,11 +524,13 @@ def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, c: int, rows, slots
         return aoi_sum, n_tx, None
 
     # The timeline's steps in order, as flat history indices, and their kept slots.
-    c_step = _cycle_table(hd, t)
     order = np.arange(m + 1)
     lane_c, col_c = order % _LANES, order // _LANES
-    first_step = c_step[lane_c, col_c]
-    n = np.minimum(c_step[lane_c, col_c + 1], depth) - first_step
+    # Every cycle before m ends inside the horizon, so its lane has begun
+    # the next; cycle m runs to the depth, past which nothing is kept.
+    first_step = rows[col_c, lane_c]
+    n = rows[col_c + 1, lane_c] - first_step
+    n[-1] = depth - first_step[-1]
     step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
     flat = step_t * _LANES + np.repeat(lane_c, n)
     count = kept.ravel()[flat]
