@@ -27,15 +27,18 @@ sure idle draws none), so no lane's path depends on the horizon: the first
 ``n`` slots of a run are the run of ``n`` slots on the same generator.  A
 block's rows that the kernel does not read (the mixture component of a
 stationary policy, the action of a policy that decides surely) are skipped
-on a PCG64 stream, which leaves it where drawing them would.  The
-bookkeeping keeps, per lane and step, the age, action and slots, and per
-lane and cycle a table of cycle starts: the step at which the cycle begins
-and the lane's slots before it.  The loop stops at the first segment end at
-which the joined cycles cover the horizon, which the table gives exactly;
-the cut reads the rounds it needs from the same table, and the kept steps
-are summed in one pass.  The attempts are kept for the step at hand only,
-and rebuilt from the ages and actions where the trace or a violation needs
-them.
+on a PCG64 stream, which leaves it where drawing them would.  The lanes
+step a segment of whole runs at a time on block-local int64 rows of ages,
+actions and decision ages, so its adds and lookups mix no dtypes (a drawn
+action is the sum of two bool comparisons).  Its booking writes the rows
+once into the history, per lane and step the age, action and slots, and
+appends to a table of cycle starts, per lane and cycle the step at which
+the cycle begins and the lane's slots before it.  The loop stops at the
+first segment end at which the joined cycles cover the horizon, which the
+table gives exactly; the cut reads the rounds it needs from the same
+table, and sums the kept steps of the whole batch in one pass.  The
+attempts are kept for the step at hand only, and rebuilt from the ages and
+actions where the trace or a violation needs them.
 
 ``evaluate_simulated`` steps its replications in batches, side by side: a
 batch of ``B`` replications is one step loop over ``(B, _LANES)`` lanes.
@@ -49,12 +52,11 @@ is as many replications as ``_BUDGET`` lane-steps of history hold at the
 steps the horizon is expected to take (``_history_steps``), at least one:
 15 up to 16,383 slots, 3 at 100,000, and 1 from 188,416; the history starts
 with room for at most the budget and grows at the pace of the slowest
-replication.  A batch's
-history grows with ``B``, so it is kept narrow: below ``_NARROW`` slots the
-ages and slot counts are int32, 9 bytes per lane and step with the action,
-and above it int64.  No age or slot count of a run of fewer slots reaches
-2**31, and the tables that fill the history are cast to its dtype, as a
-``take`` into an int32 array wraps an int64 value silently.
+replication.  A batch's history grows with ``B``, so it is kept narrow:
+below ``_NARROW`` slots the ages and slot counts are int32, 9 bytes per
+lane and step with the action, and above it int64.  No age or slot count
+of a run of fewer slots reaches 2**31, which the casting copies from the
+int64 rows would wrap silently.
 
 The open-loop periodic baseline acts on the slot number, not on renewals; a
 closed-form pass over its transmission slots simulates it.
@@ -203,7 +205,7 @@ class Kernel:
         # action is ``sure``, and it reads no action uniforms.
         e0, e1 = self.e0, self.e1
         surely = (((e0 <= 0.0) | (e0 >= 1.0)) & ((e1 <= 0.0) | (e1 >= 1.0))).all()
-        self.sure = np.add(e0 <= 0.0, e1 <= 0.0, dtype=np.uint8) if surely else None
+        self.sure = np.add(e0 <= 0.0, e1 <= 0.0, dtype=np.int64) if surely else None
         # The rows of each block of uniforms (action, channel and mixture
         # component) that the runs read.
         self.rows = slice(0 if self.sure is None else 1, 3 if self.mixture else 2)
@@ -211,7 +213,7 @@ class Kernel:
         # array of this size costs more in page faults than the bookkeeping
         # of a run's steps.
         self.u = np.empty((0, 0, _BLOCK, _LANES))
-        self._history = None
+        self._history = self._loc = None
 
     def history(self, steps: int, reps: int, dtype):
         """A batch's history with room for ``steps`` steps of ``reps`` replications, in
@@ -225,6 +227,12 @@ class Kernel:
             self._history = tuple(np.empty(n * w, t) for n, t in zip(rows, (dtype, np.uint8, dtype)))
         return tuple(x[: n * w].reshape(n, reps, _LANES) for x, n in zip(self._history, rows))
 
+    def _local(self, reps: int):
+        """A batch's block-local rows (``_cycles``), the last batch's if it had ``reps`` replications."""
+        if self._loc is None or self._loc[0].shape[2] != reps:
+            self._loc = (loc := np.empty((3, _BLOCK + 1, reps, _LANES), np.int64)), [list(x) for x in loc]
+        return self._loc
+
     def keep(self, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray) -> None:
         """Keep a batch's history arrays for the next batch if they outgrew the kernel's."""
         if hn.size > len(self._history[2]):
@@ -235,29 +243,32 @@ class Kernel:
         return self.policy == policy and self.model == model
 
 
-def _book(hd: np.ndarray, hn: np.ndarray, a: int, b: int, slots: np.ndarray, last: np.ndarray, table: np.ndarray):
+def _book(loc: np.ndarray, hd, ha, hn, a: int, b: int, slots: np.ndarray, last: np.ndarray, table: np.ndarray):
     """Book steps ``a .. b - 1`` once, when they have run; return the table of cycle starts.
 
-    A step covers its jumped ages d .. e - 1 and its decision slot, so its
-    decision age becomes its slot count.  A step after which a lane's age is
-    1 is a renewal: it begins the lane's next cycle, whose first step and the
-    lane's slots before it are appended to ``table[cycle, :, rep, lane]``.
-    Entry ``(cycle, 0, rep, lane)`` is at flat index ``cycle * 2 * width +
-    rep * _LANES + lane``, for ``width`` lanes in all, and ``last`` holds
-    that index of each lane's latest cycle.  Row 0 of ``slots`` and ``last``
-    is each lane's before the steps, row ``i + 1`` after step ``a + i``, and
-    row 0 again after them all.  The table has a row for every cycle begun
-    and the one after; it is grown to keep them.
+    ``loc`` holds them in the int64 rows of ``_cycles``: ages, actions and
+    decision ages.  A step covers its jumped ages d .. e - 1 and its decision
+    slot, so its decision age becomes its slot count; the rows go into the
+    history by one casting copy per array.  A step after which a lane's age
+    is 1 is a renewal: it begins the lane's next cycle, whose first step and
+    the lane's slots before it are appended to ``table[cycle, :, rep,
+    lane]``, at flat index ``cycle * 2 * width + rep * _LANES + lane`` for
+    ``width`` lanes in all; ``last`` holds that index of each lane's latest
+    cycle.  Row 0 of ``slots``, ``last`` and the ages is each lane's before
+    the steps, row ``i + 1`` after step ``a + i``, and row 0 again after them
+    all.  The table has a row for every cycle begun and the one after; it
+    is grown to keep them.
     """
-    n = hn[a:b]
-    n -= hd[a:b]
+    d, acts, n = loc[0, : b - a + 1], loc[1, : b - a], loc[2, : b - a]
+    n -= d[:-1]
     n += 1
+    hd[a + 1 : b + 1], ha[a:b], hn[a:b] = d[1:], acts, n
     width = n[0].size
-    renew = hd[a + 1 : b + 1] == 1
-    jump = np.multiply(renew, 2 * width)
-    for i in range(b - a):
-        np.add(slots[i], n[i], out=slots[i + 1])
-        np.add(last[i], jump[i], out=last[i + 1])
+    renew = d[1:] == 1
+    on = np.multiply(renew, 2 * width, out=acts)  # how far each step moves ``last``, in the booked action rows
+    for i, count in enumerate(hn[a:b]):
+        np.add(slots[i], count, out=slots[i + 1])
+        np.add(last[i], on[i], out=last[i + 1])
     rows = int(last[b - a].max()) // (2 * width) + 2
     if rows > len(table):
         table = _grow(table, max(rows, len(table) * 5 // 4))
@@ -267,7 +278,7 @@ def _book(hd: np.ndarray, hn: np.ndarray, a: int, b: int, slots: np.ndarray, las
     # Values of the table's dtype: a fancy assignment that casts costs twice one that does not.
     flat[where] = (at // width).astype(table.dtype) + (a + 1)
     flat[where + width] = slots[1:].take(at)
-    slots[0], last[0] = slots[b - a], last[b - a]
+    slots[0], last[0], d[0] = slots[b - a], last[b - a], d[b - a]
     return table
 
 
@@ -292,57 +303,56 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     slots and, when ``trace`` is set, its ``SlotTrace``.
 
     Each block of ``_BLOCK`` steps draws its uniforms first, the rows that
-    the kernel reads, each replication from its own generator, and the
-    lanes then step through it in segments of whole runs of ``_SUB`` steps,
-    each booked once (``_book``) into the table of cycle starts.  After a
-    segment, the table gives each replication's coverage exactly: the joined
-    timeline is covered up to the first cycle still running, round ``q`` of
-    the first lane ``l0`` with the fewest renewals, ``q``.  That is the slots
-    before round ``q + 1`` of the lanes before ``l0``, before round ``q`` of
-    the lanes after it, and all of lane ``l0``'s slots.  A replication is
-    covered at the first segment end at which the horizon is; it draws no
-    more uniforms, and its lanes step on, unread, until the whole batch is
-    covered.  A segment runs to the end of its block unless every open
+    the kernel reads, each replication from its own generator.  The lanes
+    then step through it on block-local int64 rows, in segments of whole
+    runs of ``_SUB`` steps, each booked once (``_book``) into the history and
+    the table of cycle starts.  After a segment, the table gives each
+    replication's coverage exactly: the joined timeline is covered up to the
+    first cycle still running, round ``q`` of the first lane ``l0`` with the
+    fewest renewals, ``q``; that is the slots before round ``q + 1`` of the
+    lanes before ``l0``, before round ``q`` of the lanes after it, and all of
+    lane ``l0``'s slots.  A replication is covered at the first segment end
+    at which the horizon is; it draws no more uniforms, and its lanes step
+    on, unread, until the whole batch is covered, which is then cut
+    (``_cut``).  A segment runs to the end of its block unless every open
     replication's coverage still missing is run before, at the pace of its
     lanes' slots so far; then it runs to the run in which the last of them
     is.  The history starts with room for the steps the horizon is expected
     to take, at most ``_BUDGET`` lane-steps, and grows at the pace of the
-    slowest open replication's lanes.  Ages and slot counts are int32 below
-    ``_NARROW`` slots, and with them the tables the steps read them from.
-    Each replication is then cut (``_cut``).
+    slowest open replication's lanes.
     """
     reps = len(rngs)
     lanes, shape = _LANE_IDS, (reps, _LANES)
-    # A take into an int32 array wraps int64 values silently, so the tables
-    # that fill the history, and the age that never comes, are of its dtype.
-    # Below _NARROW slots no age passes 2**30 plus the steps, at most the
-    # horizon and a block; an age beyond a policy's table clamps to it.
+    # Below _NARROW slots the history is int32, and no age passes 2**30 plus
+    # the steps, at most the horizon and a block: the age that never comes
+    # is 2**30.  An age beyond a policy's table clamps to it.
     dtype, never = (np.int32, 2**30) if horizon < _NARROW else (np.int64, _NEVER)
-    # Per step t and lane: the age before it, the action of its decision
-    # slot, and its slots (the loop writes the decision age there, the
-    # booking the slot count).  The attempts are kept for the step at hand
-    # only, three times their count.
+    # Per step t and lane: the age before it, the action of its decision slot, and its slots.
     cap = min(_history_steps(horizon), max(_BUDGET // (reps * _LANES * _BLOCK), 1) * _BLOCK)
     hd, ha, hn = k.history(cap, reps, dtype)
     hd[0] = 1
+    # The segment at hand steps on int64 rows, so that no add or lookup of the
+    # loop mixes dtypes: ages (row 0 before the segment), actions and decision ages.
+    loc, (ages, actions, decided) = k._local(reps)
+    loc[0, 0] = 1
     # The table of cycle starts, ``[cycle, (step, slots), replication,
     # lane]``: the step at which each cycle begins and the lane's slots
     # before it.  Cycle 0 begins at step 0; a cycle not begun is not written.
     table = np.empty((cap // 2 + 2, 2, reps, _LANES), dtype)
     table[0] = 0
-    # Each lane's slots and latest cycle (``_book``) so far in row 0, and
+    # Each lane's latest cycle and slots (``_book``) so far in row 0, and
     # after each step of the segment being booked in the rows below it.
     slots, last = np.zeros((_BLOCK + 1,) + shape, dtype), np.empty((_BLOCK + 1,) + shape, np.int64)
     last[0] = np.arange(reps * _LANES).reshape(shape)
     comp = np.zeros(shape, np.int64)  # table offset of each lane's mixture component
-    idx, j = np.empty(shape, np.int64), np.empty(shape, np.int64)
-    tmp = np.empty(shape, dtype)
-    attempts = [np.zeros(shape, np.int64), np.empty(shape, np.int64)] * (_BLOCK // 2 + 1)  # before step i, at i % 2
+    idx, j, tmp = (np.empty(shape, np.int64) for _ in range(3))
+    # Three times the attempts before step i, at i % 2: kept for the step at hand only.
+    attempts = [np.zeros(shape, np.int64), np.empty(shape, np.int64)] * (_BLOCK // 2 + 1)
     edge = np.empty(shape)
     lo, hi, renew = (np.empty(shape, bool) for _ in range(3))
     lo8, hi8 = lo.view(np.uint8), hi.view(np.uint8)
     # Array operands: ufuncs convert a Python scalar operand on every call.
-    one, zero, age_top = np.ones(shape, dtype), np.zeros(shape, np.int64), np.full(shape, k.n_age - 1, dtype)
+    one, zero, age_top = np.ones(shape, np.int64), np.zeros(shape, np.int64), np.full(shape, k.n_age - 1, np.int64)
     # The rows of each replication's block of uniforms that the kernel reads.
     rows, read = k.rows, k.rows.stop - k.rows.start
     if k.u.shape[0] < reps or k.u.shape[1] < read:
@@ -366,9 +376,9 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     weight, stride, sure = k.weight, k.stride, k.sure is not None
     # Local names: the step loop looks up no global or attribute.
     add, equal, greater_equal, maximum, minimum, putmask = np.add, np.equal, np.greater_equal, np.maximum, np.minimum, np.putmask
-    take_column, take_jump = k.column.take, np.minimum(k.jump, never).astype(dtype).take
+    take_column, take_jump = k.column.take, np.minimum(k.jump, never).take
     take_e0, take_e1, take_fail = k.e0.take, k.e1.take, k.fail.take
-    take_reset_age, take_fail_att = k.reset_age.astype(dtype).take, k.fail_att.take
+    take_reset_age, take_fail_att = k.reset_age.take, k.fail_att.take
     take_sure = getattr(k.sure, "take", None)
 
     # Steps until the last open replication's coverage reaches the horizon
@@ -380,11 +390,9 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     open_ = list(range(reps))
     while open_:
         if t + _BLOCK > cap:
-            # The pace so far with a tenth to spare.  Dropping the row views
-            # lets each old array go as soon as it is copied.
+            # The pace so far with a tenth to spare.
             pace = t * horizon // max(min(ran[rep] for rep in open_), 1) * 11 // 10 + 2 * _BLOCK
             cap = -(-max(pace, cap + cap // 4 + _BLOCK) // _BLOCK) * _BLOCK
-            ages = actions = decision_ages = d = a = e = dn = None
             hd = _grow(hd, cap + 1)
             ha = _grow(ha, cap)
             hn = _grow(hn, cap)
@@ -395,16 +403,15 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
         if mixture:
             np.greater_equal(u[:, 2 - rows.start].swapaxes(0, 1), weight, out=pick)
             np.multiply(pick, stride, out=draw)
-        ages, actions, decision_ages = list(hd[t : t + _BLOCK + 1]), list(ha[t : t + _BLOCK]), list(hn[t : t + _BLOCK])
         s = 0
         while s < _BLOCK and open_:
             stop = min(s + max(need // _SUB, 1) * _SUB, _BLOCK)
-            for i in range(s, stop):
-                d, r, a, e, dn, rn = ages[i], attempts[i], actions[i], decision_ages[i], ages[i + 1], attempts[i + 1]
+            for i in range(stop - s):
+                d, r, a, e, dn, rn = ages[i], attempts[i], actions[i], decided[i], ages[i + 1], attempts[i + 1]
                 take_column(r, out=idx, mode="clip")
                 if mixture:
                     equal(d, one, out=renew)
-                    putmask(comp, renew, draw_rows[i])  # redrawn at every visit to (1, 0)
+                    putmask(comp, renew, draw_rows[s + i])  # redrawn at every visit to (1, 0)
                     add(idx, comp, out=idx)
                 minimum(d, age_top, out=tmp)
                 add(idx, tmp, out=idx)
@@ -414,7 +421,7 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
                 if sure:
                     take_sure(idx, out=a, mode="clip")
                 else:
-                    ua = act_rows[i]
+                    ua = act_rows[s + i]
                     take_e0(idx, out=edge, mode="clip")
                     greater_equal(ua, edge, out=lo)
                     take_e1(idx, out=edge, mode="clip")
@@ -422,19 +429,18 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
                     add(lo8, hi8, out=a)
                 add(r, a, out=j)
                 take_fail(j, out=edge, mode="clip")
-                greater_equal(chan_rows[i], edge, out=hi)  # delivered
+                greater_equal(chan_rows[s + i], edge, out=hi)  # delivered
                 take_reset_age(j, out=tmp, mode="clip")
                 add(e, one, out=dn)
                 putmask(dn, hi, tmp)
                 take_fail_att(j, out=rn, mode="clip")
                 putmask(rn, hi, zero)
-            table = _book(hd, hn, t + s, t + stop, slots, last, table)
+            table = _book(loc, hd, ha, hn, t + s, t + stop, slots, last, table)
             s = stop
             # Each replication's coverage, exactly; a lane that idles surely
             # forever has run about ``never`` slots.
-            count = last[0] // (2 * reps * _LANES)  # each lane's renewals
-            lane = count.argmin(axis=1)
-            q = count[each, lane]
+            lane = last[0].argmin(axis=1)  # the first lane with the fewest renewals
+            q = last[0, each, lane] // (2 * reps * _LANES)
             at = table[q[:, None] + (lanes < lane[:, None]), 1, each[:, None], lanes]
             at[each, lane] = slots[0, each, lane]
             cover = at.sum(axis=1).tolist()
@@ -446,83 +452,91 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
             need = max([(horizon - cover[rep]) * (t + s) // max(ran[rep], 1) for rep in open_], default=0)
         t += s
     k.keep(hd, ha, hn)
-    return [_cut(k, horizon, *ends[rep], table[:, :, rep], hd[:, rep], ha[:, rep], hn[:, rep], trace) for rep in range(reps)]
+    return _cut(k, horizon, ends, table, hd, ha, hn, trace)
+
+
+def _cut(k: Kernel, horizon: int, ends: list, starts: np.ndarray, hd, ha, hn, trace: bool) -> list:
+    """Each replication's age sum, transmission count and, when ``trace`` is set, ``SlotTrace``,
+    from the batch's history, whose first ``t`` steps cover replication ``rep``.
+
+    ``ends[rep]`` is ``(t, q, lane)``: round ``q`` was running at lane ``lane`` when the steps
+    were found to cover the horizon, so every lane has begun the rounds up to ``q``.  Searches over
+    the rounds' totals, the slots before each, in the table of cycle starts ``starts``, ``[cycle,
+    (step, slots), rep, lane]``, find for the whole batch the last round ``c`` that begins inside
+    the horizon, the lane whose cycle in it holds the last slot and the step at which the cut
+    falls; none reads a row past a lane's cycles begun.  The kept steps are every lane's steps
+    before its cut, so one pass over the batch's ``(step, rep, lane)`` rows sums each
+    replication's ages and transmissions.
+    """
+    each, lanes = np.arange(len(ends)), _LANE_IDS
+    t, q, lane = (np.array(x) for x in zip(*ends))
+    rows, slots = starts[:, 0], starts[:, 1]
+    before = slots[: q.max() + 1].sum(axis=2)  # the slots before each round, up to q
+    c = ((before < horizon) & (np.arange(len(before))[:, None] <= q)).sum(axis=0) - 1
+    # The lane whose cycle in round c holds the last slot, among those that have ended it.
+    at, ended = (c[:, None], each[:, None], lanes), lanes < np.where(c == q, lane, _LANES)[:, None]
+    done = before[c, each][:, None] + np.cumsum(np.where(ended, slots[at[0] + 1, at[1], lanes] - slots[at], 0), axis=1)
+    lane = ((done < horizon) & ended).sum(axis=1)
+    rem = horizon - np.where(lane > 0, done[each, lane - 1], before[c, each])  # its slots inside the horizon
+    # Every step of the other lanes' cycles before that one, and its steps that end inside
+    # the horizon; the step the cut ends, if any, keeps ``part`` of its jumped slots.
+    full = np.where(lanes < lane[:, None], rows[at[0] + 1, at[1], lanes], rows[at]).astype(np.int64)
+    row = np.arange(t.max())[:, None]
+    mine = (row >= full[each, lane]) & (row < t)
+    inside = np.cumsum(np.where(mine, hn[: t.max(), each, lane], 0), axis=0)
+    step = ((inside <= rem) & mine).sum(axis=0)
+    part = rem - np.where(step > 0, inside[full[each, lane] + step - 1, each], 0)
+    full[each, lane] += step
+    depth = np.minimum(full.max(axis=1) + 1, t)
+    # Only a table that can retransmit where the model admits none is checked.
+    hrs = [_attempts(k, hd[:, rep], ha[:, rep], hn[:, rep], depth[rep]) for rep in each] if k.may_violate or trace else []
+    # Rows below every lane's cut are kept whole; the band above keeps each
+    # lane's steps before its cut, and ``part`` of the step the cut ends.
+    low, deep = int(full.min()), int(depth.max())
+    band = np.arange(low, deep)[:, None, None] < full
+    np.multiply(hn[low:deep], band, out=hn[low:deep])
+    np.multiply(ha[low:deep], band, out=ha[low:deep])
+    hn[full[each, lane][part > 0], each[part > 0], lane[part > 0]] = part[part > 0]
+    out = [None] * len(ends)
+    for rep, hr in enumerate(hrs):  # cycle c * _LANES + lane holds the last slot
+        own = (x[:, rep] for x in (rows, hd, ha, hn))
+        out[rep] = _slots(k, horizon, c[rep] * _LANES + lane[rep], full[rep], depth[rep], hr, *own, trace)
+    # A step's kept slots have ages d, d + 1, ..., d + kept - 1, which sum to
+    # kept * (2 * d + kept - 1) / 2, and the kept slots to the horizon.  The
+    # ages become 2 * d + kept in place, which wraps only where kept is 0.
+    w = np.add(hd[:deep], hd[:deep], out=hd[:deep])
+    w += hn[:deep]
+    aoi_sums = (np.einsum("ijk,ijk->j", hn[:deep], w, dtype=np.int64) - horizon) // 2
+    return [(int(aoi_sums[rep]), np.count_nonzero(ha[:deep, rep]), out[rep]) for rep in each]
 
 
 def _attempts(k: Kernel, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray, depth: int) -> np.ndarray:
     """Three times the attempt count before each of one replication's first ``depth + 1`` steps.
 
     Rebuilt from the booked history as the steps left them: a step fails
-    when the age after it rises past its decision age (an idle always does)
-    and then leaves ``fail_att`` of its attempts and action; a delivery
-    leaves none.
+    when the age after it rises past its decision age (an idle always does),
+    found for all steps in one pass, and then leaves ``fail_att`` of its
+    attempts and action; a delivery leaves none.
     """
     hr = np.zeros((depth + 1, _LANES), np.int64)
+    failed = hd[1 : depth + 1] - hd[:depth] >= hn[:depth]
+    take = k.fail_att.take
     for i in range(depth):
-        failed = hd[i + 1] > hd[i] + hn[i] - 1
-        np.multiply(k.fail_att.take(hr[i] + ha[i], mode="clip"), failed, out=hr[i + 1])
+        np.multiply(take(hr[i] + ha[i], mode="clip"), failed[i], out=hr[i + 1])
     return hr
 
 
-def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, starts: np.ndarray, hd, ha, hn, trace: bool):
-    """One replication's age sum and transmission count, and its ``SlotTrace`` when
-    ``trace`` is set, from the history of its lanes, whose first ``t`` steps cover the horizon.
-
-    ``starts`` is its table of cycle starts, ``[cycle, (step, slots), lane]``.
-    Round ``q`` was running at lane ``lane`` when the steps were found to
-    cover the horizon, so every lane has begun the rounds up to ``q``; a
-    search over their totals, the slots before each, finds the last round
-    ``c`` that begins inside the horizon.  The kept steps are every lane's
-    steps before its cut, so one pass over the kept rows sums the ages and
-    transmissions.  Only a table that can retransmit where the model admits
-    no retransmission has its retransmissions checked, and only the trace
-    and a violation need the attempts (``_attempts``) and every cycle's
-    first step, which the table holds.
-    """
-    lanes = _LANE_IDS
-    rows, slots = starts[:, 0], starts[:, 1]
-    before = slots[: q + 1].sum(axis=1)  # the slots before each round up to q
-    c = int(np.searchsorted(before, horizon)) - 1
-    # The lane whose cycle in round c holds the last slot.
-    lead = int(before[c])
-    width = lane if c == q else _LANES
-    ends = lead + np.cumsum(slots[c + 1, :width] - slots[c, :width])
-    lane = int(np.searchsorted(ends, horizon))
-    m = c * _LANES + lane  # the cycle that holds the last slot
-    rem = horizon - int(ends[lane - 1] if lane else lead)  # its slots inside the horizon
-    hd, ha, hn = hd[: t + 1], ha[:t], hn[:t]
-    # Steps inside the horizon per lane: every step of the other lanes'
-    # cycles before m, and the steps of cycle m that end inside it.  The
-    # step of cycle m that the cut ends, if any, keeps ``part`` of its
-    # jumped slots and not its decision slot.
-    full = np.where(lanes < lane, rows[c + 1], rows[c])
-    inside = np.cumsum(hn[full[lane] :, lane])
-    step = int(np.searchsorted(inside, rem, "right"))
-    part = rem - (int(inside[step - 1]) if step else 0)
-    full[lane] += step
-    # Rows below every lane's cut are kept whole; the band above keeps each
-    # lane's steps before its cut, and ``part`` of the step the cut ends.
-    low, depth = int(full.min()), min(int(full.max()) + 1, t)
-    band = np.arange(low, depth)[:, None] < full
-    hr = _attempts(k, hd, ha, hn, depth) if k.may_violate or trace else None
-    np.multiply(hn[low:depth], band, out=hn[low:depth])
-    if part:
-        hn[full[lane], lane] = part
-    kept = hn[:depth]
-
-    # A step's kept slots have ages d, d + 1, ..., d + kept - 1.
-    aoi_sum = int(np.einsum("ij,ij->", kept, hd[:depth], dtype=np.int64))
-    aoi_sum += (int(np.einsum("ij,ij->", kept, kept, dtype=np.int64)) - horizon) // 2
-    n_tx = int(np.count_nonzero(ha[:low]) + np.count_nonzero(np.logical_and(ha[low:depth], band)))
+def _slots(k: Kernel, horizon: int, m: int, full: np.ndarray, depth: int, hr, rows, hd, ha, kept, trace: bool):
+    """One replication's ``SlotTrace`` when ``trace`` is set; raises ``ProtocolViolationError`` at its
+    first inadmissible retransmission.  Cycle ``m`` holds the last slot, lane ``l`` decides in its first
+    ``full[l]`` steps, ``kept`` holds each step's slots inside the horizon and ``hr`` its attempts."""
+    decided = np.arange(depth)[:, None] < full
     bad = []  # decided steps that retransmit where the model admits none
     if k.may_violate:
-        retx = ha[:depth] == Action.RETRANSMIT
-        retx[low:] &= band
-        f = np.flatnonzero(retx)
+        f = np.flatnonzero((ha[:depth] == Action.RETRANSMIT) & decided)
         bad = f[~k.retransmit_ok[hr.ravel()[f] // 3]]
     if not (trace or len(bad)):
-        return aoi_sum, n_tx, None
-
+        return None
     # The timeline's steps in order, as flat history indices, and their kept slots.
     order = np.arange(m + 1)
     lane_c, col_c = order % _LANES, order // _LANES
@@ -533,7 +547,7 @@ def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, starts: np.ndarray,
     n[-1] = depth - first_step[-1]
     step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
     flat = step_t * _LANES + np.repeat(lane_c, n)
-    count = kept.ravel()[flat]
+    count = kept[:depth].ravel()[flat]
     if len(bad):
         # A decided step's decision slot is the last of its kept slots.
         position = np.empty(depth * _LANES, np.int64)
@@ -547,12 +561,9 @@ def _cut(k: Kernel, horizon: int, t: int, q: int, lane: int, starts: np.ndarray,
     f = np.repeat(flat, count)
     offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
     d, r = hd[: depth + 1].astype(np.int64).ravel(), hr.ravel() // 3
-    decided = (np.arange(depth)[:, None] < full).ravel()[f]
-    last = decided & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
+    last = decided.ravel()[f] & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
     ages = d[f] + offset
-    return aoi_sum, n_tx, SlotTrace(
-        ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last
-    )
+    return SlotTrace(ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
 
 
 def _periodic(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
@@ -582,13 +593,7 @@ def _periodic(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
 
 
 def run(
-    policy: Policy,
-    model: ChannelModel,
-    horizon: int,
-    seed=0,
-    *,
-    collect_trace: bool = False,
-    kernel: Kernel | None = None,
+    policy: Policy, model: ChannelModel, horizon: int, seed=0, *, collect_trace: bool = False, kernel: Kernel | None = None
 ) -> tuple[RunStats, SlotTrace | None]:
     """Simulate ``horizon`` slots from (1, 0); deterministic given the seed.
 
@@ -609,13 +614,7 @@ def run(
     return RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon]), trace
 
 
-def evaluate_simulated(
-    policy: Policy,
-    model: ChannelModel,
-    horizon: int,
-    replications: int,
-    seed=0,
-) -> RunStats:
+def evaluate_simulated(policy: Policy, model: ChannelModel, horizon: int, replications: int, seed=0) -> RunStats:
     """Independent replications with per-replication streams derived from (seed, index).
 
     The replications share one ``Kernel`` and run in batches of side-by-side

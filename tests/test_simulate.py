@@ -540,6 +540,32 @@ def test_untraced_sums_match_the_trace(case):
     assert stats.mean_cost == np.count_nonzero(trace.action) / horizon
 
 
+def outcome(f):
+    """What ``f()`` returns, or the type, slot and message of the ``ProtocolViolationError`` it raises."""
+    try:
+        return f()
+    except ProtocolViolationError as err:
+        return type(err), err.slot, str(err)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_int64_history_changes_no_value(case, monkeypatch):
+    # Horizons from _NARROW on keep ages and slot counts as int64: the same
+    # steps, booked without the casts to int32.
+    policy, model, horizon = kernel_case(case)
+
+    def runs():
+        _, trace = run(policy, model, horizon, np.random.default_rng(18), collect_trace=True)
+        stats = outcome(lambda: evaluate_simulated(policy, model, horizon, 5, seed=7))
+        return trace, stats
+
+    (trace, stats), narrow = runs(), simulate._NARROW
+    monkeypatch.setattr(simulate, "_NARROW", 1)
+    wide_trace, wide_stats = runs()
+    assert horizon < narrow and wide_stats == stats
+    assert all(np.array_equal(column, wide) for column, wide in zip(trace, wide_trace, strict=True))
+
+
 def test_violation_slot_matches_reference():
     model = ChannelModel(0.5, 0.5, 3)
     policy = retransmit_after_failure(Truncation(20, 3))
@@ -734,6 +760,26 @@ class TestBatches:
         assert simulate._batch_size(100_000, 16) == 3
         assert simulate._batch_size(1_000_000, 16) == 1
         assert simulate._batch_size(2_000, 4) == 4
+
+    # float.hex of mean_aoi and mean_cost at seed 2024: a change to how the kernel steps and books moves none.
+    PINNED = {
+        (2_000, 50, "table"): ("0x1.9058793dd97f7p+1", "0x1.9702602c9081cp-2"),
+        (2_000, 50, "randomized"): ("0x1.c4c9320d9945bp+1", "0x1.6562e09fe8684p-2"),
+        (2_000, 50, "threshold"): ("0x1.c4c9320d9945bp+1", "0x1.6562e09fe8684p-2"),
+        (2_000, 50, "mixture"): ("0x1.c4e1c58255b04p+1", "0x1.6447c30d306a3p-2"),
+        (2_000, 50, "periodic"): ("0x1.409057d1782d3p+2", "0x1.55810624dd2f2p-2"),
+        (100_000, 16, "table"): ("0x1.925e1b089a028p+1", "0x1.9a59f2ba9d1f6p-2"),
+        (100_000, 16, "randomized"): ("0x1.c6992641b328cp+1", "0x1.66ac8605681edp-2"),
+        (100_000, 16, "threshold"): ("0x1.c6992641b328cp+1", "0x1.66ac8605681edp-2"),
+        (100_000, 16, "mixture"): ("0x1.c6a0f3cb3e576p+1", "0x1.66bb44e50c5ebp-2"),
+        (100_000, 16, "periodic"): ("0x1.407c38b04ab60p+2", "0x1.555714b9cb685p-2"),
+    }
+
+    @pytest.mark.parametrize("horizon, replications, kind", list(PINNED), ids=lambda x: str(x))
+    def test_batched_values_are_pinned(self, horizon, replications, kind):
+        # Batches of 15 at 2,000 slots and of 3 at 100,000, as the sweep and the benchmark run them.
+        stats = evaluate_simulated(*verify_case(kind), horizon, replications, seed=2024)
+        assert (stats.mean_aoi.hex(), stats.mean_cost.hex()) == self.PINNED[horizon, replications, kind]
 
     @pytest.mark.parametrize("horizon", [simulate._NARROW - 1, 2**31 + 3], ids=["int32", "int64"])
     def test_idling_forever_allocates_for_the_steps_it_takes(self, horizon):
