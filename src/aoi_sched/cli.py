@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arq, errors, oracles
-from .exact import evaluate_exact
+from .exact import _evaluate_solved, evaluate_exact
 from .lagrange import search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
     space = out.space
-    res = evaluate_exact(out.policy, model, trunc, space=space)
+    res = _evaluate_solved(out)
     actions = out.policy.table[space.age, space.r].argmax(axis=1)
     if args.out:
         columns = space.age, space.r, out.h_array, out.q_array, _CODES[actions]

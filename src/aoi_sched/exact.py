@@ -4,11 +4,11 @@ The induced chain is watched at its border states (``mdp.BorderChain``):
 the unique closed class reachable from the renewal state (1, 0), index 0 of
 ``StateSpace``, is found on the border, its stationary masses come from
 subtraction-free elimination, and one banded substitution carries them to
-the states off the border.  The distribution is returned as a dense
-``(age, attempts)`` array.  Renewal mixtures combine the component chains by
-expected cycle length, which is exactly what redrawing the active policy at
-every visit to (1, 0) achieves.  The open-loop periodic baseline has a
-closed-form evaluation.
+the states off the border; a solver's output brings the chain of its policy.
+The distribution is returned as a dense ``(age, attempts)`` array.  Renewal
+mixtures combine the component chains by expected cycle length, which is
+exactly what redrawing the active policy at every visit to (1, 0) achieves.
+The open-loop periodic baseline has a closed-form evaluation.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import MultichainError, NoStationaryAoIError
 from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
+from .rvi import SolverOutput
 
 _STATIONARY_RESIDUAL = 1e-10
 _ARQ_TAIL_MASS = 1e-13  # geometric tail that arq_eval_truncation leaves beyond the cap
@@ -78,12 +79,10 @@ def _closed_class(chain: BorderChain) -> np.ndarray:
     return np.flatnonzero(label == found[0])
 
 
-def _evaluate_chain(
-    policy: Policy, model: ChannelModel, trunc: Truncation, space: StateSpace | None
-) -> EvalResult:
-    space, branch, tx = induced_chain(policy, model, trunc, space=space)
+def _evaluate_chain(chain: BorderChain, tx: np.ndarray) -> EvalResult:
+    """Averages of ``chain``, whose state ``i`` transmits with probability ``tx[i]``."""
+    space = chain.space
     n, dst = len(space), space.succ_idx.ravel()
-    chain = BorderChain(space, branch)
     members = _closed_class(chain)
     pi = np.zeros(n)
     pi[space.border[members]] = chain.stationary(members)
@@ -94,14 +93,17 @@ def _evaluate_chain(
             "policy never transmits on its recurrent class; the age diverges"
         )
     pi /= pi.sum()
-    residual = np.abs(np.bincount(dst, (pi[:, None, None] * branch).ravel(), n) - pi).max()
+    residual = np.abs(np.bincount(dst, (pi[:, None, None] * chain.branch).ravel(), n) - pi).max()
     if residual > _STATIONARY_RESIDUAL:
         raise MultichainError(f"stationary solve residual {residual:.3e} too large")
-    stationary = np.zeros((trunc.n_max + 1, space.r_cap + 1))
+    stationary = np.zeros((space.trunc.n_max + 1, space.r_cap + 1))
     stationary[space.age, space.r] = pi
-    return EvalResult(
-        float(pi @ space.delta), float(pi @ tx), stationary, float(pi[space.age == trunc.n_max].sum())
-    )
+    return EvalResult(float(pi @ space.delta), float(pi @ tx), stationary, float(pi[space.age == space.trunc.n_max].sum()))
+
+
+def _evaluate_solved(out: SolverOutput) -> EvalResult:
+    """``evaluate_exact`` of the solver's policy, read off ``out.chain``."""
+    return _evaluate_chain(out.chain, 1.0 - out.policy.table[out.space.age, out.space.r, Action.IDLE])
 
 
 def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResult:
@@ -145,27 +147,32 @@ def evaluate_exact(
     if isinstance(policy, RenewalMixture):
         first = evaluate_exact(policy.first, model, trunc, space=space)
         second = evaluate_exact(policy.second, model, trunc, space=space)
-        w = policy.weight_first
-        if w >= 1.0:
-            return first
-        if w <= 0.0:
-            return second
-        p1 = float(first.stationary[_RENEWAL])
-        p2 = float(second.stationary[_RENEWAL])
-        if p1 <= 0.0 or p2 <= 0.0:
-            raise NoStationaryAoIError(
-                "renewal mixture requires (1, 0) to be recurrent under both components"
-            )
-        # Expected cycle length is 1/pi(1,0); cycles weighted by how often
-        # each component is drawn and how long its cycles run.
-        t1, t2 = 1.0 / p1, 1.0 / p2
-        denom = w * t1 + (1.0 - w) * t2
-        avg_aoi = (w * t1 * first.avg_aoi + (1.0 - w) * t2 * second.avg_aoi) / denom
-        avg_cost = (w * t1 * first.avg_cost + (1.0 - w) * t2 * second.avg_cost) / denom
-        tail_mass = (w * t1 * first.tail_mass + (1.0 - w) * t2 * second.tail_mass) / denom
-        stationary = w * t1 / denom * first.stationary + (1.0 - w) * t2 / denom * second.stationary
-        return EvalResult(avg_aoi, avg_cost, stationary, tail_mass)
-    return _evaluate_chain(policy, model, trunc, space)
+        return _renewal_mix(first, second, policy.weight_first)
+    space, branch, tx = induced_chain(policy, model, trunc, space=space)
+    return _evaluate_chain(BorderChain(space, branch), tx)
+
+
+def _renewal_mix(first: EvalResult, second: EvalResult, w: float) -> EvalResult:
+    """Averages of redrawing at (1, 0) the policy of ``first`` with probability ``w``, else of ``second``."""
+    if w >= 1.0:
+        return first
+    if w <= 0.0:
+        return second
+    p1 = float(first.stationary[_RENEWAL])
+    p2 = float(second.stationary[_RENEWAL])
+    if p1 <= 0.0 or p2 <= 0.0:
+        raise NoStationaryAoIError(
+            "renewal mixture requires (1, 0) to be recurrent under both components"
+        )
+    # Expected cycle length is 1/pi(1,0); cycles weighted by how often
+    # each component is drawn and how long its cycles run.
+    t1, t2 = 1.0 / p1, 1.0 / p2
+    denom = w * t1 + (1.0 - w) * t2
+    avg_aoi = (w * t1 * first.avg_aoi + (1.0 - w) * t2 * second.avg_aoi) / denom
+    avg_cost = (w * t1 * first.avg_cost + (1.0 - w) * t2 * second.avg_cost) / denom
+    tail_mass = (w * t1 * first.tail_mass + (1.0 - w) * t2 * second.tail_mass) / denom
+    stationary = w * t1 / denom * first.stationary + (1.0 - w) * t2 / denom * second.stationary
+    return EvalResult(avg_aoi, avg_cost, stationary, tail_mass)
 
 
 def arq_eval_truncation(p: float, threshold: int) -> Truncation:

@@ -12,9 +12,9 @@ charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
 ``x = (J_hi - J_lo) / (C_lo - C_hi)``, and replaces the endpoint on the
 probe's side of the budget (phase ``"walk"``).  Once the probed policy's line
 is not below the endpoints' at ``x``, no policy lies between them: ``eta* = x``
-and the endpoints are the pair.  Every ``J`` and ``C`` comes from
-``evaluate_exact`` of the probe's policy, not from the solver's gain, so
-the walk and its tie test compare all policies through one evaluator.  A
+and the endpoints are the pair.  Every ``J`` and ``C`` is read off the chain
+the solver built for the probe's policy by ``evaluate_exact``'s stationary
+step, not from its gain: the walk and its tie test use one evaluator.  A
 probe whose cost meets the budget exactly ends the search at once, so the
 full budget ``c_max = 1``, which the uncharged policy meets by sending in
 every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
@@ -22,8 +22,8 @@ idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
 if the budget needs it, the cap is too small and ``TruncationError`` says
 which cap to use.  Each trace row also records the probe's policy
 evaluations and solver residual.  The first probe's solve builds the
-``StateSpace`` of ``(model, trunc)``; every later probe, every evaluation of
-the search and the final evaluation of the mixture run on that one space.
+``StateSpace`` of ``(model, trunc)`` that every later probe and the final
+mix reuse; a renewal mixture only combines the evaluations of its pair.
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -40,12 +40,12 @@ budget, not just its once-drawn expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import arq
 from .errors import BracketingError, EtaSearchError, NoStationaryAoIError, TruncationError
-from .exact import EvalResult, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
+from .exact import EvalResult, _evaluate_solved, _renewal_mix, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
 from .mdp import ChannelModel, State, Truncation
 from .policies import (
     DeterministicTable,
@@ -145,11 +145,12 @@ def search_eta_star(
         out = solve(model, trunc, eta, h0=h, space=space)
         h, space = out.h_array, out.space
         try:
-            res = evaluate_exact(out.policy, model, trunc, space=space)
-            p = _Probe(eta, out, res, res.avg_aoi, res.avg_cost)
+            res = _evaluate_solved(out)
+            aoi, cost = res.avg_aoi, res.avg_cost
         except NoStationaryAoIError:
             # Without transmissions the age climbs to the cap and stays there.
-            p = _Probe(eta, out, None, float(trunc.n_max), 0.0)
+            res, aoi, cost = None, float(trunc.n_max), 0.0
+        p = _Probe(eta, replace(out, chain=None), res, aoi, cost)  # the chain is read: drop it
         trace.append(
             TraceRow(len(trace), eta, p.cost, p.aoi, out.gain, phase, out.iterations, out.residual)
         )
@@ -254,11 +255,12 @@ def solve_constrained(
 
     # Without an exact hit the endpoints' costs differ, so their tables do too.
     diff = table_difference(policy_low, policy_high)
-    if len(diff) == 1:
+    if len(diff) == 1:  # another chain: evaluate it
         mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
-    else:
-        mixed = RenewalMixture(policy_low, policy_high, renewal_mixture_weight(res_low, res_high, c_max))
-    achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
+        achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
+    else:  # the pair's own chains: combine their evaluations
+        w = renewal_mixture_weight(res_low, res_high, c_max)
+        mixed, achieved = RenewalMixture(policy_low, policy_high, w), _renewal_mix(res_low, res_high, w)
     return ConstrainedSolution(
         eta_star,
         policy_low,

@@ -106,10 +106,10 @@ class Truncation:
     r_max: int
 
     def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be at least 2, got {self.n_max}")
-        if self.r_max < 0:
-            raise ValueError(f"r_max must be non-negative, got {self.r_max}")
+        if not isinstance(self.n_max, Integral) or self.n_max < 2:
+            raise ValueError(f"n_max must be an integer of at least 2, got {self.n_max}")
+        if not isinstance(self.r_max, Integral) or self.r_max < 0:
+            raise ValueError(f"r_max must be a non-negative integer, got {self.r_max}")
         if self.r_max >= self.n_max:
             object.__setattr__(self, "r_max", self.n_max - 1)
 
@@ -298,7 +298,7 @@ class StateSpace:
 class BorderChain:
     """A Markov chain on a ``StateSpace``, watched at its visits to the border.
 
-    ``branch`` holds the chain's probability of every successor branch of
+    ``branch`` (kept) holds the chain's probability of every successor branch of
     ``space.succ_idx`` (states × actions × 2): under a policy that plays
     action ``a`` with probability ``p[i, a]`` it is ``p[:, :, None] *
     space.succ_prob``.  The branches are scattered into the blocks below by
@@ -316,7 +316,7 @@ class BorderChain:
     """
 
     def __init__(self, space: StateSpace, branch: np.ndarray):
-        self.space = space
+        self.space, self.branch = space, branch
         nb, m = len(space.border), len(space.ladder)
         self.n_low = n_low = nb - (space.r_cap + 1)  # the cap row closes the border
         plan = space.scatter

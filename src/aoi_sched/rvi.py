@@ -22,7 +22,7 @@ costs more than ``_EPSILON`` above that minimum, so rounding noise below
 and the residual is that largest excess.  The returned policy is greedy on
 the final state-action costs, with costs within a relative ``1e-9`` of the row
 minimum counted as ties and ties broken toward the cheaper action
-(idle < new update < retransmit).
+(idle < new update < retransmit).  The output carries that policy's chain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, MultichainError
-from .mdp import Action, BorderChain, ChannelModel, StateSpace, Truncation
+from .mdp import BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
 
 _EPSILON = 1e-8  # largest excess of a kept action over its row minimum
@@ -48,7 +48,8 @@ class SolverOutput:
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
     in ``StateSpace`` order, the order of ``policy.table[space.age, space.r]``.
     ``space`` is the state space the output was solved on; a caller that
-    goes on to work on the same chain passes it on.  Outputs compare by
+    goes on to work on the same chain passes it on.  ``chain`` is the
+    ``BorderChain`` of ``policy``, dropped once read.  Outputs compare by
     identity, as an array field has no single truth value.
     """
 
@@ -59,28 +60,41 @@ class SolverOutput:
     h_array: np.ndarray = field(repr=False)
     q_array: np.ndarray = field(repr=False)
     space: StateSpace = field(repr=False)
+    chain: BorderChain | None = field(repr=False)
 
 
 def _masked_q(space: StateSpace, h: np.ndarray, eta: float) -> np.ndarray:
-    exp_h = (h[space.succ_idx] * space.succ_prob).sum(axis=2)
-    q = space.delta[:, None] + exp_h
-    q[:, Action.NEW_UPDATE] += eta
-    q[:, Action.RETRANSMIT] += eta
-    q[~space.admissible] = np.inf
+    exp_h = h.take(space.succ_idx) * space.succ_prob
+    q = exp_h[:, :, 0] + exp_h[:, :, 1] + space.delta[:, None]
+    q[:, 1] += eta
+    q[:, 2] += eta
+    np.putmask(q, ~space.admissible, np.inf)
     return q
 
 
-def _evaluate(
-    space: StateSpace, actions: np.ndarray, eta: float
-) -> tuple[float, np.ndarray]:
-    """Gain and differential values (0 at (1, 0), index 0) of the deterministic ``actions``."""
+def _row_min(q: np.ndarray) -> np.ndarray:
+    return np.minimum(np.minimum(q[:, 0], q[:, 1]), q[:, 2])
+
+
+def _first_within(q: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per state, the first action (column of q: idle, new update, retransmit) costing at most ``bound``."""
+    return np.where(q[:, 0] <= bound, 0, np.where(q[:, 1] <= bound, 1, 2))
+
+
+def _chain(space: StateSpace, flat: np.ndarray) -> BorderChain:
+    """The chain of one action per state, at flat positions ``3 i + a``: its branches scattered into zeros."""
+    branch = np.zeros(space.succ_prob.shape)
+    branch.reshape(-1, 2)[flat] = space.succ_prob.reshape(-1, 2).take(flat, axis=0)
+    return BorderChain(space, branch)
+
+
+def _evaluate(space: StateSpace, actions: np.ndarray, eta: float) -> tuple[float, np.ndarray, BorderChain]:
+    """Gain, differential values (0 at (1, 0), index 0) and chain of the deterministic ``actions``."""
     n = len(space)
-    rows = np.arange(n)
-    nxt = space.succ_idx[rows, actions]
-    prob = space.succ_prob[rows, actions]
-    cost = space.delta + eta * (actions != Action.IDLE)
-    one_hot = actions[:, None] == np.arange(len(Action))
-    chain = BorderChain(space, one_hot[:, :, None] * space.succ_prob)
+    flat = 3 * np.arange(n) + actions  # (state, action) in succ_idx.reshape(-1, 2)
+    nxt = space.succ_idx.reshape(-1, 2).take(flat, axis=0)
+    cost = space.delta + eta * (actions != 0)
+    chain = _chain(space, flat)
     solved = chain.values(cost)
     if solved is None:  # (1, 0) is transient, or there are several closed classes
         label = chain.classes[1]
@@ -95,12 +109,13 @@ def _evaluate(
     h[space.border] = h_border
     h[space.ladder] = chain.solve(cost[space.ladder] - g + chain.p_lb @ h_border)
     y = h + g
-    err = np.abs(y + g - (prob * y[nxt]).sum(axis=1) - cost).max()
+    exp_y = chain.branch.reshape(-1, 2).take(flat, axis=0) * y.take(nxt)
+    err = np.abs(y + g - (exp_y[:, 0] + exp_y[:, 1]) - cost).max()
     if not err <= _SOLVE_RTOL * max(1.0, np.abs(y).max()):
         raise MultichainError(
             f"policy evaluation at eta={eta} is inaccurate (residual {err:.3e})"
         )
-    return g, h
+    return g, h, chain
 
 
 def solve(
@@ -132,18 +147,18 @@ def solve(
     if h.shape != (len(space),):
         raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
 
-    rows = np.arange(len(space))
-    actions = np.argmin(_masked_q(space, h, eta), axis=1)
+    rows = 3 * np.arange(len(space))  # flat index of (state, idle) in q
+    q = _masked_q(space, h, eta)
+    actions = _first_within(q, _row_min(q))
     for it in range(1, _MAX_EVALUATIONS + 1):
-        gain, h = _evaluate(space, actions, eta)
+        gain, h, chain = _evaluate(space, actions, eta)
         q = _masked_q(space, h, eta)
-        v = q.min(axis=1)
-        excess = q[rows, actions] - v
+        v = _row_min(q)
+        excess = q.take(rows + actions) - v
         residual = float(excess.max())
         if residual <= _EPSILON:
             break
-        switch = excess > _EPSILON
-        actions[switch] = np.argmin(q[switch], axis=1)
+        actions = np.where(excess > _EPSILON, _first_within(q, v), actions)
     else:
         raise ConvergenceError(
             f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
@@ -151,8 +166,10 @@ def solve(
         )
 
     # First action within the tie tolerance wins: idle < new < retransmit.
-    greedy = np.argmax(q <= (v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))[:, None], axis=1)
-    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q, space)
+    greedy = _first_within(q, v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))
+    if not np.array_equal(greedy, actions):  # an exact tie read off the other way
+        chain = _chain(space, rows + greedy)
+    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q, space, chain)
 
 
 def bellman_residual(out: SolverOutput, model: ChannelModel, trunc: Truncation, eta: float) -> float:
@@ -160,6 +177,5 @@ def bellman_residual(out: SolverOutput, model: ChannelModel, trunc: Truncation, 
     space = out.space
     if not space.fits(model, trunc):
         raise ValueError(f"out was solved on {space.model} under {out.policy.trunc}, not on {model} under {trunc}")
-    q = _masked_q(space, out.h_array, eta)
-    v = q.min(axis=1)
+    v = _row_min(_masked_q(space, out.h_array, eta))
     return float(np.abs(v - out.gain - out.h_array).max())

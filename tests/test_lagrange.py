@@ -2,12 +2,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from aoi_sched import arq, errors, exact, mdp, rvi
+from aoi_sched import arq, errors, exact, lagrange, mdp, rvi
 from aoi_sched.errors import BracketingError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
 from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
-from aoi_sched.policies import RandomizedTable, table_difference
+from aoi_sched.policies import RandomizedTable, RenewalMixture, table_difference
 from aoi_sched.rvi import bellman_residual
 
 import spec
@@ -216,6 +216,58 @@ class TestSolveConstrained:
         sol = solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
         assert sol.search.exact_hit == (c_max == 1.0)
         assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "point, kind, tie",
+        [
+            # The last probe of both HARQ walks, at eta*, reads an exact tie
+            # the other way from the actions the solver evaluated last.
+            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, True),
+            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, True),
+            # ARQ: every read-off plays the actions the solver evaluated last.
+            ((0.5, 1.0, 0, 0.35, 200), RandomizedTable, False),
+            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, False),  # a probe idles forever at the cap
+        ],
+        ids=["renewal", "single-state", "arq", "idle-at-cap"],
+    )
+    def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, tie, monkeypatch):
+        p0, lam, r_max, c_max, n_max = point
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        probes, chains, build = [], [], rvi._chain
+
+        def recorded(out):
+            try:
+                res = exact._evaluate_solved(out)
+            except errors.NoStationaryAoIError:
+                probes.append((out.policy, None))
+                raise
+            probes.append((out.policy, res))
+            return res
+
+        def counted(space, flat):
+            chains.append(flat)
+            return build(space, flat)
+
+        monkeypatch.setattr(lagrange, "_evaluate_solved", recorded)
+        monkeypatch.setattr(rvi, "_chain", counted)
+        sol = solve_constrained(model, trunc, c_max)
+        assert isinstance(sol.mixed, kind) and len(probes) == len(sol.search.trace)
+        # A read-off that breaks a tie the other way builds one chain more than the evaluations.
+        assert (len(chains) > sum(row.iterations for row in sol.search.trace)) == tie
+
+        def digest(res):
+            return res.avg_aoi, res.avg_cost, res.tail_mass, res.stationary.tobytes()
+
+        kept = [(out.policy, res) for out, res in (sol.search.low, sol.search.high)]
+        for policy, res in probes + kept:
+            if res is None:
+                with pytest.raises(errors.NoStationaryAoIError):
+                    evaluate_exact(policy, model, trunc)
+            else:
+                assert digest(res) == digest(evaluate_exact(policy, model, trunc))
+        achieved = evaluate_exact(sol.mixed, model, trunc)
+        assert (sol.achieved_aoi, sol.achieved_cost, sol.tail_mass) == (achieved.avg_aoi, achieved.avg_cost, achieved.tail_mass)
+        assert sol.search.low[0].chain is None and sol.search.high[0].chain is None
 
     def test_harq_beats_arq_at_same_budget(self):
         # Never retransmitting is always available, so allowing combining

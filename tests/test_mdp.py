@@ -76,6 +76,16 @@ class TestErrorProb:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("field, args", [("n_max", (20.5, 3)), ("r_max", (20, 1.5)), ("n_max", (None, 0)), ("n_max", (1, 0)), ("r_max", (20, -1))])
+    def test_caps_must_be_integers_in_range(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            Truncation(*args)
+
+    def test_numpy_integers_are_integers(self):
+        assert Truncation(np.int64(20), np.int32(3)) == Truncation(20, 3)
+
+
 class TestTransitions:
     def test_retransmit_rows(self):
         model = ChannelModel(0.5, 0.5, 3)  # g(1) = 0.25

@@ -253,7 +253,7 @@ def assert_matches_dense_evaluation(model, trunc, actions, eta):
     # matrix's condition number does too, and the plain LU solve alone can
     # be off by more than the tolerance.
     y += np.linalg.solve(M, cost - M @ y)
-    g, h = rvi._evaluate(space, actions, eta)
+    g, h, _ = rvi._evaluate(space, actions, eta)
     scale = max(1.0, np.abs(y).max())
     assert abs(g - y[0]) <= 1e-12 * scale
     assert np.abs(h - (y - y[0])).max() <= 1e-12 * scale
@@ -294,3 +294,56 @@ class TestLadderEvaluation:
         actions = np.array(["inx".index(code) for row in rows for code in row])
         model, trunc = ChannelModel(0.13481381409770551, 0.3672228839983609, 3), Truncation(35, 3)
         assert_matches_dense_evaluation(model, trunc, actions, 0.0)
+
+
+def reduced_q(space, h, eta):
+    """State-action costs by the whole-array reductions that ``rvi._masked_q`` replaces."""
+    q = space.delta[:, None] + (h[space.succ_idx] * space.succ_prob).sum(axis=2)
+    q[:, Action.NEW_UPDATE] += eta
+    q[:, Action.RETRANSMIT] += eta
+    q[~space.admissible] = np.inf
+    return q
+
+
+class TestActionColumns:
+    """The solver's per-action-column forms equal the reductions they replace, bit for bit."""
+
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.sampled_from([0, 1, 3, 40]),
+        n_max=st.integers(2, 60),
+        eta=st.floats(0.0, 100.0),
+        scale=st.sampled_from([1.0, 1e3, 1e9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_axis_reductions(self, p0, lam, r_max, n_max, eta, scale, seed):
+        space = StateSpace(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max))
+        rng = np.random.default_rng(seed)
+        h = scale * rng.standard_normal(len(space))
+        q = rvi._masked_q(space, h, eta)
+        assert q.tobytes() == reduced_q(space, h, eta).tobytes()
+        # Exact ties among the admissible actions: 1 ties new with idle, 2
+        # retransmit with new, 3 all three.
+        tie = rng.integers(0, 4, len(space))
+        q[tie & 1 == 1, 1] = q[tie & 1 == 1, 0]
+        retx = (tie >= 2) & space.admissible[:, Action.RETRANSMIT]
+        q[retx, 2] = q[retx, 1]
+        v = rvi._row_min(q)
+        assert v.tobytes() == q.min(axis=1).tobytes()
+        assert (rvi._first_within(q, v) == np.argmin(q, axis=1)).all()
+        thr = v + rvi._TIE_RTOL * np.maximum(1.0, np.abs(v))
+        assert (rvi._first_within(q, thr) == np.argmax(q <= thr[:, None], axis=1)).all()
+        actions = rvi._first_within(q, v)
+        flat = 3 * np.arange(len(space)) + actions
+        assert q.take(flat).tobytes() == q[np.arange(len(space)), actions].tobytes()
+        one_hot = actions[:, None] == np.arange(len(Action))
+        assert rvi._chain(space, flat).branch.tobytes() == (one_hot[:, :, None] * space.succ_prob).tobytes()
+
+    def test_exact_ties_go_to_idle_then_new_update(self):
+        inf = np.inf
+        q = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [3.0, 2.0, 2.0], [1.0, 1.0, inf], [2.0, 1.0, inf], [5.0, 4.0, 3.0]])
+        v = rvi._row_min(q)
+        assert v.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0]
+        assert rvi._first_within(q, v).tolist() == np.argmin(q, axis=1).tolist() == [0, 1, 0, 1, 0, 1, 2]
