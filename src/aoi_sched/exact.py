@@ -1,10 +1,11 @@
 """Exact long-run averages of a policy via its stationary distribution.
 
 The induced chain is watched at its border states (``mdp.BorderChain``):
-the unique closed class reachable from the renewal state (1, 0), index 0 of
-``StateSpace``, is found on the border, its stationary masses come from
-subtraction-free elimination, and one banded substitution carries them to
-the states off the border; a solver's output brings the chain of its policy.
+those the renewal state (1, 0), index 0 of ``StateSpace``, reaches are its
+recurrent class, unless it ends idling at the age cap, where the age
+diverges.  Their stationary masses come from subtraction-free elimination,
+and one banded substitution carries them to the states off the border; a
+solver's output brings the chain of its policy.
 The distribution is returned as a dense ``(age, attempts)`` array.  Renewal
 mixtures combine the component chains by expected cycle length, which is
 exactly what redrawing the active policy at every visit to (1, 0) achieves.
@@ -66,28 +67,16 @@ def induced_chain(
     return space, probs[:, :, None] * space.succ_prob, tx
 
 
-def _closed_class(chain: BorderChain) -> np.ndarray:
-    """Border positions of the unique closed class reachable from (1, 0), position 0."""
-    reach, label = chain.classes
-    found = np.unique(label[reach[0] & (label >= 0)])
-    if len(found) == 0:
-        raise MultichainError("no closed recurrent class found (empty chain?)")
-    if len(found) > 1:
-        raise MultichainError(
-            f"{len(found)} closed recurrent classes reachable from (1, 0); averages are ambiguous"
-        )
-    return np.flatnonzero(label == found[0])
-
-
 def _evaluate_chain(chain: BorderChain, tx: np.ndarray) -> EvalResult:
     """Averages of ``chain``, whose state ``i`` transmits with probability ``tx[i]``."""
     space = chain.space
     n, dst = len(space), space.succ_idx.ravel()
-    members = _closed_class(chain)
     pi = np.zeros(n)
-    pi[space.border[members]] = chain.stationary(members)
-    # Ladder mass: border mass times the expected ladder visits per border visit.
-    pi[space.ladder] = pi[space.border[: chain.n_low]] @ chain.z
+    masses = chain.stationary(chain.reached)
+    if masses is not None:  # else (1, 0) is transient, and the chain ends idling at (n_max, 0)
+        pi[space.border[chain.reached]] = masses
+        # Ladder mass: border mass times the expected ladder visits per border visit.
+        pi[space.ladder] = pi[space.border[: chain.n_low]] @ chain.z
     if not pi @ tx > 0.0:
         raise NoStationaryAoIError(
             "policy never transmits on its recurrent class; the age diverges"

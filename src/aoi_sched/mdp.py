@@ -339,24 +339,30 @@ class BorderChain:
         return dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0]
 
     @cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(reach, label)`` of the complement's transition graph.
+    def reached(self) -> np.ndarray:
+        """Border positions reachable from (1, 0), position 0, sorted.
 
-        ``reach[i, j]`` says border position ``j`` can follow ``i`` (``i``
-        itself included).  ``label[i]`` is the first position of the closed
-        class holding ``i``, or -1 where ``i`` is transient.  Entries far
-        below rounding still count: a transition the chain cannot make stays
-        exactly 0 in the complement.
+        The closed classes of any policy's chain, randomized or not, are the
+        one holding (1, 0) and ``{(n_max, 0)}`` if the policy idles there
+        surely.  Every state has a successor ``(k, 0)``.  Idling lands on
+        one.  A fresh update succeeds with probability ``1 - g(0) > 0`` and
+        lands on (1, 0); a retransmission after ``r`` attempts succeeds with
+        ``1 - g(r) > 0`` and lands on ``(r + 1, 0)``.  So a closed class
+        holds some ``(k, 0)``, and (1, 0) if it sends fresh updates.  One
+        that does not idles at ``(k, 0)``, where retransmitting is
+        inadmissible, and so climbs to ``(n_max, 0)``, which idling keeps.
+        These positions are therefore the recurrent class, or (1, 0) is
+        transient and they hold ``(n_max, 0)``.  A transition the chain
+        cannot make stays exactly 0 in the complement.
         """
-        reach = (self.complement > 0.0) | np.eye(len(self.complement), dtype=bool)
-        while True:  # transitive closure by squaring
-            step = reach.astype(np.float32)
-            wider = (step @ step) > 0.0
-            if (wider == reach).all():
-                break
-            reach = wider
-        closed = ~(reach & ~reach.T).any(axis=1)  # everything it reaches leads back
-        return reach, np.where(closed, np.argmax(reach, axis=1), -1)
+        rows = (self.complement > 0.0).tolist()  # a few states: lists beat numpy calls
+        seen, todo = [True] + [False] * (len(rows) - 1), [0]
+        for i in todo:  # breadth first; todo grows as it is read
+            for j, edge in enumerate(rows[i]):
+                if edge and not seen[j]:
+                    seen[j] = True
+                    todo.append(j)
+        return np.flatnonzero(seen)
 
     def _reduce(self, order: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eliminate the border positions ``order[1:]``, last first, without subtractions.
@@ -386,11 +392,14 @@ class BorderChain:
             w[:k, : r + k] += col[:, None] * row
         return w, out
 
-    def stationary(self, members: np.ndarray) -> np.ndarray:
-        """Stationary masses of the complement on its closed class ``members``, 1 at ``members[0]``."""
+    def stationary(self, members: np.ndarray) -> np.ndarray | None:
+        """Stationary masses of the complement on ``members``, which no transition
+        leaves, 1 at ``members[0]``; None when some member cannot reach it."""
         if len(members) == 1:
             return np.ones(1)
-        w, _ = self._reduce(members, np.empty((len(members), 0)))
+        w, out = self._reduce(members, np.empty((len(members), 0)))
+        if not (out[1:] > 0.0).all():
+            return None
         # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
         pi = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
         return np.concatenate([[1.0], pi])
@@ -403,8 +412,8 @@ class BorderChain:
         ``cost[b] + z[b] @ cost_L`` until the next one.  The values solve
         ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``, with
         position ``anchor`` eliminated last.  None when some position cannot
-        reach ``anchor``: then ``anchor`` is transient or the chain has
-        several closed classes.
+        reach ``anchor``; at anchor 0, by ``reached``, exactly when the
+        policy idles surely at ``(n_max, 0)``, position ``n_low``.
         """
         space = self.space
         nb = len(space.border)

@@ -13,8 +13,9 @@ renewal state (1, 0), index 0 of ``StateSpace``.  Every slot raises the age
 by one or lands on one of the few border states (``mdp.BorderChain``), so
 the rest of the chain is eliminated by one banded substitution, the border
 system is solved by subtraction-free elimination, and one more banded
-substitution returns the values off the border.  A policy with more than
-one closed class has no such solution and raises ``MultichainError``.
+substitution returns the values off the border.  A policy that idles
+surely at ``(n_max, 0)`` is eliminated towards that state instead; if (1, 0)
+is recurrent too, it has two closed classes and raises ``MultichainError``.
 
 A state switches to its first cheapest action only when its current action
 costs more than ``_EPSILON`` above that minimum, so rounding noise below
@@ -96,14 +97,12 @@ def _evaluate(space: StateSpace, actions: np.ndarray, eta: float) -> tuple[float
     cost = space.delta + eta * (actions != 0)
     chain = _chain(space, flat)
     solved = chain.values(cost)
-    if solved is None:  # (1, 0) is transient, or there are several closed classes
-        label = chain.classes[1]
-        closed = np.unique(label[label >= 0])
-        if len(closed) > 1:
-            raise MultichainError(
-                f"policy evaluation at eta={eta} is singular: the policy has {len(closed)} closed classes"
-            )
-        solved = chain.values(cost, closed[0])
+    if solved is None:  # the policy idles surely at (n_max, 0), position n_low
+        solved = chain.values(cost, chain.n_low)
+    if solved is None:  # and (1, 0) is recurrent (BorderChain.reached)
+        raise MultichainError(
+            f"policy evaluation at eta={eta} is singular: the policy idles surely at ({space.trunc.n_max}, 0), which (1, 0) cannot reach"
+        )
     g, h_border = solved
     h = np.empty(n)
     h[space.border] = h_border

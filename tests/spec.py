@@ -4,12 +4,14 @@ The package states the slot rule once, as the ``mdp.slot_outcomes`` table,
 and each policy once, as its ``table``.  The functions here state the same
 rules state by state, written from ``ChannelModel.error_prob`` and the
 policies' own parameters, and read nothing of ``slot_outcomes``,
-``StateSpace`` or a threshold policy's ``table``.
+``StateSpace`` or a threshold policy's ``table``.  ``closed_classes``
+classifies a dense chain built from them.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from aoi_sched.mdp import Action, ChannelModel, State, Truncation
 from aoi_sched.policies import ThresholdPolicy, clamped_rows
@@ -95,3 +97,10 @@ def probs(policy, s: State) -> dict[Action, float]:
 def actions(policy) -> dict[State, Action]:
     """The action of every state of a ``DeterministicTable``, in ``StateSpace`` order."""
     return {State(d, r): Action(a) for d, r, a in zip(*(x.tolist() for x in np.nonzero(policy.table)))}
+
+
+def closed_classes(P) -> list[np.ndarray]:
+    """The closed classes of the dense transition matrix ``P``, each as sorted state indices."""
+    n_comp, labels = connected_components(P > 0.0, directed=True, connection="strong")
+    leaving = np.bincount(labels, np.where(labels[:, None] != labels[None, :], P, 0.0).sum(axis=1), n_comp)
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(leaving == 0.0)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import breadth_first_order
 
 from aoi_sched import arq
@@ -313,7 +314,7 @@ def dense_stationary(policy, model, trunc):
     """Stationary masses in ``StateSpace`` order by one dense solve over the states reachable from (1, 0)."""
     space = StateSpace(model, trunc)
     P, _ = reference_chain(policy, model, trunc)
-    reach = np.sort(breadth_first_order(P, 0, directed=True, return_predecessors=False))
+    reach = np.sort(breadth_first_order(P > 0.0, 0, directed=True, return_predecessors=False))
     A = P[np.ix_(reach, reach)].T - np.eye(len(reach))
     A[-1, :] = 1.0
     b = np.zeros(len(reach))
@@ -336,10 +337,10 @@ def gth_stationary(P):
 
 
 class TestStationarySolve:
-    def assert_matches_dense(self, policy, model, trunc):
+    def assert_matches_dense(self, policy, model, trunc, rtol=1e-12):
         space, pi = dense_stationary(policy, model, trunc)
         res = evaluate_exact(policy, model, trunc)
-        np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=rtol, atol=1e-15)
         assert res.avg_aoi == pytest.approx(pi @ space.delta, rel=1e-13)
         assert res.avg_cost == pytest.approx(pi @ induced_chain(policy, model, trunc)[2], rel=1e-13)
         return space, res
@@ -351,6 +352,47 @@ class TestStationarySolve:
         p0, lam, r_max, n_max, eta = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
         self.assert_matches_dense(solve(model, trunc, eta).policy, model, trunc)
+
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.sampled_from([0, 1, 3, 40]),
+        n_max=st.integers(2, 24),
+        sure=st.booleans(),
+        idle_at_cap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # r_max = 0, recurrent and transient; r_cap = n_max - 1 with two closed
+    # classes; a randomized table whose (1, 0) is transient.
+    @example(p0=0.5, lam=1.0, r_max=0, n_max=12, sure=False, idle_at_cap=False, seed=0)
+    @example(p0=0.5, lam=1.0, r_max=0, n_max=12, sure=True, idle_at_cap=True, seed=0)
+    @example(p0=0.5, lam=0.5, r_max=40, n_max=8, sure=True, idle_at_cap=True, seed=6)
+    @example(p0=0.5, lam=0.5, r_max=3, n_max=10, sure=False, idle_at_cap=True, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables_match_the_dense_solve(self, p0, lam, r_max, n_max, sure, idle_at_cap, seed):
+        # Every closed class holds (1, 0) or is {(n_max, 0)} (BorderChain.reached),
+        # and the age diverges exactly when (1, 0) is transient.  r_max = 40
+        # caps the attempts at n_max - 1.
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        space = StateSpace(model, trunc)
+        weights = np.random.default_rng(seed).random(space.admissible.shape) * space.admissible
+        if sure:
+            weights = (weights == weights.max(axis=1, keepdims=True)).astype(float)
+        cap = space.off[n_max]  # index of (n_max, 0)
+        if idle_at_cap:
+            weights[cap] = (1.0, 0.0, 0.0)
+        table = np.zeros((n_max + 1, space.r_cap + 1, len(Action)))
+        table[space.age, space.r] = weights / weights.sum(axis=1, keepdims=True)
+        policy = RandomizedTable(table, Truncation(n_max, space.r_cap))
+        closed = spec.closed_classes(reference_chain(policy, model, trunc)[0])
+        assert all(members[0] == 0 or list(members) == [cap] for members in closed)
+        if any(members[0] == 0 for members in closed):
+            # The dense LU solve is good to about rounding times the chain's
+            # condition number, which random tables take into the thousands.
+            self.assert_matches_dense(policy, model, trunc, rtol=1e-10)
+        else:
+            with pytest.raises(NoStationaryAoIError, match="never transmits on its recurrent class"):
+                evaluate_exact(policy, model, trunc)
 
     def test_arq_randomized_table_merges_idle_and_failed_new(self):
         model, trunc = ChannelModel(0.3, 1.0, 0), Truncation(30, 0)

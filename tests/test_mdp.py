@@ -13,9 +13,9 @@ from scipy.linalg import lapack as scipy_lapack
 
 from aoi_sched import _lapack, mdp, rvi
 from aoi_sched.errors import InadmissibleQueryError, NoStationaryAoIError
-from aoi_sched.exact import evaluate_exact
+from aoi_sched.exact import evaluate_exact, induced_chain
 from aoi_sched.mdp import Action, ChannelModel, State, StateSpace, Truncation, effective_r_max, enumerate_states
-from aoi_sched.policies import RandomizedTable
+from aoi_sched.policies import DeterministicTable, RandomizedTable
 
 from spec import InadmissibleActionError, admissible_actions, transitions
 
@@ -325,6 +325,27 @@ class TestBorderChain:
         # BorderChain.__init__ solves with the transpose of the same band.
         x, _ = _lapack.dtbtrs(chain.ab, rhs, uplo="U", trans="T", diag="U")
         np.testing.assert_allclose(x, np.linalg.solve(I_LL.T, rhs), rtol=1e-12)
+
+    def test_reached_leaves_out_the_border_states_no_slot_enters(self):
+        # Fresh updates everywhere: no slot enters (2, 0), (3, 0) or (40, 0),
+        # and with no retransmission the attempts never pass 1.
+        trunc = Truncation(40, 3)
+        policy = DeterministicTable({s: Action.NEW_UPDATE for s in enumerate_states(trunc)}, trunc)
+        space, branch, _ = induced_chain(policy, ChannelModel(0.5, 0.5, 3), trunc)
+        chain = mdp.BorderChain(space, branch)
+        reached = space.border[chain.reached]
+        assert list(zip(space.age[reached], space.r[reached])) == [(1, 0), (40, 1)]
+        assert chain.stationary(chain.reached) is not None
+
+    def test_stationary_is_none_when_the_renewal_state_is_transient(self):
+        # Transmit below age 3, idle above: after one failure the chain climbs
+        # to (50, 0) and idles there for good.
+        trunc = Truncation(50, 0)
+        acts = {s: (Action.NEW_UPDATE if s.delta < 3 else Action.IDLE) for s in enumerate_states(trunc)}
+        space, branch, _ = induced_chain(DeterministicTable(acts, trunc), ChannelModel(0.5, 1.0, 0), trunc)
+        chain = mdp.BorderChain(space, branch)
+        assert list(chain.reached) == [0, chain.n_low]
+        assert chain.stationary(chain.reached) is None
 
 
 def random_table(space, seed):
