@@ -19,6 +19,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def is_12g(cell):
+    """A result cell as the CLI writes it: ``%.12g`` of a float."""
+    return cell == f"{float(cell):.12g}"
+
+
 def test_arq_json(capsys):
     assert main(["arq", "--p", "0.5", "--cmax", "0.35"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -48,6 +53,8 @@ def test_solve_writes_tables(tmp_path, capsys):
     assert rows[0] == ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"]
     assert len(rows) == 81
     assert rows[1][-1] == "i"
+    # Values as 12 digits; an ARQ link has no retransmission to value.
+    assert all(row[5] == "" and all(is_12g(cell) for cell in row[2:5]) for row in rows[1:])
 
 
 def test_solve_unconstrained_never_idles(tmp_path, capsys):
@@ -77,6 +84,14 @@ def test_search_eta_trace(tmp_path, capsys):
     assert len(rows) > 2
     assert summary["solver_iterations"] == sum(int(row[6]) for row in rows[1:])
     assert all(int(row[6]) >= 1 and float(row[7]) <= 1e-8 for row in rows[1:])
+    # Results as 12 digits, the residual as 6.
+    result = lagrange.search_eta_star(ChannelModel(0.5, 1.0, 0), Truncation(150, 0), 0.35)
+    assert any(row.residual > 0 for row in result.trace)
+    assert rows[1:] == [
+        [str(row.step), f"{row.eta:.12g}", f"{row.avg_cost:.12g}", f"{row.avg_aoi:.12g}", f"{row.gain:.12g}",
+         row.phase, str(row.iterations), f"{row.residual:.6g}"]
+        for row in result.trace
+    ]
 
 
 def test_simulate_stats_and_trace(tmp_path, capsys):
@@ -202,7 +217,7 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
 def test_sweep_reproducible_bit_for_bit(tmp_path, capsys):
     args = [
         "sweep", "--p0", "0.5", "--lam", "1.0", "--rmax", "0",
-        "--cmax", "0.3", "--protocols", "arq", "baseline",
+        "--cmax", "0.3", "--protocols", "arq", "harq", "baseline",
         "--horizon", "800", "--reps", "2", "--nmax", "60", "--seed", "5",
     ]
     paths = [tmp_path / f"s{k}.csv" for k in range(3)]
@@ -231,6 +246,31 @@ def test_sweep_failed_point_writes_error_row_and_fails(monkeypatch, tmp_path, ca
     assert rows[1][-1] == "BracketingError: no bracket"
     assert rows[2][-1] == "" and rows[2][7] != ""
     assert "1 failed" in capsys.readouterr().err
+
+
+def test_sweep_cells(capsys):
+    # The ARQ and baseline rows are closed forms; a cell is empty where a point has no value.
+    assert main([
+        "sweep", "--p0", "0.5", "--lam", "0.5", "--rmax", "3", "--cmax", "0.01", "0.3",
+        "--protocols", "arq", "harq", "baseline", "--horizon", "0", "--nmax", "60",
+    ]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.split("\r\n")
+    assert lines[:5] + lines[6:] == [
+        "schema,protocol,p0,lam,r_max,c_max,eta_star,exact_aoi,exact_cost,sim_mean_aoi,sim_var_aoi,sim_mean_cost,error",
+        "aoi-sweep-1,arq,0.5,0.5,3,0.01,,100.505,0.01,,,,",
+        "aoi-sweep-1,harq,0.5,0.5,3,0.01,,,,,,,TruncationError: age cap n_max=60 is too small for budget 0.01: "
+        "meeting it needs the policy that idles forever at the cap; use about n_max=245",
+        "aoi-sweep-1,baseline,0.5,0.5,3,0.01,,150.5,0.01,,,,",
+        "aoi-sweep-1,arq,0.5,0.5,3,0.3,,4,0.3,,,,",
+        "aoi-sweep-1,baseline,0.5,0.5,3,0.3,,6.5,0.25,,,,",
+        "",
+    ]
+    harq = lines[5].split(",")
+    assert harq[:6] == ["aoi-sweep-1", "harq", "0.5", "0.5", "3", "0.3"] and harq[9:] == ["", "", "", ""]
+    sol = lagrange.solve_constrained(ChannelModel(0.5, 0.5, 3), Truncation(60, 3), 0.3)
+    assert harq[6:9] == [f"{value:.12g}" for value in (sol.eta_star, sol.achieved_aoi, sol.achieved_cost)]
+    assert captured.err == "# sweep: 6 points, 1 failed\n"
 
 
 def test_sweep_programming_error_propagates(monkeypatch, tmp_path):

@@ -61,6 +61,7 @@ def test_a_flag_given_to_a_script_overrides_its_own_setting(tmp_path, monkeypatc
     assert json.loads(capsys.readouterr().out)["steps"] == 50
     rows = [line.split(",") for line in qtable.read_text().splitlines()[1:]]
     assert len(rows) == 100 and {row[1] for row in rows} == {"0"}
+    assert all(row[4] == "" and f"{float(row[2]):.12g}" == row[2] for row in rows)
 
 
 @pytest.mark.parametrize("name, command", [("budget_sweep.py", "sweep"), ("learning_curves.py", "learn")])
@@ -69,3 +70,24 @@ def test_help_starts_with_the_script_docstring(name, command, monkeypatch, capsy
     assert run_script(name, "--help", monkeypatch=monkeypatch) == 0
     out = capsys.readouterr().out
     assert out.startswith(doc) and f"usage: aoi-sched {command}" in out[len(doc):]
+
+
+def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
+    monkeypatch.setenv("AOI_SCHED_OUTDIR", "")  # the script points it at its directory
+    assert run_script("cli_outputs.py", str(tmp_path), monkeypatch=monkeypatch) == 0
+    commands = [
+        "arq", "arq-long-budget", "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn",
+        "learn-harq", "learn-steps0", "search-eta", "simulate-optimal", "simulate-periodic", "solve-arq",
+        "solve-error", "solve-harq", "sweep-failing", "sweep-stdout",
+    ]
+    csvs = [
+        "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn-harq-qtable", "learn-qtable",
+        "learn-steps0-timeline", "learn-timeline", "search-eta-trace", "simulate-optimal", "simulate-optimal-trace",
+        "simulate-periodic", "solve-arq", "solve-harq", "sweep-failing",
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [f"{name}.{kind}" for name in commands for kind in ("exit", "stderr", "stdout")] + [f"{name}.csv" for name in csvs]
+    )
+    exits = {name: (tmp_path / f"{name}.exit").read_text() for name in commands}
+    assert exits == {name: "1\n" if name in ("solve-error", "sweep-failing") else "0\n" for name in commands}
+    assert (tmp_path / "sweep-stdout.stdout").read_text().startswith("schema,protocol,")
