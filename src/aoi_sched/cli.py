@@ -9,6 +9,7 @@ $AOI_SCHED_OUTDIR when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -33,6 +34,7 @@ from .simulate import baseline_periodic, evaluate_simulated, run
 STATS_SCHEMA = "aoi-stats-1"
 SWEEP_SCHEMA = "aoi-sweep-1"
 _CODES = np.array([a.code for a in Action])  # CSV code of each action value
+_Q_HEADER = ("q_idle", "q_new", "q_retx")  # a table's value of each action
 
 
 def _outpath(name: str | None) -> Path | None:
@@ -46,11 +48,23 @@ def _outpath(name: str | None) -> Path | None:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_table(name: str | None, columns: dict) -> None:
+    """Write ``columns``, a header name to the column's values, as CSV to file
+    ``name``, or to stdout when it is None.  A float array is written as
+    ``%.12g``, with an empty cell where a value is not finite: NaN where a point
+    has no value, inf or NaN at an inadmissible action.  Any other column is
+    written as given."""
+    cells = [
+        [f"{v:.12g}" if math.isfinite(v) else "" for v in col.tolist()]
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        else col
+        for col in columns.values()
+    ]
+    path = _outpath(name)
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def _count(low: int):
@@ -125,33 +139,6 @@ def _model_from(args) -> tuple[ChannelModel, Truncation]:
     return model, trunc
 
 
-def _stats_row(policy_id, p0, lam, r_max, c_max, stats):
-    return [
-        STATS_SCHEMA,
-        policy_id,
-        p0,
-        lam,
-        r_max,
-        c_max,
-        f"{stats.mean_aoi:.12g}",
-        f"{stats.var_aoi:.12g}",
-        f"{stats.mean_cost:.12g}",
-    ]
-
-
-STATS_HEADER = [
-    "schema",
-    "policy",
-    "p0",
-    "lam",
-    "r_max",
-    "c_max",
-    "mean_aoi",
-    "var_aoi",
-    "mean_cost",
-]
-
-
 def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
@@ -159,12 +146,8 @@ def cmd_solve(args) -> int:
     res = _evaluate_solved(out)
     actions = out.policy.table[space.age, space.r].argmax(axis=1)
     if args.out:
-        columns = space.age, space.r, out.h_array, out.q_array, _CODES[actions]
-        rows = [
-            [delta, r, f"{h:.12g}", *(f"{v:.12g}" if math.isfinite(v) else "" for v in q), code]
-            for delta, r, h, q, code in zip(*(x.tolist() for x in columns))
-        ]
-        _write_csv(_outpath(args.out), ["delta", "r", "h", "q_idle", "q_new", "q_retx", "action"], rows)
+        q = dict(zip(_Q_HEADER, out.q_array.T))
+        _write_table(args.out, {"delta": space.age, "r": space.r, "h": out.h_array, **q, "action": _CODES[actions]})
     summary = {
         "eta": args.eta,
         "gain": out.gain,
@@ -195,9 +178,7 @@ def cmd_arq(args) -> int:
         "avg_aoi": rt.avg_aoi,
     }
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(record.keys())
-        writer.writerow(record.values())
+        _write_table(None, {key: [value] for key, value in record.items()})
     else:
         print(json.dumps(record, indent=2))
     return 0
@@ -207,22 +188,17 @@ def cmd_search_eta(args) -> int:
     model, trunc = _model_from(args)
     result = search_eta_star(model, trunc, args.cmax)
     if args.trace_out:
-        _write_csv(
-            _outpath(args.trace_out),
-            ["step", "eta", "avg_cost", "avg_aoi", "gain", "phase", "iterations", "residual"],
-            [
-                [
-                    row.step,
-                    f"{row.eta:.12g}",
-                    f"{row.avg_cost:.12g}",
-                    f"{row.avg_aoi:.12g}",
-                    f"{row.gain:.12g}",
-                    row.phase,
-                    row.iterations,
-                    f"{row.residual:.6g}",
-                ]
-                for row in result.trace
-            ],
+        trace = result.trace
+        results = {key: np.array([getattr(row, key) for row in trace]) for key in ("eta", "avg_cost", "avg_aoi", "gain")}
+        _write_table(
+            args.trace_out,
+            {
+                "step": [row.step for row in trace],
+                **results,
+                "phase": [row.phase for row in trace],
+                "iterations": [row.iterations for row in trace],
+                "residual": [f"{row.residual:.6g}" for row in trace],
+            },
         )
     print(
         json.dumps(
@@ -261,29 +237,20 @@ def cmd_simulate(args) -> int:
         rep0 = np.random.default_rng([args.seed, 0])
         _, trace = run(policy, model, min(args.horizon, args.trace_slots), rep0, collect_trace=True)
         success = np.where(trace.action == Action.IDLE, "", np.where(trace.delivered, "1", "0"))
-        columns = np.arange(1, len(success) + 1), trace.delta, trace.r, _CODES[trace.action], success
-        rows = zip(*(x.tolist() for x in columns))
-        _write_csv(_outpath(args.trace_out), ["t", "delta", "r", "action", "success"], rows)
+        columns = {"t": np.arange(1, len(success) + 1), "delta": trace.delta, "r": trace.r}
+        _write_table(args.trace_out, columns | {"action": _CODES[trace.action], "success": success})
+    record = {
+        "policy": policy.describe(),
+        "mean_aoi": stats.mean_aoi,
+        "var_aoi": stats.var_aoi,
+        "mean_cost": stats.mean_cost,
+    }
     if args.out:
-        _write_csv(
-            _outpath(args.out),
-            STATS_HEADER,
-            [_stats_row(policy.describe(), model.p0, model.lam, model.r_max, args.cmax, stats)],
-        )
-    print(
-        json.dumps(
-            {
-                "policy": policy.describe(),
-                "mean_aoi": stats.mean_aoi,
-                "var_aoi": stats.var_aoi,
-                "mean_cost": stats.mean_cost,
-                "var_cost": stats.var_cost,
-                "horizon": args.horizon,
-                "replications": args.reps,
-            },
-            indent=2,
-        )
-    )
+        inputs = [STATS_SCHEMA, record["policy"], model.p0, model.lam, model.r_max, args.cmax]
+        columns = {key: [value] for key, value in zip(("schema", "policy", "p0", "lam", "r_max", "c_max"), inputs)}
+        _write_table(args.out, columns | {key: np.array([value]) for key, value in record.items() if key != "policy"})
+    record |= {"var_cost": stats.var_cost, "horizon": args.horizon, "replications": args.reps}
+    print(json.dumps(record, indent=2))
     return 0
 
 
@@ -300,32 +267,31 @@ def cmd_learn(args) -> int:
     # The timeline's steps: at most --timeline-points, ending at the last step.
     stride = max(1, math.ceil(args.steps / args.timeline_points))
     idx = [*range(stride - 1, args.steps - 1, stride), args.steps - 1] if args.steps else []
-    aoi, cost, etas, gains = (np.zeros((args.reps, len(idx))) for _ in range(4))
+    # One row per timeline point, one column per replication: each mean reduces a contiguous row.
+    aoi, cost, etas, gains = (np.zeros((len(idx), args.reps)) for _ in range(4))
     for rep in range(args.reps):
         ls, tl = train(model, LearnerConfig(seed=args.seed + rep, **cfg_common))
-        aoi[rep], cost[rep] = tl.running_aoi[idx], tl.running_cost[idx]
-        etas[rep], gains[rep] = tl.eta[idx], tl.gain[idx]
+        aoi[:, rep], cost[:, rep] = tl.running_aoi[idx], tl.running_cost[idx]
+        etas[:, rep], gains[:, rep] = tl.eta[idx], tl.gain[idx]
         if rep == 0:
             final_state = ls
 
     if args.timeline_out:
-        _write_csv(
-            _outpath(args.timeline_out),
-            ["n", "mean_running_aoi", "var_running_aoi", "mean_running_cost", "mean_eta", "mean_gain"],
-            [
-                [k + 1, f"{aoi[:, m].mean():.12g}",
-                 f"{(aoi[:, m].var(ddof=1) if args.reps > 1 else 0.0):.12g}",
-                 f"{cost[:, m].mean():.12g}", f"{etas[:, m].mean():.12g}", f"{gains[:, m].mean():.12g}"]
-                for m, k in enumerate(idx)
-            ],
+        _write_table(
+            args.timeline_out,
+            {
+                "n": [k + 1 for k in idx],
+                "mean_running_aoi": aoi.mean(axis=1),
+                "var_running_aoi": aoi.var(axis=1, ddof=1) if args.reps > 1 else np.zeros(len(idx)),
+                "mean_running_cost": cost.mean(axis=1),
+                "mean_eta": etas.mean(axis=1),
+                "mean_gain": gains.mean(axis=1),
+            },
         )
     if args.qtable_out:
         space = final_state.space
-        rows = [
-            [delta, r, *(f"{v:.12g}" if ok else "" for v, ok in zip(q, adm))]
-            for delta, r, q, adm in zip(space.age.tolist(), space.r.tolist(), final_state.q, space.admissible)
-        ]
-        _write_csv(_outpath(args.qtable_out), ["delta", "r", "q_idle", "q_new", "q_retx"], rows)
+        q = dict(zip(_Q_HEADER, np.where(space.admissible, final_state.q, np.nan).T))
+        _write_table(args.qtable_out, {"delta": space.age, "r": space.r, **q})
     if args.steps == 0:
         print(json.dumps({"replications": args.reps, "steps": 0}))
         return 0
@@ -333,8 +299,8 @@ def cmd_learn(args) -> int:
     summary = {
         "replications": args.reps,
         "steps": args.steps,
-        "final_mean_running_aoi": float(aoi[:, -1].mean()),
-        "final_mean_running_cost": float(cost[:, -1].mean()),
+        "final_mean_running_aoi": float(aoi[-1].mean()),
+        "final_mean_running_cost": float(cost[-1].mean()),
     }
     if args.compare_rvi:
         sol = solve_constrained(model, trunc, args.cmax)
@@ -358,8 +324,14 @@ _NAMED_ERRORS = (
 _POINT_ERRORS = (ValueError, *_NAMED_ERRORS)
 
 
-def _sweep_point(task):
+SWEEP_RESULTS = ("eta_star", "exact_aoi", "exact_cost", "sim_mean_aoi", "sim_var_aoi", "sim_mean_cost")
+SWEEP_HEADER = ["schema", "protocol", "p0", "lam", "r_max", "c_max", *SWEEP_RESULTS, "error"]
+
+
+def _sweep_point(task) -> tuple[tuple[float, ...], str]:
+    """The ``SWEEP_RESULTS`` of one grid point, NaN where it has none, and its error text ("" if none)."""
     protocol, p0, lam, r_max, c_max, n_max, horizon, reps, seed = task
+    eta_star = sim_aoi = sim_var = sim_cost = math.nan
     try:
         if protocol == "arq":
             model = ChannelModel(p0, 1.0, 0)
@@ -367,38 +339,25 @@ def _sweep_point(task):
             rt = arq.optimal_policy(p0, c_max)
             policy = rt.policy()
             exact_aoi, exact_cost = rt.avg_aoi, rt.avg_cost
-            eta_star = ""
         elif protocol == "harq":
             model = ChannelModel(p0, lam, r_max)
             trunc = Truncation(n_max, r_max)
             sol = solve_constrained(model, trunc, c_max)
             policy = sol.mixed
             exact_aoi, exact_cost = sol.achieved_aoi, sol.achieved_cost
-            eta_star = f"{sol.eta_star:.12g}"
+            eta_star = sol.eta_star
         else:  # baseline; the flag admits no other protocol
             model = ChannelModel(p0, lam, r_max)
             trunc = Truncation(n_max, r_max)
             policy = baseline_periodic(c_max)
             res = evaluate_exact(policy, model, trunc)
             exact_aoi, exact_cost = res.avg_aoi, res.avg_cost
-            eta_star = ""
         if horizon > 0:
             stats = evaluate_simulated(policy, model, horizon, reps, seed)
-            sim = [f"{stats.mean_aoi:.12g}", f"{stats.var_aoi:.12g}", f"{stats.mean_cost:.12g}"]
-        else:
-            sim = ["", "", ""]
-        return [
-            SWEEP_SCHEMA, protocol, p0, lam, r_max, c_max, eta_star,
-            f"{exact_aoi:.12g}", f"{exact_cost:.12g}", *sim, "",
-        ]
+            sim_aoi, sim_var, sim_cost = stats.mean_aoi, stats.var_aoi, stats.mean_cost
     except _POINT_ERRORS as exc:  # per-point failures become rows, the sweep continues
-        return [SWEEP_SCHEMA, protocol, p0, lam, r_max, c_max, "", "", "", "", "", "", f"{type(exc).__name__}: {exc}"]
-
-
-SWEEP_HEADER = [
-    "schema", "protocol", "p0", "lam", "r_max", "c_max", "eta_star",
-    "exact_aoi", "exact_cost", "sim_mean_aoi", "sim_var_aoi", "sim_mean_cost", "error",
-]
+        return (math.nan,) * len(SWEEP_RESULTS), f"{type(exc).__name__}: {exc}"
+    return (eta_star, exact_aoi, exact_cost, sim_aoi, sim_var, sim_cost), ""
 
 
 def cmd_sweep(args) -> int:
@@ -412,19 +371,16 @@ def cmd_sweep(args) -> int:
     ]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+            points = list(pool.map(_sweep_point, tasks))
     else:
-        rows = [_sweep_point(t) for t in tasks]
+        points = [_sweep_point(t) for t in tasks]
 
-    out = _outpath(args.out)
-    if out:
-        _write_csv(out, SWEEP_HEADER, rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
-    failures = sum(1 for r in rows if r[-1])
-    print(f"# sweep: {len(rows)} points, {failures} failed", file=sys.stderr)
+    values, messages = zip(*points)
+    inputs = dict(zip(SWEEP_HEADER[1:6], zip(*tasks)))  # a task starts with the protocol and the grid values
+    results = dict(zip(SWEEP_RESULTS, np.array(values).T))
+    _write_table(args.out, {"schema": [SWEEP_SCHEMA] * len(tasks), **inputs, **results, "error": messages})
+    failures = sum(1 for message in messages if message)
+    print(f"# sweep: {len(tasks)} points, {failures} failed", file=sys.stderr)
     return 1 if failures else 0
 
 

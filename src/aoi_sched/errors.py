@@ -30,7 +30,10 @@ class TruncationError(NoStationaryAoIError):
 
 
 class MultichainError(RuntimeError):
-    """The induced chain has more than one closed recurrent class."""
+    """A policy's chain could not be evaluated, for one of two faults, which the
+    message names: the chain has two closed recurrent classes (the policy idles
+    surely at (n_max, 0) while (1, 0) is recurrent too), or an evaluation of a
+    chain with one closed class left a residual above its accuracy bound."""
 
 
 class BracketingError(RuntimeError):

@@ -101,7 +101,8 @@ def _evaluate(space: StateSpace, actions: np.ndarray, eta: float) -> tuple[float
         solved = chain.values(cost, chain.n_low)
     if solved is None:  # and (1, 0) is recurrent (BorderChain.reached)
         raise MultichainError(
-            f"policy evaluation at eta={eta} is singular: the policy idles surely at ({space.trunc.n_max}, 0), which (1, 0) cannot reach"
+            f"policy evaluation at eta={eta} is singular, two closed classes: "
+            f"the policy idles surely at ({space.trunc.n_max}, 0), which (1, 0) cannot reach"
         )
     g, h_border = solved
     h = np.empty(n)
@@ -110,10 +111,9 @@ def _evaluate(space: StateSpace, actions: np.ndarray, eta: float) -> tuple[float
     y = h + g
     exp_y = chain.branch.reshape(-1, 2).take(flat, axis=0) * y.take(nxt)
     err = np.abs(y + g - (exp_y[:, 0] + exp_y[:, 1]) - cost).max()
-    if not err <= _SOLVE_RTOL * max(1.0, np.abs(y).max()):
-        raise MultichainError(
-            f"policy evaluation at eta={eta} is inaccurate (residual {err:.3e})"
-        )
+    bound = _SOLVE_RTOL * max(1.0, np.abs(y).max())
+    if not err <= bound:
+        raise MultichainError(f"policy evaluation at eta={eta} is inaccurate: residual {err:.3e} above {bound:.3e}")
     return g, h, chain
 
 

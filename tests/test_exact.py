@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import breadth_first_order
 
-from aoi_sched import arq
-from aoi_sched.errors import NoStationaryAoIError
+from aoi_sched import arq, exact
+from aoi_sched.errors import MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
 from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import (
@@ -344,6 +344,11 @@ class TestStationarySolve:
         assert res.avg_aoi == pytest.approx(pi @ space.delta, rel=1e-13)
         assert res.avg_cost == pytest.approx(pi @ induced_chain(policy, model, trunc)[2], rel=1e-13)
         return space, res
+
+    def test_an_inaccurate_solve_raises_naming_the_residual(self, monkeypatch):
+        monkeypatch.setattr(exact, "_STATIONARY_RESIDUAL", -1.0)  # no residual is small enough
+        with pytest.raises(MultichainError, match=r"^inaccurate stationary solve: residual \S+ above -1$"):
+            evaluate_exact(ThresholdPolicy(4), ChannelModel(0.5, 0.5, 3), Truncation(30, 3))
 
     @pytest.mark.parametrize(
         "point", [(0.5, 0.5, 3, 250, 200.0), (0.5, 1.0, 0, 300, 400.0), (0.3, 0.5, 9, 400, 5.0)]

@@ -223,6 +223,11 @@ class TestPolicyIteration:
         with pytest.raises(MultichainError, match=r"eta=2\.5 .* idles surely at \(10, 0\)"):
             rvi._evaluate(space, actions, 2.5)
 
+    def test_an_inaccurate_evaluation_raises_naming_the_residual(self, monkeypatch):
+        monkeypatch.setattr(rvi, "_SOLVE_RTOL", -1.0)  # no residual is small enough
+        with pytest.raises(MultichainError, match=r"^policy evaluation at eta=3\.0 is inaccurate: residual \S+ above -"):
+            solve(ChannelModel(0.5, 0.5, 3), Truncation(30, 3), 3.0)
+
 
 def assert_matches_dense_evaluation(model, trunc, actions, eta):
     """``_evaluate`` against one dense solve of ``(I - P + 1 e_0^T) y = c``, or a named multichain error."""
