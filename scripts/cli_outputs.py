@@ -34,6 +34,10 @@ COMMANDS = {
     "solve-arq": ["solve", *ARQ, "--nmax", "80", "--eta", "10", "--out", "solve-arq.csv"],
     "solve-error": ["solve", *HARQ, "--nmax", "20", "--eta", "1000"],
     "search-eta": ["search-eta", *HARQ, "--nmax", "120", "--cmax", "0.4", "--trace-out", "search-eta-trace.csv"],
+    # Its last probe finds the policy of the one before still optimal and reuses its evaluation.
+    "search-eta-reuse": [
+        "search-eta", *HARQ, "--nmax", "120", "--cmax", "0.3", "--trace-out", "search-eta-reuse-trace.csv",
+    ],
     "simulate-optimal": [
         "simulate", "--policy", "optimal", "--cmax", "0.4", "--horizon", "5000", "--reps", "20",
         "--out", "simulate-optimal.csv", "--trace-out", "simulate-optimal-trace.csv",

@@ -30,10 +30,18 @@ class TruncationError(NoStationaryAoIError):
 
 
 class MultichainError(RuntimeError):
-    """A policy's chain could not be evaluated, for one of two faults, which the
-    message names: the chain has two closed recurrent classes (the policy idles
-    surely at (n_max, 0) while (1, 0) is recurrent too), or an evaluation of a
-    chain with one closed class left a residual above its accuracy bound."""
+    """A policy's chain could not be evaluated: it has two closed recurrent
+    classes (the policy idles surely at (n_max, 0) while (1, 0) is recurrent
+    too), or, as the subclass ``InaccurateSolveError``, a solve on a chain
+    with one closed class missed its accuracy bound."""
+
+
+class InaccurateSolveError(MultichainError):
+    """A policy evaluation or stationary solve left a residual above its bound.
+
+    A subclass of ``MultichainError``, so a caller that catches that catches
+    this too; one that must tell the two faults apart catches this first.
+    """
 
 
 class BracketingError(RuntimeError):

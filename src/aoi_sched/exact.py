@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MultichainError, NoStationaryAoIError
+from .errors import InaccurateSolveError, NoStationaryAoIError
 from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
 from .rvi import SolverOutput
@@ -84,7 +84,7 @@ def _evaluate_chain(chain: BorderChain, tx: np.ndarray) -> EvalResult:
     pi /= pi.sum()
     residual = np.abs(np.bincount(dst, (pi[:, None, None] * chain.branch).ravel(), n) - pi).max()
     if residual > _STATIONARY_RESIDUAL:
-        raise MultichainError(f"inaccurate stationary solve: residual {residual:.3e} above {_STATIONARY_RESIDUAL:g}")
+        raise InaccurateSolveError(f"inaccurate stationary solve: residual {residual:.3e} above {_STATIONARY_RESIDUAL:g}")
     stationary = np.zeros((space.trunc.n_max + 1, space.r_cap + 1))
     stationary[space.age, space.r] = pi
     return EvalResult(float(pi @ space.delta), float(pi @ tx), stationary, float(pi[space.age == space.trunc.n_max].sum()))

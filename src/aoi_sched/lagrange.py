@@ -24,6 +24,11 @@ which cap to use.  Each trace row also records the probe's policy
 evaluations and solver residual.  The first probe's solve builds the
 ``StateSpace`` of ``(model, trunc)`` that every later probe and the final
 mix reuse; a renewal mixture only combines the evaluations of its pair.
+Each probe's solve starts from the previous probe's output (``rvi.solve``'s
+``start``), whose values are exact at the new charge once shifted along
+the charge; a probe whose previous policy is still optimal evaluates no
+policy (0 in its trace row).  When a probe reads off the previous probe's
+table, it has that probe's chain, so it reuses that probe's ``J`` and ``C``.
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -42,6 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
+
+import numpy as np
 
 from . import arq
 from .errors import BracketingError, EtaSearchError, NoStationaryAoIError, TruncationError
@@ -138,23 +145,25 @@ def search_eta_star(
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
     trace: list[TraceRow] = []
-    h = space = None
+    prev: _Probe | None = None
+    start: SolverOutput | None = None  # prev's output with its chain, where the next solve starts
 
     def probe(eta: float, phase: str) -> _Probe:
-        nonlocal h, space
-        out = solve(model, trunc, eta, h0=h, space=space)
-        h, space = out.h_array, out.space
-        try:
-            res = _evaluate_solved(out)
-            aoi, cost = res.avg_aoi, res.avg_cost
-        except NoStationaryAoIError:
-            # Without transmissions the age climbs to the cap and stays there.
-            res, aoi, cost = None, float(trunc.n_max), 0.0
-        p = _Probe(eta, replace(out, chain=None), res, aoi, cost)  # the chain is read: drop it
-        trace.append(
-            TraceRow(len(trace), eta, p.cost, p.aoi, out.gain, phase, out.iterations, out.residual)
-        )
-        return p
+        nonlocal prev, start
+        out = solve(model, trunc, eta, start=start)
+        if prev is not None and np.array_equal(out.policy.table, prev.out.policy.table):
+            # The same table has the same chain, so the same J and C bit for bit.
+            res, aoi, cost = prev.res, prev.aoi, prev.cost
+        else:
+            try:
+                res = _evaluate_solved(out)
+                aoi, cost = res.avg_aoi, res.avg_cost
+            except NoStationaryAoIError:
+                # Without transmissions the age climbs to the cap and stays there.
+                res, aoi, cost = None, float(trunc.n_max), 0.0
+        prev, start = _Probe(eta, replace(out, chain=None), res, aoi, cost), out  # the chain is read: drop it
+        trace.append(TraceRow(len(trace), eta, cost, aoi, out.gain, phase, out.iterations, out.residual))
+        return prev
 
     def meets(p: _Probe) -> bool:
         return p.res is not None and abs(p.cost - c_max) <= _HIT_TOL

@@ -404,8 +404,8 @@ class BorderChain:
         pi = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
         return np.concatenate([[1.0], pi])
 
-    def values(self, cost: np.ndarray, anchor: int = 0) -> tuple[float, np.ndarray] | None:
-        """Gain and border differential values (0 at (1, 0)) of the per-state ``cost``.
+    def values(self, costs: tuple[np.ndarray, ...], anchor: int = 0) -> list[tuple[float, np.ndarray]] | None:
+        """Gain and border differential values (0 at (1, 0)) of each per-state cost in ``costs``.
 
         Watched at its border visits the chain is semi-Markov: a visit to a
         low border state ``b`` lasts ``1 + z[b].sum()`` slots and costs
@@ -413,24 +413,31 @@ class BorderChain:
         ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``, with
         position ``anchor`` eliminated last.  None when some position cannot
         reach ``anchor``; at anchor 0, by ``reached``, exactly when the
-        policy idles surely at ``(n_max, 0)``, position ``n_low``.
+        policy idles surely at ``(n_max, 0)``, position ``n_low``.  The costs
+        ride through one elimination, but each takes its own matrix-vector
+        product and triangular solve: a solve with several right-hand sides
+        rounds each column differently from a solve with that column alone.
         """
         space = self.space
-        nb = len(space.border)
-        visit = np.ones((nb, 2))
-        visit[:, 0] = cost[space.border]
-        visit[: self.n_low, 0] += self.z @ cost[space.ladder]
-        visit[: self.n_low, 1] += self.z.sum(axis=1)
+        nb, k = len(space.border), len(costs)
+        visit = np.ones((nb, k + 1))  # the visit slots, then the visit cost of each of costs
+        visit[: self.n_low, 0] += self.z.sum(axis=1)
+        for j, cost in enumerate(costs, 1):
+            visit[:, j] = cost[space.border]
+            visit[: self.n_low, j] += self.z @ cost[space.ladder]
         order = np.arange(nb)
         order[0], order[anchor] = anchor, 0
         w, out = self._reduce(order, visit[order])
         if not (out[1:] > 0.0).all():
             return None
-        g = w[0, 0] / w[0, 1]
         # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.
         # LAPACK reads only the lower triangle, so the weights above it need no masking.
-        lower = np.negative(w[1:, 3:], order="F")
+        lower = np.negative(w[1:, k + 2 :], order="F")
         np.fill_diagonal(lower, out[1:])
-        h = np.zeros(nb)
-        h[order[1:]] = dtrtrs(lower, w[1:, 0] - g * w[1:, 1], lower=1)[0]
-        return float(g), h - h[0]
+        solved = []
+        for j in range(1, k + 1):
+            g = w[0, j] / w[0, 0]
+            h = np.zeros(nb)
+            h[order[1:]] = dtrtrs(lower, w[1:, j] - g * w[1:, 0], lower=1)[0]
+            solved.append((float(g), h - h[0]))
+        return solved

@@ -16,6 +16,20 @@ system is solved by subtraction-free elimination, and one more banded
 substitution returns the values off the border.  A policy that idles
 surely at ``(n_max, 0)`` is eliminated towards that state instead; if (1, 0)
 is recurrent too, it has two closed classes and raises ``MultichainError``.
+An evaluation whose residual exceeds ``_SOLVE_RTOL`` of its largest value
+raises ``InaccurateSolveError``.
+
+The same elimination also solves for the transmit indicator: its gain
+``g_tx`` is the policy's transmission rate and ``h_tx`` its values.  For a
+fixed policy the charged cost is linear in the charge, and so are its gain
+and values: ``h(eta') = h(eta) + (eta' - eta) h_tx`` (Puterman 1994,
+Sec. 8.6).  A solve given ``start``, the output at another charge, takes its
+evaluated policy and those shifted values as its first evaluation, checked
+against the same residual bound; when that policy is still optimal at
+``eta`` the solve evaluates nothing.  A cold solve starts from the values
+``(delta - 1) / (1 - g(0))`` of sending a fresh update in every slot, exact
+below the cap row, rather than from zero, which at ``eta = 0`` would pick
+the policy that never sends.
 
 A state switches to its first cheapest action only when its current action
 costs more than ``_EPSILON`` above that minimum, so rounding noise below
@@ -32,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, MultichainError
+from .errors import ConvergenceError, InaccurateSolveError, MultichainError
 from .mdp import BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
 
@@ -50,8 +64,13 @@ class SolverOutput:
     in ``StateSpace`` order, the order of ``policy.table[space.age, space.r]``.
     ``space`` is the state space the output was solved on; a caller that
     goes on to work on the same chain passes it on.  ``chain`` is the
-    ``BorderChain`` of ``policy``, dropped once read.  Outputs compare by
-    identity, as an array field has no single truth value.
+    ``BorderChain`` of ``policy``, dropped once read.  ``gain`` and
+    ``h_array`` are those of ``actions``, the policy the solve evaluated
+    last, at the charge ``eta``; ``g_tx`` and ``h_tx`` are that policy's
+    transmission rate and the values of its transmit indicator.
+    ``actions`` differs from ``policy`` only where the read-off broke an
+    exact tie the other way.  Outputs compare by identity, as an array field
+    has no single truth value.
     """
 
     gain: float
@@ -62,6 +81,10 @@ class SolverOutput:
     q_array: np.ndarray = field(repr=False)
     space: StateSpace = field(repr=False)
     chain: BorderChain | None = field(repr=False)
+    eta: float
+    g_tx: float
+    h_tx: np.ndarray = field(repr=False)
+    actions: np.ndarray = field(repr=False)
 
 
 def _masked_q(space: StateSpace, h: np.ndarray, eta: float) -> np.ndarray:
@@ -89,32 +112,47 @@ def _chain(space: StateSpace, flat: np.ndarray) -> BorderChain:
     return BorderChain(space, branch)
 
 
-def _evaluate(space: StateSpace, actions: np.ndarray, eta: float) -> tuple[float, np.ndarray, BorderChain]:
-    """Gain, differential values (0 at (1, 0), index 0) and chain of the deterministic ``actions``."""
+def _check(space: StateSpace, flat: np.ndarray, cost: np.ndarray, g: float, h: np.ndarray, what: str) -> None:
+    """Raise ``InaccurateSolveError`` when ``g`` and ``h`` miss ``g + h = cost + P h`` by more than
+    ``_SOLVE_RTOL`` of the largest value, under the actions at flat positions ``flat``."""
+    y = h + g
+    nxt = space.succ_idx.reshape(-1, 2).take(flat, axis=0)
+    exp_y = space.succ_prob.reshape(-1, 2).take(flat, axis=0) * y.take(nxt)
+    err = np.abs(y + g - (exp_y[:, 0] + exp_y[:, 1]) - cost).max()
+    bound = _SOLVE_RTOL * max(1.0, np.abs(y).max())
+    if not err <= bound:
+        raise InaccurateSolveError(f"{what}: residual {err:.3e} above {bound:.3e}")
+
+
+def _evaluate(
+    space: StateSpace, actions: np.ndarray, eta: float
+) -> tuple[float, np.ndarray, float, np.ndarray, BorderChain]:
+    """Gain and differential values (0 at (1, 0), index 0) of the deterministic ``actions``,
+    the same of their transmit indicator, and their chain."""
     n = len(space)
     flat = 3 * np.arange(n) + actions  # (state, action) in succ_idx.reshape(-1, 2)
-    nxt = space.succ_idx.reshape(-1, 2).take(flat, axis=0)
-    cost = space.delta + eta * (actions != 0)
+    tx = (actions != 0).astype(np.float64)
+    cost = space.delta + eta * tx
     chain = _chain(space, flat)
-    solved = chain.values(cost)
+    solved = chain.values((cost, tx))
     if solved is None:  # the policy idles surely at (n_max, 0), position n_low
-        solved = chain.values(cost, chain.n_low)
+        solved = chain.values((cost, tx), chain.n_low)
     if solved is None:  # and (1, 0) is recurrent (BorderChain.reached)
         raise MultichainError(
             f"policy evaluation at eta={eta} is singular, two closed classes: "
             f"the policy idles surely at ({space.trunc.n_max}, 0), which (1, 0) cannot reach"
         )
-    g, h_border = solved
-    h = np.empty(n)
-    h[space.border] = h_border
-    h[space.ladder] = chain.solve(cost[space.ladder] - g + chain.p_lb @ h_border)
-    y = h + g
-    exp_y = chain.branch.reshape(-1, 2).take(flat, axis=0) * y.take(nxt)
-    err = np.abs(y + g - (exp_y[:, 0] + exp_y[:, 1]) - cost).max()
-    bound = _SOLVE_RTOL * max(1.0, np.abs(y).max())
-    if not err <= bound:
-        raise MultichainError(f"policy evaluation at eta={eta} is inaccurate: residual {err:.3e} above {bound:.3e}")
-    return g, h, chain
+    (g, h_border), (g_tx, h_tx_border) = solved
+    # Both ladder columns in one banded solve, which treats each column alone.
+    rhs = np.empty((len(space.ladder), 2), order="F")
+    rhs[:, 0] = cost[space.ladder] - g + chain.p_lb @ h_border
+    rhs[:, 1] = tx[space.ladder] - g_tx + chain.p_lb @ h_tx_border
+    ladder = chain.solve(rhs)
+    h, h_tx = np.empty(n), np.empty(n)
+    h[space.border], h_tx[space.border] = h_border, h_tx_border
+    h[space.ladder], h_tx[space.ladder] = ladder[:, 0], ladder[:, 1]
+    _check(space, flat, cost, g, h, f"policy evaluation at eta={eta} is inaccurate")
+    return g, h, g_tx, h_tx, chain
 
 
 def solve(
@@ -124,51 +162,79 @@ def solve(
     *,
     h0: np.ndarray | None = None,
     space: StateSpace | None = None,
+    start: SolverOutput | None = None,
 ) -> SolverOutput:
     """Run policy iteration for the given multiplier.
 
-    The first policy is greedy on the state-action costs of ``h0`` (zero when
-    omitted), so passing the values of a nearby multiplier warm-starts the
-    iteration; identical inputs always produce bit-identical outputs.
-    ``iterations`` counts policy evaluations.  ``space`` is the
-    ``StateSpace`` of ``(model, trunc)``, built when omitted; a search that
-    solves many multipliers passes one space to all of them, and the output
-    carries it on.  A space of another model or truncation raises
-    ``ValueError``.
+    Without ``start`` the first policy is greedy on the state-action costs
+    of ``h0``; when it is omitted, of the values of sending a fresh update
+    in every slot.  ``start`` is the output of a solve on the same space at
+    another charge: the iteration begins from its evaluated policy, whose
+    values at ``eta`` are affine in the charge, and evaluates nothing when
+    that policy is still optimal.  Identical inputs always produce
+    bit-identical outputs.  ``iterations`` counts policy evaluations.
+    ``space`` is the ``StateSpace`` of ``(model, trunc)``, taken from
+    ``start`` or built when omitted; a search that solves many multipliers
+    passes one space to all of them, and the output carries it on.  A space
+    or ``start`` of another model or truncation raises ``ValueError``, as
+    does passing both ``h0`` and ``start``.
     """
     if not 0.0 <= eta < np.inf:
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
+    if start is not None:
+        if h0 is not None:
+            raise ValueError("pass h0 or start, not both")
+        if not start.space.fits(model, trunc):
+            raise ValueError(
+                f"start was solved on {start.space.model} under {start.policy.trunc}, not on {model} under {trunc}"
+            )
+        space = start.space if space is None else space
     if space is None:
         space = StateSpace(model, trunc)
     elif not space.fits(model, trunc):
         raise ValueError(f"the given state space was not built for {model} under {trunc}")
-    h = np.zeros(len(space)) if h0 is None else np.asarray(h0, dtype=np.float64)
-    if h.shape != (len(space),):
-        raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
 
     rows = 3 * np.arange(len(space))  # flat index of (state, idle) in q
-    q = _masked_q(space, h, eta)
-    actions = _first_within(q, _row_min(q))
-    for it in range(1, _MAX_EVALUATIONS + 1):
-        gain, h, chain = _evaluate(space, actions, eta)
+    if start is None:
+        # (delta - 1) / (1 - g(0)): the values of sending a fresh update in every slot, exact below the cap row.
+        h = (space.delta - 1.0) / (1.0 - model.p0) if h0 is None else np.asarray(h0, dtype=np.float64)
+        if h.shape != (len(space),):
+            raise ValueError(f"h0 has shape {h.shape}, expected ({len(space)},)")
+        q = _masked_q(space, h, eta)
+        actions = _first_within(q, _row_min(q))
+        gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
+        it, chain_actions = 1, actions  # the actions whose chain is chain
+    else:
+        actions, g_tx, h_tx, shift = start.actions, start.g_tx, start.h_tx, eta - start.eta
+        gain, h = start.gain + shift * g_tx, start.h_array + shift * h_tx
+        _check(
+            space, rows + actions, space.delta + eta * (actions != 0), gain, h,
+            f"policy values at eta={eta}, shifted from eta={start.eta}, are inaccurate",
+        )
+        it, chain = 0, start.chain
+        chain_actions = start.policy.table[space.age, space.r].argmax(axis=1)
+    while True:
         q = _masked_q(space, h, eta)
         v = _row_min(q)
         excess = q.take(rows + actions) - v
         residual = float(excess.max())
         if residual <= _EPSILON:
             break
+        if it >= _MAX_EVALUATIONS:
+            raise ConvergenceError(
+                f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
+                residual,
+            )
         actions = np.where(excess > _EPSILON, _first_within(q, v), actions)
-    else:
-        raise ConvergenceError(
-            f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
-            residual,
-        )
+        gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
+        it, chain_actions = it + 1, actions
 
     # First action within the tie tolerance wins: idle < new < retransmit.
     greedy = _first_within(q, v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))
-    if not np.array_equal(greedy, actions):  # an exact tie read off the other way
+    if chain is None or not np.array_equal(greedy, chain_actions):  # a tie read off the other way
         chain = _chain(space, rows + greedy)
-    return SolverOutput(gain, DeterministicTable.from_actions(space, greedy), it, residual, h, q, space, chain)
+    policy = DeterministicTable.from_actions(space, greedy)
+    return SolverOutput(gain, policy, it, residual, h, q, space, chain, eta, g_tx, h_tx, actions)
 
 
 def bellman_residual(out: SolverOutput, model: ChannelModel, trunc: Truncation, eta: float) -> float:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import breadth_first_order
 
-from aoi_sched import arq, exact
-from aoi_sched.errors import MultichainError, NoStationaryAoIError
+from aoi_sched import arq, exact, rvi
+from aoi_sched.errors import InaccurateSolveError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact, induced_chain, renewal_mixture_weight
 from aoi_sched.lagrange import solve_constrained
 from aoi_sched.mdp import (
@@ -347,7 +347,7 @@ class TestStationarySolve:
 
     def test_an_inaccurate_solve_raises_naming_the_residual(self, monkeypatch):
         monkeypatch.setattr(exact, "_STATIONARY_RESIDUAL", -1.0)  # no residual is small enough
-        with pytest.raises(MultichainError, match=r"^inaccurate stationary solve: residual \S+ above -1$"):
+        with pytest.raises(InaccurateSolveError, match=r"^inaccurate stationary solve: residual \S+ above -1$"):
             evaluate_exact(ThresholdPolicy(4), ChannelModel(0.5, 0.5, 3), Truncation(30, 3))
 
     @pytest.mark.parametrize(
@@ -434,3 +434,44 @@ class TestStationarySolve:
         res = evaluate_exact(policy, model, trunc)
         np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=1e-12, atol=0.0)
         assert 1e-75 < res.tail_mass < 1e-65
+
+
+class TestTransmissionValues:
+    """The solver's gain and values of the transmit indicator, beside those of the charged age."""
+
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.integers(0, 3),
+        n_max=st.integers(2, 30),
+        eta=st.floats(0.0, 60.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_exact_evaluation_and_a_dense_solve(self, p0, lam, r_max, n_max, eta):
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        out = solve(model, trunc, eta)
+        space = out.space
+        evaluated = DeterministicTable.from_actions(space, out.actions)  # the policy whose values out holds
+        try:
+            if evaluated.table.tobytes() == out.policy.table.tobytes():
+                res = exact._evaluate_solved(out)
+            else:  # the read-off broke a tie the other way
+                res = evaluate_exact(evaluated, model, trunc)
+        except NoStationaryAoIError:
+            assert out.g_tx == 0.0  # it idles forever at the cap
+        else:
+            assert out.g_tx == pytest.approx(res.avg_cost, rel=1e-12, abs=0.0)
+        # The Poisson equation of the transmit indicator, to the solver's own bound.
+        rows, tx = np.arange(len(space)), (out.actions != Action.IDLE)
+        y = out.h_tx + out.g_tx
+        expected = (space.succ_prob[rows, out.actions] * y[space.succ_idx[rows, out.actions]]).sum(axis=1)
+        assert np.abs(y + out.g_tx - expected - tx).max() <= rvi._SOLVE_RTOL * max(1.0, np.abs(y).max())
+        # The age and the transmit indicator by one dense solve of (I - P + 1 e_0^T) y = c, refined once.
+        P, tx_ref = reference_chain(evaluated, model, trunc)
+        M = np.eye(len(P)) - P
+        M[:, 0] += 1.0
+        rhs = np.column_stack([space.delta, tx_ref])
+        y = np.linalg.solve(M, rhs)
+        y += np.linalg.solve(M, rhs - M @ y)
+        for h, ref in ((out.h_array - eta * out.h_tx, y[:, 0]), (out.h_tx, y[:, 1])):
+            assert np.abs(h - (ref - ref[0])).max() <= 1e-10 * max(1.0, np.abs(ref).max())

@@ -218,48 +218,66 @@ class TestSolveConstrained:
         assert len(builds) == 1
 
     @pytest.mark.parametrize(
-        "point, kind, tie",
+        "point, kind, reused",
         [
-            # The last probe of both HARQ walks, at eta*, reads an exact tie
-            # the other way from the actions the solver evaluated last.
-            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, True),
-            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, True),
-            # ARQ: every read-off plays the actions the solver evaluated last.
-            ((0.5, 1.0, 0, 0.35, 200), RandomizedTable, False),
-            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, False),  # a probe idles forever at the cap
+            # The last probe of each walk but ARQ's finds the policy of the
+            # probe before it still optimal and reuses its evaluation.
+            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, 1),
+            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, 1),
+            # ARQ: the last probe evaluates nothing either, but reads an
+            # exact tie the other way, so its table is new.
+            ((0.5, 1.0, 0, 0.35, 200), RandomizedTable, 0),
+            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, 1),  # a probe idles forever at the cap
         ],
         ids=["renewal", "single-state", "arq", "idle-at-cap"],
     )
-    def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, tie, monkeypatch):
+    def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, reused, monkeypatch):
         p0, lam, r_max, c_max, n_max = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
-        probes, chains, build = [], [], rvi._chain
+        probes = []  # per probe: its output, its evaluation if it made one, and the chains it built
+        solve, build = lagrange.solve, rvi._chain
+
+        def solved(*args, **kwargs):
+            probes.append({"chains": 0})
+            probes[-1]["out"] = out = solve(*args, **kwargs)
+            return out
 
         def recorded(out):
             try:
-                res = exact._evaluate_solved(out)
+                probes[-1]["res"] = res = exact._evaluate_solved(out)
             except errors.NoStationaryAoIError:
-                probes.append((out.policy, None))
+                probes[-1]["res"] = None
                 raise
-            probes.append((out.policy, res))
             return res
 
         def counted(space, flat):
-            chains.append(flat)
+            probes[-1]["chains"] += 1
             return build(space, flat)
 
+        monkeypatch.setattr(lagrange, "solve", solved)
         monkeypatch.setattr(lagrange, "_evaluate_solved", recorded)
         monkeypatch.setattr(rvi, "_chain", counted)
         sol = solve_constrained(model, trunc, c_max)
         assert isinstance(sol.mixed, kind) and len(probes) == len(sol.search.trace)
-        # A read-off that breaks a tie the other way builds one chain more than the evaluations.
-        assert (len(chains) > sum(row.iterations for row in sol.search.trace)) == tie
 
         def digest(res):
             return res.avg_aoi, res.avg_cost, res.tail_mass, res.stationary.tobytes()
 
+        reuses = 0
+        for k, (probe, row) in enumerate(zip(probes, sol.search.trace)):
+            # A read-off that breaks a tie the other way builds one chain more than the evaluations.
+            assert probe["chains"] <= probe["out"].iterations + 1
+            if "res" not in probe:  # not evaluated: the probe reused the table and evaluation of the one before
+                before = probes[k - 1]
+                assert probe["out"].policy.table.tobytes() == before["out"].policy.table.tobytes()
+                assert probe["out"].iterations == probe["chains"] == 0
+                earlier = sol.search.trace[k - 1]
+                assert (row.avg_aoi, row.avg_cost) == (earlier.avg_aoi, earlier.avg_cost)
+                probe["res"], reuses = before["res"], reuses + 1
+        assert reuses == reused
+
         kept = [(out.policy, res) for out, res in (sol.search.low, sol.search.high)]
-        for policy, res in probes + kept:
+        for policy, res in [(probe["out"].policy, probe["res"]) for probe in probes] + kept:
             if res is None:
                 with pytest.raises(errors.NoStationaryAoIError):
                     evaluate_exact(policy, model, trunc)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aoi_sched import arq, oracles, rvi
-from aoi_sched.errors import ConvergenceError, MultichainError, NoStationaryAoIError
+from aoi_sched.errors import ConvergenceError, InaccurateSolveError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states
 from aoi_sched.policies import DeterministicTable
@@ -220,17 +220,76 @@ class TestPolicyIteration:
         space = StateSpace(model, trunc)
         actions = np.full(len(space), int(Action.NEW_UPDATE))
         actions[space.off[10]] = Action.IDLE  # index of (10, 0)
-        with pytest.raises(MultichainError, match=r"eta=2\.5 .* idles surely at \(10, 0\)"):
+        with pytest.raises(MultichainError, match=r"eta=2\.5 .* idles surely at \(10, 0\)") as err:
             rvi._evaluate(space, actions, 2.5)
+        assert type(err.value) is MultichainError  # a fault of the policy, not of the arithmetic
 
     def test_an_inaccurate_evaluation_raises_naming_the_residual(self, monkeypatch):
         monkeypatch.setattr(rvi, "_SOLVE_RTOL", -1.0)  # no residual is small enough
-        with pytest.raises(MultichainError, match=r"^policy evaluation at eta=3\.0 is inaccurate: residual \S+ above -"):
+        with pytest.raises(InaccurateSolveError, match=r"^policy evaluation at eta=3\.0 is inaccurate: residual \S+ above -"):
             solve(ChannelModel(0.5, 0.5, 3), Truncation(30, 3), 3.0)
+
+    def test_inaccurate_shifted_values_raise_naming_both_charges(self, monkeypatch):
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(30, 3)
+        start = solve(model, trunc, 3.0)
+        monkeypatch.setattr(rvi, "_SOLVE_RTOL", -1.0)
+        monkeypatch.setattr(rvi, "_evaluate", None)  # the check on the shifted values raises before any evaluation
+        pattern = r"^policy values at eta=4\.0, shifted from eta=3\.0, are inaccurate: residual \S+ above -"
+        with pytest.raises(InaccurateSolveError, match=pattern):
+            solve(model, trunc, 4.0, start=start)
+
+
+class TestWarmStart:
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.integers(0, 4),
+        n_max=st.integers(2, 80),
+        eta_start=st.floats(0.0, 100.0),
+        eta=st.floats(0.0, 100.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_a_cold_solve(self, p0, lam, r_max, n_max, eta_start, eta):
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        warm = solve(model, trunc, eta, start=solve(model, trunc, eta_start))
+        cold = solve(model, trunc, eta)
+        # Where the tables differ, each solve finds the other's action within the tie tolerance of its row minimum.
+        space = cold.space
+        a_warm, a_cold = (out.policy.table[space.age, space.r].argmax(axis=1) for out in (warm, cold))
+        rows = np.flatnonzero(a_warm != a_cold)
+        for out, other in ((warm, a_cold), (cold, a_warm)):
+            v = rvi._row_min(out.q_array)[rows]
+            assert (out.q_array[rows, other[rows]] <= v + rvi._TIE_RTOL * np.maximum(1.0, np.abs(v))).all()
+        assert warm.gain == pytest.approx(cold.gain, rel=1e-12, abs=0.0)
+        assert bellman_residual(warm, model, trunc, eta) <= 2e-8
+        assert bellman_residual(cold, model, trunc, eta) <= 2e-8
+
+    def test_a_start_of_another_space_raises(self):
+        model = ChannelModel(0.3, 0.5, 3)
+        start = solve(model, Truncation(30, 3), 2.0)
+        with pytest.raises(ValueError, match="start was solved on"):
+            solve(model, Truncation(40, 3), 3.0, start=start)
+        with pytest.raises(ValueError, match="start was solved on"):
+            solve(ChannelModel(0.4, 0.5, 3), Truncation(30, 3), 3.0, start=start)
+        with pytest.raises(ValueError, match="h0 or start"):
+            solve(model, Truncation(30, 3), 3.0, h0=start.h_array, start=start)
+
+    def test_an_optimal_start_evaluates_nothing(self):
+        # Between two charges with the same optimal table, the start's values
+        # shifted along the charge are the values there: no evaluation.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(60, 3)
+        start = solve(model, trunc, 5.0)
+        shifted = solve(model, trunc, 5.01, start=start)
+        fresh = solve(model, trunc, 5.01)
+        assert shifted.iterations == 0 and shifted.chain is start.chain
+        assert shifted.policy.table.tobytes() == fresh.policy.table.tobytes() == start.policy.table.tobytes()
+        assert shifted.gain == pytest.approx(fresh.gain, rel=1e-13)
+        np.testing.assert_allclose(shifted.h_array, fresh.h_array, rtol=1e-12, atol=1e-12)
 
 
 def assert_matches_dense_evaluation(model, trunc, actions, eta):
-    """``_evaluate`` against one dense solve of ``(I - P + 1 e_0^T) y = c``, or a named multichain error."""
+    """``_evaluate`` against one dense solve of ``(I - P + 1 e_0^T) y = c`` for the charged age and
+    for the transmit indicator, or a named multichain error."""
     space = StateSpace(model, trunc)
     states = enumerate_states(Truncation(trunc.n_max, space.r_cap))
     idx = {s: i for i, s in enumerate(states)}
@@ -238,22 +297,26 @@ def assert_matches_dense_evaluation(model, trunc, actions, eta):
     for i, s in enumerate(states):
         for nxt, p in spec.transitions(s, Action(actions[i]), model, trunc):
             P[i, idx[nxt]] += p
-    cost = space.delta + eta * (actions != Action.IDLE)
+    tx = (actions != Action.IDLE).astype(float)
+    cost = space.delta + eta * tx
     if len(spec.closed_classes(P)) > 1:
         with pytest.raises(MultichainError, match=f"eta={eta}"):
             rvi._evaluate(space, actions, eta)
         return
     M = np.eye(len(P)) - P
     M[:, 0] += 1.0
-    y = np.linalg.solve(M, cost)
+    rhs = np.column_stack([cost, tx])
+    y = np.linalg.solve(M, rhs)
     # One step of iterative refinement: where the values reach 1e9 the
     # matrix's condition number does too, and the plain LU solve alone can
     # be off by more than the tolerance.
-    y += np.linalg.solve(M, cost - M @ y)
-    g, h, _ = rvi._evaluate(space, actions, eta)
-    scale = max(1.0, np.abs(y).max())
-    assert abs(g - y[0]) <= 1e-12 * scale
-    assert np.abs(h - (y - y[0])).max() <= 1e-12 * scale
+    y += np.linalg.solve(M, rhs - M @ y)
+    g, h, g_tx, h_tx, _ = rvi._evaluate(space, actions, eta)
+    # The charged age, then the transmit indicator.
+    for g, h, y in ((g, h, y[:, 0]), (g_tx, h_tx, y[:, 1])):
+        scale = max(1.0, np.abs(y).max())
+        assert abs(g - y[0]) <= 1e-12 * scale
+        assert np.abs(h - (y - y[0])).max() <= 1e-12 * scale
 
 
 class TestLadderEvaluation:

@@ -77,13 +77,13 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     assert run_script("cli_outputs.py", str(tmp_path), monkeypatch=monkeypatch) == 0
     commands = [
         "arq", "arq-long-budget", "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn",
-        "learn-harq", "learn-steps0", "search-eta", "simulate-optimal", "simulate-periodic", "solve-arq",
-        "solve-error", "solve-harq", "sweep-failing", "sweep-stdout",
+        "learn-harq", "learn-steps0", "search-eta", "search-eta-reuse", "simulate-optimal", "simulate-periodic",
+        "solve-arq", "solve-error", "solve-harq", "sweep-failing", "sweep-stdout",
     ]
     csvs = [
         "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn-harq-qtable", "learn-qtable",
-        "learn-steps0-timeline", "learn-timeline", "search-eta-trace", "simulate-optimal", "simulate-optimal-trace",
-        "simulate-periodic", "solve-arq", "solve-harq", "sweep-failing",
+        "learn-steps0-timeline", "learn-timeline", "search-eta-reuse-trace", "search-eta-trace", "simulate-optimal",
+        "simulate-optimal-trace", "simulate-periodic", "solve-arq", "solve-harq", "sweep-failing",
     ]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         [f"{name}.{kind}" for name in commands for kind in ("exit", "stderr", "stdout")] + [f"{name}.csv" for name in csvs]
