@@ -42,6 +42,8 @@ COMMANDS = {
         "simulate", "--policy", "optimal", "--cmax", "0.4", "--horizon", "5000", "--reps", "20",
         "--out", "simulate-optimal.csv", "--trace-out", "simulate-optimal-trace.csv",
     ],
+    # The benchmark's verify shape: batches of 3, 3, 3, 3, 3 and 1 replications at a long horizon.
+    "simulate-batches": ["simulate", "--policy", "optimal", "--cmax", "0.4", "--horizon", "100000", "--reps", "16"],
     "simulate-periodic": [
         "simulate", "--policy", "periodic", "--lam", "1", "--rmax", "0", "--cmax", "0.3", "--horizon", "999",
         "--reps", "3", "--out", "simulate-periodic.csv",

@@ -243,29 +243,18 @@ def solve_constrained(
     (out_low, res_low), (out_high, res_high) = search.low, search.high
     policy_low, policy_high = out_low.policy, out_high.policy
 
-    if search.exact_hit:
-        return ConstrainedSolution(
-            eta_star,
-            policy_low,
-            policy_low,
-            1.0,
-            policy_low,
-            res_low.avg_cost,
-            res_low.avg_aoi,
-            res_low.tail_mass,
-            search,
-        )
-
-    mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
-
-    # Without an exact hit the endpoints' costs differ, so their tables do too.
-    diff = table_difference(policy_low, policy_high)
-    if len(diff) == 1:  # another chain: evaluate it
-        mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
-        achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
-    else:  # the pair's own chains: combine their evaluations
-        w = renewal_mixture_weight(res_low, res_high, c_max)
-        mixed, achieved = RenewalMixture(policy_low, policy_high, w), _renewal_mix(res_low, res_high, w)
+    if search.exact_hit:  # low and high are the same probe
+        mu, mixed, achieved = 1.0, policy_low, res_low
+    else:
+        mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
+        # Without an exact hit the endpoints' costs differ, so their tables do too.
+        diff = table_difference(policy_low, policy_high)
+        if len(diff) == 1:  # another chain: evaluate it
+            mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
+            achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
+        else:  # the pair's own chains: combine their evaluations
+            w = renewal_mixture_weight(res_low, res_high, c_max)
+            mixed, achieved = RenewalMixture(policy_low, policy_high, w), _renewal_mix(res_low, res_high, w)
     return ConstrainedSolution(
         eta_star,
         policy_low,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Mapping, Union
 
 import numpy as np
@@ -102,8 +103,8 @@ class ThresholdPolicy:
     transmit_prob: float = 1.0
 
     def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be at least 1, got {self.threshold}")
+        if not isinstance(self.threshold, Integral) or self.threshold < 1:
+            raise ValueError(f"threshold must be an integer of at least 1, got {self.threshold}")
         if not 0.0 <= self.transmit_prob <= 1.0:
             raise ValueError(f"transmit_prob must lie in [0, 1], got {self.transmit_prob}")
 
@@ -156,8 +157,8 @@ class PeriodicPolicy:
     period: int
 
     def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be at least 1, got {self.period}")
+        if not isinstance(self.period, Integral) or self.period < 1:
+            raise ValueError(f"period must be an integer of at least 1, got {self.period}")
 
     def describe(self) -> str:
         return f"periodic[{self.period}]"

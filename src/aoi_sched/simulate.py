@@ -2,9 +2,9 @@
 
 One run executes a policy against the channel from the synchronized start
 state (1, 0).  The age is never truncated here; simulation is the ground
-truth against which solver truncation error is measured.  What a run reads
-of its policy and of the model is a ``Kernel``, built once per
-``(policy, model)``: ``evaluate_simulated`` builds one for all its
+truth against which solver truncation error is measured.  What a call of
+``run`` or ``evaluate_simulated`` reads of its policy, model, horizon and
+replication count is a ``Kernel``, built once per call for all its
 replications.  The attempt count never passes the model's cap, so the
 kernel's ``mdp.slot_outcomes`` table has ``r_max + 1`` columns.
 
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -171,19 +172,26 @@ def _grow(a: np.ndarray, rows: int) -> np.ndarray:
 
 
 class Kernel:
-    """The tables that every run of one ``(policy, model)`` pair reads, built once.
+    """What every batch of one ``run`` or ``evaluate_simulated`` call reads, decided once.
 
-    For stationary policies and renewal mixtures: the policy's tables
-    (``_kernel_tables``) and whether it decides surely, the model's
-    ``slot_outcomes`` arrays indexed by ``3 * attempts + action``, and the
-    table offset of each attempt count.  For the periodic baseline: its
-    outcome table.  ``run`` builds one for its run, and
-    ``evaluate_simulated`` one for all its replications.  Batches reuse its
-    work arrays, so a kernel serves one batch at a time.
+    The call's ``horizon`` and its batch size ``size`` (``_batch_size``),
+    both checked here.  For stationary policies and renewal mixtures: the
+    policy's tables (``_kernel_tables``) and whether it decides surely, the
+    model's ``slot_outcomes`` arrays indexed by ``3 * attempts + action``,
+    the table offset of each attempt count, the history's dtype and its
+    starting length ``cap`` in steps, and the work arrays.  For the periodic
+    baseline: its outcome table.  The work arrays (the history, the
+    block-local rows of ``_cycles`` and the block of uniforms) are flat and
+    have room for the first batch, the largest; every batch steps on the
+    head of each (``_head``), so a kernel serves one batch at a time.
     """
 
-    def __init__(self, policy: Policy, model: ChannelModel):
-        self.policy = policy
+    def __init__(self, policy: Policy, model: ChannelModel, horizon: int, replications: int):
+        for name, value in (("horizon", horizon), ("replications", replications)):
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value}")
+        self.policy, self.horizon = policy, horizon
+        self.size = _batch_size(horizon, replications)
         self.periodic = isinstance(policy, PeriodicPolicy)
         if self.periodic:
             self.outcomes = slot_outcomes(model)
@@ -198,7 +206,12 @@ class Kernel:
         self.fail, self.reset_age, fail_att = (x.T.ravel() for x in out[:3])
         self.fail_att = 3 * fail_att
         self.retransmit_ok = out.admissible[Action.RETRANSMIT]
-        e0, e1, self.jump, row, n_age, n_att = _kernel_tables(policy)
+        # Below _NARROW slots the history is int32, and no age passes 2**30 plus
+        # the steps, at most the horizon and a block: the age that never comes
+        # is 2**30.  An age beyond a policy's table clamps to it.
+        self.dtype, never = (np.int32, 2**30) if horizon < _NARROW else (np.int64, _NEVER)
+        e0, e1, jump, row, n_age, n_att = _kernel_tables(policy)
+        self.jump = np.minimum(jump, never)
         self.e0, self.e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
         self.stride, self.n_age = n_age * n_att, n_age
         self.column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
@@ -215,34 +228,23 @@ class Kernel:
         # The rows of each block of uniforms (action, channel and mixture
         # component) that the runs read.
         self.rows = slice(0 if self.sure is None else 1, 3 if self.mixture else 2)
-        # Work arrays that the batches reuse, one batch at a time: a fresh
-        # array of this size costs more in page faults than the bookkeeping
-        # of a run's steps.
-        self.u = np.empty((0, 0, _BLOCK, _LANES))
-        self._history = self._loc = None
+        # The history's starting length: the steps the horizon is expected to
+        # take, at most _BUDGET lane-steps.
+        self.cap = min(_history_steps(horizon), max(_BUDGET // (self.size * _LANES * _BLOCK), 1) * _BLOCK)
+        # Work arrays that every batch reuses: a fresh array per batch costs
+        # more in page faults than the bookkeeping of a run's steps.  Per step
+        # and lane, the history's ages (one row more), actions and slots.
+        w = self.size * _LANES
+        self.hd = np.empty((self.cap + 1) * w, self.dtype)
+        self.ha = np.empty(self.cap * w, np.uint8)
+        self.hn = np.empty(self.cap * w, self.dtype)
+        self.loc = np.empty(3 * (_BLOCK + 1) * w, np.int64)
+        self.u = np.empty((self.rows.stop - self.rows.start) * _BLOCK * w)
 
-    def history(self, steps: int, reps: int, dtype):
-        """A batch's history with room for ``steps`` steps of ``reps`` replications, in
-        the last batch's arrays if they have it: ages, actions and slots, as
-        ``(step, replication, lane)``."""
-        w = reps * _LANES
-        rows = steps + 1, steps, steps
-        if self._history is None or self._history[0].dtype != dtype or any(
-            len(x) < n * w for x, n in zip(self._history, rows)
-        ):
-            self._history = tuple(np.empty(n * w, t) for n, t in zip(rows, (dtype, np.uint8, dtype)))
-        return tuple(x[: n * w].reshape(n, reps, _LANES) for x, n in zip(self._history, rows))
 
-    def _local(self, reps: int):
-        """A batch's block-local rows (``_cycles``), the last batch's if it had ``reps`` replications."""
-        if self._loc is None or self._loc[0].shape[2] != reps:
-            self._loc = (loc := np.empty((3, _BLOCK + 1, reps, _LANES), np.int64)), [list(x) for x in loc]
-        return self._loc
-
-    def keep(self, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray) -> None:
-        """Keep a batch's history arrays for the next batch if they outgrew the kernel's."""
-        if hn.size > len(self._history[2]):
-            self._history = hd.reshape(-1), ha.reshape(-1), hn.reshape(-1)
+def _head(a: np.ndarray, *shape: int) -> np.ndarray:
+    """The head of the flat work array ``a`` as a view of ``shape``; one larger than ``a`` fails to reshape."""
+    return a[: math.prod(shape)].reshape(shape)
 
 
 def _book(loc: np.ndarray, hd, ha, hn, a: int, b: int, slots: np.ndarray, last: np.ndarray, table: np.ndarray):
@@ -295,7 +297,7 @@ def _batch_size(horizon: int, replications: int) -> int:
     return max(1, min(replications, _BUDGET // (_LANES * _history_steps(horizon))))
 
 
-def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: bool):
+def _cycles(k: Kernel, rngs: list[np.random.Generator], trace: bool):
     """Lockstep renewal-cycle kernel for stationary policies and renewal mixtures.
 
     Steps a batch of replications side by side: replication ``b`` runs on
@@ -319,23 +321,19 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     (``_cut``).  A segment runs to the end of its block unless every open
     replication's coverage still missing is run before, at the pace of its
     lanes' slots so far; then it runs to the run in which the last of them
-    is.  The history starts with room for the steps the horizon is expected
-    to take, at most ``_BUDGET`` lane-steps, and grows at the pace of the
-    slowest open replication's lanes.
+    is.  The history starts in the kernel's work arrays, with room for
+    ``k.cap`` steps; a batch that outgrows it grows a copy of its own, at the
+    pace of the slowest open replication's lanes.
     """
-    reps = len(rngs)
+    horizon, cap, dtype, reps = k.horizon, k.cap, k.dtype, len(rngs)
     lanes, shape = _LANE_IDS, (reps, _LANES)
-    # Below _NARROW slots the history is int32, and no age passes 2**30 plus
-    # the steps, at most the horizon and a block: the age that never comes
-    # is 2**30.  An age beyond a policy's table clamps to it.
-    dtype, never = (np.int32, 2**30) if horizon < _NARROW else (np.int64, _NEVER)
     # Per step t and lane: the age before it, the action of its decision slot, and its slots.
-    cap = min(_history_steps(horizon), max(_BUDGET // (reps * _LANES * _BLOCK), 1) * _BLOCK)
-    hd, ha, hn = k.history(cap, reps, dtype)
+    hd, ha, hn = _head(k.hd, cap + 1, *shape), _head(k.ha, cap, *shape), _head(k.hn, cap, *shape)
     hd[0] = 1
     # The segment at hand steps on int64 rows, so that no add or lookup of the
     # loop mixes dtypes: ages (row 0 before the segment), actions and decision ages.
-    loc, (ages, actions, decided) = k._local(reps)
+    loc = _head(k.loc, 3, _BLOCK + 1, *shape)
+    ages, actions, decided = (list(x) for x in loc)
     loc[0, 0] = 1
     # The table of cycle starts, ``[cycle, (step, slots), replication,
     # lane]``: the step at which each cycle begins and the lane's slots
@@ -356,10 +354,8 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     # Array operands: ufuncs convert a Python scalar operand on every call.
     one, zero, age_top = np.ones(shape, np.int64), np.zeros(shape, np.int64), np.full(shape, k.n_age - 1, np.int64)
     # The rows of each replication's block of uniforms that the kernel reads.
-    rows, read = k.rows, k.rows.stop - k.rows.start
-    if k.u.shape[0] < reps or k.u.shape[1] < read:
-        k.u = np.empty((reps, read, _BLOCK, _LANES))
-    u = k.u[:reps, :read]
+    rows = k.rows
+    u = _head(k.u, reps, rows.stop - rows.start, _BLOCK, _LANES)
     block = {row: list(u[:, row - rows.start].swapaxes(0, 1)) for row in range(rows.start, rows.stop)}
     act_rows, chan_rows = block.get(0), block[1]
     mixture = k.mixture
@@ -378,7 +374,7 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
     weight, stride, sure = k.weight, k.stride, k.sure is not None
     # Local names: the step loop looks up no global or attribute.
     add, equal, greater_equal, maximum, minimum, putmask = np.add, np.equal, np.greater_equal, np.maximum, np.minimum, np.putmask
-    take_column, take_jump = k.column.take, np.minimum(k.jump, never).take
+    take_column, take_jump = k.column.take, k.jump.take
     take_e0, take_e1, take_fail = k.e0.take, k.e1.take, k.fail.take
     take_reset_age, take_fail_att = k.reset_age.take, k.fail_att.take
     take_sure = getattr(k.sure, "take", None)
@@ -453,11 +449,10 @@ def _cycles(k: Kernel, horizon: int, rngs: list[np.random.Generator], trace: boo
             # Steps that cover the others sooner are run anyway.
             need = max([(horizon - cover[rep]) * (t + s) // max(ran[rep], 1) for rep in open_], default=0)
         t += s
-    k.keep(hd, ha, hn)
-    return _cut(k, horizon, ends, table, hd, ha, hn, trace)
+    return _cut(k, ends, table, hd, ha, hn, trace)
 
 
-def _cut(k: Kernel, horizon: int, ends: list, starts: np.ndarray, hd, ha, hn, trace: bool) -> list:
+def _cut(k: Kernel, ends: list, starts: np.ndarray, hd, ha, hn, trace: bool) -> list:
     """Each replication's age sum, transmission count and, when ``trace`` is set, ``SlotTrace``,
     from the batch's history, whose first ``t`` steps cover replication ``rep``.
 
@@ -470,7 +465,7 @@ def _cut(k: Kernel, horizon: int, ends: list, starts: np.ndarray, hd, ha, hn, tr
     before its cut, so one pass over the batch's ``(step, rep, lane)`` rows sums each
     replication's ages and transmissions.
     """
-    each, lanes = np.arange(len(ends)), _LANE_IDS
+    horizon, each, lanes = k.horizon, np.arange(len(ends)), _LANE_IDS
     t, q, lane = (np.array(x) for x in zip(*ends))
     rows, slots = starts[:, 0], starts[:, 1]
     before = slots[: q.max() + 1].sum(axis=2)  # the slots before each round, up to q
@@ -502,7 +497,7 @@ def _cut(k: Kernel, horizon: int, ends: list, starts: np.ndarray, hd, ha, hn, tr
     out = [None] * len(ends)
     for rep, hr in enumerate(hrs):  # cycle c * _LANES + lane holds the last slot
         own = (x[:, rep] for x in (rows, hd, ha, hn))
-        out[rep] = _slots(k, horizon, c[rep] * _LANES + lane[rep], full[rep], depth[rep], hr, *own, trace)
+        out[rep] = _slots(k, c[rep] * _LANES + lane[rep], full[rep], depth[rep], hr, *own, trace)
     # A step's kept slots have ages d, d + 1, ..., d + kept - 1, which sum to
     # kept * (2 * d + kept - 1) / 2, and the kept slots to the horizon.  The
     # ages become 2 * d + kept in place, which wraps only where kept is 0.
@@ -528,7 +523,7 @@ def _attempts(k: Kernel, hd: np.ndarray, ha: np.ndarray, hn: np.ndarray, depth: 
     return hr
 
 
-def _slots(k: Kernel, horizon: int, m: int, full: np.ndarray, depth: int, hr, rows, hd, ha, kept, trace: bool):
+def _slots(k: Kernel, m: int, full: np.ndarray, depth: int, hr, rows, hd, ha, kept, trace: bool):
     """One replication's ``SlotTrace`` when ``trace`` is set; raises ``ProtocolViolationError`` at its
     first inadmissible retransmission.  Cycle ``m`` holds the last slot, lane ``l`` decides in its first
     ``full[l]`` steps, ``kept`` holds each step's slots inside the horizon and ``hr`` its attempts."""
@@ -561,21 +556,21 @@ def _slots(k: Kernel, horizon: int, m: int, full: np.ndarray, depth: int, hr, ro
             raise ProtocolViolationError(int(slots[i]), "retransmit with no failed packet in flight")
         raise ProtocolViolationError(int(slots[i]), f"retransmit at the attempt cap r={r_bad}")
     f = np.repeat(flat, count)
-    offset = np.arange(horizon) - np.repeat(np.cumsum(count) - count, count)
+    offset = np.arange(k.horizon) - np.repeat(np.cumsum(count) - count, count)
     d, r = hd[: depth + 1].astype(np.int64).ravel(), hr.ravel() // 3
     last = decided.ravel()[f] & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
     ages = d[f] + offset
     return SlotTrace(ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
 
 
-def _periodic(k: Kernel, horizon: int, rng: np.random.Generator, trace: bool):
+def _periodic(k: Kernel, rng: np.random.Generator, trace: bool):
     """Closed-form pass over the periodic baseline's transmission slots.
 
     One channel uniform per transmission slot, in slot order.  The age climbs
     by one per slot from 1 at slot 1 and is 1 again in the slot after a
     delivery, so the ages between deliveries are arithmetic series.
     """
-    period = k.policy.period
+    horizon, period = k.horizon, k.policy.period
     tx_slot = 1 + period * np.arange((horizon - 1) // period + 1)
     out = k.outcomes
     delivered = rng.random(len(tx_slot)) >= out.fail[Action.NEW_UPDATE, 0]
@@ -604,9 +599,8 @@ def run(
     averages and, when requested, the run's ``SlotTrace``.  The trace of
     ``n`` slots is the start of every longer run on the same stream.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    ((aoi_sum, n_tx, trace),) = _simulate(Kernel(policy, model), horizon, [np.random.default_rng(seed)], collect_trace)
+    kernel = Kernel(policy, model, horizon, 1)
+    ((aoi_sum, n_tx, trace),) = _simulate(kernel, [np.random.default_rng(seed)], collect_trace)
     return RunStats.from_reps([aoi_sum / horizon], [n_tx / horizon]), trace
 
 
@@ -616,24 +610,19 @@ def evaluate_simulated(policy: Policy, model: ChannelModel, horizon: int, replic
     The replications share one ``Kernel`` and run in batches of side-by-side
     replications (``_batch_size``); each equals ``run`` on its own stream.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
-    kernel = Kernel(policy, model)
-    size = _batch_size(horizon, replications)
+    kernel = Kernel(policy, model, horizon, replications)
     sums = []
-    for first in range(0, replications, size):
-        rngs = [np.random.default_rng([seed, rep]) for rep in range(first, min(first + size, replications))]
-        sums += _simulate(kernel, horizon, rngs, False)
+    for first in range(0, replications, kernel.size):
+        rngs = [np.random.default_rng([seed, rep]) for rep in range(first, min(first + kernel.size, replications))]
+        sums += _simulate(kernel, rngs, False)
     return RunStats.from_reps([aoi / horizon for aoi, _, _ in sums], [n_tx / horizon for _, n_tx, _ in sums])
 
 
-def _simulate(kernel: Kernel, horizon: int, rngs: list[np.random.Generator], trace: bool) -> list:
+def _simulate(kernel: Kernel, rngs: list[np.random.Generator], trace: bool) -> list:
     """One replication per generator, as ``(age sum, transmissions, SlotTrace or None)``."""
     if kernel.periodic:
-        return [_periodic(kernel, horizon, rng, trace) for rng in rngs]
-    return _cycles(kernel, horizon, rngs, trace)
+        return [_periodic(kernel, rng, trace) for rng in rngs]
+    return _cycles(kernel, rngs, trace)
 
 
 class SlotEnv:

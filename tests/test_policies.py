@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +95,12 @@ class TestThresholdPolicy:
         with pytest.raises(ValueError):
             ThresholdPolicy(3, 1.5)
 
+    @pytest.mark.parametrize("threshold", [2.5, 4.0, "4"])
+    def test_threshold_is_an_integer(self, threshold):
+        with pytest.raises(ValueError, match=re.escape(f"threshold must be an integer of at least 1, got {threshold}")):
+            ThresholdPolicy(threshold)
+        assert ThresholdPolicy(np.int64(4)).table.shape == (6, 1, len(Action))
+
     def test_describe(self):
         assert ThresholdPolicy(4).describe() == "threshold[4]"
         assert "p=0.3" in ThresholdPolicy(4, 0.3).describe()
@@ -112,6 +121,12 @@ class TestMixtureAndPeriodic:
     def test_period_validated(self):
         with pytest.raises(ValueError):
             PeriodicPolicy(0)
+
+    @pytest.mark.parametrize("period", [2.5, 3.0, "3"])
+    def test_period_is_an_integer(self, period):
+        with pytest.raises(ValueError, match=re.escape(f"period must be an integer of at least 1, got {period}")):
+            PeriodicPolicy(period)
+        assert PeriodicPolicy(np.int64(3)).describe() == "periodic[3]"
 
 
 DET_TRUNC, RND_TRUNC = Truncation(8, 2), Truncation(6, 1)

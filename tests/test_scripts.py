@@ -77,8 +77,9 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     assert run_script("cli_outputs.py", str(tmp_path), monkeypatch=monkeypatch) == 0
     commands = [
         "arq", "arq-long-budget", "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn",
-        "learn-harq", "learn-steps0", "search-eta", "search-eta-reuse", "simulate-optimal", "simulate-periodic",
-        "solve-arq", "solve-error", "solve-harq", "sweep-failing", "sweep-stdout", "verify", "verify-quick",
+        "learn-harq", "learn-steps0", "search-eta", "search-eta-reuse", "simulate-batches", "simulate-optimal",
+        "simulate-periodic", "solve-arq", "solve-error", "solve-harq", "sweep-failing", "sweep-stdout", "verify",
+        "verify-quick",
     ]
     csvs = [
         "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn-harq-qtable", "learn-qtable",

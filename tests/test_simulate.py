@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestRunBasics:
         assert isinstance(trace, SlotTrace)
         assert [column.dtype for column in trace] == [np.int64, np.int64, np.uint8, np.int64, np.int64]
         assert {len(column) for column in trace} == {100}
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy(4), PeriodicPolicy(3)], ids=["cycles", "periodic"])
+    def test_horizon_and_replications_are_integers_of_at_least_one(self, policy):
+        model = ChannelModel(0.5, 0.5, 3)
+        for horizon in (1000.5, np.float64(1000.0), 0):
+            message = re.escape(f"horizon must be an integer of at least 1, got {horizon}")
+            with pytest.raises(ValueError, match=message):
+                run(policy, model, horizon)
+            with pytest.raises(ValueError, match=message):
+                evaluate_simulated(policy, model, horizon, 2)
+        for replications in (2.0, 0):
+            message = re.escape(f"replications must be an integer of at least 1, got {replications}")
+            with pytest.raises(ValueError, match=message):
+                evaluate_simulated(policy, model, 1_000, replications)
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy(4), PeriodicPolicy(3)], ids=["cycles", "periodic"])
+    def test_numpy_integer_counts_are_their_values(self, policy):
+        model = ChannelModel(0.5, 0.5, 3)
+        (wide, _), (plain, _) = run(policy, model, np.int64(1_000), seed=3), run(policy, model, 1_000, seed=3)
+        assert stats_values(wide) == stats_values(plain)
+        wide = evaluate_simulated(policy, model, np.int64(1_000), np.int64(3), seed=3)
+        assert stats_values(wide) == stats_values(evaluate_simulated(policy, model, 1_000, 3, seed=3))
 
     def test_trace_follows_transition_support(self):
         model = ChannelModel(0.4, 0.6, 3)
@@ -241,6 +264,18 @@ class ForcedUniform:
 
     def random(self):
         return self.u
+
+
+class Recording:
+    """A generator that keeps each array it draws uniforms into, in ``outs``."""
+
+    def __init__(self, rng, outs):
+        self.rng, self.outs, self.bit_generator = rng, outs, rng.bit_generator
+
+    def random(self, size=None, out=None):
+        if out is not None:
+            self.outs.append(out)
+        return self.rng.random(size, out=out)
 
 
 def harq_table(model, trunc, eta):
@@ -664,7 +699,7 @@ class TestKernel:
         # action uniforms, and takes the same actions.
         model = ChannelModel(0.5, 0.5, 3)
         policy = harq_table(model, Truncation(60, 3), 4.0)
-        kernel = simulate.Kernel(policy, model)
+        kernel = simulate.Kernel(policy, model, 2_000, 1)
         assert kernel.sure is not None and kernel.rows == slice(1, 2)
         horizons = (2_000, 100_000)
         sure = [np.random.Generator(bits(11)) for _ in horizons]
@@ -672,9 +707,10 @@ class TestKernel:
 
         real = simulate.Kernel
 
-        def drawn(policy, model):
-            kernel = real(policy, model)
+        def drawn(policy, model, horizon, replications):
+            kernel = real(policy, model, horizon, replications)
             kernel.sure, kernel.rows = None, slice(0, 2)
+            kernel.u = np.empty(2 * kernel.u.size)  # room for the action row too
             return kernel
 
         monkeypatch.setattr(simulate, "Kernel", drawn)
@@ -702,7 +738,7 @@ def batches_of(size, horizon, monkeypatch):
     monkeypatch.setattr(simulate, "_BUDGET", size * simulate._LANES * simulate._history_steps(horizon))
     sizes = []
     real = simulate._simulate
-    monkeypatch.setattr(simulate, "_simulate", lambda k, h, rngs, trace: sizes.append(len(rngs)) or real(k, h, rngs, trace))
+    monkeypatch.setattr(simulate, "_simulate", lambda k, rngs, trace: sizes.append(len(rngs)) or real(k, rngs, trace))
     return sizes
 
 
@@ -743,6 +779,27 @@ class TestBatches:
         with pytest.raises(ProtocolViolationError) as err:
             evaluate_simulated(policy, model, horizon, 6, seed=2)
         assert (err.value.slot, str(err.value)) == first[1:]
+
+    @pytest.mark.parametrize("kind", ["table", "randomized", "mixture"])
+    def test_later_batches_reuse_the_first_batchs_arrays(self, kind, monkeypatch):
+        # Batches of 2, 2 and 1 at 2,000 slots, none outgrowing its history:
+        # each books into the kernel's work arrays and draws into its block of uniforms.
+        ran = batches_of(2, 2_000, monkeypatch)
+        kernels, booked, drawn = [], [], []
+        real_simulate, real_book = simulate._simulate, simulate._book
+
+        def recorded(k, rngs, trace):
+            kernels.append(k)
+            return real_simulate(k, [Recording(rng, drawn) for rng in rngs], trace)
+
+        monkeypatch.setattr(simulate, "_simulate", recorded)
+        monkeypatch.setattr(simulate, "_book", lambda *args: booked.append(args[:4]) or real_book(*args))
+        evaluate_simulated(*verify_case(kind), 2_000, 5, seed=2024)
+        assert ran == [2, 2, 1] and len(set(map(id, kernels))) == 1
+        k = kernels[0]
+        own = k.loc, k.hd, k.ha, k.hn
+        assert booked and all(np.shares_memory(x, y) for row in booked for x, y in zip(row, own, strict=True))
+        assert drawn and all(np.shares_memory(u, k.u) for u in drawn)
 
     def test_budget_batches_short_runs_and_keeps_long_ones_apart(self):
         assert simulate._batch_size(2_000, 50) == 15
