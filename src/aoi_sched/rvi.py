@@ -34,16 +34,11 @@ the policy that never sends.
 
 A state switches to its first cheapest action only when its current action
 costs more than ``_EPSILON`` above that minimum, so rounding noise below
-``_EPSILON`` cannot make the iteration cycle.  Once no state does, the
-iteration reads the policy off the state-action costs, with costs within a
-relative ``1e-9`` of the row minimum counted as ties and ties broken toward
-the cheaper action (idle < new update < retransmit), and evaluates that
-policy until it is the read-off of its own values.  A near-tie kept below
-``_EPSILON`` therefore cannot make two solves of one problem, started from
-different policies, return different gains.  The output holds the values,
-gain and chain of the returned policy; its residual is the largest violation
-of the optimality equation by those values, which ``bellman_residual``
-recomputes.
+``_EPSILON`` cannot make the iteration cycle; it stops when no state does,
+and the residual is that largest excess.  The returned policy is greedy on
+the final state-action costs, with costs within a relative ``1e-9`` of the row
+minimum counted as ties and ties broken toward the cheaper action
+(idle < new update < retransmit).  The output carries that policy's chain.
 """
 
 from __future__ import annotations
@@ -70,12 +65,13 @@ class SolverOutput:
     in ``StateSpace`` order, the order of ``policy.table[space.age, space.r]``.
     ``space`` is the state space the output was solved on, which a solve
     given the output as its ``start`` works on.  ``chain`` is the
-    ``BorderChain`` of ``policy``, dropped once read.  ``actions`` is
-    ``policy`` as one action per state in ``StateSpace`` order; ``gain`` and
-    ``h_array`` are its gain and values at the charge ``eta``, and ``g_tx``
-    and ``h_tx`` its transmission rate and the values of its transmit
-    indicator.  Outputs compare by identity, as an array field has no single
-    truth value.
+    ``BorderChain`` of ``policy``, dropped once read.  ``gain`` and
+    ``h_array`` are those of ``actions``, the policy the solve evaluated
+    last, at the charge ``eta``; ``g_tx`` and ``h_tx`` are that policy's
+    transmission rate and the values of its transmit indicator.
+    ``actions`` differs from ``policy`` only where the read-off broke an
+    exact tie the other way.  Outputs compare by identity, as an array field
+    has no single truth value.
     """
 
     gain: float
@@ -199,7 +195,7 @@ def solve(
         q = _masked_q(space, h, eta)
         actions = _first_within(q, _row_min(q))
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
-        it = 1
+        it, chain_actions = 1, actions  # the actions whose chain is chain
     else:
         actions, g_tx, h_tx, shift = start.actions, start.g_tx, start.h_tx, eta - start.eta
         gain, h = start.gain + shift * g_tx, start.h_array + shift * h_tx
@@ -208,29 +204,28 @@ def solve(
             f"policy values at eta={eta}, shifted from eta={start.eta}, are inaccurate",
         )
         it, chain = 0, start.chain
+        chain_actions = start.policy.table[space.age, space.r].argmax(axis=1)
     while True:
         q = _masked_q(space, h, eta)
         v = _row_min(q)
         excess = q.take(rows + actions) - v
-        largest = float(excess.max())
-        if largest <= _EPSILON:
-            # First action within the tie tolerance wins: idle < new < retransmit.
-            greedy = _first_within(q, v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))
-            if np.array_equal(greedy, actions):
-                break
+        residual = float(excess.max())
+        if residual <= _EPSILON:
+            break
         if it >= _MAX_EVALUATIONS:
             raise ConvergenceError(
-                f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {largest:.3e})",
-                largest,
+                f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
+                residual,
             )
-        actions = greedy if largest <= _EPSILON else np.where(excess > _EPSILON, _first_within(q, v), actions)
+        actions = np.where(excess > _EPSILON, _first_within(q, v), actions)
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
-        it += 1
+        it, chain_actions = it + 1, actions
 
-    if chain is None:  # the start's chain, dropped once read
-        chain = _chain(space, rows + actions)
-    residual = float(np.abs(v - gain - h).max())
-    policy = DeterministicTable.from_actions(space, actions)
+    # First action within the tie tolerance wins: idle < new < retransmit.
+    greedy = _first_within(q, v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))
+    if chain is None or not np.array_equal(greedy, chain_actions):  # a tie read off the other way
+        chain = _chain(space, rows + greedy)
+    policy = DeterministicTable.from_actions(space, greedy)
     return SolverOutput(gain, policy, it, residual, h, q, space, chain, eta, g_tx, h_tx, actions)
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -93,14 +91,13 @@ class TestSolveHarq:
         assert out.residual <= 1e-8
         assert bellman_residual(out) <= 2e-8
 
-    def test_unsolved_values_violate_optimality(self):
-        # The values of sending a fresh update in every slot, which the solve improves on.
+    def test_unsolved_values_violate_optimality(self, monkeypatch):
         model = ChannelModel(0.3, 0.5, 9)
         trunc = Truncation(60, 9)
+        monkeypatch.setattr(rvi, "_EPSILON", 1e300)
         out = solve(model, trunc, 5.0)
-        gain, h, *_ = rvi._evaluate(out.space, np.full(len(out.space), int(Action.NEW_UPDATE)), 5.0)
-        assert bellman_residual(replace(out, gain=gain, h_array=h)) > 1e-3
-        assert bellman_residual(out) <= 2e-8
+        assert out.iterations == 1
+        assert bellman_residual(out) > 1e-3
 
     @pytest.mark.parametrize(
         "model, trunc", [(ChannelModel(0.5, 0.5, 3), Truncation(60, 3)), (ARQ_HALF, Truncation(80, 0))]
@@ -243,7 +240,6 @@ class TestWarmStart:
         eta_start=st.floats(0.0, 100.0),
         eta=st.floats(0.0, 100.0),
     )
-    @example(p0=0.625, lam=1.0, r_max=0, n_max=41, eta_start=0.0, eta=1.0)  # a near-tie kept below _EPSILON
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_a_cold_solve(self, p0, lam, r_max, n_max, eta_start, eta):
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
