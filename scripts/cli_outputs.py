@@ -12,6 +12,13 @@ code (NAME.exit).  Outputs of two versions of the code compare file by file:
     PYTHONPATH=src python scripts/cli_outputs.py after/
     diff -r before/ after/
 
+``tests/golden`` holds the outputs of the current code, and
+``tests/test_scripts.py`` compares every file with them byte for byte.  A
+change that alters an output regenerates them, and its diff shows each
+changed line:
+
+    PYTHONPATH=src python scripts/cli_outputs.py tests/golden
+
 Takes about ten seconds on two CPUs.
 """
 

@@ -11,6 +11,7 @@ import pytest
 from aoi_sched.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"  # python scripts/cli_outputs.py tests/golden
 BUDGETS = [f"{0.05 * k:.2f}" for k in range(2, 21)]  # 0.10, 0.15, ..., 1.00
 
 
@@ -92,3 +93,6 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     exits = {name: (tmp_path / f"{name}.exit").read_text() for name in commands}
     assert exits == {name: "1\n" if name in ("solve-error", "sweep-failing") else "0\n" for name in commands}
     assert (tmp_path / "sweep-stdout.stdout").read_text().startswith("schema,protocol,")
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(path.name for path in tmp_path.iterdir())
+    changed = [path.name for path in sorted(tmp_path.iterdir()) if path.read_bytes() != (GOLDEN / path.name).read_bytes()]
+    assert changed == [], f"outputs differ from {GOLDEN}: {changed}"
