@@ -391,6 +391,8 @@ def cmd_verify(args) -> int:
     deltas = [1, 2, 5, 9] if quick else [1, 2, 3, 5, 8, 13, 21, 34, 50]
     etas = [0.5, 2.0, 7.0, 19.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 19.0, 33.0, 50.0]
     budgets = [(0.5, 1.0, 0, 0.35, 120)] + ([] if quick else [(0.3, 0.5, 3, 0.4, 120)])
+    # A point whose planned age once lay 7.2e-10 of itself above its duality bound.
+    certified = budgets + [(0.17953721532583555, 0.49169653972600275, 4, 0.46067347610183607, 28)]
     model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(100, 3)
     sims = [(ThresholdPolicy(4), model, trunc), (PeriodicPolicy(3), model, trunc)]
     checks = [
@@ -399,6 +401,7 @@ def cmd_verify(args) -> int:
         ("threshold-candidates-vs-brute-force", 1e-12, oracles.threshold_candidates_excess(ps, etas, 300 if quick else 1000)),
         ("rvi-threshold-structure", 2e-8, oracles.arq_solver_residual([(0.5, 10.0)], 120 if quick else 500)),
         ("budget-met-with-equality", 1e-6, oracles.budget_gap(budgets)),
+        ("duality-gap", 1e-12, oracles.duality_gap(certified)),
         ("simulation-vs-exact-evaluation", 3.0, oracles.simulation_excess(sims, 50_000 if quick else 200_000, 8, 7, 2e-5)),
     ]
     failures = 0

@@ -14,7 +14,7 @@ class ProtocolViolationError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver exhausted its iteration budget."""
+    """Iterative solver exhausted its iteration budget or returned to a policy it had evaluated."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -32,13 +32,17 @@ solve builds its state space and starts from the values
 below the cap row, rather than from zero, which at ``eta = 0`` would pick
 the policy that never sends.
 
-A state switches to its first cheapest action only when its current action
-costs more than ``_EPSILON`` above that minimum, so rounding noise below
-``_EPSILON`` cannot make the iteration cycle; it stops when no state does,
-and the residual is that largest excess.  The returned policy is greedy on
-the final state-action costs, with costs within a relative ``1e-9`` of the row
-minimum counted as ties and ties broken toward the cheaper action
-(idle < new update < retransmit).  The output carries that policy's chain.
+Each improvement step bounds ties by one tolerance per state,
+``_TIE_RTOL * max(1, |v|)`` of its row minimum ``v``.  A state switches to
+its first cheapest action only when its current action costs more than that
+bound above the minimum; the iteration stops when no state does, and the
+residual is the largest excess.  The returned policy is greedy on the final
+state-action costs under the same bound: costs within it of the row minimum
+tie, and ties go to the cheaper action (idle < new update < retransmit).
+The output carries that policy's chain.  In exact arithmetic policy iteration
+never returns to a policy; an evaluation is exact only to ``_SOLVE_RTOL``,
+so an improvement step that returns a policy this solve has already
+evaluated raises ``ConvergenceError`` rather than cycling.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ from .errors import ConvergenceError, InaccurateSolveError, MultichainError
 from .mdp import BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
 
-_EPSILON = 1e-8  # largest excess of a kept action over its row minimum
 _MAX_EVALUATIONS = 1_000_000  # policy evaluations allowed per solve
-_TIE_RTOL = 1e-9  # read-off: costs this close to the row minimum tie
+_TIE_RTOL = 1e-12  # costs this close to the row minimum, relative to max(1, |min|), tie
 _SOLVE_RTOL = 1e-9  # largest relative residual accepted from an evaluation
 
 
@@ -69,8 +72,8 @@ class SolverOutput:
     ``h_array`` are those of ``actions``, the policy the solve evaluated
     last, at the charge ``eta``; ``g_tx`` and ``h_tx`` are that policy's
     transmission rate and the values of its transmit indicator.
-    ``actions`` differs from ``policy`` only where the read-off broke an
-    exact tie the other way.  Outputs compare by identity, as an array field
+    ``actions`` differs from ``policy`` only where the read-off broke a tie
+    within the tie bound the other way.  Outputs compare by identity, as an array field
     has no single truth value.
     """
 
@@ -189,6 +192,7 @@ def solve(
         )
 
     rows = 3 * np.arange(len(space))  # flat index of (state, idle) in q
+    evaluated = set()  # the policies this solve has passed to _evaluate, as bytes
     if start is None:
         # (delta - 1) / (1 - g(0)): the values of sending a fresh update in every slot, exact below the cap row.
         h = (space.delta - 1.0) / (1.0 - model.p0)
@@ -196,6 +200,7 @@ def solve(
         actions = _first_within(q, _row_min(q))
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
         it, chain_actions = 1, actions  # the actions whose chain is chain
+        evaluated.add(actions.tobytes())
     else:
         actions, g_tx, h_tx, shift = start.actions, start.g_tx, start.h_tx, eta - start.eta
         gain, h = start.gain + shift * g_tx, start.h_array + shift * h_tx
@@ -205,24 +210,36 @@ def solve(
         )
         it, chain = 0, start.chain
         chain_actions = start.policy.table[space.age, space.r].argmax(axis=1)
+        # The start's policy is not counted as evaluated: its shifted values are exact only to
+        # _SOLVE_RTOL, so the solve may leave it and come back.
     while True:
         q = _masked_q(space, h, eta)
         v = _row_min(q)
+        tol = _TIE_RTOL * np.maximum(1.0, np.abs(v))
         excess = q.take(rows + actions) - v
         residual = float(excess.max())
-        if residual <= _EPSILON:
+        switch = excess > tol
+        if not switch.any():
             break
         if it >= _MAX_EVALUATIONS:
             raise ConvergenceError(
                 f"no convergence within {_MAX_EVALUATIONS} policy evaluations (residual {residual:.3e})",
                 residual,
             )
-        actions = np.where(excess > _EPSILON, _first_within(q, v), actions)
+        actions = np.where(switch, _first_within(q, v), actions)
+        key = actions.tobytes()
+        if key in evaluated:
+            raise ConvergenceError(
+                f"policy iteration at eta={eta} returned to a policy it evaluated before, after {it} "
+                f"evaluations (residual {residual:.3e})",
+                residual,
+            )
+        evaluated.add(key)
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
         it, chain_actions = it + 1, actions
 
-    # First action within the tie tolerance wins: idle < new < retransmit.
-    greedy = _first_within(q, v + _TIE_RTOL * np.maximum(1.0, np.abs(v)))
+    # First action within the tie bound wins: idle < new < retransmit.
+    greedy = _first_within(q, v + tol)
     if chain is None or not np.array_equal(greedy, chain_actions):  # a tie read off the other way
         chain = _chain(space, rows + greedy)
     policy = DeterministicTable.from_actions(space, greedy)

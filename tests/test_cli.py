@@ -347,7 +347,7 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
 def test_verify_passes(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS  ") == 6 and "FAIL" not in out
+    assert out.count("PASS  ") == 7 and "FAIL" not in out
 
 
 # A fault in each collaborator that the oracles call through its module, and the checks it must fail.
@@ -369,6 +369,14 @@ def test_verify_fails_when_a_collaborator_breaks(name, monkeypatch, capsys):
     assert main(["verify", "--quick"]) == 1
     out = capsys.readouterr().out
     assert all(f"FAIL  {check}" in out for check in checks), out
+
+
+def test_verify_fails_on_a_loose_tie_tolerance(monkeypatch, capsys):
+    # At 1e-9 the solver reads off a policy above the one it evaluated, as it once did.
+    monkeypatch.setattr(rvi, "_TIE_RTOL", 1e-9)
+    assert main(["verify", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  duality-gap" in out and out.count("FAIL  ") == 1, out
 
 
 @pytest.mark.parametrize(
