@@ -335,7 +335,6 @@ def _sweep_point(task) -> tuple[tuple[float, ...], str]:
     try:
         if protocol == "arq":
             model = ChannelModel(p0, 1.0, 0)
-            trunc = Truncation(n_max, 0)
             rt = arq.optimal_policy(p0, c_max)
             policy = rt.policy()
             exact_aoi, exact_cost = rt.avg_aoi, rt.avg_cost
@@ -390,11 +389,13 @@ def cmd_verify(args) -> int:
     ps = [0.2, 0.5, 0.8] if quick else [0.1, 0.3, 0.5, 0.7, 0.9]
     deltas = [1, 2, 5, 9] if quick else [1, 2, 3, 5, 8, 13, 21, 34, 50]
     etas = [0.5, 2.0, 7.0, 19.0] if quick else [0.5, 1.0, 2.0, 5.0, 10.0, 19.0, 33.0, 50.0]
-    budgets = [(0.5, 1.0, 0, 0.35, 120)] + ([] if quick else [(0.3, 0.5, 3, 0.4, 120)])
+    budgets = [(0.5, 1.0, 0, 0.35, 120), (0.3, 0.5, 3, 0.4, 120)]
     # A point whose planned age once lay 7.2e-10 of itself above its duality bound.
     certified = budgets + [(0.17953721532583555, 0.49169653972600275, 4, 0.46067347610183607, 28)]
     model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(100, 3)
-    sims = [(ThresholdPolicy(4), model, trunc), (PeriodicPolicy(3), model, trunc)]
+    # The solver's table at charge 5 retransmits; the planner's answer at budget 0.4 mixes two tables.
+    harq = [solve(model, trunc, 5.0).policy, solve_constrained(model, trunc, 0.4).mixed]
+    sims = [(policy, model, trunc) for policy in [ThresholdPolicy(4), PeriodicPolicy(3), *harq]]
     checks = [
         ("arq-closed-forms-vs-exact-chain", 1e-8, oracles.arq_closed_forms(ps, deltas)),
         ("lagrangian-identity", 1e-12, oracles.lagrangian_identity(ps, deltas, [0.5, 2.0, 10.0, 40.0])),

@@ -188,12 +188,9 @@ def renewal_mixture_weight(
     c1, c2 = first.avg_cost, second.avg_cost
     if not c2 <= c_max <= c1:
         raise ValueError(f"budget {c_max} not bracketed by component costs [{c2}, {c1}]")
-    if abs(c1 - c2) < 1e-15:
+    if c1 == c2:
         return 1.0
     t1 = 1.0 / float(first.stationary[regeneration])
     t2 = 1.0 / float(second.stationary[regeneration])
-    num = t2 * (c_max - c2)
-    den = t1 * (c1 - c_max) + num
-    if den <= 0.0:
-        return 1.0
-    return float(min(1.0, max(0.0, num / den)))
+    num = t2 * (c_max - c2)  # >= 0; the denominator is at least num and, as c1 > c2, positive
+    return num / (t1 * (c1 - c_max) + num)

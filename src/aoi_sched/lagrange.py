@@ -10,11 +10,12 @@ envelope to that pair.  It brackets the budget with ``eta = 0`` and an upper
 charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
 (phase ``"expand"``).  It then probes where the two endpoint lines cross,
 ``x = (J_hi - J_lo) / (C_lo - C_hi)``, and replaces the endpoint on the
-probe's side of the budget (phase ``"walk"``).  Once the probed policy's line
-is not below the endpoints' at ``x``, no policy lies between them: ``eta* = x``
-and the endpoints are the pair.  Every ``J`` and ``C`` is read off the chain
-the solver built for the probe's policy by ``evaluate_exact``'s stationary
-step, not from its gain: the walk and its tie test use one evaluator.  A
+probe's side of the budget (phase ``"walk"``).  When the probe at ``x``
+returns an endpoint's ``(J, C)`` bit for bit, that endpoint is optimal at
+``x`` (to the solver's tie bound), so no policy lies below the pair and
+``eta* = x``.  Every ``J`` and ``C`` is read off the chain the solver built
+for the probe's policy by ``evaluate_exact``'s stationary step, not from
+its gain, so one table gives one ``(J, C)`` in every probe.  A
 probe whose cost meets the budget exactly ends the search at once, so the
 full budget ``c_max = 1``, which the uncharged policy meets by sending in
 every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
@@ -64,7 +65,6 @@ from .policies import (
 from .rvi import SolverOutput, solve
 
 _HIT_TOL = 1e-9  # |cost - budget| at which a probe meets the budget exactly
-_TIE_RTOL = 1e-12  # a probe no further below the chord than this lies on it
 _MAX_STEPS = 64  # probes per phase before the search gives up
 
 
@@ -200,9 +200,8 @@ def search_eta_star(
         mid = probe(x, "walk")
         if meets(mid):
             return result(x, mid, mid, True)
-        chord = lo.aoi + x * lo.cost
-        if mid.aoi + x * mid.cost >= chord - _TIE_RTOL * max(1.0, abs(chord)):
-            return result(x, lo, hi, False)
+        if (mid.aoi, mid.cost) in ((lo.aoi, lo.cost), (hi.aoi, hi.cost)):
+            return result(x, lo, hi, False)  # an endpoint is optimal at x: its line meets g*(x)
         if mid.cost > c_max:
             lo = mid
         else:

@@ -311,17 +311,22 @@ class TestTailMass:
         assert evaluate_exact(sol.mixed, model, Truncation(160, 3)).tail_mass < 1e-12
 
 
-def dense_stationary(policy, model, trunc):
-    """Stationary masses in ``StateSpace`` order by one dense solve over the states reachable from (1, 0)."""
+def lu_stationary(P):
+    """Stationary distribution of an irreducible ``P`` by one dense LU solve."""
+    A = P.T - np.eye(len(P))
+    A[-1, :] = 1.0
+    b = np.zeros(len(P))
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
+def dense_stationary(policy, model, trunc, closed_solve=lu_stationary):
+    """Stationary masses in ``StateSpace`` order by ``closed_solve`` over the states reachable from (1, 0)."""
     space = StateSpace(model, trunc)
     P, _ = reference_chain(policy, model, trunc)
     reach = np.sort(breadth_first_order(P > 0.0, 0, directed=True, return_predecessors=False))
-    A = P[np.ix_(reach, reach)].T - np.eye(len(reach))
-    A[-1, :] = 1.0
-    b = np.zeros(len(reach))
-    b[-1] = 1.0
     pi = np.zeros(len(space))
-    pi[reach] = np.linalg.solve(A, b)
+    pi[reach] = closed_solve(P[np.ix_(reach, reach)])
     return space, pi
 
 
@@ -338,8 +343,8 @@ def gth_stationary(P):
 
 
 class TestStationarySolve:
-    def assert_matches_dense(self, policy, model, trunc, rtol=1e-12):
-        space, pi = dense_stationary(policy, model, trunc)
+    def assert_matches_dense(self, policy, model, trunc, rtol=1e-12, closed_solve=lu_stationary):
+        space, pi = dense_stationary(policy, model, trunc, closed_solve)
         res = evaluate_exact(policy, model, trunc)
         np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=rtol, atol=1e-15)
         assert res.avg_aoi == pytest.approx(pi @ space.delta, rel=1e-13)
@@ -369,11 +374,13 @@ class TestStationarySolve:
         seed=st.integers(0, 2**32 - 1),
     )
     # r_max = 0, recurrent and transient; r_cap = n_max - 1 with two closed
-    # classes; a randomized table whose (1, 0) is transient.
+    # classes; a randomized table whose (1, 0) is transient; a chain too
+    # ill-conditioned for a dense LU solve.
     @example(p0=0.5, lam=1.0, r_max=0, n_max=12, sure=False, idle_at_cap=False, seed=0)
     @example(p0=0.5, lam=1.0, r_max=0, n_max=12, sure=True, idle_at_cap=True, seed=0)
     @example(p0=0.5, lam=0.5, r_max=40, n_max=8, sure=True, idle_at_cap=True, seed=6)
     @example(p0=0.5, lam=0.5, r_max=3, n_max=10, sure=False, idle_at_cap=True, seed=0)
+    @example(p0=0.9499999999999998, lam=0.09375, r_max=3, n_max=14, sure=True, idle_at_cap=False, seed=27322185)
     @settings(max_examples=150, deadline=None)
     def test_random_tables_match_the_dense_solve(self, p0, lam, r_max, n_max, sure, idle_at_cap, seed):
         # Every closed class holds (1, 0) or is {(n_max, 0)} (BorderChain.reached),
@@ -393,9 +400,12 @@ class TestStationarySolve:
         closed = spec.closed_classes(reference_chain(policy, model, trunc)[0])
         assert all(members[0] == 0 or list(members) == [cap] for members in closed)
         if any(members[0] == 0 for members in closed):
-            # The dense LU solve is good to about rounding times the chain's
-            # condition number, which random tables take into the thousands.
-            self.assert_matches_dense(policy, model, trunc, rtol=1e-10)
+            # A dense LU solve is good only to rounding times the chain's
+            # condition number, which random tables take past 1e16 (p0 = 0.95,
+            # lam = 0.09375, r_max = 3, n_max = 14, seed 27322185: 6.4e-10 off
+            # in the rarest masses).  GTH elimination keeps every mass to
+            # rounding, and these chains are small.
+            self.assert_matches_dense(policy, model, trunc, rtol=1e-10, closed_solve=gth_stationary)
         else:
             with pytest.raises(NoStationaryAoIError, match="never transmits on its recurrent class"):
                 evaluate_exact(policy, model, trunc)
@@ -427,11 +437,7 @@ class TestStationarySolve:
         # the border solve and the ladder substitution.
         model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
         policy = solve(model, trunc, 5.0).policy
-        space = StateSpace(model, trunc)
-        P, _ = reference_chain(policy, model, trunc)
-        reach = np.sort(breadth_first_order(P, 0, directed=True, return_predecessors=False))
-        pi = np.zeros(len(space))
-        pi[reach] = gth_stationary(P[np.ix_(reach, reach)])
+        space, pi = dense_stationary(policy, model, trunc, gth_stationary)
         res = evaluate_exact(policy, model, trunc)
         np.testing.assert_allclose(res.stationary[space.age, space.r], pi, rtol=1e-12, atol=0.0)
         assert 1e-75 < res.tail_mass < 1e-65

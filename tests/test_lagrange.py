@@ -34,8 +34,8 @@ class TestSearchEtaStar:
     def test_arq_jump_point_is_analytic(self):
         # At p = 0.5 the switch between thresholds 4 and 5 is exactly at
         # charge 7 (equal Lagrangian costs), and 0.35 lies strictly between
-        # their transmission rates.  The probe at 7 ties with the chord, so
-        # the walk's tolerance must count it as on the chord.
+        # their transmission rates.  The probe at 7 returns one of the two
+        # tied thresholds, an endpoint's (J, C), so the walk ends on the pair.
         model = ChannelModel(0.5, 1.0, 0)
         result = search_eta_star(model, Truncation(200, 0), 0.35)
         assert result.eta_star == pytest.approx(7.0, abs=1e-12)
@@ -321,22 +321,34 @@ def test_harq_meets_budget_or_raises_a_named_error(p0, lam, r_max, c_max):
     assert abs(sol.achieved_cost - c_max) <= 1e-6
 
 
+# Draws of the model, age cap and budget for the certificate's properties.
+_DRAWS = dict(
+    p0=st.floats(0.05, 0.95),
+    lam=st.floats(0.05, 1.0),
+    r_max=st.integers(0, 4),
+    n_max=st.integers(2, 80),
+    c_max=st.floats(0.02, 1.0),
+)
+# Here the solver once read off a policy 7.2e-10 relative above the one it evaluated.
+_READ_OFF_POINT = (0.17953721532583555, 0.49169653972600275, 4, 0.46067347610183607, 28)
+# An earlier walk counted a probe within 1e-12 of max(1, |g|) below its endpoints' line as on it, and
+# ended here 1.48e-12 of the age above the bound, skipping an envelope vertex.
+_SKIPPED_VERTEX = dict(p0=0.24503258447050819, lam=0.591202787643121, r_max=3, n_max=51, c_max=0.3145526135919072)
+
+
 class TestDualityCertificate:
     def test_a_read_off_that_left_the_optimum(self):
-        # Here the solver once read off a policy 7.2e-10 relative above the one it evaluated.
-        point = (0.17953721532583555, 0.49169653972600275, 4, 0.46067347610183607, 28)
-        assert oracles.duality_gap([point]) <= 1e-12
+        assert oracles.duality_gap([_READ_OFF_POINT]) <= 1e-12
 
-    # The walk counts a probe within 1e-12 of max(1, |g|) below its endpoints' line as on it, and so
-    # can end that far above the bound: 1.48e-12 of the age, 9.2e-13 of g, here.
-    @example(p0=0.24503258447050819, lam=0.591202787643121, r_max=3, n_max=51, c_max=0.3145526135919072)
-    @given(
-        p0=st.floats(0.05, 0.95),
-        lam=st.floats(0.05, 1.0),
-        r_max=st.integers(0, 4),
-        n_max=st.integers(2, 80),
-        c_max=st.floats(0.02, 1.0),
-    )
+    def test_the_sweep_point_that_skipped_a_vertex(self):
+        # The default sweep's harq row at budget 0.25 once ended 1.44e-12 of the age above the bound.
+        assert oracles.duality_gap([(0.3, 0.5, 3, 0.25, 150)]) <= 1e-12
+
+    # The same walk ended 1.40e-12 and 1.14e-12 of the age above the bound at these two points.
+    @example(**_SKIPPED_VERTEX)
+    @example(p0=0.2633052847515801, lam=0.7345321733285114, r_max=2, n_max=69, c_max=0.4276236472339975)
+    @example(p0=0.44447305832723394, lam=0.8520029056356332, r_max=4, n_max=34, c_max=0.19518793377496552)
+    @given(**_DRAWS)
     @settings(max_examples=40, deadline=None)
     def test_the_answer_meets_its_lower_bound(self, p0, lam, r_max, n_max, c_max):
         try:
@@ -344,3 +356,18 @@ class TestDualityCertificate:
         except errors.TruncationError:  # the age cap is too small for the budget
             return
         assert gap <= 1e-12
+
+    @example(**dict(zip(("p0", "lam", "r_max", "c_max", "n_max"), _READ_OFF_POINT)))
+    @example(**_SKIPPED_VERTEX)
+    @given(**_DRAWS)
+    @settings(max_examples=40, deadline=None)
+    def test_the_walk_ends_on_a_probe_that_returns_an_endpoint(self, p0, lam, r_max, n_max, c_max):
+        try:
+            search = search_eta_star(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
+        except errors.TruncationError:
+            return
+        if search.exact_hit:
+            return
+        last = search.trace[-1]
+        ends = [(res.avg_aoi, res.avg_cost) for _, res in (search.low, search.high)]
+        assert last.eta == search.eta_star and (last.avg_aoi, last.avg_cost) in ends
