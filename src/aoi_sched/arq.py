@@ -64,10 +64,14 @@ def stationary_probs(p: float, delta: int, delta_query: int) -> float:
 
 
 def optimal_fractional_threshold(p: float, eta: float) -> float:
-    """Real-valued minimizer of the Lagrangian cost over the threshold."""
+    """Real-valued minimizer of the Lagrangian cost over the threshold.
+
+    At ``eta = 0`` it is ``(sqrt(p) - p) / (1 - p) < 1``, so the integer
+    candidates are both 1: send in every slot.
+    """
     _check_p(p)
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if eta < 0.0:
+        raise ValueError(f"eta must be non-negative, got {eta}")
     return (math.sqrt(2.0 * eta * (1.0 - p) + p) - p) / (1.0 - p)
 
 

@@ -27,8 +27,9 @@ evaluations and solver residual.  The first probe's solve builds the
 mix reuse; a renewal mixture only combines the evaluations of its pair.
 Each probe's solve starts from the previous probe's output (``rvi.solve``'s
 ``start``), whose values are exact at the new charge once shifted along
-the charge; a probe whose previous policy is still optimal evaluates no
-policy (0 in its trace row).  When a probe reads off the previous probe's
+the charge, unless the paper's ARQ threshold rule at the new charge has a
+lower gain, in which case it starts from that rule's values; a probe whose
+previous policy is still optimal evaluates no policy (0 in its trace row).  When a probe reads off the previous probe's
 table, it has that probe's chain, so it reuses that probe's ``J`` and ``C``.
 
 Mixing the two policies to meet the budget with equality yields the

@@ -74,19 +74,23 @@ def budget_gap(points) -> float:
 
 
 def duality_gap(points) -> float:
-    """Largest Lagrangian duality gap of ``solve_constrained`` at the ``(p0, lam, r_max, c_max, n_max)``
-    points, relative to ``max(1, achieved age)``.
+    """Largest ``duality_certificate`` of ``solve_constrained`` at the ``(p0, lam, r_max, c_max, n_max)`` points."""
+    worst = 0.0
+    for p0, lam, r_max, c_max, n_max in points:
+        sol = lagrange.solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
+        worst = max(worst, duality_certificate(sol, c_max))
+    return worst
+
+
+def duality_certificate(sol: lagrange.ConstrainedSolution, c_max: float) -> float:
+    """Lagrangian duality gap of the answer ``sol`` at budget ``c_max``, relative to ``max(1, achieved age)``.
 
     The gain ``g`` of the search's probe at ``eta*``, on which every search ends, gives the lower bound
     ``g - eta* * c_max`` on the optimal age at the budget (weak duality; Altman 1999), so the achieved
     age less that bound is 0 for an optimal answer, up to rounding on the scale of the answer itself.
     """
-    worst = 0.0
-    for p0, lam, r_max, c_max, n_max in points:
-        sol = lagrange.solve_constrained(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max)
-        gain = next(row.gain for row in reversed(sol.search.trace) if row.eta == sol.eta_star)
-        worst = max(worst, (sol.achieved_aoi - (gain - sol.eta_star * c_max)) / max(1.0, sol.achieved_aoi))
-    return worst
+    gain = next(row.gain for row in reversed(sol.search.trace) if row.eta == sol.eta_star)
+    return (sol.achieved_aoi - (gain - sol.eta_star * c_max)) / max(1.0, sol.achieved_aoi)
 
 
 def simulation_excess(cases, horizon: int, reps: int, seed: int, slack: float) -> float:

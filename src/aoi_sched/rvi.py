@@ -26,11 +26,20 @@ and values: ``h(eta') = h(eta) + (eta' - eta) h_tx`` (Puterman 1994,
 Sec. 8.6).  A solve given ``start``, the output at another charge, works on
 its state space and takes its evaluated policy and those shifted values as
 its first evaluation, checked against the same residual bound; when that
-policy is still optimal at ``eta`` the solve evaluates nothing.  A cold
-solve builds its state space and starts from the values
-``(delta - 1) / (1 - g(0))`` of sending a fresh update in every slot, exact
-below the cap row, rather than from zero, which at ``eta = 0`` would pick
-the policy that never sends.
+policy is still optimal at ``eta`` the solve evaluates nothing.
+
+The other start is the paper's ARQ optimum at ``eta``: the threshold ``tau``
+of ``arq.threshold_candidates`` with the lower ``arq.lagrangian_cost``,
+``g_arq``.  The rule never retransmits, so its values on the untruncated
+chain are the same at every attempt count: ``(delta - 1) g_arq - delta
+(delta - 1) / 2`` up to ``tau``, then ``1 / (1 - g(0))`` more per age.  At
+``eta = 0``, ``tau = 1`` and they are ``(delta - 1) / (1 - g(0))``, the
+values of sending a fresh update in every slot.  A cold solve builds its
+state space and starts from these values, rather than from zero, which at
+``eta = 0`` would pick the policy that never sends.  A warm solve starts
+from them only when ``g_arq`` lies below its start's gain at ``eta`` by more
+than the tie bound below.  Policy iteration stops only on its optimality
+test, so the start changes the path to the answer, not the answer.
 
 Each improvement step bounds ties by one tolerance per state,
 ``_TIE_RTOL * max(1, |v|)`` of its row minimum ``v``.  A state switches to
@@ -51,6 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arq
 from .errors import ConvergenceError, InaccurateSolveError, MultichainError
 from .mdp import BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
@@ -170,15 +180,17 @@ def solve(
 
     Without ``start`` the solve builds the ``StateSpace`` of ``(model,
     trunc)``, and its first policy is greedy on the state-action costs of
-    the values of sending a fresh update in every slot.  ``start`` is the
-    output of a solve of the same model and truncation at another charge:
-    the solve works on its space, begins from its evaluated policy, whose
-    values at ``eta`` are affine in the charge, and evaluates nothing when
-    that policy is still optimal.  A search that solves many multipliers
-    passes each output on as the next ``start``, so one space serves them
-    all.  A ``start`` of another model or truncation raises ``ValueError``.
-    Identical inputs always produce bit-identical outputs.  ``iterations``
-    counts policy evaluations.
+    the values of the paper's ARQ threshold rule at ``eta``.  ``start`` is
+    the output of a solve of the same model and truncation at another
+    charge: the solve works on its space, begins from its evaluated policy,
+    whose values at ``eta`` are affine in the charge, and evaluates nothing
+    when that policy is still optimal; only when the ARQ rule's gain is
+    lower by more than the tie bound does it begin from the rule's values
+    instead.  A search that solves many multipliers passes each output on
+    as the next ``start``, so one space serves them all.  A ``start`` of
+    another model or truncation raises ``ValueError``.  Identical inputs
+    always produce bit-identical outputs.  ``iterations`` counts policy
+    evaluations.
     """
     if not 0.0 <= eta < np.inf:
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
@@ -193,17 +205,22 @@ def solve(
 
     rows = 3 * np.arange(len(space))  # flat index of (state, idle) in q
     evaluated = set()  # the policies this solve has passed to _evaluate, as bytes
-    if start is None:
-        # (delta - 1) / (1 - g(0)): the values of sending a fresh update in every slot, exact below the cap row.
-        h = (space.delta - 1.0) / (1.0 - model.p0)
+    # The paper's ARQ optimum at eta: the threshold rule tau, which never retransmits, and its gain.
+    g_arq, tau = min((arq.lagrangian_cost(model.p0, d, eta), d) for d in arq.threshold_candidates(model.p0, eta))
+    if start is not None:
+        actions, g_tx, h_tx, shift = start.actions, start.g_tx, start.h_tx, eta - start.eta
+        gain = start.gain + shift * g_tx  # the start's policy's exact gain at eta
+    if start is None or g_arq < gain - _TIE_RTOL * max(1.0, abs(gain)):
+        # The rule's values, 0 at (1, 0), the same at every attempt count: idle below tau, send from it.
+        m = np.minimum(space.delta, tau)
+        h = (m - 1.0) * g_arq - m * (m - 1.0) / 2.0 + (space.delta - m) / (1.0 - model.p0)
         q = _masked_q(space, h, eta)
         actions = _first_within(q, _row_min(q))
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
         it, chain_actions = 1, actions  # the actions whose chain is chain
         evaluated.add(actions.tobytes())
     else:
-        actions, g_tx, h_tx, shift = start.actions, start.g_tx, start.h_tx, eta - start.eta
-        gain, h = start.gain + shift * g_tx, start.h_array + shift * h_tx
+        h = start.h_array + shift * h_tx
         _check(
             space, rows + actions, space.delta + eta * (actions != 0), gain, h,
             f"policy values at eta={eta}, shifted from eta={start.eta}, are inaccurate",

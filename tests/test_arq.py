@@ -33,6 +33,17 @@ class TestThresholdCandidates:
     def test_candidates_attain_minimum_on_grid(self, p, eta):
         assert oracles.threshold_candidates_excess([p], [eta], 1000) <= 1e-12
 
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 0.99])
+    def test_no_charge_sends_in_every_slot(self, p):
+        # (sqrt(p) - p) / (1 - p) < 1 clamps to threshold 1.
+        assert arq.optimal_fractional_threshold(p, 0.0) < 1.0
+        assert arq.threshold_candidates(p, 0.0) == (1, 1)
+        assert oracles.threshold_candidates_excess([p], [0.0], 1000) <= 1e-12
+
+    def test_a_negative_charge_raises(self):
+        with pytest.raises(ValueError, match="eta must be non-negative"):
+            arq.threshold_candidates(0.5, -1e-9)
+
 
 class TestCostOfThreshold:
     def test_known_value(self):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from aoi_sched import arq, oracles, rvi
 from aoi_sched.errors import ConvergenceError, InaccurateSolveError, MultichainError, NoStationaryAoIError
-from aoi_sched.exact import evaluate_exact
+from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states
 from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import bellman_residual, solve
@@ -170,7 +170,8 @@ class TestDeterminismAndErrors:
     def test_iteration_limit_raises(self, monkeypatch):
         model = ChannelModel(0.3, 0.5, 5)
         trunc = Truncation(60, 5)
-        monkeypatch.setattr(rvi, "_MAX_EVALUATIONS", 3)  # the solve needs 4
+        needed = solve(model, trunc, 3.0).iterations
+        monkeypatch.setattr(rvi, "_MAX_EVALUATIONS", needed - 1)
         with pytest.raises(ConvergenceError) as err:
             solve(model, trunc, 3.0)
         assert err.value.residual > 0.0
@@ -314,6 +315,74 @@ class TestWarmStart:
         assert shifted.policy.table.tobytes() == fresh.policy.table.tobytes() == start.policy.table.tobytes()
         assert shifted.gain == pytest.approx(fresh.gain, rel=1e-13)
         np.testing.assert_allclose(shifted.h_array, fresh.h_array, rtol=1e-12, atol=1e-12)
+
+
+def arq_threshold(p0, eta):
+    """The closed-form ARQ threshold at charge ``eta``: the candidate of lower Lagrangian cost."""
+    return min(arq.threshold_candidates(p0, eta), key=lambda d: arq.lagrangian_cost(p0, d, eta))
+
+
+class TestArqStart:
+    @given(p0=st.floats(0.05, 0.95), eta=st.floats(0.0, 200.0), extra=st.integers(0, 40))
+    @example(p0=0.5, eta=10.0, extra=80 - arq_eval_truncation(0.5, 5).n_max)  # the CLI's solve-arq point
+    @settings(max_examples=60, deadline=None)
+    def test_an_arq_model_solves_in_one_evaluation(self, p0, eta, extra):
+        n_max = arq_eval_truncation(p0, arq_threshold(p0, eta)).n_max + extra
+        model, trunc = ChannelModel(p0, 1.0, 0), Truncation(n_max, 0)
+        out = solve(model, trunc, eta)
+        assert out.iterations == 1
+        assert threshold_of(out.policy) in arq.threshold_candidates(p0, eta)
+        # From the uncharged policy too: its own start when it is still optimal, else the rule's.
+        warm = solve(model, trunc, eta, start=solve(model, trunc, 0.0))
+        assert warm.iterations <= 1 and warm.policy.table.tobytes() == out.policy.table.tobytes()
+
+    @given(
+        p0=st.floats(0.05, 0.95),
+        lam=st.floats(0.05, 1.0),
+        r_max=st.integers(0, 4),
+        n_max=st.integers(2, 80),
+        deep=st.booleans(),
+        eta=st.floats(0.0, 100.0),
+    )
+    # ARQ under a cap that leaves no tail: the closed-form gain ties the solved one to rounding.
+    @example(p0=0.5, lam=1.0, r_max=0, n_max=2, deep=True, eta=7.0)
+    @example(p0=0.3, lam=1.0, r_max=0, n_max=10, deep=True, eta=0.0)
+    @settings(max_examples=80, deadline=None)
+    def test_a_start_at_its_own_charge_evaluates_nothing(self, p0, lam, r_max, n_max, deep, eta):
+        if deep:
+            n_max += arq_eval_truncation(p0, arq_threshold(p0, eta)).n_max
+        model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+        out = solve(model, trunc, eta)
+        again = solve(model, trunc, eta, start=out)
+        assert again.iterations == 0 and again.gain == out.gain
+        assert again.policy.table.tobytes() == out.policy.table.tobytes()
+
+    @pytest.mark.parametrize(
+        "model, n_max, eta",
+        [(ARQ_HALF, 200, 7.0), (ARQ_HALF, 80, 10.0), (ChannelModel(0.5, 0.5, 3), 60, 5.0), (ChannelModel(0.3, 0.5, 5), 60, 3.0)],
+    )
+    def test_the_answer_does_not_read_the_closed_form(self, model, n_max, eta, monkeypatch):
+        # verify's broken threshold_candidates moves only the start, so its rvi-threshold check sees the true answer.
+        trunc = Truncation(n_max, model.r_max)
+        clean = solve(model, trunc, eta)
+        original = arq.threshold_candidates
+        monkeypatch.setattr(arq, "threshold_candidates", lambda p, e: tuple(d + 2 for d in original(p, e)))
+        planted = solve(model, trunc, eta)
+        assert planted.policy.table.tobytes() == clean.policy.table.tobytes()
+        assert planted.gain == pytest.approx(clean.gain, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", [ARQ_HALF, ChannelModel(0.05, 1.0, 0), ChannelModel(0.3, 0.5, 5), ChannelModel(0.9, 0.2, 2)])
+    def test_without_charge_the_start_sends_in_every_slot(self, model, monkeypatch):
+        starts = []
+
+        def costs(space, h, eta):
+            starts.append(h)
+            return original(space, h, eta)
+
+        original = rvi._masked_q
+        monkeypatch.setattr(rvi, "_masked_q", costs)
+        out = solve(model, Truncation(40, model.r_max), 0.0)
+        assert starts[0].tobytes() == ((out.space.delta - 1.0) / (1.0 - model.p0)).tobytes()
 
 
 def assert_matches_dense_evaluation(model, trunc, actions, eta):

@@ -65,6 +65,20 @@ def test_a_flag_given_to_a_script_overrides_its_own_setting(tmp_path, monkeypatc
     assert all(row[4] == "" and f"{float(row[2]):.12g}" == row[2] for row in rows)
 
 
+def test_solve_scan_prints_one_line_per_draw_and_a_summary(monkeypatch, capsys):
+    outputs = []
+    for _ in range(2):
+        assert run_script("solve_scan.py", "--draws", "5", "--seed", "5", monkeypatch=monkeypatch) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    *draws, summary = outputs[0].splitlines()
+    assert len(draws) == 5 and all(line.startswith("(") for line in draws)
+    solved = sum(len(line.split(") ")[1].split()) == 4 for line in draws)
+    errors = sum(line.endswith(") TruncationError") for line in draws)
+    assert solved + errors == 5 and 0 < solved
+    assert summary.startswith(f"solved {solved} errors {{'TruncationError': {errors}}} evaluations ")
+
+
 @pytest.mark.parametrize("name, command", [("budget_sweep.py", "sweep"), ("learning_curves.py", "learn")])
 def test_help_starts_with_the_script_docstring(name, command, monkeypatch, capsys):
     doc = ast.get_docstring(ast.parse((SCRIPTS / name).read_text()), clean=False)
