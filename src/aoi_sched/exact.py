@@ -1,11 +1,9 @@
 """Exact long-run averages of a policy via its stationary distribution.
 
-The induced chain is watched at its border states (``mdp.BorderChain``):
-those the renewal state (1, 0), index 0 of ``StateSpace``, reaches are its
-recurrent class, unless it ends idling at the age cap, where the age
-diverges.  Their stationary masses come from subtraction-free elimination,
-and one banded substitution carries them to the states off the border; a
-solver's output brings the chain of its policy.
+The stationary masses of the induced chain are those of
+``mdp.BorderChain.stationary``: on the class that the renewal state (1, 0)
+reaches, or none when the chain ends idling at the age cap, where the age
+diverges.  A solver's output brings the chain of its policy.
 The distribution is returned as a dense ``(age, attempts)`` array.  Renewal
 mixtures combine the component chains by expected cycle length, which is
 exactly what redrawing the active policy at every visit to (1, 0) achieves.
@@ -65,12 +63,7 @@ def _evaluate_chain(chain: BorderChain, tx: np.ndarray) -> EvalResult:
     """Averages of ``chain``, whose state ``i`` transmits with probability ``tx[i]``."""
     space = chain.space
     n, dst = len(space), space.succ_idx.ravel()
-    pi = np.zeros(n)
-    masses = chain.stationary(chain.reached)
-    if masses is not None:  # else (1, 0) is transient, and the chain ends idling at (n_max, 0)
-        pi[space.border[chain.reached]] = masses
-        # Ladder mass: border mass times the expected ladder visits per border visit.
-        pi[space.ladder] = pi[space.border[: chain.n_low]] @ chain.z
+    pi = chain.stationary()  # all zero when the chain ends idling at (n_max, 0)
     if not pi @ tx > 0.0:
         raise NoStationaryAoIError(
             "policy never transmits on its recurrent class; the age diverges"

@@ -296,7 +296,7 @@ class StateSpace:
 
 
 class BorderChain:
-    """A Markov chain on a ``StateSpace``, watched at its visits to the border.
+    """A Markov chain on a ``StateSpace``, solved through its visits to the border.
 
     ``branch`` (kept) holds the chain's probability of every successor branch of
     ``space.succ_idx`` (states × actions × 2): under a policy that plays
@@ -313,6 +313,16 @@ class BorderChain:
     ladder, so ``z`` holds the rows ``P_BL (I - P_LL)^-1`` of those
     ``n_low`` states: the expected ladder visits before the chain returns to
     the border.
+
+    Both answers cover every state of the space, so no caller needs the
+    split.  ``values`` returns each cost's gain and differential values, 0
+    at (1, 0): the border system is solved by subtraction-free elimination
+    towards (1, 0), or towards ``(n_max, 0)`` when the chain idles surely
+    there and (1, 0) is transient, and one banded substitution carries the
+    border values to the ladder.  It returns None for a chain with two
+    closed classes, (1, 0)'s and ``{(n_max, 0)}`` (``reached``).
+    ``stationary`` returns the masses of the class (1, 0) reaches, solved
+    on the border the same way and carried to the ladder by ``z``.
     """
 
     def __init__(self, space: StateSpace, branch: np.ndarray):
@@ -331,12 +341,6 @@ class BorderChain:
         rhs = blocks[e2:].reshape(n_low, m).T
         self.z = (dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0] if rhs.size else rhs).T
         self.complement[:n_low] += self.z @ self.p_lb
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(I - P_LL)^-1 rhs``."""
-        if rhs.size == 0:
-            return np.zeros(rhs.shape)
-        return dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0]
 
     @cached_property
     def reached(self) -> np.ndarray:
@@ -392,31 +396,42 @@ class BorderChain:
             w[:k, : r + k] += col[:, None] * row
         return w, out
 
-    def stationary(self, members: np.ndarray) -> np.ndarray | None:
-        """Stationary masses of the complement on ``members``, which no transition
-        leaves, 1 at ``members[0]``; None when some member cannot reach it."""
-        if len(members) == 1:
-            return np.ones(1)
-        w, out = self._reduce(members, np.empty((len(members), 0)))
-        if not (out[1:] > 0.0).all():
-            return None
-        # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
-        pi = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
-        return np.concatenate([[1.0], pi])
+    def stationary(self) -> np.ndarray:
+        """Stationary masses of every state, 1 at (1, 0): the expected visits per visit to (1, 0).
 
-    def values(self, costs: tuple[np.ndarray, ...], anchor: int = 0) -> list[tuple[float, np.ndarray]] | None:
-        """Gain and border differential values (0 at (1, 0)) of each per-state cost in ``costs``.
+        Nonzero exactly on the class (1, 0) reaches; all zero when (1, 0) is
+        transient, where the chain ends idling at ``(n_max, 0)``.  A ladder
+        state's mass is the border masses times the expected ladder visits
+        per border visit, ``z``.
+        """
+        space, members = self.space, self.reached
+        pi = np.zeros(len(space))
+        pi[0] = 1.0
+        if len(members) > 1:
+            w, out = self._reduce(members, np.empty((len(members), 0)))
+            if not (out[1:] > 0.0).all():  # some member cannot reach (1, 0)
+                return np.zeros(len(space))
+            # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
+            pi[space.border[members[1:]]] = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
+        pi[space.ladder] = pi[space.border[: self.n_low]] @ self.z
+        return pi
+
+    def values(self, costs: tuple[np.ndarray, ...]) -> list[tuple[float, np.ndarray]] | None:
+        """Gain and differential values on every state (0 at (1, 0)) of each per-state cost in ``costs``.
 
         Watched at its border visits the chain is semi-Markov: a visit to a
         low border state ``b`` lasts ``1 + z[b].sum()`` slots and costs
-        ``cost[b] + z[b] @ cost_L`` until the next one.  The values solve
-        ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``, with
-        position ``anchor`` eliminated last.  None when some position cannot
-        reach ``anchor``; at anchor 0, by ``reached``, exactly when the
-        policy idles surely at ``(n_max, 0)``, position ``n_low``.  The costs
-        ride through one elimination, but each takes its own matrix-vector
-        product and triangular solve: a solve with several right-hand sides
-        rounds each column differently from a solve with that column alone.
+        ``cost[b] + z[b] @ cost_L`` until the next one.  The border values
+        solve ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``,
+        with (1, 0) eliminated last, or ``(n_max, 0)`` when some position
+        cannot reach (1, 0): by ``reached``, exactly when the chain idles
+        surely at ``(n_max, 0)``.  None when some position cannot reach that
+        either, a chain with two closed classes.  The ladder values solve
+        ``(I - P_LL) h_L = cost_L - g + P_LB h_B``.  The costs ride through
+        one elimination and one banded solve, which treats each column
+        alone, but each takes its own matrix-vector products and triangular
+        solve: a triangular solve with several right-hand sides rounds each
+        column differently from a solve with that column alone.
         """
         space = self.space
         nb, k = len(space.border), len(costs)
@@ -425,19 +440,30 @@ class BorderChain:
         for j, cost in enumerate(costs, 1):
             visit[:, j] = cost[space.border]
             visit[: self.n_low, j] += self.z @ cost[space.ladder]
-        order = np.arange(nb)
-        order[0], order[anchor] = anchor, 0
-        w, out = self._reduce(order, visit[order])
-        if not (out[1:] > 0.0).all():
+        for anchor in (0, self.n_low):
+            order = np.arange(nb)
+            order[0], order[anchor] = anchor, 0
+            w, out = self._reduce(order, visit[order])
+            if (out[1:] > 0.0).all():
+                break
+        else:
             return None
         # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.
         # LAPACK reads only the lower triangle, so the weights above it need no masking.
         lower = np.negative(w[1:, k + 2 :], order="F")
         np.fill_diagonal(lower, out[1:])
         solved = []
-        for j in range(1, k + 1):
+        rhs = np.empty((len(space.ladder), k), order="F")
+        for j, cost in enumerate(costs, 1):
             g = w[0, j] / w[0, 0]
-            h = np.zeros(nb)
-            h[order[1:]] = dtrtrs(lower, w[1:, j] - g * w[1:, 0], lower=1)[0]
-            solved.append((float(g), h - h[0]))
+            h_border = np.zeros(nb)
+            h_border[order[1:]] = dtrtrs(lower, w[1:, j] - g * w[1:, 0], lower=1)[0]
+            h_border -= h_border[0]
+            rhs[:, j - 1] = cost[space.ladder] - g + self.p_lb @ h_border
+            h = np.empty(len(space))
+            h[space.border] = h_border
+            solved.append((float(g), h))
+        ladder = dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0] if rhs.size else rhs
+        for j, (_, h) in enumerate(solved):
+            h[space.ladder] = ladder[:, j]
         return solved

@@ -9,15 +9,11 @@ policy evaluations where value iteration needs thousands of sweeps at tight
 budgets.
 
 Each evaluation solves ``g + h = c_pi + P_pi h`` with ``h`` pinned to 0 at the
-renewal state (1, 0), index 0 of ``StateSpace``.  Every slot raises the age
-by one or lands on one of the few border states (``mdp.BorderChain``), so
-the rest of the chain is eliminated by one banded substitution, the border
-system is solved by subtraction-free elimination, and one more banded
-substitution returns the values off the border.  A policy that idles
-surely at ``(n_max, 0)`` is eliminated towards that state instead; if (1, 0)
-is recurrent too, it has two closed classes and raises ``MultichainError``.
-An evaluation whose residual exceeds ``_SOLVE_RTOL`` of its largest value
-raises ``InaccurateSolveError``.
+renewal state (1, 0), index 0 of ``StateSpace``, on every state at once
+(``mdp.BorderChain.values``).  A policy that idles surely at ``(n_max, 0)``
+while (1, 0) is recurrent has two closed classes and raises
+``MultichainError``.  An evaluation whose residual exceeds ``_SOLVE_RTOL`` of
+its largest value raises ``InaccurateSolveError``.
 
 The same elimination also solves for the transmit indicator: its gain
 ``g_tx`` is the policy's transmission rate and ``h_tx`` its values.  For a
@@ -143,28 +139,17 @@ def _evaluate(
 ) -> tuple[float, np.ndarray, float, np.ndarray, BorderChain]:
     """Gain and differential values (0 at (1, 0), index 0) of the deterministic ``actions``,
     the same of their transmit indicator, and their chain."""
-    n = len(space)
-    flat = 3 * np.arange(n) + actions  # (state, action) in succ_idx.reshape(-1, 2)
+    flat = 3 * np.arange(len(space)) + actions  # (state, action) in succ_idx.reshape(-1, 2)
     tx = (actions != 0).astype(np.float64)
     cost = space.delta + eta * tx
     chain = _chain(space, flat)
     solved = chain.values((cost, tx))
-    if solved is None:  # the policy idles surely at (n_max, 0), position n_low
-        solved = chain.values((cost, tx), chain.n_low)
-    if solved is None:  # and (1, 0) is recurrent (BorderChain.reached)
+    if solved is None:
         raise MultichainError(
             f"policy evaluation at eta={eta} is singular, two closed classes: "
             f"the policy idles surely at ({space.trunc.n_max}, 0), which (1, 0) cannot reach"
         )
-    (g, h_border), (g_tx, h_tx_border) = solved
-    # Both ladder columns in one banded solve, which treats each column alone.
-    rhs = np.empty((len(space.ladder), 2), order="F")
-    rhs[:, 0] = cost[space.ladder] - g + chain.p_lb @ h_border
-    rhs[:, 1] = tx[space.ladder] - g_tx + chain.p_lb @ h_tx_border
-    ladder = chain.solve(rhs)
-    h, h_tx = np.empty(n), np.empty(n)
-    h[space.border], h_tx[space.border] = h_border, h_tx_border
-    h[space.ladder], h_tx[space.ladder] = ladder[:, 0], ladder[:, 1]
+    (g, h), (g_tx, h_tx) = solved
     _check(space, flat, cost, g, h, f"policy evaluation at eta={eta} is inaccurate")
     return g, h, g_tx, h_tx, chain
 

@@ -528,12 +528,6 @@ def _slots(k: Kernel, m: int, full: np.ndarray, depth: int, hr, rows, hd, ha, ke
     first inadmissible retransmission.  Cycle ``m`` holds the last slot, lane ``l`` decides in its first
     ``full[l]`` steps, ``kept`` holds each step's slots inside the horizon and ``hr`` its attempts."""
     decided = np.arange(depth)[:, None] < full
-    bad = []  # decided steps that retransmit where the model admits none
-    if k.may_violate:
-        f = np.flatnonzero((ha[:depth] == Action.RETRANSMIT) & decided)
-        bad = f[~k.retransmit_ok[hr.ravel()[f] // 3]]
-    if not (trace or len(bad)):
-        return None
     # The timeline's steps in order, as flat history indices, and their kept slots.
     order = np.arange(m + 1)
     lane_c, col_c = order % _LANES, order // _LANES
@@ -545,22 +539,20 @@ def _slots(k: Kernel, m: int, full: np.ndarray, depth: int, hr, rows, hd, ha, ke
     step_t = np.repeat(first_step - (np.cumsum(n) - n), n) + np.arange(n.sum())
     flat = step_t * _LANES + np.repeat(lane_c, n)
     count = kept[:depth].ravel()[flat]
-    if len(bad):
-        # A decided step's decision slot is the last of its kept slots.
-        position = np.empty(depth * _LANES, np.int64)
-        position[flat] = np.arange(len(flat))
-        slots = np.cumsum(count)[position[bad]]
-        i = int(slots.argmin())
-        r_bad = int(hr.ravel()[bad[i]]) // 3
-        if r_bad < 1:
-            raise ProtocolViolationError(int(slots[i]), "retransmit with no failed packet in flight")
-        raise ProtocolViolationError(int(slots[i]), f"retransmit at the attempt cap r={r_bad}")
     f = np.repeat(flat, count)
     offset = np.arange(k.horizon) - np.repeat(np.cumsum(count) - count, count)
     d, r = hd[: depth + 1].astype(np.int64).ravel(), hr.ravel() // 3
     last = decided.ravel()[f] & (offset == np.repeat(count, count) - 1)  # the decision slot; the others idle
     ages = d[f] + offset
-    return SlotTrace(ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
+    out = SlotTrace(ages, r[f], ha[:depth].ravel()[f] * last, np.where(last, d[f + _LANES], ages + 1), r[f + _LANES] * last)
+    if k.may_violate:
+        bad = np.flatnonzero((out.action == Action.RETRANSMIT) & ~k.retransmit_ok[out.r])
+        if len(bad):
+            slot, r_bad = int(bad[0]) + 1, int(out.r[bad[0]])
+            if r_bad < 1:
+                raise ProtocolViolationError(slot, "retransmit with no failed packet in flight")
+            raise ProtocolViolationError(slot, f"retransmit at the attempt cap r={r_bad}")
+    return out if trace else None
 
 
 def _periodic(k: Kernel, rng: np.random.Generator, trace: bool):

@@ -4,8 +4,9 @@ The package states the slot rule once, as the ``mdp.slot_outcomes`` table,
 and each policy once, as its ``table``.  The functions here state the same
 rules state by state, written from ``ChannelModel.error_prob`` and the
 policies' own parameters, and read nothing of ``slot_outcomes``,
-``StateSpace`` or a threshold policy's ``table``.  ``closed_classes``
-classifies a dense chain built from them.
+``StateSpace`` or a threshold policy's ``table``.  ``chain`` builds a
+policy's dense chain from them, and ``closed_classes``, ``poisson`` and
+``stationary`` solve such a chain by dense linear algebra.
 """
 
 from typing import NamedTuple
@@ -13,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation, effective_r_max, enumerate_states
 from aoi_sched.policies import ThresholdPolicy, clamped_rows
 
 
@@ -104,3 +105,62 @@ def closed_classes(P) -> list[np.ndarray]:
     n_comp, labels = connected_components(P > 0.0, directed=True, connection="strong")
     leaving = np.bincount(labels, np.where(labels[:, None] != labels[None, :], P, 0.0).sum(axis=1), n_comp)
     return [np.flatnonzero(labels == c) for c in np.flatnonzero(leaving == 0.0)]
+
+
+def chain(policy, model: ChannelModel, trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
+    """Dense transition matrix and transmit probability of a stationary policy, state by state from
+    ``transitions``, in ``StateSpace`` order."""
+    states = enumerate_states(Truncation(trunc.n_max, effective_r_max(model, trunc)))
+    idx = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    tx = np.zeros(len(states))
+    for i, s in enumerate(states):
+        for a, pa in probs(policy, s).items():
+            if a != Action.IDLE:
+                tx[i] += pa
+            for nxt, p in transitions(s, a, model, trunc):
+                P[i, idx[nxt]] += pa * p
+    return P, tx
+
+
+def poisson(P, costs):
+    """``y`` solving ``(I - P + 1 e_0^T) y = costs`` for each column of ``costs``, by one dense solve
+    refined once: the gain is ``y[0]`` and the differential values, 0 at state 0, ``y - y[0]``.
+
+    One step of iterative refinement: where the values reach 1e9 the
+    matrix's condition number does too, and the plain LU solve alone can be
+    off by more than the tests' tolerances.
+    """
+    M = np.eye(len(P)) - P
+    M[:, 0] += 1.0
+    y = np.linalg.solve(M, costs)
+    y += np.linalg.solve(M, costs - M @ y)
+    return y
+
+
+def stationary(P):
+    """Stationary distribution of ``P`` over the states that state 0 reaches, 0 elsewhere, by
+    Grassmann-Taksar-Heyman elimination: meant for chains where those states are one closed class.
+
+    A dense LU solve is good only to rounding times the chain's condition
+    number, which random tables take past 1e16; GTH elimination subtracts
+    nothing and keeps every mass to rounding.
+    """
+    reach, todo = {0}, [0]
+    for i in todo:  # breadth first; todo grows as it is read
+        new = set(np.flatnonzero(P[i] > 0.0).tolist()) - reach
+        reach |= new
+        todo += new
+    reach = sorted(reach)
+    Q = P[np.ix_(reach, reach)]
+    # Each elimination touches only the rows that enter k and the columns k leaves to.
+    for k in range(len(Q) - 1, 0, -1):
+        rows, cols = np.flatnonzero(Q[:k, k]), np.flatnonzero(Q[k, :k])
+        Q[rows, k] /= Q[k, :k].sum()
+        Q[np.ix_(rows, cols)] += np.outer(Q[rows, k], Q[k, cols])
+    pi = np.ones(len(Q))
+    for k in range(1, len(Q)):
+        pi[k] = pi[:k] @ Q[:k, k]
+    out = np.zeros(len(P))
+    out[reach] = pi / pi.sum()
+    return out

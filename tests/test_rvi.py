@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from aoi_sched import arq, oracles, rvi
 from aoi_sched.errors import ConvergenceError, InaccurateSolveError, MultichainError, NoStationaryAoIError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
-from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation, enumerate_states
+from aoi_sched.mdp import Action, ChannelModel, StateSpace, Truncation
 from aoi_sched.policies import DeterministicTable
 from aoi_sched.rvi import bellman_residual, solve
 
@@ -389,26 +389,13 @@ def assert_matches_dense_evaluation(model, trunc, actions, eta):
     """``_evaluate`` against one dense solve of ``(I - P + 1 e_0^T) y = c`` for the charged age and
     for the transmit indicator, or a named multichain error."""
     space = StateSpace(model, trunc)
-    states = enumerate_states(Truncation(trunc.n_max, space.r_cap))
-    idx = {s: i for i, s in enumerate(states)}
-    P = np.zeros((len(states), len(states)))
-    for i, s in enumerate(states):
-        for nxt, p in spec.transitions(s, Action(actions[i]), model, trunc):
-            P[i, idx[nxt]] += p
-    tx = (actions != Action.IDLE).astype(float)
+    P, tx = spec.chain(DeterministicTable.from_actions(space, actions), model, trunc)
     cost = space.delta + eta * tx
     if len(spec.closed_classes(P)) > 1:
         with pytest.raises(MultichainError, match=f"eta={eta}"):
             rvi._evaluate(space, actions, eta)
         return
-    M = np.eye(len(P)) - P
-    M[:, 0] += 1.0
-    rhs = np.column_stack([cost, tx])
-    y = np.linalg.solve(M, rhs)
-    # One step of iterative refinement: where the values reach 1e9 the
-    # matrix's condition number does too, and the plain LU solve alone can
-    # be off by more than the tolerance.
-    y += np.linalg.solve(M, rhs - M @ y)
+    y = spec.poisson(P, np.column_stack([cost, tx]))
     g, h, g_tx, h_tx, _ = rvi._evaluate(space, actions, eta)
     # The charged age, then the transmit indicator.
     for g, h, y in ((g, h, y[:, 0]), (g_tx, h_tx, y[:, 1])):

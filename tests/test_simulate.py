@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aoi_sched.errors import ProtocolViolationError
-from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states
+from aoi_sched.exact import induced_chain
+from aoi_sched.mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, enumerate_states
 from aoi_sched import arq, oracles, simulate
 from aoi_sched.policies import DeterministicTable, PeriodicPolicy, RandomizedTable, RenewalMixture, ThresholdPolicy
 from aoi_sched.rvi import solve
@@ -200,6 +201,25 @@ class TestRunStatsAggregation:
         assert stats.var_aoi == pytest.approx(np.var(stats.aoi_per_rep, ddof=1))
         for per_rep in (stats.aoi_per_rep, stats.cost_per_rep):
             assert per_rep.dtype == np.float64 and not per_rep.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["threshold", "table"])
+    def test_variance_matches_the_chains_asymptotic_variance(self, kind):
+        # A time average over H slots has variance sigma^2 / H to first order,
+        # with sigma^2 = 2 pi(c~ h) - pi(c~^2), c~ = c - g and h the
+        # differential values of c (Kemeny & Snell, Finite Markov Chains, 1960).
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
+        policy = ThresholdPolicy(4) if kind == "threshold" else solve(model, trunc, 5.0).policy
+        space = StateSpace(model, trunc)
+        branch, tx = induced_chain(policy, space)
+        chain = BorderChain(space, branch)
+        pi = chain.stationary()
+        pi /= pi.sum()
+        horizon = 2_000
+        stats = evaluate_simulated(policy, model, horizon, 1_000, seed=11)
+        for (g, h), cost, var in zip(chain.values((space.delta, tx)), (space.delta, tx), (stats.var_aoi, stats.var_cost)):
+            c = cost - g
+            sigma2 = 2.0 * pi @ (c * h) - pi @ (c * c)
+            assert 0.8 <= var * horizon / sigma2 <= 1.2, (sigma2, var * horizon / sigma2)
 
     def test_replications_are_independent_streams(self):
         model = ChannelModel(0.5, 1.0, 0)
