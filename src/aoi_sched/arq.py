@@ -20,28 +20,28 @@ def _check_p(p: float) -> None:
         raise ValueError(f"error probability must lie in [0, 1), got {p}")
 
 
-def cost_of_threshold(p: float, delta: int) -> float:
-    """Transmission rate of the deterministic threshold policy: 1 / (delta(1-p) + p)."""
+def _check_threshold(p: float, delta: int) -> None:
     _check_p(p)
     if delta < 1:
         raise ValueError(f"threshold must be at least 1, got {delta}")
+
+
+def cost_of_threshold(p: float, delta: int) -> float:
+    """Transmission rate of the deterministic threshold policy: 1 / (delta(1-p) + p)."""
+    _check_threshold(p, delta)
     return 1.0 / (delta * (1.0 - p) + p)
 
 
 def aoi_of_threshold(p: float, delta: int) -> float:
     """Average age of the deterministic threshold policy."""
-    _check_p(p)
-    if delta < 1:
-        raise ValueError(f"threshold must be at least 1, got {delta}")
+    _check_threshold(p, delta)
     k = delta * (1.0 - p) + p
     return (k * k + p) / (2.0 * (1.0 - p) * k) + 0.5
 
 
 def lagrangian_cost(p: float, delta: int, eta: float) -> float:
     """Average age plus ``eta`` times the transmission rate, in closed form."""
-    _check_p(p)
-    if delta < 1:
-        raise ValueError(f"threshold must be at least 1, got {delta}")
+    _check_threshold(p, delta)
     p1 = 1.0 / (delta + p / (1.0 - p))
     return p1 * (
         (delta - 1) * delta / 2.0 + (eta + delta) / (1.0 - p) + p / (1.0 - p) ** 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import arq, errors, oracles
 from .exact import _evaluate_solved, evaluate_exact
-from .lagrange import search_eta_star, solve_constrained
+from .lagrange import TraceRow, search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
 from .rvi import solve
@@ -166,17 +167,7 @@ def cmd_solve(args) -> int:
 
 def cmd_arq(args) -> int:
     rt = arq.optimal_policy(args.p, args.cmax)
-    record = {
-        "p": args.p,
-        "c_max": args.cmax,
-        "delta_cmax": rt.delta_cmax,
-        "delta1": rt.delta1,
-        "delta2": rt.delta2,
-        "mu_star": rt.mu_star,
-        "transmit_prob": rt.transmit_prob,
-        "avg_cost": rt.avg_cost,
-        "avg_aoi": rt.avg_aoi,
-    }
+    record = dataclasses.asdict(rt) | {"avg_cost": rt.avg_cost, "avg_aoi": rt.avg_aoi}
     if args.format == "csv":
         _write_table(None, {key: [value] for key, value in record.items()})
     else:
@@ -188,18 +179,10 @@ def cmd_search_eta(args) -> int:
     model, trunc = _model_from(args)
     result = search_eta_star(model, trunc, args.cmax)
     if args.trace_out:
-        trace = result.trace
-        results = {key: np.array([getattr(row, key) for row in trace]) for key in ("eta", "avg_cost", "avg_aoi", "gain")}
-        _write_table(
-            args.trace_out,
-            {
-                "step": [row.step for row in trace],
-                **results,
-                "phase": [row.phase for row in trace],
-                "iterations": [row.iterations for row in trace],
-                "residual": [f"{row.residual:.6g}" for row in trace],
-            },
-        )
+        # One array per field, so float fields print as %.12g; the residual prints as .6g.
+        columns = {f.name: np.array([getattr(row, f.name) for row in result.trace]) for f in dataclasses.fields(TraceRow)}
+        columns["residual"] = [f"{value:.6g}" for value in columns["residual"]]
+        _write_table(args.trace_out, columns)
     print(
         json.dumps(
             {

@@ -189,12 +189,14 @@ class StateSpace:
     counts ``0 .. min(delta, r_cap + 1) - 1``.  With row offsets
     ``off[delta] = sum(min(d, r_cap + 1) for d in 1 .. delta - 1)`` the state
     ``(delta, r)`` sits at index ``off[delta] + r``: state ``i`` is ``(age[i],
-    r[i])`` and the renewal state (1, 0) is index 0.  The at-most-two
-    successor indices and probabilities of every (state, action) are gathered
-    from ``slot_outcomes`` by index arithmetic; ages above ``n_max`` are
-    clamped, so the cap row loops on itself in age.  The solver's policy
-    evaluations and the stationary-distribution builder read them.  Unused
-    successor slots hold index 0 with probability 0.
+    r[i])`` and the renewal state (1, 0) is index 0.  The successors of
+    every (state, action) are one gather from the slot table: each array of
+    ``slot_outcomes`` is read at column ``r[i]``.  A failure, with
+    probability ``fail``, climbs to ``(min(delta + 1, n_max), fail_att)``, so
+    the cap row loops on itself in age; a delivery lands on ``(reset_age,
+    0)``.  An inadmissible action's branches, and an idle slot's delivery,
+    hold index 0 with probability 0.  The solver's policy evaluations and
+    the stationary-distribution builder read them.
 
     A space records the ``model`` it was built for, and ``scatter`` is built
     on first use and kept, so every ``BorderChain`` on one space shares it:
@@ -216,23 +218,10 @@ class StateSpace:
         self.r = np.arange(n) - self.off[age]
         self.delta = age.astype(np.float64)
 
-        out = slot_outcomes(model, r_cap + 1)
+        fail, reset_age, fail_att, self.admissible = (x.T.take(self.r, axis=0) for x in slot_outcomes(model, r_cap + 1))
         up = self.off[np.minimum(age + 1, n_max)]  # index of (min(delta + 1, n_max), 0)
-        self.succ_idx = np.zeros((n, len(Action), 2), dtype=np.int64)
-        self.succ_prob = np.zeros((n, len(Action), 2), dtype=np.float64)
-        self.admissible = out.admissible.T.take(self.r, axis=0)
-        # Idling and fresh updates ignore the attempts; a delivered update lands on index 0.
-        for a in (Action.IDLE, Action.NEW_UPDATE):
-            self.succ_idx[:, a, 0] = up + out.fail_att[a, 0]
-            self.succ_prob[:, a] = out.fail[a, 0], 1.0 - out.fail[a, 0]
-
-        retx = np.flatnonzero(self.admissible[:, Action.RETRANSMIT])
-        rr = self.r.take(retx)
-        fail = out.fail[Action.RETRANSMIT].take(rr)
-        self.succ_idx[retx, Action.RETRANSMIT, 0] = up.take(retx) + out.fail_att[Action.RETRANSMIT].take(rr)
-        self.succ_idx[retx, Action.RETRANSMIT, 1] = self.off.take(out.reset_age[Action.RETRANSMIT].take(rr))
-        self.succ_prob[retx, Action.RETRANSMIT, 0] = fail
-        self.succ_prob[retx, Action.RETRANSMIT, 1] = 1.0 - fail
+        self.succ_idx = np.stack([(up[:, None] + fail_att) * self.admissible, self.off[reset_age] * self.admissible], axis=2)
+        self.succ_prob = np.stack([fail * self.admissible, (1.0 - fail) * self.admissible], axis=2)
 
     def __len__(self) -> int:
         return len(self.delta)

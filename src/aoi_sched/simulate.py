@@ -214,11 +214,11 @@ class Kernel:
         self.jump = np.minimum(jump, never)
         self.e0, self.e1 = e0[row], e1[row]  # the edges of the row a lane decides in, by its index before the jump
         self.stride, self.n_age = n_age * n_att, n_age
-        self.column = np.repeat(np.minimum(np.arange(width), n_att - 1) * n_age, 3)  # table offset of 3 * attempts
-        # The model admits no retransmission without a failed packet in
-        # flight or at its attempt cap; only a table that retransmits in one
-        # of those attempt columns can send one.
-        self.may_violate = bool(np.isfinite(self.e1.reshape(-1, n_att, n_age)[:, [0, min(model.r_max, n_att - 1)]]).any())
+        served = np.minimum(np.arange(width), n_att - 1)  # the table column of each attempt count
+        self.column = np.repeat(served * n_age, 3)  # table offset of 3 * attempts
+        # Only a table that retransmits in a column serving an attempt count
+        # the model refuses a retransmission at can send one.
+        self.may_violate = bool(np.isfinite(self.e1.reshape(-1, n_att, n_age)[:, served[~self.retransmit_ok]]).any())
         # A uniform in [0, 1) crosses every edge at or below 0 and none at
         # or above 1.  A table whose edges all lie there decides surely: its
         # action is ``sure``, and it reads no action uniforms.

@@ -110,3 +110,16 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(path.name for path in tmp_path.iterdir())
     changed = [path.name for path in sorted(tmp_path.iterdir()) if path.read_bytes() != (GOLDEN / path.name).read_bytes()]
     assert changed == [], f"outputs differ from {GOLDEN}: {changed}"
+
+
+def test_code_lines_counts_the_lines_that_hold_code():
+    code_lines = runpy.run_path(str(SCRIPTS / "code_lines.py"))["code_lines"]
+    source = '''"""A module docstring,
+over two lines."""
+
+# A comment.
+total = sum([1,  # a comment after code
+             2])
+'''
+    assert code_lines(source) == 2
+    assert code_lines(source + 'def f():\n    """A docstring."""\n    return "a string"\n') == 4

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoi_sched.errors import ProtocolViolationError
 from aoi_sched.exact import induced_chain
@@ -220,6 +221,40 @@ class TestRunStatsAggregation:
             c = cost - g
             sigma2 = 2.0 * pi @ (c * h) - pi @ (c * c)
             assert 0.8 <= var * horizon / sigma2 <= 1.2, (sigma2, var * horizon / sigma2)
+
+    @pytest.mark.parametrize(
+        "kind, constants", [("threshold", (-3.36, -0.72)), ("table", (-3.0163, -0.7419))], ids=["threshold", "table"]
+    )
+    def test_mean_matches_the_chains_start_from_the_renewal_state(self, kind, constants):
+        # From (1, 0) the expected total of a cost c over H slots is
+        # H g + h(1, 0) - e0 P^H h (Puterman, Markov Decision Processes, 1994,
+        # section 8.2), with h the differential values of c.  e0 P^H tends to
+        # pi, so a time average over H slots is g + k / H to first order, with
+        # k = h(1, 0) - pi h.
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(120, 3)
+        policy = ThresholdPolicy(4) if kind == "threshold" else solve(model, trunc, 5.0).policy
+        space = StateSpace(model, trunc)
+        branch, tx = induced_chain(policy, space)
+        chain = BorderChain(space, branch)
+        pi = chain.stationary()
+        pi /= pi.sum()
+        P, _ = spec.chain(policy, model, trunc)
+        horizon, reps = 200, 5_000
+        stats = evaluate_simulated(policy, model, horizon, reps, seed=5)
+        costs, means, variances = (space.delta, tx), (stats.mean_aoi, stats.mean_cost), (stats.var_aoi, stats.var_cost)
+        for (g, h), cost, k_ref, mean, var in zip(chain.values(costs), costs, constants, means, variances):
+            start, total = np.eye(len(P))[0], 0.0
+            for slots in range(1, 51):
+                total += start @ cost
+                start = start @ P
+                if slots in (1, 7, 50):
+                    assert abs(total - (slots * g + h[0] - start @ h)) <= 1e-12 * slots * g
+            k = h[0] - pi @ h
+            assert k == pytest.approx(k_ref, abs=1e-4)
+            # The start from (1, 0) shows: the runs' mean sits off g, and on g + k / H.
+            se = math.sqrt(var / reps)
+            assert abs(mean - (g + k / horizon)) <= 3.0 * se
+            assert abs(mean - g) > 4.0 * se
 
     def test_replications_are_independent_streams(self):
         model = ChannelModel(0.5, 1.0, 0)
@@ -673,6 +708,30 @@ def assert_same_run(first, second):
     assert all(np.array_equal(column, ref) for column, ref in zip(trace or (), ref_trace or (), strict=True))
 
 
+@st.composite
+def kernel_components(draw):
+    """A threshold, or a ``RandomizedTable`` that retransmits in a few drawn cells, with 1 to 7 attempt columns."""
+    if draw(st.booleans()):
+        return ThresholdPolicy(draw(st.integers(1, 6)), draw(st.sampled_from([1.0, 0.5])))
+    n_att = draw(st.integers(1, 7))
+    n_max = draw(st.integers(max(n_att, 2), n_att + 3))
+    table = np.zeros((n_max + 1, n_att, len(Action)))
+    table[..., Action.IDLE] = 1.0
+    for delta, r in draw(st.sets(st.tuples(st.integers(0, n_max), st.integers(0, n_att - 1)), max_size=3)):
+        table[delta, r] = 0.5, 0.0, 0.5
+    return RandomizedTable(table, Truncation(n_max, n_att - 1))
+
+
+def may_retransmit_where_refused(policy, model):
+    """Whether some component retransmits with positive probability in a table
+    column that serves an attempt count the model refuses a retransmission at:
+    0, with no failed packet in flight, or the model's cap ``r_max``.  Attempt
+    counts past a table's last column read that column."""
+    parts = (policy.first, policy.second) if isinstance(policy, RenewalMixture) else (policy,)
+    refused = [r for r in range(model.r_max + 1) if not 1 <= r < model.r_max]
+    return any((p.table[:, np.minimum(refused, p.table.shape[1] - 1), Action.RETRANSMIT] > 0.0).any() for p in parts)
+
+
 class TestKernel:
     @pytest.mark.parametrize("kind", VERIFY_KINDS)
     @pytest.mark.parametrize("horizon", [2_000, 100_000])
@@ -683,6 +742,17 @@ class TestKernel:
         for rep in range(3):
             alone, _ = run(policy, model, horizon, np.random.default_rng([2024, rep]))
             assert (stats.aoi_per_rep[rep], stats.cost_per_rep[rep]) == (alone.mean_aoi, alone.mean_cost)
+
+    @given(
+        first=kernel_components(),
+        second=st.none() | kernel_components(),
+        r_max=st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_may_violate_reads_the_refused_attempt_counts(self, first, second, r_max):
+        policy = first if second is None else RenewalMixture(first, second, 0.5)
+        model = ChannelModel(0.5, 0.5, r_max)
+        assert simulate.Kernel(policy, model, 100, 1).may_violate == may_retransmit_where_refused(policy, model)
 
     def test_evaluation_builds_the_kernel_once(self, monkeypatch):
         calls = []
