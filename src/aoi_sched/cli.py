@@ -136,7 +136,7 @@ def _model_args(p: argparse.ArgumentParser) -> None:
 
 def _model_from(args) -> tuple[ChannelModel, Truncation]:
     model = ChannelModel(args.p0, args.lam, args.rmax)
-    trunc = Truncation(args.nmax, max(args.rmax, 0))
+    trunc = Truncation(args.nmax, args.rmax)
     return model, trunc
 
 

@@ -137,17 +137,19 @@ def _evaluate_stationary(policy: Policy, space: StateSpace) -> EvalResult:
 
 
 def _renewal_mix(first: EvalResult, second: EvalResult, w: float) -> EvalResult:
-    """Averages of redrawing at (1, 0) the policy of ``first`` with probability ``w``, else of ``second``."""
+    """Averages of redrawing at (1, 0) the policy of ``first`` with probability ``w``, else of ``second``.
+
+    Both components hold mass at (1, 0): ``_evaluate_chain`` raises
+    ``NoStationaryAoIError`` rather than return a result without it, and
+    ``lagrange.search_eta_star`` raises ``TruncationError`` rather than mix
+    a probe whose policy idles forever at the age cap.
+    """
     if w >= 1.0:
         return first
     if w <= 0.0:
         return second
     p1 = float(first.stationary[_RENEWAL])
     p2 = float(second.stationary[_RENEWAL])
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise NoStationaryAoIError(
-            "renewal mixture requires (1, 0) to be recurrent under both components"
-        )
     # Expected cycle length is 1/pi(1,0); cycles weighted by how often
     # each component is drawn and how long its cycles run.
     t1, t2 = 1.0 / p1, 1.0 / p2

@@ -139,9 +139,11 @@ def search_eta_star(
 ) -> EtaSearchResult:
     """Walk the lower envelope of ``J + eta * C`` to the critical charge.
 
+    The uncharged probe, ``eta = 0``, minimises the age alone, so its
+    policy sends in every slot and its rate 1 is at or above every budget.
     Raises ``TruncationError`` when the budget needs the policy that idles
-    forever at the age cap, and ``EtaSearchError`` when the budget does not
-    bind at ``eta = 0`` or a phase runs out of steps.
+    forever at the age cap, and ``EtaSearchError`` only when a phase runs
+    out of steps.
     """
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
@@ -180,13 +182,7 @@ def search_eta_star(
             eta, (lo.eta, hi.eta), tuple(trace), hit, (lo.out, lo.res), (hi.out, hi.res)
         )
 
-    lo = probe(0.0, "expand")
-    if lo.cost < c_max - _HIT_TOL:
-        raise EtaSearchError(
-            f"budget {c_max} does not bind: the uncharged policy transmits at rate {lo.cost}",
-            tuple(trace),
-        )
-    hi = lo
+    lo = hi = probe(0.0, "expand")
     for k in range(_MAX_STEPS):
         if meets(hi):
             return result(hi.eta, hi, hi, True)

@@ -305,9 +305,9 @@ class BorderChain:
 
     Both answers cover every state of the space, so no caller needs the
     split.  ``values`` returns each cost's gain and differential values, 0
-    at (1, 0): the border system is solved by subtraction-free elimination
-    towards (1, 0), or towards ``(n_max, 0)`` when the chain idles surely
-    there and (1, 0) is transient, and one banded substitution carries the
+    at (1, 0): the border system is solved by one subtraction-free
+    elimination, towards ``(n_max, 0)`` when the chain idles surely there
+    and towards (1, 0) otherwise, and one banded substitution carries the
     border values to the ladder.  It returns None for a chain with two
     closed classes, (1, 0)'s and ``{(n_max, 0)}`` (``reached``).
     ``stationary`` returns the masses of the class (1, 0) reaches, solved
@@ -412,12 +412,14 @@ class BorderChain:
         low border state ``b`` lasts ``1 + z[b].sum()`` slots and costs
         ``cost[b] + z[b] @ cost_L`` until the next one.  The border values
         solve ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``,
-        with (1, 0) eliminated last, or ``(n_max, 0)`` when some position
-        cannot reach (1, 0): by ``reached``, exactly when the chain idles
-        surely at ``(n_max, 0)``.  None when some position cannot reach that
-        either, a chain with two closed classes.  The ladder values solve
-        ``(I - P_LL) h_L = cost_L - g + P_LB h_B``.  The costs ride through
-        one elimination and one banded solve, which treats each column
+        with ``(n_max, 0)`` eliminated last when no weight leaves it in
+        ``complement``, the chain idling there surely, else (1, 0).  By
+        ``reached`` only that cap closes a class without (1, 0), so every
+        position reaches the state eliminated last unless the chain has
+        both closed classes, (1, 0)'s and ``{(n_max, 0)}``; then the
+        elimination stops and ``values`` returns None.  The ladder values
+        solve ``(I - P_LL) h_L = cost_L - g + P_LB h_B``.  The costs ride
+        through one elimination and one banded solve, which treats each column
         alone, but each takes its own matrix-vector products and triangular
         solve: a triangular solve with several right-hand sides rounds each
         column differently from a solve with that column alone.
@@ -429,13 +431,11 @@ class BorderChain:
         for j, cost in enumerate(costs, 1):
             visit[:, j] = cost[space.border]
             visit[: self.n_low, j] += self.z @ cost[space.ladder]
-        for anchor in (0, self.n_low):
-            order = np.arange(nb)
-            order[0], order[anchor] = anchor, 0
-            w, out = self._reduce(order, visit[order])
-            if (out[1:] > 0.0).all():
-                break
-        else:
+        anchor = 0 if np.delete(self.complement[self.n_low], self.n_low).any() else self.n_low
+        order = np.arange(nb)
+        order[0], order[anchor] = anchor, 0
+        w, out = self._reduce(order, visit[order])
+        if not (out[1:] > 0.0).all():
             return None
         # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.
         # LAPACK reads only the lower triangle, so the weights above it need no masking.

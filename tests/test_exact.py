@@ -210,6 +210,16 @@ class TestRenewalMixture:
             mu * ra.avg_aoi + (1 - mu) * rb.avg_aoi, rel=1e-9
         )
 
+    @pytest.mark.parametrize("idle_first", [True, False])
+    def test_a_component_that_never_transmits_raises_before_mixing(self, idle_first):
+        # The idle component's own evaluation raises, so no mixture is formed
+        # from a component without mass at (1, 0).
+        trunc = Truncation(50, 0)
+        idle = DeterministicTable({s: Action.IDLE for s in enumerate_states(trunc)}, trunc)
+        pair = (idle, ThresholdPolicy(3)) if idle_first else (ThresholdPolicy(3), idle)
+        with pytest.raises(NoStationaryAoIError, match="never transmits on its recurrent class"):
+            evaluate_exact(RenewalMixture(*pair, 0.5), ChannelModel(0.5, 1.0, 0), trunc)
+
 
 class TestRandomizedTable:
     def test_single_state_randomization_matches_threshold(self):

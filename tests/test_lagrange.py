@@ -66,6 +66,21 @@ class TestSearchEtaStar:
         lo, hi = arq.threshold_candidates(0.5, max(result.eta_star, 1e-9))
         assert 4 in (lo, hi)
 
+    @given(
+        p0=st.floats(0.001, 0.999),
+        lam=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+        r_max=st.integers(0, 12),
+        n_max=st.integers(2, 200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_uncharged_policy_sends_in_every_state(self, p0, lam, r_max, n_max):
+        # At charge 0 the solver minimises the age alone, so its rate, 1, is
+        # at or above every budget in (0, 1]: the first probe brackets it.
+        out = rvi.solve(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), 0.0)
+        space = out.space
+        assert not out.policy.table[space.age, space.r, Action.IDLE].any()
+        assert abs(exact._evaluate_solved(out).avg_cost - 1.0) <= 1e-15
+
     def test_trace_is_recorded(self):
         model = ChannelModel(0.5, 1.0, 0)
         result = search_eta_star(model, Truncation(200, 0), 0.35)

@@ -407,6 +407,30 @@ class TestBorderChain:
         assert chain.values((space.delta,)) is None
         assert chain.stationary()[0] == 1.0
 
+    def test_values_eliminate_once_towards_the_state_they_anchor(self, monkeypatch):
+        # Towards (1, 0) when it is recurrent; towards (n_max, 0) when the
+        # chain idles surely there, whether (1, 0) is transient or the chain
+        # has two closed classes.  The dense checks above pin the values.
+        anchors = []
+        reduce = mdp.BorderChain._reduce
+
+        def counted(chain, order, rhs):
+            anchors.append(int(order[0]))
+            return reduce(chain, order, rhs)
+
+        monkeypatch.setattr(mdp.BorderChain, "_reduce", counted)
+        trunc = Truncation(40, 3)
+        space = StateSpace(ChannelModel(0.5, 0.5, 3), trunc)
+        all_new = DeterministicTable({s: Action.NEW_UPDATE for s in enumerate_states(trunc)}, trunc)
+        idle_at_40 = DeterministicTable(
+            {s: (Action.IDLE if s == State(40, 0) else Action.NEW_UPDATE) for s in enumerate_states(trunc)}, trunc
+        )
+        recurrent, two_classes = (mdp.BorderChain(space, induced_chain(p, space)[0]) for p in (all_new, idle_at_40))
+        for chain, solved in ((recurrent, True), (idle_at_cap_chain(), True), (two_classes, False)):
+            anchors.clear()
+            assert (chain.values((chain.space.delta,)) is not None) == solved
+            assert anchors == [0 if chain is recurrent else chain.n_low]
+
 
 def idle_at_cap_policy():
     """Transmit below age 3, idle above: after one failure the chain climbs to (50, 0) and idles there for good."""

@@ -123,3 +123,31 @@ total = sum([1,  # a comment after code
 '''
     assert code_lines(source) == 2
     assert code_lines(source + 'def f():\n    """A docstring."""\n    return "a string"\n') == 4
+
+
+def test_bench_pairs_counts_wins_by_each_metrics_direction():
+    bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    quartiles, summarize = bench["quartiles"], bench["summarize"]
+    assert quartiles([9.0, 10.0, 10.0, 11.0]) == {"median": 10.0, "q1": 9.25, "q3": 10.75}
+    assert quartiles([5.0]) == {"median": 5.0, "q1": None, "q3": None}
+    assert quartiles([]) == {"median": None, "q1": None, "q3": None}
+
+    def run(pair, side, ops, rss):
+        return {"pair": pair, "side": side, "result": {"metrics": {"ops": {"value": ops}, "rss": {"value": rss}}}}
+
+    runs = [
+        run(0, "base", 10.0, 50.0), run(0, "change", 12.0, 40.0),  # the change wins both
+        run(1, "base", 10.0, 50.0), run(1, "change", 10.0, 50.0),  # ties: a win for neither side
+        run(2, "base", 11.0, 50.0), run(2, "change", 9.0, 60.0),  # the base wins both
+        run(3, "base", 1000.0, 1000.0), {"pair": 3, "side": "change", "result": None},  # a failed run drops its pair
+        run(4, "base", 9.0, 50.0), run(4, "change", 13.0, 45.0),  # the change wins both
+    ]
+    metrics = [{"name": "ops", "unit": "1/s", "better": "higher"}, {"name": "rss", "unit": "MB", "better": "lower"}]
+    ops, rss = (summarize(runs, metrics)[name] for name in ("ops", "rss"))
+    assert (ops["pairs"], ops["wins"], rss["pairs"], rss["wins"]) == (4, 2, 4, 2)
+    assert ops["base"] == {"median": 10.0, "q1": 9.25, "q3": 10.75}
+    assert ops["change"] == {"median": 11.0, "q1": 9.25, "q3": 12.75}
+    assert ops["median_ratio"] == 1.1 and rss["median_ratio"] == 47.5 / 50.0
+    # Medians 1 apart within the base's quartile distance 1.5; 2.5 apart beyond its distance 0.
+    assert not ops["medians_apart_beyond_base_iqr"]
+    assert rss["medians_apart_beyond_base_iqr"]
