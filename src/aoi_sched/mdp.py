@@ -326,9 +326,10 @@ class BorderChain:
         # The band of I - P_LL off its diagonal, negated in place; 0.0 - x keeps empty entries at +0.0.
         self.ab = blocks[e1:e2].reshape(m, plan.width + 1).T
         np.subtract(0.0, self.ab, out=self.ab)
-        # Solved in place: the right-hand side is this chain's own.
+        # Solved in place: the right-hand side is this chain's own.  LAPACK returns an
+        # empty one (a space without a ladder) as it is, here and in ``values``.
         rhs = blocks[e2:].reshape(n_low, m).T
-        self.z = (dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0] if rhs.size else rhs).T
+        self.z = dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0].T
         self.complement[:n_low] += self.z @ self.p_lb
 
     @cached_property
@@ -452,7 +453,7 @@ class BorderChain:
             h = np.empty(len(space))
             h[space.border] = h_border
             solved.append((float(g), h))
-        ladder = dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0] if rhs.size else rhs
+        ladder = dtbtrs(self.ab, rhs, uplo="U", trans="N", diag="U")[0]
         for j, (_, h) in enumerate(solved):
             h[space.ladder] = ladder[:, j]
         return solved

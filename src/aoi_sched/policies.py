@@ -3,8 +3,9 @@
 Stationary kinds hold ``table``: entry ``[delta, r, a]`` is the probability
 of ``a`` in state ``(delta, r)``, and larger ages and attempt counts read the
 last row and column (``clamped_rows``), so a table extends naturally to
-larger states.  Tables also accept a per-state mapping over every state of
-their truncation, as ``enumerate_states`` lists them.  The renewal mixture
+larger states.  Every reader draws an action from a row by one rule,
+``action_edges``.  Tables also accept a per-state mapping over every state
+of their truncation, as ``enumerate_states`` lists them.  The renewal mixture
 and the open-loop periodic baseline need execution context (active branch,
 slot phase) and are handled specially by the evaluators.
 """
@@ -39,6 +40,18 @@ def _dense(rows: Mapping[State, Mapping[Action, float]], trunc: Truncation, kind
 def clamped_rows(table: np.ndarray, delta, r) -> np.ndarray:
     """Rows of ``table`` at ages ``delta`` and attempts ``r``, larger ones reading its last row and column."""
     return table[np.minimum(delta, len(table) - 1), np.minimum(r, table.shape[1] - 1)]
+
+
+def action_edges(probs: np.ndarray) -> np.ndarray:
+    """The draw rule of action rows ``probs``: a uniform ``u`` draws action ``(u >= edges).sum()``.
+
+    Edge ``k`` is the cumulative probability of the actions up to ``k``, or
+    +inf when no action beyond ``k`` has probability, so an action of
+    probability 0 is never drawn, whatever the rounding of the cumulative
+    sum; a sure idle has edges (inf, inf).
+    """
+    beyond = np.cumsum(probs[..., ::-1], axis=-1)[..., -2::-1]
+    return np.where(beyond > 0.0, np.cumsum(probs, axis=-1)[..., :-1], np.inf)
 
 
 @dataclass(frozen=True, eq=False)

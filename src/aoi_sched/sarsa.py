@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ProtocolViolationError
 from .mdp import Action, ChannelModel, State, StateSpace, Truncation, slot_outcomes
-from .policies import DeterministicTable
+from .policies import DeterministicTable, action_edges
 from .simulate import SlotEnv
 
 _N_ACTIONS = len(Action)
@@ -114,12 +114,8 @@ def make_learner(cfg: LearnerConfig, model_for_masks: ChannelModel) -> LearnerSt
 
 
 def _sample_action(probs: np.ndarray, u: float) -> Action:
-    acc = 0.0
-    for k in range(_N_ACTIONS - 1):
-        acc += probs[k]
-        if u < acc:
-            return Action(k)
-    return Action(_N_ACTIONS - 1)
+    """The action that the uniform ``u`` draws from ``probs`` by ``action_edges``' rule."""
+    return Action(int((u >= action_edges(probs)).sum()))
 
 
 def step(ls: LearnerState, env: SlotEnv, cfg: LearnerConfig, rng: np.random.Generator) -> LearnerState:
@@ -179,9 +175,12 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     which is ``exp(-0.0)``, and a retransmission where the row forbids it
     gets 0.0, which is ``exp(-inf)``, the weight ``softmax_probs`` gives an
     inadmissible entry; both are exact, so the sum and the probabilities
-    keep their bits.  The one difference is ``math.exp`` for numpy's vector
-    ``exp``: they can disagree in the last bit, which moves a sampled action
-    only if its uniform lies within that bit of a cumulative probability.
+    keep their bits.  An action is drawn by ``action_edges``' rule, as
+    ``_sample_action`` draws it, on the same cumulative sums: an edge with
+    no probability beyond it is never crossed.  The one difference is
+    ``math.exp`` for numpy's vector ``exp``: they can disagree in the last
+    bit, which moves a sampled action only if its uniform lies within that
+    bit of a cumulative probability.
     """
     if cfg.horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {cfg.horizon}")
@@ -228,12 +227,9 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
             act_u, act_k = rng_act.random(_BLOCK).tolist(), 0
         u = act_u[act_k]
         act_k += 1
+        # action_edges' rule on the probabilities w / s: no action without probability is drawn.
         acc = w0 / s
-        if u < acc:
-            b = 0
-        else:
-            acc += w1 / s
-            b = 1 if u < acc else 2
+        b = 0 if u < acc else 2 if w2 / s and u >= acc + w1 / s else 1
         if n:
             qi, rn = q[i], sqrt(n)
             qi[a] += alpha0 / rn * (c - gain + row[b] - qi[a])

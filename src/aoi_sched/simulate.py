@@ -5,8 +5,9 @@ state (1, 0).  The age is never truncated here; simulation is the ground
 truth against which solver truncation error is measured.  What a call of
 ``run`` or ``evaluate_simulated`` reads of its policy, model, horizon and
 replication count is a ``Kernel``, built once per call for all its
-replications.  The attempt count never passes the model's cap, so the
-kernel's ``mdp.slot_outcomes`` table has ``r_max + 1`` columns.
+replications.  The attempt count never passes the model's cap, and before
+slot ``t`` it is at most ``t - 1``, so the kernel's ``mdp.slot_outcomes``
+table has ``min(r_max, horizon) + 1`` columns.
 
 Stationary policies and renewal mixtures run as lockstep renewal cycles, the
 regenerative method of Crane & Iglehart (1975).  Every visit to (1, 0) starts
@@ -73,7 +74,7 @@ import numpy as np
 
 from .errors import ProtocolViolationError
 from .mdp import Action, ChannelModel, State, slot_outcomes
-from .policies import PeriodicPolicy, Policy, RenewalMixture
+from .policies import PeriodicPolicy, Policy, RenewalMixture, action_edges, clamped_rows
 
 _LANES = 256  # renewal-cycle lanes advanced in lockstep
 _BLOCK = 32  # steps per block of uniforms
@@ -135,28 +136,22 @@ def baseline_periodic(c_max: float) -> PeriodicPolicy:
 def _kernel_tables(policy: Policy):
     """Flat tables of the kernel, indexed by ``(component, attempts, age)``.
 
-    Components are padded to the largest age and attempt count among them by
-    repeating their last row and column, which keeps each one's clamping; the
-    kernel clamps ages and attempts to the padded table, so the tables have
-    the policy's size whatever the model's attempt cap.  A uniform ``u``
-    selects action ``(u >= e0) + (u >= e1)``.  In column 0, ``jump`` is the
-    first age from the row's own on whose row is not a sure idle (a clamped
-    age reads the last row), or ``_NEVER`` when the last row idles surely; in
-    the other columns it is the row's own age.  ``row`` is the flat index of
-    the row at age ``jump``, clamped.  A stationary policy is a one-component
-    mixture.
+    Each component is read by ``clamped_rows`` at the largest age and
+    attempt count among them, which keeps its clamping; the kernel clamps
+    ages and attempts to these tables, so they have the policy's size
+    whatever the model's attempt cap.  ``e0`` and ``e1`` are the rows'
+    ``action_edges``: a uniform ``u`` selects action ``(u >= e0) + (u >=
+    e1)``.  In column 0, ``jump`` is the first age from the row's own on
+    whose row is not a sure idle (a clamped age reads the last row), or
+    ``_NEVER`` when the last row idles surely; in the other columns it is the
+    row's own age.  ``row`` is the flat index of the row at age ``jump``,
+    clamped.  A stationary policy is a one-component mixture.
     """
     mixture = isinstance(policy, RenewalMixture)
     parts = [p.table for p in ((policy.first, policy.second) if mixture else (policy,))]
     n_age = max(p.shape[0] for p in parts)
     n_att = max(p.shape[1] for p in parts)
-    probs = np.stack(
-        [np.pad(p, ((0, n_age - p.shape[0]), (0, n_att - p.shape[1]), (0, 0)), mode="edge") for p in parts]
-    ).transpose(0, 2, 1, 3)
-    # An edge with no probability beyond it is never crossed, whatever the
-    # rounding of the cumulative sum; a sure idle has e0 = inf.
-    beyond = np.cumsum(probs[..., ::-1], axis=-1)[..., -2::-1]
-    edges = np.where(beyond > 0.0, np.cumsum(probs, axis=-1)[..., :-1], np.inf)
+    edges = action_edges(np.stack([clamped_rows(p, *np.ogrid[:n_age, :n_att]) for p in parts]).transpose(0, 2, 1, 3))
     age = np.broadcast_to(np.arange(n_age), edges.shape[:-1])
     jump = age.copy()
     decides = np.where(edges[:, 0, :, 0] < np.inf, age[:, 0], _NEVER)
@@ -177,13 +172,14 @@ class Kernel:
     The call's ``horizon`` and its batch size ``size`` (``_batch_size``),
     both checked here.  For stationary policies and renewal mixtures: the
     policy's tables (``_kernel_tables``) and whether it decides surely, the
-    model's ``slot_outcomes`` arrays indexed by ``3 * attempts + action``,
-    the table offset of each attempt count, the history's dtype and its
-    starting length ``cap`` in steps, and the work arrays.  For the periodic
-    baseline: its outcome table.  The work arrays (the history, the
-    block-local rows of ``_cycles`` and the block of uniforms) are flat and
-    have room for the first batch, the largest; every batch steps on the
-    head of each (``_head``), so a kernel serves one batch at a time.
+    model's ``slot_outcomes`` arrays up to ``min(r_max, horizon)`` attempts,
+    indexed by ``3 * attempts + action``, the table offset of each attempt
+    count, the history's dtype and its starting length ``cap`` in steps, and
+    the work arrays.  For the periodic baseline: its outcome table.  The
+    work arrays (the history, the block-local rows of ``_cycles`` and the
+    block of uniforms) are flat and have room for the first batch, the
+    largest; every batch steps on the head of each (``_head``), so a kernel
+    serves one batch at a time.
     """
 
     def __init__(self, policy: Policy, model: ChannelModel, horizon: int, replications: int):
@@ -200,8 +196,10 @@ class Kernel:
         self.weight = policy.weight_first if self.mixture else 1.0
         # Indexed by 3 * attempts + action, so that a step's index is one add.
         # Attempts never pass the model's cap, not even by a retransmission
-        # there, where the run raises ProtocolViolationError.
-        width = model.r_max + 1
+        # there, where the run raises ProtocolViolationError.  Before its slot
+        # t a lane has made at most t - 1 attempts, and a lane keeps at most
+        # ``horizon`` slots, so the kept slots read no column past ``horizon``.
+        width = min(model.r_max, horizon) + 1
         out = slot_outcomes(model, width)
         self.fail, self.reset_age, fail_att = (x.T.ravel() for x in out[:3])
         self.fail_att = 3 * fail_att

@@ -81,6 +81,28 @@ class TestSearchEtaStar:
         assert not out.policy.table[space.age, space.r, Action.IDLE].any()
         assert abs(exact._evaluate_solved(out).avg_cost - 1.0) <= 1e-15
 
+    def test_a_walk_probe_that_meets_the_budget_ends_the_search(self):
+        # The budget is threshold 2's rate: the first walk probe returns that
+        # threshold, whose cost equals the budget bit for bit.
+        c_max = arq.cost_of_threshold(0.1, 2)
+        result = search_eta_star(ChannelModel(0.1, 1.0, 0), Truncation(200, 0), c_max)
+        assert [row.phase for row in result.trace] == ["expand", "expand", "walk"]
+        assert result.exact_hit and result.low[0] is result.high[0]
+        assert result.trace[-1].avg_cost == result.high[1].avg_cost == c_max
+        assert result.eta_star == result.trace[-1].eta == result.bracket[0] == result.bracket[1]
+
+    def test_expansion_out_of_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(lagrange, "_MAX_STEPS", 1)
+        with pytest.raises(errors.EtaSearchError, match="could not bracket the budget") as info:
+            search_eta_star(ChannelModel(0.5, 0.5, 3), Truncation(120, 3), 0.4)
+        assert [row.phase for row in info.value.trace] == ["expand", "expand"]
+
+    def test_walk_out_of_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(lagrange, "_MAX_STEPS", 2)
+        with pytest.raises(errors.EtaSearchError, match="envelope walk did not reach an adjacent pair") as info:
+            search_eta_star(ChannelModel(0.3, 0.5, 3), Truncation(120, 3), 0.3)
+        assert [row.phase for row in info.value.trace] == ["expand", "expand", "walk", "walk"]
+
     def test_trace_is_recorded(self):
         model = ChannelModel(0.5, 1.0, 0)
         result = search_eta_star(model, Truncation(200, 0), 0.35)

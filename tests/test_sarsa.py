@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,35 @@ class TestSoftmax:
         probs = softmax_probs(np.array([1e6, 1e6 + 1.0, 2e6]), 1.0, ALL)
         assert np.isfinite(probs).all()
         assert sum(probs) == pytest.approx(1.0)
+
+
+# Two admissible weights whose probabilities sum to the largest double below
+# 1 after rounding, at a state that admits no retransmission.
+ROUNDED_ROW = np.array([3.3576510391986965, -0.6723293209494665, 0.0])
+LAST_UNIFORM = 1 - 2**-53
+
+
+class TestSampleAction:
+    def test_the_last_uniform_draws_no_action_without_probability(self):
+        probs = softmax_probs(ROUNDED_ROW, 1.0, np.array([True, True, False]))
+        assert probs[2] == 0.0 and probs[0] + probs[1] == LAST_UNIFORM
+        assert sarsa._sample_action(probs, LAST_UNIFORM) is Action.NEW_UPDATE
+
+    @given(
+        row=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+        tau=st.floats(0.01, 5.0),
+        mask=st.sampled_from([ALL, np.array([True, True, False])]),
+        u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(LAST_UNIFORM)),
+    )
+    @example(row=list(ROUNDED_ROW), tau=1.0, mask=np.array([True, True, False]), u=LAST_UNIFORM)
+    @settings(max_examples=200, deadline=None)
+    def test_draws_only_actions_with_probability(self, row, tau, mask, u):
+        probs = softmax_probs(np.array(row), tau, mask)
+        a = sarsa._sample_action(probs, u)
+        assert probs[a] > 0.0
+        # Inversion: the first action whose cumulative probability passes u,
+        # unless only actions without probability lie beyond it.
+        assert a == min(int((u >= np.cumsum(probs)[:-1]).sum()), int(np.flatnonzero(probs).max()))
 
 
 def _cfg(**kw):
@@ -198,6 +228,32 @@ class TestTrainMatchesSteps:
         cfg = LearnerConfig(trunc=Truncation(30, 3), c_max=0.4, horizon=2000, seed=0)
         with pytest.raises(ProtocolViolationError, match="inadmissible action RETRANSMIT in state"):
             train(ChannelModel(0.5, 0.5, 3), cfg)
+
+    def test_the_last_uniform_plays_no_action_without_probability(self, monkeypatch):
+        # The learner starts at (1, 0) with the rounded row and every action
+        # uniform at the largest double below 1: the draw is a fresh update,
+        # in train as in its step loop.
+        real_learner, real_rng = sarsa.make_learner, np.random.default_rng
+
+        def learner(cfg, model):
+            ls = real_learner(cfg, model)
+            ls.q[0] = ROUNDED_ROW
+            return ls
+
+        def rng(seed):
+            if seed[1] == 0:  # the channel's stream
+                return real_rng(seed)
+            return SimpleNamespace(random=lambda size=None: LAST_UNIFORM if size is None else np.full(size, LAST_UNIFORM))
+
+        monkeypatch.setattr(sarsa, "make_learner", learner)
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        model = ChannelModel(0.5, 0.5, 3)
+        cfg = LearnerConfig(trunc=Truncation(30, 3), c_max=0.4, horizon=1, seed=0)
+        ls, tl = train(model, cfg)
+        stepped = step(learner(cfg, model), SlotEnv(model, rng([0, 0])), cfg, rng([0, 1]))
+        for q in (ls.q, stepped.q):  # only the action played in slot 1 is updated
+            assert np.flatnonzero(q[0] != ROUNDED_ROW).tolist() == [Action.NEW_UPDATE]
+        assert tl.running_cost[0] == stepped.empirical_cost == 1.0
 
     @pytest.mark.parametrize("model", MODELS)
     def test_outcome_table_built_once(self, model, monkeypatch):

@@ -399,6 +399,32 @@ class TestCycleKernel:
         run(policy, ChannelModel(0.999, 0.9999, 1000), 3_000, seed=8)
         assert len(calls) == 1
 
+    def test_outcome_table_reaches_only_as_far_as_the_horizon(self, monkeypatch):
+        # A model with no practical cap: g underflows at r = 743,663.  Before
+        # its slot t a lane has made at most t - 1 attempts, so a run of the
+        # horizon needs no column past it.
+        horizon, widths = 1_000, []
+        real = simulate.slot_outcomes
+
+        def spy(model, width=2):
+            widths.append(width)
+            assert width <= horizon + 1  # before a table of every attempt count is built
+            return real(model, width)
+
+        monkeypatch.setattr(simulate, "slot_outcomes", spy)
+        wide = ChannelModel(0.5, 0.999, 10**6)
+        assert wide.r_max == 743_663
+        policy = ThresholdPolicy(4)
+        stats, trace = run(policy, wide, horizon, seed=3, collect_trace=True)
+        capped, capped_trace = run(policy, ChannelModel(0.5, 0.999, 3), horizon, seed=3, collect_trace=True)
+        assert (stats.mean_aoi, stats.mean_cost) == (capped.mean_aoi, capped.mean_cost)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(trace, capped_trace))
+        # A table that retransmits after every failure keeps to the slot rule too.
+        _, trace = run(retransmit_after_failure(Truncation(20, 3)), wide, horizon, seed=3, collect_trace=True)
+        assert trace.r.max() > 1
+        assert_trace_valid(trace, wide)
+        assert widths == [horizon + 1, 4, horizon + 1]
+
     def test_table_sizes_do_not_depend_on_the_attempt_cap(self, monkeypatch):
         sizes = []
         real = simulate._kernel_tables
