@@ -51,6 +51,12 @@ COMMANDS = {
     ],
     # The benchmark's verify shape: batches of 3, 3, 3, 3, 3 and 1 replications at a long horizon.
     "simulate-batches": ["simulate", "--policy", "optimal", "--cmax", "0.4", "--horizon", "100000", "--reps", "16"],
+    "simulate-always-new": ["simulate", "--policy", "always-new", "--horizon", "999", "--reps", "3"],
+    "simulate-arq-optimal": ["simulate", "--policy", "arq-optimal", *ARQ, "--cmax", "0.3", "--horizon", "999", "--reps", "3"],
+    # The budget-optimal policy is a renewal mixture here.
+    "simulate-mixture": [
+        "simulate", "--policy", "optimal", *HARQ, "--nmax", "120", "--cmax", "0.4", "--horizon", "999", "--reps", "3",
+    ],
     "simulate-periodic": [
         "simulate", "--policy", "periodic", "--lam", "1", "--rmax", "0", "--cmax", "0.3", "--horizon", "999",
         "--reps", "3", "--out", "simulate-periodic.csv",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arq, errors, oracles
-from .exact import _evaluate_solved, evaluate_exact
+from .exact import evaluate_exact
 from .lagrange import TraceRow, search_eta_star, solve_constrained
 from .mdp import Action, ChannelModel, Truncation
 from .policies import PeriodicPolicy, ThresholdPolicy
@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
     space = out.space
-    res = _evaluate_solved(out)
+    res = evaluate_exact(out.policy, model, trunc, space=space)
     actions = out.policy.table[space.age, space.r].argmax(axis=1)
     if args.out:
         q = dict(zip(_Q_HEADER, out.q_array.T))

@@ -3,7 +3,8 @@
 The stationary masses of the induced chain are those of
 ``mdp.BorderChain.stationary``: on the class that the renewal state (1, 0)
 reaches, or none when the chain ends idling at the age cap, where the age
-diverges.  A solver's output brings the chain of its policy.
+diverges.  A solver's output brings the evaluation of its policy, read off
+the chain that ``rvi.solve`` built for it by ``_evaluate_chain``.
 The distribution is returned as a dense ``(age, attempts)`` array.  Renewal
 mixtures combine the component chains by expected cycle length, which is
 exactly what redrawing the active policy at every visit to (1, 0) achieves.
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import InaccurateSolveError, NoStationaryAoIError
 from .mdp import Action, BorderChain, ChannelModel, State, StateSpace, Truncation, slot_outcomes
 from .policies import PeriodicPolicy, Policy, RenewalMixture, clamped_rows
-from .rvi import SolverOutput
 
 _STATIONARY_RESIDUAL = 1e-10
 _ARQ_TAIL_MASS = 1e-13  # geometric tail that arq_eval_truncation leaves beyond the cap
@@ -75,11 +75,6 @@ def _evaluate_chain(chain: BorderChain, tx: np.ndarray) -> EvalResult:
     stationary = np.zeros((space.trunc.n_max + 1, space.r_cap + 1))
     stationary[space.age, space.r] = pi
     return EvalResult(float(pi @ space.delta), float(pi @ tx), stationary, float(pi[space.age == space.trunc.n_max].sum()))
-
-
-def _evaluate_solved(out: SolverOutput) -> EvalResult:
-    """``evaluate_exact`` of the solver's policy, read off ``out.chain``."""
-    return _evaluate_chain(out.chain, 1.0 - out.policy.table[out.space.age, out.space.r, Action.IDLE])
 
 
 def _evaluate_periodic(policy: PeriodicPolicy, model: ChannelModel) -> EvalResult:

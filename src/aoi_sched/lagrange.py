@@ -13,9 +13,9 @@ charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
 probe's side of the budget (phase ``"walk"``).  When the probe at ``x``
 returns an endpoint's ``(J, C)`` bit for bit, that endpoint is optimal at
 ``x`` (to the solver's tie bound), so no policy lies below the pair and
-``eta* = x``.  Every ``J`` and ``C`` is read off the chain the solver built
-for the probe's policy by ``evaluate_exact``'s stationary step, not from
-its gain, so one table gives one ``(J, C)`` in every probe.  A
+``eta* = x``.  Every ``J`` and ``C`` is the solver's exact evaluation of
+the probe's policy (``SolverOutput.evaluation``), not its gain, so one
+table gives one ``(J, C)`` in every probe.  A
 probe whose cost meets the budget exactly ends the search at once, so the
 full budget ``c_max = 1``, which the uncharged policy meets by sending in
 every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
@@ -29,8 +29,7 @@ Each probe's solve starts from the previous probe's output (``rvi.solve``'s
 ``start``), whose values are exact at the new charge once shifted along
 the charge, unless the paper's ARQ threshold rule at the new charge has a
 lower gain, in which case it starts from that rule's values; a probe whose
-previous policy is still optimal evaluates no policy (0 in its trace row).  When a probe reads off the previous probe's
-table, it has that probe's chain, so it reuses that probe's ``J`` and ``C``.
+previous policy is still optimal evaluates no policy (0 in its trace row).
 
 Mixing the two policies to meet the budget with equality yields the
 constrained optimum: in a single state when the tables differ in exactly one,
@@ -47,14 +46,12 @@ budget, not just its once-drawn expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from . import arq
-from .errors import BracketingError, EtaSearchError, NoStationaryAoIError, TruncationError
-from .exact import EvalResult, _evaluate_solved, _renewal_mix, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
+from .errors import BracketingError, EtaSearchError, TruncationError
+from .exact import EvalResult, _renewal_mix, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
 from .mdp import ChannelModel, State, Truncation
 from .policies import (
     DeterministicTable,
@@ -100,7 +97,6 @@ class EtaSearchResult:
 class _Probe(NamedTuple):
     eta: float
     out: SolverOutput
-    res: EvalResult | None  # None: the policy idles forever at the age cap
     aoi: float
     cost: float
 
@@ -149,37 +145,29 @@ def search_eta_star(
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
     trace: list[TraceRow] = []
     prev: _Probe | None = None
-    start: SolverOutput | None = None  # prev's output with its chain, where the next solve starts
 
     def probe(eta: float, phase: str) -> _Probe:
-        nonlocal prev, start
-        out = solve(model, trunc, eta, start=start)
-        if prev is not None and np.array_equal(out.policy.table, prev.out.policy.table):
-            # The same table has the same chain, so the same J and C bit for bit.
-            res, aoi, cost = prev.res, prev.aoi, prev.cost
-        else:
-            try:
-                res = _evaluate_solved(out)
-                aoi, cost = res.avg_aoi, res.avg_cost
-            except NoStationaryAoIError:
-                # Without transmissions the age climbs to the cap and stays there.
-                res, aoi, cost = None, float(trunc.n_max), 0.0
-        prev, start = _Probe(eta, replace(out, chain=None), res, aoi, cost), out  # the chain is read: drop it
+        nonlocal prev
+        out = solve(model, trunc, eta, start=None if prev is None else prev.out)
+        res = out.evaluation
+        # Without transmissions the age climbs to the cap and stays there.
+        aoi, cost = (float(trunc.n_max), 0.0) if res is None else (res.avg_aoi, res.avg_cost)
+        prev = _Probe(eta, out, aoi, cost)
         trace.append(TraceRow(len(trace), eta, cost, aoi, out.gain, phase, out.iterations, out.residual))
         return prev
 
     def meets(p: _Probe) -> bool:
-        return p.res is not None and abs(p.cost - c_max) <= _HIT_TOL
+        return p.out.evaluation is not None and abs(p.cost - c_max) <= _HIT_TOL
 
     def result(eta: float, lo: _Probe, hi: _Probe, hit: bool) -> EtaSearchResult:
-        if hi.res is None:
+        if hi.out.evaluation is None:
             needed = arq_eval_truncation(model.p0, arq.optimal_policy(model.p0, c_max).delta2).n_max
             raise TruncationError(
                 f"age cap n_max={trunc.n_max} is too small for budget {c_max}: meeting it needs "
                 f"the policy that idles forever at the cap; use about n_max={needed}"
             )
         return EtaSearchResult(
-            eta, (lo.eta, hi.eta), tuple(trace), hit, (lo.out, lo.res), (hi.out, hi.res)
+            eta, (lo.eta, hi.eta), tuple(trace), hit, (lo.out, lo.out.evaluation), (hi.out, hi.out.evaluation)
         )
 
     lo = hi = probe(0.0, "expand")

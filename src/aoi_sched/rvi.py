@@ -44,7 +44,9 @@ bound above the minimum; the iteration stops when no state does, and the
 residual is the largest excess.  The returned policy is greedy on the final
 state-action costs under the same bound: costs within it of the row minimum
 tie, and ties go to the cheaper action (idle < new update < retransmit).
-The output carries that policy's chain.  In exact arithmetic policy iteration
+The output carries that policy's ``exact.EvalResult``, its long-run age and
+rate read off the chain the solve built for it; a read-off that equals its
+start's table carries the start's.  In exact arithmetic policy iteration
 never returns to a policy; an evaluation is exact only to ``_SOLVE_RTOL``,
 so an improvement step that returns a policy this solve has already
 evaluated raises ``ConvergenceError`` rather than cycling.
@@ -57,7 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arq
-from .errors import ConvergenceError, InaccurateSolveError, MultichainError
+from .errors import ConvergenceError, InaccurateSolveError, MultichainError, NoStationaryAoIError
+from .exact import EvalResult, _evaluate_chain
 from .mdp import BorderChain, ChannelModel, StateSpace, Truncation
 from .policies import DeterministicTable
 
@@ -73,8 +76,10 @@ class SolverOutput:
     ``h_array`` and ``q_array`` (inadmissible actions at ``inf``) are indexed
     in ``StateSpace`` order, the order of ``policy.table[space.age, space.r]``.
     ``space`` is the state space the output was solved on, which a solve
-    given the output as its ``start`` works on.  ``chain`` is the
-    ``BorderChain`` of ``policy``, dropped once read.  ``gain`` and
+    given the output as its ``start`` works on.  ``evaluation`` is the
+    exact evaluation of ``policy`` (``exact.evaluate_exact``, bit for bit),
+    None when that policy never transmits on its recurrent class, where the
+    age climbs to the cap and stays there.  ``gain`` and
     ``h_array`` are those of ``actions``, the policy the solve evaluated
     last, at the charge ``eta``; ``g_tx`` and ``h_tx`` are that policy's
     transmission rate and the values of its transmit indicator.
@@ -90,7 +95,7 @@ class SolverOutput:
     h_array: np.ndarray = field(repr=False)
     q_array: np.ndarray = field(repr=False)
     space: StateSpace = field(repr=False)
-    chain: BorderChain | None = field(repr=False)
+    evaluation: EvalResult | None = field(repr=False)
     eta: float
     g_tx: float
     h_tx: np.ndarray = field(repr=False)
@@ -202,7 +207,7 @@ def solve(
         q = _masked_q(space, h, eta)
         actions = _first_within(q, _row_min(q))
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
-        it, chain_actions = 1, actions  # the actions whose chain is chain
+        it = 1
         evaluated.add(actions.tobytes())
     else:
         h = start.h_array + shift * h_tx
@@ -210,8 +215,7 @@ def solve(
             space, rows + actions, space.delta + eta * (actions != 0), gain, h,
             f"policy values at eta={eta}, shifted from eta={start.eta}, are inaccurate",
         )
-        it, chain = 0, start.chain
-        chain_actions = start.policy.table[space.age, space.r].argmax(axis=1)
+        it, chain = 0, None
         # The start's policy is not counted as evaluated: its shifted values are exact only to
         # _SOLVE_RTOL, so the solve may leave it and come back.
     while True:
@@ -238,14 +242,21 @@ def solve(
             )
         evaluated.add(key)
         gain, h, g_tx, h_tx, chain = _evaluate(space, actions, eta)
-        it, chain_actions = it + 1, actions
+        it += 1
 
     # First action within the tie bound wins: idle < new < retransmit.
     greedy = _first_within(q, v + tol)
-    if chain is None or not np.array_equal(greedy, chain_actions):  # a tie read off the other way
-        chain = _chain(space, rows + greedy)
     policy = DeterministicTable.from_actions(space, greedy)
-    return SolverOutput(gain, policy, it, residual, h, q, space, chain, eta, g_tx, h_tx, actions)
+    if start is not None and np.array_equal(policy.table, start.policy.table):
+        evaluation = start.evaluation  # the same table has the same chain, so the same J and C bit for bit
+    else:
+        if chain is None or not np.array_equal(greedy, actions):  # a tie read off the other way
+            chain = _chain(space, rows + greedy)
+        try:
+            evaluation = _evaluate_chain(chain, (greedy != 0).astype(np.float64))
+        except NoStationaryAoIError:
+            evaluation = None
+    return SolverOutput(gain, policy, it, residual, h, q, space, evaluation, eta, g_tx, h_tx, actions)
 
 
 def bellman_residual(out: SolverOutput) -> float:

@@ -51,6 +51,8 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 < self.c_max <= 1.0:
             raise ValueError(f"c_max must lie in (0, 1], got {self.c_max}")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {self.horizon}")
 
 
 @dataclass
@@ -182,8 +184,6 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     bit, which moves a sampled action only if its uniform lies within that
     bit of a cumulative probability.
     """
-    if cfg.horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {cfg.horizon}")
     rng_env = np.random.default_rng([cfg.seed, 0])
     rng_act = np.random.default_rng([cfg.seed, 1])
     ls = make_learner(cfg, model)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aoi_sched import arq, oracles
-from aoi_sched.exact import evaluate_exact
+from aoi_sched import exact
+from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.mdp import ChannelModel, Truncation
 
 
@@ -136,6 +137,12 @@ class TestStationaryProbs:
         total = sum(arq.stationary_probs(p, delta, d) for d in range(1, delta + tail))
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+    def test_the_evaluation_cap_leaves_at_most_the_tail_bound_beyond_it(self, p):
+        trunc = arq_eval_truncation(p, 4)
+        beyond = 1.0 - math.fsum(arq.stationary_probs(p, 4, d) for d in range(1, trunc.n_max + 1))
+        assert trunc.r_max == 0 and beyond <= exact._ARQ_TAIL_MASS
+
 
 class TestOptimalPolicy:
     def test_integral_budget_is_deterministic(self):
@@ -166,3 +173,19 @@ class TestOptimalPolicy:
         trunc = Truncation(rt.delta2 + trunc_extra, 0)
         res = evaluate_exact(rt.policy(), ChannelModel(p, 1.0, 0), trunc)
         assert res.avg_cost == pytest.approx(c_max, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    ("call", "args", "message"),
+    [
+        (arq.cost_of_threshold, (0.5, 0), "threshold must be at least 1, got 0"),
+        (arq.stationary_probs, (0.5, 0, 1), "threshold and queried age must both be at least 1"),
+        (arq.stationary_probs, (0.5, 2, 0), "threshold and queried age must both be at least 1"),
+        (arq.optimal_policy, (0.5, 0.0), r"budget must lie in \(0, 1\], got 0.0"),
+        (arq.optimal_policy, (0.5, 1.5), r"budget must lie in \(0, 1\], got 1.5"),
+    ],
+    ids=["threshold-0", "stationary-threshold-0", "stationary-age-0", "budget-0", "budget-1.5"],
+)
+def test_arguments_out_of_range_raise(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)

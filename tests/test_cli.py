@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,15 @@ def test_arq_json(capsys):
     assert out["delta1"] == 4 and out["delta2"] == 5
     assert out["mu_star"] == pytest.approx(0.25, abs=1e-9)
     assert out["avg_cost"] == pytest.approx(0.35, abs=1e-12)
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # As python -m aoi_sched.cli runs it: a fresh module named __main__, exiting with main's code.
+    monkeypatch.setattr(sys, "argv", ["aoi_sched.cli", "arq", "--p", "0.5", "--cmax", "0.35"])
+    monkeypatch.delitem(sys.modules, "aoi_sched.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("aoi_sched.cli", run_name="__main__")
+    assert info.value.code == 0 and json.loads(capsys.readouterr().out)["delta1"] == 4
 
 
 def test_arq_csv(capsys):

@@ -204,6 +204,9 @@ class TestRenewalMixture:
         w = renewal_mixture_weight(ra, rb, 0.35)
         res = evaluate_exact(RenewalMixture(a, b, w), model, trunc)
         assert res.avg_cost == pytest.approx(0.35, abs=1e-10)
+        assert renewal_mixture_weight(ra, ra, ra.avg_cost) == 1.0  # equal costs
+        with pytest.raises(ValueError, match="not bracketed"):
+            renewal_mixture_weight(ra, rb, 0.5)
         # The achieved age lands on the chord between the two policies.
         mu = (0.35 - rb.avg_cost) / (ra.avg_cost - rb.avg_cost)
         assert res.avg_aoi == pytest.approx(
@@ -424,10 +427,12 @@ class TestTransmissionValues:
         evaluated = DeterministicTable.from_actions(space, out.actions)  # the policy whose values out holds
         try:
             if evaluated.table.tobytes() == out.policy.table.tobytes():
-                res = exact._evaluate_solved(out)
+                res = out.evaluation
             else:  # the read-off broke a tie the other way
                 res = evaluate_exact(evaluated, model, trunc)
         except NoStationaryAoIError:
+            res = None
+        if res is None:
             assert out.g_tx == 0.0  # it idles forever at the cap
         else:
             assert out.g_tx == pytest.approx(res.avg_cost, rel=1e-12, abs=0.0)

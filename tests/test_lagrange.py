@@ -19,6 +19,7 @@ class TestMixtureWeight:
 
     def test_budget_at_low_policy(self):
         assert mixture_weight(0.4, 1 / 3, 0.4) == 1.0
+        assert mixture_weight(0.4, 0.4, 0.4) == 1.0  # equal costs
 
     def test_budget_at_high_policy(self):
         assert mixture_weight(0.4, 1 / 3, 1 / 3) == 0.0
@@ -28,9 +29,16 @@ class TestMixtureWeight:
             mixture_weight(0.4, 1 / 3, 0.5)
         with pytest.raises(BracketingError):
             mixture_weight(0.4, 1 / 3, 0.2)
+        with pytest.raises(BracketingError, match="expected c_low >= c_high"):
+            mixture_weight(1 / 3, 0.4, 0.35)
 
 
 class TestSearchEtaStar:
+    @pytest.mark.parametrize("c_max", [0.0, 1.5])
+    def test_a_budget_outside_the_unit_interval_raises(self, c_max):
+        with pytest.raises(ValueError, match=r"budget must lie in \(0, 1\]"):
+            search_eta_star(ChannelModel(0.5, 1.0, 0), Truncation(20, 0), c_max)
+
     def test_arq_jump_point_is_analytic(self):
         # At p = 0.5 the switch between thresholds 4 and 5 is exactly at
         # charge 7 (equal Lagrangian costs), and 0.35 lies strictly between
@@ -79,7 +87,7 @@ class TestSearchEtaStar:
         out = rvi.solve(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), 0.0)
         space = out.space
         assert not out.policy.table[space.age, space.r, Action.IDLE].any()
-        assert abs(exact._evaluate_solved(out).avg_cost - 1.0) <= 1e-15
+        assert abs(out.evaluation.avg_cost - 1.0) <= 1e-15
 
     def test_a_walk_probe_that_meets_the_budget_ends_the_search(self):
         # The budget is threshold 2's rate: the first walk probe returns that
@@ -271,7 +279,7 @@ class TestSolveConstrained:
     def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, reused, monkeypatch):
         p0, lam, r_max, c_max, n_max = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
-        probes = []  # per probe: its output, its evaluation if it made one, and the chains it built
+        probes = []  # per probe: its output and the chains it built
         solve, build = lagrange.solve, rvi._chain
 
         def solved(*args, **kwargs):
@@ -279,20 +287,11 @@ class TestSolveConstrained:
             probes[-1]["out"] = out = solve(*args, **kwargs)
             return out
 
-        def recorded(out):
-            try:
-                probes[-1]["res"] = res = exact._evaluate_solved(out)
-            except errors.NoStationaryAoIError:
-                probes[-1]["res"] = None
-                raise
-            return res
-
         def counted(space, flat):
             probes[-1]["chains"] += 1
             return build(space, flat)
 
         monkeypatch.setattr(lagrange, "solve", solved)
-        monkeypatch.setattr(lagrange, "_evaluate_solved", recorded)
         monkeypatch.setattr(rvi, "_chain", counted)
         sol = solve_constrained(model, trunc, c_max)
         assert isinstance(sol.mixed, kind) and len(probes) == len(sol.search.trace)
@@ -304,17 +303,18 @@ class TestSolveConstrained:
         for k, (probe, row) in enumerate(zip(probes, sol.search.trace)):
             # A read-off that breaks a tie the other way builds one chain more than the evaluations.
             assert probe["chains"] <= probe["out"].iterations + 1
-            if "res" not in probe:  # not evaluated: the probe reused the table and evaluation of the one before
-                before = probes[k - 1]
+            before = probes[k - 1] if k else None
+            if before is not None and probe["out"].evaluation is before["out"].evaluation:
+                # Not evaluated: the probe reused the table and evaluation of the one before.
                 assert probe["out"].policy.table.tobytes() == before["out"].policy.table.tobytes()
                 assert probe["out"].iterations == probe["chains"] == 0
                 earlier = sol.search.trace[k - 1]
                 assert (row.avg_aoi, row.avg_cost) == (earlier.avg_aoi, earlier.avg_cost)
-                probe["res"], reuses = before["res"], reuses + 1
+                reuses += 1
         assert reuses == reused
 
         kept = [(out.policy, res) for out, res in (sol.search.low, sol.search.high)]
-        for policy, res in [(probe["out"].policy, probe["res"]) for probe in probes] + kept:
+        for policy, res in [(probe["out"].policy, probe["out"].evaluation) for probe in probes] + kept:
             if res is None:
                 with pytest.raises(errors.NoStationaryAoIError):
                     evaluate_exact(policy, model, trunc)
@@ -322,7 +322,6 @@ class TestSolveConstrained:
                 assert digest(res) == digest(evaluate_exact(policy, model, trunc))
         achieved = evaluate_exact(sol.mixed, model, trunc)
         assert (sol.achieved_aoi, sol.achieved_cost, sol.tail_mass) == (achieved.avg_aoi, achieved.avg_cost, achieved.tail_mass)
-        assert sol.search.low[0].chain is None and sol.search.high[0].chain is None
 
     def test_harq_beats_arq_at_same_budget(self):
         # Never retransmitting is always available, so allowing combining

@@ -38,6 +38,8 @@ class TestErrorProb:
     def test_query_beyond_cap_rejected(self):
         with pytest.raises(InadmissibleQueryError):
             ChannelModel(0.3, 0.5, 3).error_prob(4)
+        with pytest.raises(InadmissibleQueryError, match="must be non-negative, got -1"):
+            ChannelModel(0.3, 0.5, 3).error_prob(-1)
 
     def test_underflow_caps_r_max(self):
         # g(2) = 0.5 * (1e-300)**2 underflows to exactly 0.
@@ -581,6 +583,14 @@ class TestLapack:
             _lapack.dtbtrs(np.ones((2, 5)), np.ones(4), uplo="U", trans="N", diag="U")
         with pytest.raises(ValueError, match="dtrtrs: argument 9"):
             _lapack.dtrtrs(np.eye(5), np.ones(4))
+        with pytest.raises(ValueError, match="b must be a vector or a matrix, got 3 dimensions"):
+            _lapack.dtrtrs(np.eye(2), np.ones((2, 1, 1)))
+
+    @pytest.mark.skipif(not NUMPY_LAPACK, reason="scipy's dtrtrs calls an empty system's leading dimension illegal")
+    def test_an_empty_triangular_system_has_an_empty_solution(self):
+        for b in (np.ones(0), np.ones((0, 3))):
+            x, info = _lapack.dtrtrs(np.ones((0, 0)), b, lower=1)
+            assert info == 0 and x.shape == b.shape
 
     def test_without_a_usable_library_the_solves_are_scipys(self, monkeypatch):
         not_lapack = [Path(__file__)] + [lib for lib in [ctypes.util.find_library("m")] if lib]

@@ -70,6 +70,9 @@ class TestTables:
             DeterministicTable(base, trunc), DeterministicTable(other, trunc)
         )
         assert diff == [State(2, 0)]
+        wider = DeterministicTable({State(d, 0): Action.IDLE for d in range(1, 5)}, Truncation(4, 0))
+        with pytest.raises(ValueError, match="different truncations"):
+            table_difference(DeterministicTable(base, trunc), wider)
 
 
 class TestThresholdPolicy:

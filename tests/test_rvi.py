@@ -311,7 +311,7 @@ class TestWarmStart:
         start = solve(model, trunc, 5.0)
         shifted = solve(model, trunc, 5.01, start=start)
         fresh = solve(model, trunc, 5.01)
-        assert shifted.iterations == 0 and shifted.chain is start.chain
+        assert shifted.iterations == 0 and shifted.evaluation is start.evaluation
         assert shifted.policy.table.tobytes() == fresh.policy.table.tobytes() == start.policy.table.tobytes()
         assert shifted.gain == pytest.approx(fresh.gain, rel=1e-13)
         np.testing.assert_allclose(shifted.h_array, fresh.h_array, rtol=1e-12, atol=1e-12)

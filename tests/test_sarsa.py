@@ -43,6 +43,11 @@ class TestSoftmax:
         probs = softmax_probs(np.array([0.0, 5.0, 9.0]), 1e-3, ALL)
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_a_temperature_not_above_zero_raises(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
+            softmax_probs(np.zeros(3), tau, ALL)
+
     def test_inadmissible_actions_excluded(self):
         probs = softmax_probs(np.array([9.0, 9.0, 0.0]), 1.0, np.array([True, True, False]))
         assert probs[2] == 0.0
@@ -91,14 +96,18 @@ def _cfg(**kw):
 
 
 class TestLearnerConfig:
-    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan, 0.0])
-    @pytest.mark.parametrize("field", ["tau", "eta0", "eta_step"])
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [(field, value) for field in ("tau", "eta0", "eta_step") for value in (-1.0, math.inf, math.nan, 0.0)]
+        + [("c_max", 0.0), ("c_max", 1.5), ("c_max", math.nan), ("horizon", -1)],
+    )
     def test_settings_are_finite_and_in_range(self, field, value):
-        # The charge and its step may be zero; the temperature may not.
-        if value == 0.0 and field != "tau":
+        # The charge and its step may be zero; the temperature and the budget may not.
+        if value == 0.0 and field in ("eta0", "eta_step"):
             assert getattr(_cfg(**{field: value}), field) == 0.0
         else:
-            with pytest.raises(ValueError, match=f"{field} must be finite and"):
+            match = {"c_max": r"c_max must lie in \(0, 1\]", "horizon": "horizon must be non-negative"}
+            with pytest.raises(ValueError, match=match.get(field, f"{field} must be finite and")):
                 _cfg(**{field: value})
 
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,8 +93,8 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     assert run_script("cli_outputs.py", str(tmp_path), monkeypatch=monkeypatch) == 0
     commands = [
         "arq", "arq-long-budget", "budget-sweep-exact", "budget-sweep-quick", "budget-sweep-workers", "learn",
-        "learn-harq", "learn-steps0", "search-eta", "search-eta-reuse", "simulate-batches", "simulate-optimal",
-        "simulate-periodic", "solve-arq", "solve-error", "solve-harq", "sweep-failing", "sweep-stdout", "verify",
+        "learn-harq", "learn-steps0", "search-eta", "search-eta-reuse", "simulate-always-new", "simulate-arq-optimal",
+        "simulate-batches", "simulate-mixture", "simulate-optimal", "simulate-periodic", "solve-arq", "solve-error", "solve-harq", "sweep-failing", "sweep-stdout", "verify",
         "verify-quick",
     ]
     csvs = [
@@ -123,6 +124,27 @@ total = sum([1,  # a comment after code
 '''
     assert code_lines(source) == 2
     assert code_lines(source + 'def f():\n    """A docstring."""\n    return "a string"\n') == 4
+
+
+def test_unreached_lines_lists_the_package_lines_a_run_never_executes():
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "unreached_lines.py"), "-q", "-p", "no:cacheprovider", "tests/test_policies.py"],
+        cwd=root, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *_, count = proc.stdout.splitlines()
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("src/aoi_sched/")]
+    assert count == f"{len(listed)} unreached lines"
+    source = (root / "src/aoi_sched/policies.py").read_text().splitlines()
+
+    def where(text):
+        (number,) = [k for k, line in enumerate(source, 1) if text in line]
+        return f"src/aoi_sched/policies.py:{number}: {source[number - 1].strip()}"
+
+    # test_policies compares tables of two truncations, and never describes a mixture.
+    assert where('raise ValueError("cannot compare tables') not in listed
+    assert where('return f"mixture[w=') in listed
 
 
 def test_bench_pairs_counts_wins_by_each_metrics_direction():
