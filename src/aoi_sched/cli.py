@@ -144,7 +144,8 @@ def cmd_solve(args) -> int:
     model, trunc = _model_from(args)
     out = solve(model, trunc, args.eta)
     space = out.space
-    res = evaluate_exact(out.policy, model, trunc, space=space)
+    # None when the policy never transmits; evaluate_exact then raises the error that says so.
+    res = out.evaluation or evaluate_exact(out.policy, model, trunc, space=space)
     actions = out.policy.table[space.age, space.r].argmax(axis=1)
     if args.out:
         q = dict(zip(_Q_HEADER, out.q_array.T))

@@ -80,18 +80,19 @@ class TraceRow:
 
 @dataclass(frozen=True, eq=False)
 class EtaSearchResult:
-    """Critical charge and the two adjacent policies with their exact evaluations.
+    """Critical charge and the solver outputs of the two adjacent policies.
 
     ``low`` is over the budget and ``high`` within it; on an exact hit both
-    are the probe that met the budget.
+    are the probe that met the budget.  Each carries its policy's exact
+    evaluation, ``SolverOutput.evaluation``.
     """
 
     eta_star: float
     bracket: tuple[float, float]
     trace: tuple[TraceRow, ...]
     exact_hit: bool  # a multiplier with cost == budget (within _HIT_TOL) was found
-    low: tuple[SolverOutput, EvalResult] = field(repr=False)
-    high: tuple[SolverOutput, EvalResult] = field(repr=False)
+    low: SolverOutput = field(repr=False)
+    high: SolverOutput = field(repr=False)
 
 
 class _Probe(NamedTuple):
@@ -166,9 +167,7 @@ def search_eta_star(
                 f"age cap n_max={trunc.n_max} is too small for budget {c_max}: meeting it needs "
                 f"the policy that idles forever at the cap; use about n_max={needed}"
             )
-        return EtaSearchResult(
-            eta, (lo.eta, hi.eta), tuple(trace), hit, (lo.out, lo.out.evaluation), (hi.out, hi.out.evaluation)
-        )
+        return EtaSearchResult(eta, (lo.eta, hi.eta), tuple(trace), hit, lo.out, hi.out)
 
     lo = hi = probe(0.0, "expand")
     for k in range(_MAX_STEPS):
@@ -224,8 +223,8 @@ def solve_constrained(
     """Budget-optimal policy: multiplier search plus a one-knob randomization."""
     search = search_eta_star(model, trunc, c_max)
     eta_star = search.eta_star
-    (out_low, res_low), (out_high, res_high) = search.low, search.high
-    policy_low, policy_high = out_low.policy, out_high.policy
+    policy_low, policy_high = search.low.policy, search.high.policy
+    res_low, res_high = search.low.evaluation, search.high.evaluation
 
     if search.exact_hit:  # low and high are the same probe
         mu, mixed, achieved = 1.0, policy_low, res_low
@@ -235,7 +234,7 @@ def solve_constrained(
         diff = table_difference(policy_low, policy_high)
         if len(diff) == 1:  # another chain: evaluate it
             mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
-            achieved = evaluate_exact(mixed, model, trunc, space=out_low.space)
+            achieved = evaluate_exact(mixed, model, trunc, space=search.low.space)
         else:  # the pair's own chains: combine their evaluations
             w = renewal_mixture_weight(res_low, res_high, c_max)
             mixed, achieved = RenewalMixture(policy_low, policy_high, w), _renewal_mix(res_low, res_high, w)

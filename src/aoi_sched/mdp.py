@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import NamedTuple
 
@@ -182,6 +182,64 @@ class ScatterPlan(NamedTuple):
     width: int  # band width of I - P_LL
 
 
+@lru_cache(maxsize=4)
+def _layout(n_max: int, r_cap: int) -> tuple:
+    """The arrays of every ``StateSpace`` with age cap ``n_max`` and attempt cap ``r_cap``, read-only.
+
+    ``off``, ``age``, ``r``, ``delta``, ``succ_idx``, ``admissible``,
+    ``on_border``, ``border``, ``ladder`` and ``scatter``, in that order.
+    Of the slot table, only its failure probabilities depend on more than
+    the attempt cap, so the table of any model of cap ``r_cap`` serves, and
+    its failure probabilities are left out.
+    """
+    ages = np.arange(1, n_max + 1)
+    width = np.minimum(ages, r_cap + 1)
+    off = np.zeros(n_max + 2, dtype=np.int64)
+    np.cumsum(width, out=off[2:])
+    n = int(off[-1])
+    age = np.repeat(ages, width)
+    r = np.arange(n) - off[age]
+    _, reset_age, fail_att, admissible = (
+        x.T.take(r, axis=0) for x in slot_outcomes(ChannelModel(0.5, 1.0, r_cap), r_cap + 1)
+    )
+    up = off[np.minimum(age + 1, n_max)]  # index of (min(delta + 1, n_max), 0)
+    succ_idx = np.stack([(up[:, None] + fail_att) * admissible, off[reset_age] * admissible], axis=2)
+
+    # A delivery lands on (k, 0) with k <= max(1, r_cap), and the age stops
+    # rising in the cap row age == n_max; every other state is entered only
+    # from the age below.
+    on_border = ((r == 0) & (age <= max(1, r_cap))) | (age == n_max)
+    border, ladder = np.flatnonzero(on_border), np.flatnonzero(~on_border)
+
+    # Only the border states below the cap row reach the ladder: a cap-row
+    # state stays in the cap row or is delivered to a low border state.
+    nb, m = len(border), len(ladder)
+    n_low = nb - (r_cap + 1)
+    slot = np.empty(n, dtype=np.int64)  # position within border or ladder
+    slot[border] = np.arange(nb)
+    slot[ladder] = np.arange(m)
+    src = np.broadcast_to(np.arange(n)[:, None, None], succ_idx.shape)
+    s, d = slot[src], slot[succ_idx]
+    from_lad, to_lad = ~on_border[src], ~on_border[succ_idx]
+    within = from_lad & to_lad
+    step = d - s  # > 0 within the ladder: it only climbs
+    band = int(step[within].max()) if within.any() else 0
+    ends = tuple(int(e) for e in np.cumsum([nb * nb, m * nb, (band + 1) * m, m * n_low]))
+    # LAPACK upper band storage: entry (i, j) of I - P_LL sits at
+    # ab[band + i - j, j]; the unit diagonal (row band) is implicit.
+    pos = np.where(
+        from_lad,
+        np.where(to_lad, ends[1] + d * (band + 1) + band - step, ends[0] + s * nb + d),
+        np.where(to_lad, ends[2] + s * m + d, s * nb + d),
+    )
+    scatter = ScatterPlan(pos.ravel(), ends, band)
+
+    arrays = (off, age, r, age.astype(np.float64), succ_idx, admissible, on_border, border, ladder)
+    for a in (*arrays, scatter.pos):
+        a.flags.writeable = False
+    return (*arrays, scatter)
+
+
 class StateSpace:
     """Dense indexing of the truncated state set plus transition arrays.
 
@@ -198,29 +256,25 @@ class StateSpace:
     hold index 0 with probability 0.  The solver's policy evaluations and
     the stationary-distribution builder read them.
 
-    A space records the ``model`` it was built for, and ``scatter`` is built
-    on first use and kept, so every ``BorderChain`` on one space shares it:
-    a multiplier search builds one space and solves and evaluates every
-    probe on it.
+    Only ``succ_prob`` depends on the model's failure probabilities.  Every
+    other array, and the ``scatter`` plan of ``BorderChain``'s blocks, is
+    set by ``(n_max, r_cap)`` alone: it is built once per such shape, kept
+    for the last few shapes, shared by every space of that shape and
+    read-only.  ``on_border`` marks the states a slot can enter other than
+    by one age step up; ``border`` and ``ladder`` index the states on and
+    off it in order, so (1, 0) is ``border[0]``.  A space records the
+    ``model`` it was built for; a multiplier search builds one space and
+    solves and evaluates every probe on it, and a sweep at one ``(n_max,
+    r_cap)`` builds one layout.
     """
 
     def __init__(self, model: ChannelModel, trunc: Truncation):
         self.model = model
         self.trunc = trunc
         self.r_cap = r_cap = effective_r_max(model, trunc)
-        n_max = trunc.n_max
-        ages = np.arange(1, n_max + 1)
-        width = np.minimum(ages, r_cap + 1)
-        self.off = np.zeros(n_max + 2, dtype=np.int64)
-        np.cumsum(width, out=self.off[2:])
-        n = int(self.off[-1])
-        self.age = age = np.repeat(ages, width)
-        self.r = np.arange(n) - self.off[age]
-        self.delta = age.astype(np.float64)
-
-        fail, reset_age, fail_att, self.admissible = (x.T.take(self.r, axis=0) for x in slot_outcomes(model, r_cap + 1))
-        up = self.off[np.minimum(age + 1, n_max)]  # index of (min(delta + 1, n_max), 0)
-        self.succ_idx = np.stack([(up[:, None] + fail_att) * self.admissible, self.off[reset_age] * self.admissible], axis=2)
+        (self.off, self.age, self.r, self.delta, self.succ_idx, self.admissible,
+         self.on_border, self.border, self.ladder, self.scatter) = _layout(int(trunc.n_max), int(r_cap))
+        fail = slot_outcomes(model, r_cap + 1).fail.T.take(self.r, axis=0)
         self.succ_prob = np.stack([fail * self.admissible, (1.0 - fail) * self.admissible], axis=2)
 
     def __len__(self) -> int:
@@ -233,55 +287,6 @@ class StateSpace:
             and self.trunc.n_max == trunc.n_max
             and self.r_cap == effective_r_max(model, trunc)
         )
-
-    @cached_property
-    def on_border(self) -> np.ndarray:
-        """Marks the states a slot can enter other than by one age step up.
-
-        A delivery lands on ``(k, 0)`` with ``k <= max(1, r_cap)``, and the
-        age stops rising in the cap row ``age == n_max``; every other state
-        is entered only from the age below.
-        """
-        age = self.age
-        return ((self.r == 0) & (age <= max(1, self.r_cap))) | (age == self.trunc.n_max)
-
-    @cached_property
-    def border(self) -> np.ndarray:
-        """Indices of the border states, sorted, so (1, 0) is entry 0."""
-        return np.flatnonzero(self.on_border)
-
-    @cached_property
-    def ladder(self) -> np.ndarray:
-        """Indices of the states off the border, sorted."""
-        return np.flatnonzero(~self.on_border)
-
-    @cached_property
-    def scatter(self) -> ScatterPlan:
-        """The positions of every branch in ``BorderChain``'s blocks.
-
-        Only the border states below the cap row reach the ladder: a cap-row
-        state stays in the cap row or is delivered to a low border state.
-        """
-        nb, m = len(self.border), len(self.ladder)
-        n_low = nb - (self.r_cap + 1)
-        slot = np.empty(len(self), dtype=np.int64)  # position within border or ladder
-        slot[self.border] = np.arange(nb)
-        slot[self.ladder] = np.arange(m)
-        src = np.broadcast_to(np.arange(len(self))[:, None, None], self.succ_idx.shape)
-        s, d = slot[src], slot[self.succ_idx]
-        from_lad, to_lad = ~self.on_border[src], ~self.on_border[self.succ_idx]
-        within = from_lad & to_lad
-        step = d - s  # > 0 within the ladder: it only climbs
-        width = int(step[within].max()) if within.any() else 0
-        ends = tuple(int(e) for e in np.cumsum([nb * nb, m * nb, (width + 1) * m, m * n_low]))
-        # LAPACK upper band storage: entry (i, j) of I - P_LL sits at
-        # ab[width + i - j, j]; the unit diagonal (row width) is implicit.
-        pos = np.where(
-            from_lad,
-            np.where(to_lad, ends[1] + d * (width + 1) + width - step, ends[0] + s * nb + d),
-            np.where(to_lad, ends[2] + s * m + d, s * nb + d),
-        )
-        return ScatterPlan(pos.ravel(), ends, width)
 
 
 class BorderChain:
@@ -304,14 +309,18 @@ class BorderChain:
     the border.
 
     Both answers cover every state of the space, so no caller needs the
-    split.  ``values`` returns each cost's gain and differential values, 0
-    at (1, 0): the border system is solved by one subtraction-free
-    elimination, towards ``(n_max, 0)`` when the chain idles surely there
+    split, and both rest on one subtraction-free elimination of the border
+    per chain.  ``values`` returns each cost's gain and differential
+    values, 0 at (1, 0): its costs ride through the elimination, towards
+    ``(n_max, 0)`` when the chain idles surely there (``idles_at_cap``)
     and towards (1, 0) otherwise, and one banded substitution carries the
     border values to the ladder.  It returns None for a chain with two
     closed classes, (1, 0)'s and ``{(n_max, 0)}`` (``reached``).
-    ``stationary`` returns the masses of the class (1, 0) reaches, solved
-    on the border the same way and carried to the ladder by ``z``.
+    ``stationary`` returns the masses of the class (1, 0) reaches, read off
+    the elimination towards (1, 0) by one triangular solve and carried to
+    the ladder by ``z``.  It reuses the elimination ``values`` has made,
+    and eliminates by itself only when ``values`` has not; a chain that
+    idles surely at the cap eliminates only the class (1, 0) reaches.
     """
 
     def __init__(self, space: StateSpace, branch: np.ndarray):
@@ -331,6 +340,12 @@ class BorderChain:
         rhs = blocks[e2:].reshape(n_low, m).T
         self.z = dtbtrs(self.ab, rhs, uplo="U", trans="T", diag="U", overwrite_b=1)[0].T
         self.complement[:n_low] += self.z @ self.p_lb
+        self._towards_renewal = None  # (order, weights, out) of values' elimination towards (1, 0)
+
+    @cached_property
+    def idles_at_cap(self) -> bool:
+        """Whether no weight leaves ``(n_max, 0)``, border position ``n_low``: the chain idles surely there."""
+        return not np.delete(self.complement[self.n_low], self.n_low).any()
 
     @cached_property
     def reached(self) -> np.ndarray:
@@ -390,19 +405,30 @@ class BorderChain:
         """Stationary masses of every state, 1 at (1, 0): the expected visits per visit to (1, 0).
 
         Nonzero exactly on the class (1, 0) reaches; all zero when (1, 0) is
-        transient, where the chain ends idling at ``(n_max, 0)``.  A ladder
-        state's mass is the border masses times the expected ladder visits
-        per border visit, ``z``.
+        transient, where the chain ends idling at ``(n_max, 0)``.  Unless
+        the chain idles surely there, every border position reaches (1, 0),
+        so the elimination towards (1, 0) covers the whole border, and a
+        position (1, 0) does not reach gets exactly 0: no weight runs from
+        the class (1, 0) reaches to it, before or after any elimination.
+        ``values`` has made that elimination already when its chain does
+        not idle at the cap; the same weights come out bit for bit without
+        its costs.  A chain that idles surely at the cap eliminates
+        ``reached`` alone.  A ladder state's mass is the border masses
+        times the expected ladder visits per border visit, ``z``.
         """
-        space, members = self.space, self.reached
+        space = self.space
+        if self._towards_renewal is not None:
+            order, w, out = self._towards_renewal
+        else:
+            order = self.reached if self.idles_at_cap else np.arange(len(space.border))
+            w, out = self._reduce(order, np.empty((len(order), 0)))
+        if not (out[1:] > 0.0).all():  # some position cannot reach (1, 0)
+            return np.zeros(len(space))
         pi = np.zeros(len(space))
         pi[0] = 1.0
-        if len(members) > 1:
-            w, out = self._reduce(members, np.empty((len(members), 0)))
-            if not (out[1:] > 0.0).all():  # some member cannot reach (1, 0)
-                return np.zeros(len(space))
+        if len(order) > 1:
             # pi[k] = sum over i < k of pi[i] w[i, k]: a unit triangular solve of sums.
-            pi[space.border[members[1:]]] = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
+            pi[space.border[order[1:]]] = dtrtrs(np.negative(w[1:, 1:], order="F"), w[0, 1:], lower=0, trans=1, unitdiag=1)[0]
         pi[space.ladder] = pi[space.border[: self.n_low]] @ self.z
         return pi
 
@@ -414,7 +440,9 @@ class BorderChain:
         ``cost[b] + z[b] @ cost_L`` until the next one.  The border values
         solve ``h_b = visit cost - g * visit slots + sum_j C[b, j] h_j``,
         with ``(n_max, 0)`` eliminated last when no weight leaves it in
-        ``complement``, the chain idling there surely, else (1, 0).  By
+        ``complement``, the chain idling there surely, else (1, 0), and the
+        weights of an elimination towards (1, 0) are kept for
+        ``stationary``.  By
         ``reached`` only that cap closes a class without (1, 0), so every
         position reaches the state eliminated last unless the chain has
         both closed classes, (1, 0)'s and ``{(n_max, 0)}``; then the
@@ -432,10 +460,12 @@ class BorderChain:
         for j, cost in enumerate(costs, 1):
             visit[:, j] = cost[space.border]
             visit[: self.n_low, j] += self.z @ cost[space.ladder]
-        anchor = 0 if np.delete(self.complement[self.n_low], self.n_low).any() else self.n_low
+        anchor = self.n_low if self.idles_at_cap else 0
         order = np.arange(nb)
         order[0], order[anchor] = anchor, 0
         w, out = self._reduce(order, visit[order])
+        if anchor == 0:
+            self._towards_renewal = order, w[:, k + 1 :], out
         if not (out[1:] > 0.0).all():
             return None
         # h[k] = (cost - g slots + sum over 0 < j < k of weight[k, j] h[j]) / out[k], h[0] = 0.

@@ -300,7 +300,7 @@ class TestTailMass:
     def test_shrinks_with_a_larger_cap(self):
         model = ChannelModel(0.9, 0.5, 3)
         sol = solve_constrained(model, Truncation(60, 3), 0.05)
-        assert sol.search.low[1].tail_mass == pytest.approx(2.3e-5, rel=0.05)
+        assert sol.search.low.evaluation.tail_mass == pytest.approx(2.3e-5, rel=0.05)
         assert 1e-5 < evaluate_exact(sol.mixed, model, Truncation(60, 3)).tail_mass < 1e-4
         assert sol.tail_mass == evaluate_exact(sol.mixed, model, Truncation(60, 3)).tail_mass
         # The same policy with room for its tail.

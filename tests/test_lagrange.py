@@ -50,7 +50,7 @@ class TestSearchEtaStar:
         assert not result.exact_hit
         thresholds = [
             min(s.delta for s, a in spec.actions(out.policy).items() if a != Action.IDLE)
-            for out, _ in (result.low, result.high)
+            for out in (result.low, result.high)
         ]
         assert thresholds == [4, 5]
 
@@ -95,8 +95,8 @@ class TestSearchEtaStar:
         c_max = arq.cost_of_threshold(0.1, 2)
         result = search_eta_star(ChannelModel(0.1, 1.0, 0), Truncation(200, 0), c_max)
         assert [row.phase for row in result.trace] == ["expand", "expand", "walk"]
-        assert result.exact_hit and result.low[0] is result.high[0]
-        assert result.trace[-1].avg_cost == result.high[1].avg_cost == c_max
+        assert result.exact_hit and result.low is result.high
+        assert result.trace[-1].avg_cost == result.high.evaluation.avg_cost == c_max
         assert result.eta_star == result.trace[-1].eta == result.bracket[0] == result.bracket[1]
 
     def test_expansion_out_of_steps_raises(self, monkeypatch):
@@ -141,7 +141,8 @@ class TestSolveConstrained:
         # Generated field-wise == would ask numpy arrays for one truth value.
         model, trunc = ChannelModel(0.5, 1.0, 0), Truncation(20, 0)
         one, two = (solve_constrained(model, trunc, 0.35) for _ in range(2))
-        (out_one, res_one), (out_two, res_two) = one.search.low, two.search.low
+        out_one, out_two = one.search.low, two.search.low
+        res_one, res_two = out_one.evaluation, out_two.evaluation
         pairs = ((one, two), (one.search, two.search), (out_one, out_two), (res_one, res_two))
         for a, b in pairs:
             assert a == a and a != b
@@ -233,7 +234,7 @@ class TestSolveConstrained:
         sol = solve_constrained(model, trunc, 1.0)
         assert sol.eta_star == 0.0 and sol.search.exact_hit and len(sol.search.trace) == 1
         assert sol.achieved_cost == pytest.approx(1.0, abs=1e-12)
-        out = sol.search.low[0]
+        out = sol.search.low
         assert not out.policy.table[..., Action.IDLE].any()
         assert bellman_residual(out) <= 2e-8
         assert sol.achieved_aoi <= 1.0 / (1.0 - p0) + 1e-9
@@ -313,7 +314,7 @@ class TestSolveConstrained:
                 reuses += 1
         assert reuses == reused
 
-        kept = [(out.policy, res) for out, res in (sol.search.low, sol.search.high)]
+        kept = [(out.policy, out.evaluation) for out in (sol.search.low, sol.search.high)]
         for policy, res in [(probe["out"].policy, probe["out"].evaluation) for probe in probes] + kept:
             if res is None:
                 with pytest.raises(errors.NoStationaryAoIError):
@@ -405,5 +406,5 @@ class TestDualityCertificate:
         if search.exact_hit:
             return
         last = search.trace[-1]
-        ends = [(res.avg_aoi, res.avg_cost) for _, res in (search.low, search.high)]
+        ends = [(out.evaluation.avg_aoi, out.evaluation.avg_cost) for out in (search.low, search.high)]
         assert last.eta == search.eta_star and (last.avg_aoi, last.avg_cost) in ends

@@ -257,6 +257,20 @@ class TestStateSpace:
     def test_arrays_equal_scalar_specification(self, p0, lam, model_r_max, n_max, trunc_r_max):
         assert_matches_spec(ChannelModel(p0, lam, model_r_max), Truncation(n_max, trunc_r_max))
 
+    def test_spaces_of_one_shape_share_their_read_only_layout(self):
+        # Attempt caps 3 and 5 both cut to 3 by the truncation: one (n_max, r_cap).
+        trunc = Truncation(40, 3)
+        one, two = StateSpace(ChannelModel(0.5, 0.5, 3), trunc), StateSpace(ChannelModel(0.3, 0.9, 5), trunc)
+        assert one.r_cap == two.r_cap == 3
+        assert one.succ_idx is two.succ_idx and one.scatter is two.scatter
+        assert not np.array_equal(one.succ_prob, two.succ_prob)
+        for shared in (one.off, one.age, one.r, one.delta, one.succ_idx, one.admissible, one.on_border,
+                       one.border, one.ladder, one.scatter.pos):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = shared[0]
+        other = StateSpace(ChannelModel(0.5, 0.5, 3), Truncation(41, 3))
+        assert other.succ_idx is not one.succ_idx
+
     def test_no_module_defines_a_per_state_specification(self):
         # The per-state references live in tests/spec.py; the package states
         # each rule once, as an array.
@@ -432,6 +446,61 @@ class TestBorderChain:
             anchors.clear()
             assert (chain.values((chain.space.delta,)) is not None) == solved
             assert anchors == [0 if chain is recurrent else chain.n_low]
+
+
+    @given(**CHAIN_CASES, randomized=st.booleans(), idle_at_cap=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(p0=0.5, lam=0.5, r_max=3, n_max=40, seed=0, randomized=False, idle_at_cap=True)
+    def test_stationary_reads_the_elimination_values_made(self, p0, lam, r_max, n_max, seed, randomized, idle_at_cap):
+        # One-action tables as policy iteration's, or randomized ones, some
+        # idling surely at (n_max, 0): (1, 0) recurrent or transient, or two
+        # closed classes.  values' elimination gives stationary the bits a
+        # fresh chain eliminates for itself.
+        space = StateSpace(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max))
+        rng = np.random.default_rng(seed)
+        if randomized:
+            weights = rng.random(space.admissible.shape) ** 4 * space.admissible
+            probs = weights / weights.sum(axis=1, keepdims=True)
+        else:
+            probs = np.eye(len(Action))[np.argmax(np.where(space.admissible, rng.random(space.admissible.shape), -1.0), axis=1)]
+        if idle_at_cap:
+            probs[space.off[n_max]] = np.eye(len(Action))[Action.IDLE]
+        branch = probs[:, :, None] * space.succ_prob
+        after_values, fresh = mdp.BorderChain(space, branch), mdp.BorderChain(space, branch)
+        after_values.values((space.delta, 1.0 - probs[:, Action.IDLE]))
+        pi = after_values.stationary()
+        assert pi.tobytes() == fresh.stationary().tobytes()
+
+        src = np.broadcast_to(np.arange(len(space))[:, None, None], branch.shape)
+        P = np.zeros((len(space), len(space)))
+        np.add.at(P, (src.ravel(), space.succ_idx.ravel()), branch.ravel())
+        if any(0 in c for c in spec.closed_classes(P)):
+            np.testing.assert_allclose(pi / pi.sum(), spec.stationary(P), rtol=1e-12, atol=1e-15)
+        else:  # (1, 0) is transient
+            assert not pi.any()
+        unreached = np.setdiff1d(np.arange(len(space.border)), after_values.reached)
+        assert (pi[space.border[unreached]] == 0.0).all()
+
+    def test_a_solve_eliminates_each_chain_it_builds_once(self, monkeypatch):
+        built, reduced = [], []
+        init, reduce = mdp.BorderChain.__init__, mdp.BorderChain._reduce
+
+        def counted_init(chain, *args):
+            built.append(chain)
+            init(chain, *args)
+
+        def counted_reduce(chain, order, rhs):
+            reduced.append(chain)
+            return reduce(chain, order, rhs)
+
+        monkeypatch.setattr(mdp.BorderChain, "__init__", counted_init)
+        monkeypatch.setattr(mdp.BorderChain, "_reduce", counted_reduce)
+        model, trunc = ChannelModel(0.5, 0.5, 3), Truncation(40, 3)
+        cold = rvi.solve(model, trunc, 10.0)
+        warm = rvi.solve(model, trunc, 3.0, start=cold)
+        assert cold.evaluation is not None and warm.evaluation is not None
+        assert len(built) == cold.iterations + warm.iterations > 2
+        assert [id(c) for c in reduced] == [id(c) for c in built]
 
 
 def idle_at_cap_policy():

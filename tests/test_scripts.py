@@ -80,6 +80,22 @@ def test_solve_scan_prints_one_line_per_draw_and_a_summary(monkeypatch, capsys):
     assert summary.startswith(f"solved {solved} errors {{'TruncationError': {errors}}} evaluations ")
 
 
+def test_chain_scan_prints_two_lines_per_chain(monkeypatch, capsys):
+    outputs = []
+    for _ in range(2):
+        assert run_script("chain_scan.py", "--draws", "4", "--seed", "1", monkeypatch=monkeypatch) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 4 * 2 * 2
+    words = [line.split(") ")[1].split() for line in lines]
+    assert [w[:2] for w in words] == [[kind, answer] for kind in ("table", "randomized") for answer in ("values", "stationary")] * 4
+    for w in words:
+        if w[1] == "stationary" or w[2] != "None":
+            float.fromhex(w[2])
+            assert len(w[-1]) == 16
+
+
 @pytest.mark.parametrize("name, command", [("budget_sweep.py", "sweep"), ("learning_curves.py", "learn")])
 def test_help_starts_with_the_script_docstring(name, command, monkeypatch, capsys):
     doc = ast.get_docstring(ast.parse((SCRIPTS / name).read_text()), clean=False)
