@@ -12,10 +12,10 @@ Each draw is a point ``(p0, lam, r_max, c_max, n_max)``: ``p0`` uniform on
 and one line gives the point, then the name of the solver error it raised,
 or the float.hex of ``eta*``, the achieved age and cost and the probe
 count.  The last line sums up: draws solved, errors by name, policy
-evaluations over the solved draws' probes, and the worst duality
-certificate (``oracles.duality_certificate``).  The outputs of two versions
-of the code at the same flags compare with ``diff``; an error outside the
-solver's own kinds ends the scan with a traceback.
+evaluations over the solved draws' probes, the worst duality certificate
+(``oracles.duality_certificate``) and the probes over the solved draws.  The
+outputs of two versions of the code at the same flags compare with ``diff``;
+an error outside the solver's own kinds ends the scan with a traceback.
 """
 
 import argparse
@@ -49,7 +49,7 @@ def main() -> int:
     parser.add_argument("--wide", action="store_true")
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    solved, evaluations, worst, errors = 0, 0, 0.0, collections.Counter()
+    solved, evaluations, probes, worst, errors = 0, 0, 0, 0.0, collections.Counter()
     for _ in range(args.draws):
         point = p0, lam, r_max, c_max, n_max = draw(rng, args.wide)
         try:
@@ -60,10 +60,11 @@ def main() -> int:
             continue
         solved += 1
         evaluations += sum(row.iterations for row in sol.search.trace)
+        probes += len(sol.search.trace)
         worst = max(worst, oracles.duality_certificate(sol, c_max))
         answer = (sol.eta_star.hex(), sol.achieved_aoi.hex(), sol.achieved_cost.hex(), len(sol.search.trace))
         print(point, *answer)
-    print(f"solved {solved} errors {dict(sorted(errors.items()))} evaluations {evaluations} worst certificate {worst:.3g}")
+    print(f"solved {solved} errors {dict(sorted(errors.items()))} evaluations {evaluations} worst certificate {worst:.3g} probes {probes}")
     return 0
 
 

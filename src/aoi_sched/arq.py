@@ -136,3 +136,13 @@ def optimal_policy(p: float, c_max: float) -> RandomizedThreshold:
     mu_star = (c_max - c2) / (c1 - c2)
     transmit_prob = delta2 - delta_cmax
     return RandomizedThreshold(p, c_max, delta_cmax, delta1, delta2, mu_star, transmit_prob)
+
+
+def optimal_charge(p: float, c_max: float) -> float:
+    """Smallest multiplier of the budget-optimal rule: the charge at which the
+    Lagrangian costs of thresholds ``m = ceil(delta_cmax) - 1`` and ``m + 1`` tie.
+
+    It is ``m ((1 - p) m + 1 + p) / 2``, and 0 at the full budget, where ``m = 0``.
+    """
+    m = math.ceil(optimal_policy(p, c_max).delta_cmax) - 1
+    return m * ((1.0 - p) * m + 1.0 + p) / 2.0

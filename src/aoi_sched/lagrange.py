@@ -6,25 +6,26 @@ and the optimal gain is the lower envelope of those lines.  The budget-optimal
 policy randomizes between the two deterministic policies that are adjacent on
 that envelope at the critical charge ``eta*`` (Beutler & Ross 1985; Altman,
 *Constrained Markov Decision Processes*, 1999).  The search walks the
-envelope to that pair.  It brackets the budget with ``eta = 0`` and an upper
-charge doubled from ``1 / c_max**2`` until its policy's cost is within budget
-(phase ``"expand"``).  It then probes where the two endpoint lines cross,
-``x = (J_hi - J_lo) / (C_lo - C_hi)``, and replaces the endpoint on the
-probe's side of the budget (phase ``"walk"``).  When the probe at ``x``
-returns an endpoint's ``(J, C)`` bit for bit, that endpoint is optimal at
-``x`` (to the solver's tie bound), so no policy lies below the pair and
-``eta* = x``.  Every ``J`` and ``C`` is the solver's exact evaluation of
-the probe's policy (``SolverOutput.evaluation``), not its gain, so one
-table gives one ``(J, C)`` in every probe.  A
-probe whose cost meets the budget exactly ends the search at once, so the
-full budget ``c_max = 1``, which the uncharged policy meets by sending in
-every slot, ends at ``eta* = 0`` after one probe.  A greedy policy that
-idles forever once the age reaches the cap is the line ``n_max + eta * 0``;
-if the budget needs it, the cap is too small and ``TruncationError`` says
-which cap to use.  Each trace row also records the probe's policy
-evaluations and solver residual.  The first probe's solve builds the
-``StateSpace`` of ``(model, trunc)`` that every later probe and the final
-mix reuse; a renewal mixture only combines the evaluations of its pair.
+envelope to that pair.  It starts at the paper's ARQ multiplier for the
+budget, ``arq.optimal_charge(p0, c_max)``, and doubles the charge while the
+probe's cost is over the budget, or halves it while the cost is under, until
+a probe lands on the other side (phase ``"expand"``).  It then probes where
+the two endpoint lines cross, ``x = (J_hi - J_lo) / (C_lo - C_hi)``, and
+replaces the endpoint on the probe's side of the budget (phase ``"walk"``).
+When the probe at ``x`` returns an endpoint's ``(J, C)`` bit for bit, that
+endpoint is optimal at ``x`` (to the solver's tie bound), so no policy lies
+below the pair and ``eta* = x``.  Every ``J`` and ``C`` is the solver's
+exact evaluation of the probe's policy (``SolverOutput.evaluation``), not its
+gain, so one table gives one ``(J, C)`` in every probe.  A probe whose cost
+meets the budget exactly ends the search at once, so the full budget
+``c_max = 1``, whose ARQ multiplier is 0 and which the uncharged policy meets
+by sending in every slot, ends at ``eta* = 0`` after one probe.
+A greedy policy that idles forever once the age reaches the cap is the line
+``n_max + eta * 0``; if the budget needs it, the cap is too small and
+``TruncationError`` says which cap to use.  Each trace row also records the
+probe's policy evaluations and solver residual.  The first probe's solve
+builds the ``StateSpace`` of ``(model, trunc)`` that every later probe and the
+final mix reuse; a renewal mixture only combines the evaluations of its pair.
 Each probe's solve starts from the previous probe's output (``rvi.solve``'s
 ``start``), whose values are exact at the new charge once shifted along
 the charge, unless the paper's ARQ threshold rule at the new charge has a
@@ -136,11 +137,13 @@ def search_eta_star(
 ) -> EtaSearchResult:
     """Walk the lower envelope of ``J + eta * C`` to the critical charge.
 
-    The uncharged probe, ``eta = 0``, minimises the age alone, so its
-    policy sends in every slot and its rate 1 is at or above every budget.
-    Raises ``TruncationError`` when the budget needs the policy that idles
-    forever at the age cap, and ``EtaSearchError`` only when a phase runs
-    out of steps.
+    The first probe is at the paper's ARQ multiplier, which is the critical
+    charge of ARQ and lies within a few doublings or halvings of it on HARQ.
+    Halving brackets every budget: the uncharged policy minimises the age
+    alone, so it sends in every slot, at a rate no budget exceeds.  Raises
+    ``TruncationError`` when the budget needs the policy that idles forever
+    at the age cap, and ``EtaSearchError`` only when a phase runs out of
+    steps.
     """
     if not 0.0 < c_max <= 1.0:
         raise ValueError(f"budget must lie in (0, 1], got {c_max}")
@@ -169,15 +172,17 @@ def search_eta_star(
             )
         return EtaSearchResult(eta, (lo.eta, hi.eta), tuple(trace), hit, lo.out, hi.out)
 
-    lo = hi = probe(0.0, "expand")
-    for k in range(_MAX_STEPS):
-        if meets(hi):
-            return result(hi.eta, hi, hi, True)
-        if hi.cost < c_max:
+    p = probe(arq.optimal_charge(model.p0, c_max), "expand")
+    over = p.cost > c_max
+    for _ in range(_MAX_STEPS):
+        if meets(p):
+            return result(p.eta, p, p, True)
+        if (p.cost > c_max) != over:
             break
-        lo, hi = hi, probe(2.0**k / c_max**2, "expand")
+        last, p = p, probe(2.0 * p.eta if over else p.eta / 2.0, "expand")
     else:
         raise EtaSearchError("could not bracket the budget", tuple(trace))
+    lo, hi = (last, p) if over else (p, last)
 
     for _ in range(_MAX_STEPS):
         x = (hi.aoi - lo.aoi) / (lo.cost - hi.cost)

@@ -175,6 +175,28 @@ class TestOptimalPolicy:
         assert res.avg_cost == pytest.approx(c_max, abs=1e-9)
 
 
+class TestOptimalCharge:
+    @given(p=st.floats(0.0, 0.999, exclude_max=True), log_c=st.floats(math.log(0.002), 0.0))
+    @settings(max_examples=300)
+    def test_thresholds_m_and_m_plus_1_tie_at_the_charge(self, p, log_c):
+        c_max = math.exp(log_c)
+        m = math.ceil((1.0 / c_max - p) / (1.0 - p)) - 1
+        eta = arq.optimal_charge(p, c_max)
+        if m < 1:
+            return
+        tied = arq.lagrangian_cost(p, m, eta), arq.lagrangian_cost(p, m + 1, eta)
+        assert tied[0] == pytest.approx(tied[1], rel=1e-12, abs=0.0)
+        assert all(arq.lagrangian_cost(p, d, eta) >= min(tied) for d in arq.threshold_candidates(p, eta))
+
+    @given(p=st.floats(0.0, 0.999, exclude_max=True))
+    def test_the_full_budget_needs_no_charge(self, p):
+        assert arq.optimal_charge(p, 1.0) == 0.0
+
+    def test_known_value(self):
+        # At p = 0.5 thresholds 4 and 5 tie at charge 7, and 0.35 lies between their rates.
+        assert arq.optimal_charge(0.5, 0.35) == 7.0
+
+
 @pytest.mark.parametrize(
     ("call", "args", "message"),
     [

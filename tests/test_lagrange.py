@@ -83,17 +83,18 @@ class TestSearchEtaStar:
     @settings(max_examples=40, deadline=None)
     def test_the_uncharged_policy_sends_in_every_state(self, p0, lam, r_max, n_max):
         # At charge 0 the solver minimises the age alone, so its rate, 1, is
-        # at or above every budget in (0, 1]: the first probe brackets it.
+        # at or above every budget in (0, 1]: halving the charge brackets it.
         out = rvi.solve(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), 0.0)
         space = out.space
         assert not out.policy.table[space.age, space.r, Action.IDLE].any()
         assert abs(out.evaluation.avg_cost - 1.0) <= 1e-15
 
     def test_a_walk_probe_that_meets_the_budget_ends_the_search(self):
-        # The budget is threshold 2's rate: the first walk probe returns that
-        # threshold, whose cost equals the budget bit for bit.
-        c_max = arq.cost_of_threshold(0.1, 2)
-        result = search_eta_star(ChannelModel(0.1, 1.0, 0), Truncation(200, 0), c_max)
+        # The budget is threshold 5's rate: the expand probes return thresholds
+        # 6 and 4, and the first walk probe returns 5, whose cost equals the
+        # budget bit for bit.
+        c_max = arq.cost_of_threshold(0.3, 5)
+        result = search_eta_star(ChannelModel(0.3, 1.0, 0), Truncation(200, 0), c_max)
         assert [row.phase for row in result.trace] == ["expand", "expand", "walk"]
         assert result.exact_hit and result.low is result.high
         assert result.trace[-1].avg_cost == result.high.evaluation.avg_cost == c_max
@@ -183,9 +184,10 @@ class TestSolveConstrained:
         sol = solve_constrained(ChannelModel(0.3, 0.5, 9), Truncation(120, 9), 0.4)
         assert len(sol.search.trace) <= 10
 
-    def test_policy_idling_at_the_age_cap_joins_the_walk(self):
-        # The first upper charge makes the greedy policy idle forever at the
-        # cap of 26, yet the budget's thresholds 21 and 22 fit under it.
+    def test_policy_idling_at_the_age_cap_joins_the_walk(self, monkeypatch):
+        # A first charge of 1 / c_max**2 makes the greedy policy idle forever at
+        # the cap of 26, yet the budget's thresholds 21 and 22 fit under it.
+        monkeypatch.setattr(lagrange.arq, "optimal_charge", lambda p, c_max: 1.0 / c_max**2)
         sol = solve_constrained(ChannelModel(0.05, 1.0, 0), Truncation(26, 0), 0.048)
         assert 0.0 in [row.avg_cost for row in sol.search.trace]
         assert sol.achieved_cost == pytest.approx(0.048, abs=1e-12)
@@ -228,8 +230,8 @@ class TestSolveConstrained:
     )
     @settings(max_examples=40, deadline=None)
     def test_full_budget_is_met_by_the_uncharged_policy(self, p0, lam, r_max, n_max):
-        # The search's first probe, eta = 0, sends in every slot and so meets
-        # the budget exactly.
+        # The search's first probe, at the full budget's ARQ multiplier 0,
+        # sends in every slot and so meets the budget exactly.
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
         sol = solve_constrained(model, trunc, 1.0)
         assert sol.eta_star == 0.0 and sol.search.exact_hit and len(sol.search.trace) == 1
@@ -266,16 +268,17 @@ class TestSolveConstrained:
     @pytest.mark.parametrize(
         "point, kind, reused",
         [
-            # The last probe of each walk but ARQ's finds the policy of the
-            # probe before it still optimal and reuses its evaluation.
-            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, 1),
-            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, 1),
-            # ARQ: the last probe evaluates nothing either, but reads an
-            # exact tie the other way, so its table is new.
+            # The last probe evaluates nothing, but reads an exact tie the
+            # other way from the probe before it, so its table is new.
+            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, 0),
+            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, 0),
             ((0.5, 1.0, 0, 0.35, 200), RandomizedTable, 0),
-            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, 1),  # a probe idles forever at the cap
+            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, 0),  # thresholds 21 and 22 under a cap of 26
+            # The last probe finds the policy of the probe before it still
+            # optimal and reuses its evaluation.
+            ((0.7, 0.5, 3, 0.4, 120), RenewalMixture, 1),
         ],
-        ids=["renewal", "single-state", "arq", "idle-at-cap"],
+        ids=["renewal", "single-state", "arq", "idle-at-cap", "reuse"],
     )
     def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, reused, monkeypatch):
         p0, lam, r_max, c_max, n_max = point
@@ -323,6 +326,30 @@ class TestSolveConstrained:
                 assert digest(res) == digest(evaluate_exact(policy, model, trunc))
         achieved = evaluate_exact(sol.mixed, model, trunc)
         assert (sol.achieved_aoi, sol.achieved_cost, sol.tail_mass) == (achieved.avg_aoi, achieved.avg_cost, achieved.tail_mass)
+
+    @pytest.mark.parametrize(
+        "points, probes, evaluations",
+        [
+            # A moderate-budget grid as a budget sweep runs it, operating point A and ARQ.
+            (
+                [(p0, 0.5, 3, c_max, 120) for p0 in (0.3, 0.5, 0.7) for c_max in (0.3, 0.4, 0.6, 1.0)]
+                + [(0.3, 0.5, 9, 0.4, 120), (0.5, 1.0, 0, 0.35, 200)],
+                49,
+                71,
+            ),
+            # Tight budgets.
+            ([(0.7, 0.5, 3, 0.1, 150), (0.5, 0.5, 3, 0.08, 250), (0.5, 1.0, 0, 0.05, 300)], 13, 22),
+        ],
+        ids=["moderate", "tight"],
+    )
+    def test_searches_starting_at_the_arq_charge_need_few_probes(self, points, probes, evaluations):
+        rows = [
+            row
+            for p0, lam, r_max, c_max, n_max in points
+            for row in search_eta_star(ChannelModel(p0, lam, r_max), Truncation(n_max, r_max), c_max).trace
+        ]
+        assert len(rows) <= probes
+        assert sum(row.iterations for row in rows) <= evaluations
 
     def test_harq_beats_arq_at_same_budget(self):
         # Never retransmitting is always available, so allowing combining
