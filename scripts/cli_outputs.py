@@ -53,7 +53,8 @@ COMMANDS = {
     "simulate-batches": ["simulate", "--policy", "optimal", "--cmax", "0.4", "--horizon", "100000", "--reps", "16"],
     "simulate-always-new": ["simulate", "--policy", "always-new", "--horizon", "999", "--reps", "3"],
     "simulate-arq-optimal": ["simulate", "--policy", "arq-optimal", *ARQ, "--cmax", "0.3", "--horizon", "999", "--reps", "3"],
-    # The budget-optimal policy is a renewal mixture here.
+    # The search's two tables differ in several states here, in one that both chains visit; the
+    # budget-optimal policy randomizes that one.
     "simulate-mixture": [
         "simulate", "--policy", "optimal", *HARQ, "--nmax", "120", "--cmax", "0.4", "--horizon", "999", "--reps", "3",
     ],

@@ -172,8 +172,10 @@ def renewal_mixture_weight(
 
     Corrects the chord weight for unequal expected cycle lengths
     ``1 / pi(regeneration)``: drawing a policy per cycle weights its averages
-    by how long its cycles last.  The default regeneration point is the
-    renewal state (1, 0), where a ``RenewalMixture`` redraws.
+    by how long its cycles last.  ``lagrange.solve_constrained`` draws the
+    action of the one state in which two tables differ, and both chains
+    visit, at every visit to it; a ``RenewalMixture`` redraws its policy at
+    the default regeneration point, the renewal state (1, 0).
     """
     c1, c2 = first.avg_cost, second.avg_cost
     if not c2 <= c_max <= c1:

@@ -25,24 +25,37 @@ A greedy policy that idles forever once the age reaches the cap is the line
 ``TruncationError`` says which cap to use.  Each trace row also records the
 probe's policy evaluations and solver residual.  The first probe's solve
 builds the ``StateSpace`` of ``(model, trunc)`` that every later probe and the
-final mix reuse; a renewal mixture only combines the evaluations of its pair.
+final mix reuse.
 Each probe's solve starts from the previous probe's output (``rvi.solve``'s
 ``start``), whose values are exact at the new charge once shifted along
 the charge, unless the paper's ARQ threshold rule at the new charge has a
 lower gain, in which case it starts from that rule's values; a probe whose
 previous policy is still optimal evaluates no policy (0 in its trace row).
 
-Mixing the two policies to meet the budget with equality yields the
-constrained optimum: in a single state when the tables differ in exactly one,
-otherwise by redrawing the active policy at every visit to the renewal state
-(1, 0).
+With one budget constraint an optimal policy needs to randomize in one state
+only (Beutler & Ross 1985; Ross 1989), and the answer is such a table.  The
+search's pair is narrowed to two tables one state apart.  The low table on
+its chain's states, with the high table elsewhere, has the low table's ``J``
+and ``C``.  The states where the pair differs and both chains go are
+switched to the high action one by one; after the last switch the table has
+the high table's ``J`` and ``C``, so only a table between the two ends is
+evaluated.  The first switch whose cost meets the budget gives the two
+tables.  They agree outside the switched state ``s``, so a visit to ``s``
+that takes one table's action runs that table's excursion back to ``s``:
+randomizing ``s`` is regenerative at ``s``, and its ``(C, J)`` lies on the
+chord between the two tables' points.  That chord is the ``eta*`` line only
+if both tables are optimal there.  A solved table's action in a state its
+chain all but never visits (masses down to 1e-44 occur) is not held to the
+line by its own ``J`` and ``C``, so the states switch in increasing order of
+the low chain's mass over the high chain's: the table whose chain visits a
+state relatively more gives its action there first.
 
-The reported mixture coefficient ``mu`` is the chord weight in cost space
-between the two policies' (cost, age) points, which is also the weight
-placing the achieved age on the lower convex hull of those points.  The
-randomization probability actually executed is corrected for unequal
-expected renewal-cycle lengths so that the exact stationary cost equals the
-budget, not just its once-drawn expectation.
+The reported mixture coefficient ``mu`` is that chord weight in cost space,
+which places the achieved age on the lower convex hull of the two points.
+The probability executed at ``s`` is corrected for the two chains' unequal
+expected cycle lengths between visits to ``s``, so that the exact stationary
+cost equals the budget; the achieved averages are ``evaluate_exact`` of the
+randomized table.
 """
 
 from __future__ import annotations
@@ -50,17 +63,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from . import arq
 from .errors import BracketingError, EtaSearchError, TruncationError
-from .exact import EvalResult, _renewal_mix, arq_eval_truncation, evaluate_exact, renewal_mixture_weight
-from .mdp import ChannelModel, State, Truncation
-from .policies import (
-    DeterministicTable,
-    Policy,
-    RandomizedTable,
-    RenewalMixture,
-    table_difference,
-)
+from .exact import arq_eval_truncation, evaluate_exact, renewal_mixture_weight
+from .mdp import ChannelModel, Truncation
+from .policies import DeterministicTable, Policy, RandomizedTable
 from .rvi import SolverOutput, solve
 
 _HIT_TOL = 1e-9  # |cost - budget| at which a probe meets the budget exactly
@@ -105,8 +114,16 @@ class _Probe(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedSolution:
-    """Budget-optimal policy; ``tail_mass`` is the achieved policy's stationary
-    mass at the age cap (``EvalResult.tail_mass``), reported, not checked."""
+    """Budget-optimal policy, ``mixed``: a table randomized in one state.
+
+    Off an exact hit, ``policy_low`` (over the budget) and ``policy_high``
+    (within it) are deterministic tables that differ in that one state,
+    which both visit, and ``mu`` is the chord weight on ``policy_low``; on
+    a hit all three are the hit probe's table and ``mu`` is 1.  The
+    achieved averages are ``evaluate_exact`` of ``mixed``; ``tail_mass`` is
+    its stationary mass at the age cap (``EvalResult.tail_mass``), reported,
+    not checked.
+    """
 
     eta_star: float
     policy_low: DeterministicTable
@@ -198,59 +215,48 @@ def search_eta_star(
     raise EtaSearchError("envelope walk did not reach an adjacent pair", tuple(trace))
 
 
-def _single_state_mix(
-    policy_low: DeterministicTable,
-    policy_high: DeterministicTable,
-    res_low: EvalResult,
-    res_high: EvalResult,
-    diff_state: State,
-    c_max: float,
-) -> RandomizedTable:
-    """Randomize the one differing state so the exact cost equals the budget.
-
-    The tables agree everywhere else, so choosing the action anew at each
-    visit to ``diff_state`` is a renewal mixture with that state as the
-    regeneration point: the cost is linear-fractional in the weight, with
-    cycle lengths ``1 / pi(diff_state)`` of the two pure policies.  The
-    budget lies between their costs, as ``mixture_weight`` has checked.
-    """
-    w = renewal_mixture_weight(res_low, res_high, c_max, diff_state)
-    table = policy_high.table.copy()
-    table[diff_state] = w * policy_low.table[diff_state] + (1.0 - w) * table[diff_state]
-    return RandomizedTable(table, policy_high.trunc)
-
-
 def solve_constrained(
     model: ChannelModel,
     trunc: Truncation,
     c_max: float,
 ) -> ConstrainedSolution:
-    """Budget-optimal policy: multiplier search plus a one-knob randomization."""
-    search = search_eta_star(model, trunc, c_max)
-    eta_star = search.eta_star
-    policy_low, policy_high = search.low.policy, search.high.policy
-    res_low, res_high = search.low.evaluation, search.high.evaluation
+    """Budget-optimal policy: multiplier search, then one randomized state.
 
+    Off an exact hit, the search's pair narrows to two tables one state
+    apart.  The walk starts from the low table on its chain's states and the
+    high one elsewhere, and switches the states where the pair differs and
+    both chains go to the high action, in increasing order of the ratio of
+    the low chain's mass to the high chain's, until the cost meets the
+    budget.  Its start has the low table's evaluation and its end the
+    high one's, so only a table between them is evaluated.  The last
+    switched state, which both of the last two tables' chains visit, is
+    randomized so that the exact cost equals the budget.
+    """
+    search = search_eta_star(model, trunc, c_max)
+    lo, hi = search.low, search.high
+    low, res_low = lo.policy, lo.evaluation
     if search.exact_hit:  # low and high are the same probe
-        mu, mixed, achieved = 1.0, policy_low, res_low
+        high, mu, mixed, achieved = low, 1.0, low, res_low
     else:
+        pi_low, pi_high = lo.evaluation.stationary, hi.evaluation.stationary
+        switch = (low.table != hi.policy.table).any(axis=2) & (pi_low > 0.0) & (pi_high > 0.0)
+        walk = np.argwhere(switch)[np.argsort(pi_low[switch] / pi_high[switch], kind="stable")]
+        table = np.where((pi_low > 0.0)[..., None], low.table, hi.policy.table)
+        for k, state in enumerate(map(tuple, walk), 1):
+            before, table = table, table.copy()
+            table[state] = hi.policy.table[state]
+            high = DeterministicTable(table, low.trunc)
+            res_high = hi.evaluation if k == len(walk) else evaluate_exact(high, model, trunc, space=lo.space)
+            if res_high.avg_cost <= c_max:
+                break
+            res_low = res_high
+        low = DeterministicTable(before, low.trunc)
         mu = mixture_weight(res_low.avg_cost, res_high.avg_cost, c_max)
-        # Without an exact hit the endpoints' costs differ, so their tables do too.
-        diff = table_difference(policy_low, policy_high)
-        if len(diff) == 1:  # another chain: evaluate it
-            mixed: Policy = _single_state_mix(policy_low, policy_high, res_low, res_high, diff[0], c_max)
-            achieved = evaluate_exact(mixed, model, trunc, space=search.low.space)
-        else:  # the pair's own chains: combine their evaluations
-            w = renewal_mixture_weight(res_low, res_high, c_max)
-            mixed, achieved = RenewalMixture(policy_low, policy_high, w), _renewal_mix(res_low, res_high, w)
+        w = renewal_mixture_weight(res_low, res_high, c_max, state)
+        rows = table.copy()
+        rows[state] = w * before[state] + (1.0 - w) * table[state]
+        mixed = RandomizedTable(rows, low.trunc)
+        achieved = evaluate_exact(mixed, model, trunc, space=lo.space)
     return ConstrainedSolution(
-        eta_star,
-        policy_low,
-        policy_high,
-        mu,
-        mixed,
-        achieved.avg_cost,
-        achieved.avg_aoi,
-        achieved.tail_mass,
-        search,
+        search.eta_star, low, high, mu, mixed, achieved.avg_cost, achieved.avg_aoi, achieved.tail_mass, search
     )

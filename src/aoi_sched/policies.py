@@ -179,11 +179,3 @@ class PeriodicPolicy:
 
 StationaryPolicy = Union[DeterministicTable, RandomizedTable, ThresholdPolicy]
 Policy = Union[StationaryPolicy, RenewalMixture, PeriodicPolicy]
-
-
-def table_difference(a: DeterministicTable, b: DeterministicTable) -> list[State]:
-    """States on which two deterministic tables disagree."""
-    if a.trunc != b.trunc:
-        raise ValueError("cannot compare tables with different truncations")
-    d, r = np.nonzero((a.table != b.table).any(axis=2))
-    return list(map(State, d.tolist(), r.tolist()))

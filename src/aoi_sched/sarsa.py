@@ -196,7 +196,8 @@ def train(model: ChannelModel, cfg: LearnerConfig) -> tuple[LearnerState, Timeli
     # only where this flag is set.
     retx = ls.space.admissible[:, Action.RETRANSMIT].tolist()
     # No retransmission at r_cap, so the attempts stay at most max(1, r_cap),
-    # and every entry read here equals SlotEnv's full table.
+    # below this table's last column unless that is the model's attempt cap:
+    # every entry read here is the one SlotEnv reads.
     fail, reset_age, fail_att, allowed = (x.tolist() for x in slot_outcomes(model, r_cap + 2))
     env_u, env_k = [], 0
     act_u, act_k = [], 0

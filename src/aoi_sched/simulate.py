@@ -83,6 +83,7 @@ _SUB = 8  # steps per run: a segment, booked and checked for coverage at its end
 _BUDGET = 15 * 2**14  # lane-steps of history a batch starts with: 3 replications of 100k slots, 15 of 2,000
 _NARROW = 2**29  # horizons below it keep ages and slot counts as int32
 _LANE_IDS = np.arange(_LANES)
+_ENV_WIDTH = 64  # attempt columns a SlotEnv loads first: the whole table of a model with r_max below 64
 
 class SlotTrace(NamedTuple):
     """A run's slots as columns: slot ``t``, at index ``t - 1``, begins in ``(delta, r)``,
@@ -619,26 +620,36 @@ class SlotEnv:
     """Minimal slot interface for learners: hides the error profile.
 
     ``step`` applies an action to the true (untruncated) state and reports
-    the next state and the transmission outcome from ``mdp.slot_outcomes``,
-    loaded once up to the model's attempt cap.  With ``sarsa.step`` it is the
-    per-slot specification of ``sarsa.train``, which runs the same slots on
-    list copies of the table; the tests check its steps against the
-    per-state slot rule of ``tests/spec.py``.
+    the next state and the transmission outcome from ``mdp.slot_outcomes``.
+    The table is loaded for the first ``_ENV_WIDTH`` attempt counts and
+    reloaded at twice the width when the attempts reach its last column,
+    which stands for the attempt cap only at the model's ``r_max``.  With
+    ``sarsa.step`` it is the per-slot specification of ``sarsa.train``, which
+    runs the same slots on list copies of the table; the tests check its
+    steps against the per-state slot rule of ``tests/spec.py``.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
         self.rng = rng
+        self.model = model
         self.state = State(1, 0)
+        self._load(_ENV_WIDTH)
+
+    def _load(self, width: int) -> None:
         # Nested lists: a Python lookup per slot is far cheaper than a numpy one.
-        out = slot_outcomes(model, model.r_max + 1)
+        out = slot_outcomes(self.model, width)
         self._fail, self._reset_age, self._fail_att, self._admissible = (x.tolist() for x in out)
+        self._reload_at = width - 1 if width <= self.model.r_max else width
 
     def reset(self) -> State:
         self.state = State(1, 0)
         return self.state
 
     def admissible(self, a: Action) -> bool:
-        return self._admissible[a][self.state.r]
+        r = self.state.r
+        if r >= self._reload_at:
+            self._load(2 * (r + 1))
+        return self._admissible[a][r]
 
     def step(self, a: Action) -> tuple[State, bool | None]:
         if not self.admissible(a):

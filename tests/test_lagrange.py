@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
@@ -6,11 +7,16 @@ from aoi_sched import arq, errors, exact, lagrange, mdp, oracles, rvi
 from aoi_sched.errors import BracketingError
 from aoi_sched.exact import arq_eval_truncation, evaluate_exact
 from aoi_sched.lagrange import mixture_weight, search_eta_star, solve_constrained
-from aoi_sched.mdp import Action, ChannelModel, Truncation, enumerate_states
-from aoi_sched.policies import RandomizedTable, RenewalMixture, table_difference
+from aoi_sched.mdp import Action, ChannelModel, State, Truncation, enumerate_states
+from aoi_sched.policies import RandomizedTable
 from aoi_sched.rvi import bellman_residual
 
 import spec
+
+
+def differing_states(a, b):
+    """States where two tables' action rows differ."""
+    return [State(int(d), int(r)) for d, r in np.argwhere((a.table != b.table).any(axis=2))]
 
 
 class TestMixtureWeight:
@@ -160,13 +166,21 @@ class TestSolveConstrained:
         assert low.avg_aoi - 1e-9 <= sol.achieved_aoi <= high.avg_aoi + 1e-9
         assert 0.0 <= sol.mu <= 1.0
 
-    @pytest.mark.parametrize("point", [(0.3, 0.5, 3, 0.6, 120), (0.5, 1.0, 0, 0.35, 200)])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.3, 0.5, 3, 0.6, 120),
+            (0.5, 1.0, 0, 0.35, 200),
+            (0.3, 0.5, 3, 0.3, 120),  # the search's tables differ in more than one state
+            (0.3, 0.5, 3, 0.2, 150),  # ... in two that both chains visit, so a table between them is evaluated
+        ],
+    )
     def test_single_state_weight_is_the_root_of_the_exact_cost(self, point):
         p0, lam, r_max, c_max, n_max = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
         sol = solve_constrained(model, trunc, c_max)
         assert isinstance(sol.mixed, RandomizedTable)
-        (state,) = table_difference(sol.policy_low, sol.policy_high)
+        (state,) = differing_states(sol.policy_low, sol.policy_high)
         a_low, a_high = spec.actions(sol.policy_low)[state], spec.actions(sol.policy_high)[state]
 
         def gap(w):
@@ -266,21 +280,22 @@ class TestSolveConstrained:
         assert len(builds) == 1
 
     @pytest.mark.parametrize(
-        "point, kind, reused",
+        "point, reused",
         [
             # The last probe evaluates nothing, but reads an exact tie the
-            # other way from the probe before it, so its table is new.
-            ((0.3, 0.5, 3, 0.3, 120), RenewalMixture, 0),
-            ((0.3, 0.5, 3, 0.6, 120), RandomizedTable, 0),
-            ((0.5, 1.0, 0, 0.35, 200), RandomizedTable, 0),
-            ((0.05, 1.0, 0, 0.048, 26), RandomizedTable, 0),  # thresholds 21 and 22 under a cap of 26
+            # other way from the probe before it, so its table is new.  The
+            # search's two tables differ in more than one state.
+            ((0.3, 0.5, 3, 0.3, 120), 0),
+            ((0.3, 0.5, 3, 0.6, 120), 0),
+            ((0.5, 1.0, 0, 0.35, 200), 0),
+            ((0.05, 1.0, 0, 0.048, 26), 0),  # thresholds 21 and 22 under a cap of 26
             # The last probe finds the policy of the probe before it still
             # optimal and reuses its evaluation.
-            ((0.7, 0.5, 3, 0.4, 120), RenewalMixture, 1),
+            ((0.7, 0.5, 3, 0.4, 120), 1),
         ],
         ids=["renewal", "single-state", "arq", "idle-at-cap", "reuse"],
     )
-    def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, kind, reused, monkeypatch):
+    def test_probes_and_mixture_match_exact_evaluation_bit_for_bit(self, point, reused, monkeypatch):
         p0, lam, r_max, c_max, n_max = point
         model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
         probes = []  # per probe: its output and the chains it built
@@ -298,7 +313,7 @@ class TestSolveConstrained:
         monkeypatch.setattr(lagrange, "solve", solved)
         monkeypatch.setattr(rvi, "_chain", counted)
         sol = solve_constrained(model, trunc, c_max)
-        assert isinstance(sol.mixed, kind) and len(probes) == len(sol.search.trace)
+        assert isinstance(sol.mixed, RandomizedTable) and len(probes) == len(sol.search.trace)
 
         def digest(res):
             return res.avg_aoi, res.avg_cost, res.tail_mass, res.stationary.tobytes()
@@ -435,3 +450,36 @@ class TestDualityCertificate:
         last = search.trace[-1]
         ends = [(out.evaluation.avg_aoi, out.evaluation.avg_cost) for out in (search.low, search.high)]
         assert last.eta == search.eta_star and (last.avg_aoi, last.avg_cost) in ends
+
+
+# The search's tables differ in several states at the first point, and in two,
+# nine and two states that both chains visit at the next three.  At acceptance
+# 04's point B, the last, switching them in index order left the eta* line, and
+# the age 1.1e-8 above the renewal mixture's.
+@example(p0=0.5, lam=0.5, r_max=3, n_max=120, c_max=0.4)
+@example(p0=0.12724321197814698, lam=0.3994867019659409, r_max=4, n_max=77, c_max=0.0954204661957279)
+@example(p0=0.12582344347827143, lam=0.7457117531994866, r_max=2, n_max=48, c_max=0.45427302194689695)
+@example(p0=0.3, lam=0.5, r_max=3, n_max=150, c_max=0.2)
+@example(p0=0.4, lam=0.5, r_max=9, n_max=160, c_max=0.2)
+@given(**_DRAWS)
+@settings(max_examples=40, deadline=None)
+def test_the_answer_randomizes_one_state_that_both_its_tables_visit(p0, lam, r_max, n_max, c_max):
+    model, trunc = ChannelModel(p0, lam, r_max), Truncation(n_max, r_max)
+    try:
+        sol = solve_constrained(model, trunc, c_max)
+    except errors.TruncationError:
+        return
+    search = sol.search
+    if search.exact_hit:
+        return
+    (state,) = differing_states(sol.policy_low, sol.policy_high)
+    for policy in (sol.policy_low, sol.policy_high):
+        assert evaluate_exact(policy, model, trunc).stationary[state] > 0.0
+    rows = sol.mixed.table.copy()
+    rows[state] = sol.policy_high.table[state]
+    assert (rows == sol.policy_high.table).all()
+    assert abs(sol.achieved_cost - c_max) <= 1e-12
+    # No worse than redrawing between the search's pair at every visit to (1, 0).
+    low, high = search.low.evaluation, search.high.evaluation
+    renewal = exact._renewal_mix(low, high, exact.renewal_mixture_weight(low, high, c_max))
+    assert sol.achieved_aoi <= renewal.avg_aoi * (1.0 + 1e-12)

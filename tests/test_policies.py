@@ -12,7 +12,6 @@ from aoi_sched.policies import (
     RenewalMixture,
     ThresholdPolicy,
     clamped_rows,
-    table_difference,
 )
 
 import spec
@@ -60,19 +59,6 @@ class TestTables:
         table = DeterministicTable(acts, trunc)
         assert spec.actions(table) == acts
         assert list(spec.actions(table)) == enumerate_states(trunc)
-
-    def test_table_difference(self):
-        trunc = Truncation(3, 0)
-        base = {State(d, 0): Action.IDLE for d in range(1, 4)}
-        other = dict(base)
-        other[State(2, 0)] = Action.NEW_UPDATE
-        diff = table_difference(
-            DeterministicTable(base, trunc), DeterministicTable(other, trunc)
-        )
-        assert diff == [State(2, 0)]
-        wider = DeterministicTable({State(d, 0): Action.IDLE for d in range(1, 5)}, Truncation(4, 0))
-        with pytest.raises(ValueError, match="different truncations"):
-            table_difference(DeterministicTable(base, trunc), wider)
 
 
 class TestThresholdPolicy:

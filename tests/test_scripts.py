@@ -3,6 +3,7 @@
 import ast
 import json
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,28 @@ def test_cli_outputs_writes_every_output_of_its_commands(tmp_path, monkeypatch):
     assert changed == [], f"outputs differ from {GOLDEN}: {changed}"
 
 
+def test_same_as_reports_a_last_bit_difference_either_way(tmp_path, capsys):
+    compare = runpy.run_path(str(SCRIPTS / "same_as.py"))["compare"]
+    trees = {}
+    for name in ("base", "planted"):
+        tree = trees[name] = tmp_path / name
+        shutil.copytree(SCRIPTS.parent / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        (tree / "scripts").mkdir()
+        shutil.copy(SCRIPTS / "solve_scan.py", tree / "scripts")
+    exact = trees["planted"] / "src/aoi_sched/exact.py"
+    source = exact.read_text()
+    assert source.count("float(pi @ space.delta)") == 1
+    exact.write_text(source.replace("float(pi @ space.delta)", "float(pi @ space.delta) * (1.0 + 2.0**-52)"))
+    scans = {"solve-scan": ["scripts/solve_scan.py", "--draws", "3", "--seed", "5"]}
+
+    assert compare(trees["base"], trees["base"], scans) == 0
+    assert capsys.readouterr().out == "solve-scan: identical\n"
+    for base, head in (("base", "planted"), ("planted", "base")):
+        assert compare(trees[base], trees[head], scans) == 1
+        headline, detail = capsys.readouterr().out.splitlines()
+        assert headline == "solve-scan: differs in 1 output(s)" and detail.startswith("  stdout ")
+
+
 def test_code_lines_counts_the_lines_that_hold_code():
     code_lines = runpy.run_path(str(SCRIPTS / "code_lines.py"))["code_lines"]
     source = '''"""A module docstring,
@@ -158,8 +181,8 @@ def test_unreached_lines_lists_the_package_lines_a_run_never_executes():
         (number,) = [k for k, line in enumerate(source, 1) if text in line]
         return f"src/aoi_sched/policies.py:{number}: {source[number - 1].strip()}"
 
-    # test_policies compares tables of two truncations, and never describes a mixture.
-    assert where('raise ValueError("cannot compare tables') not in listed
+    # test_policies builds a mixture of a periodic policy, and never describes a mixture.
+    assert where("mixture components must be stationary table or threshold policies") not in listed
     assert where('return f"mixture[w=') in listed
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +311,26 @@ class TestSlotEnv:
         for a in [Action.NEW_UPDATE] + [Action.RETRANSMIT] * 39:
             env.step(a)
         assert env.state.r == 40 and len(calls) == 1
+
+    def test_a_long_attempt_cap_loads_the_table_as_the_attempts_grow(self):
+        model = ChannelModel(0.5, 0.999, 10**6)
+        assert model.r_max == 743_663  # cut back to where g(r) underflows to 0
+        SlotEnv(ChannelModel(0.5, 0.5, 3), ForcedUniform(0.0))  # first-call costs outside the measurement
+        tracemalloc.start()
+        start = time.perf_counter()
+        env = SlotEnv(model, ForcedUniform(0.0))
+        seconds, (_, peak) = time.perf_counter() - start, tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert seconds < 0.05 and peak < 2**20
+        big = Truncation(10**9, model.r_max)
+        # Uniform 0 fails every transmission: 200 attempts, past the first loads' last columns.
+        for a in [Action.NEW_UPDATE] + [Action.RETRANSMIT] * 199:
+            fail, _ = spec.transitions(env.state, a, model, big)
+            assert env.step(a) == (fail.next, False)
+        assert env.state == State(201, 200)
+        env.rng = ForcedUniform(1.0 - 2.0**-53)
+        _, deliver = spec.transitions(env.state, Action.RETRANSMIT, model, big)
+        assert env.step(Action.RETRANSMIT) == (deliver.next, True)
 
 
 class ForcedUniform:
